@@ -3,6 +3,22 @@
 use gcs_core::Params;
 use gcs_sim::MessageStats;
 
+/// Ratio of the busiest node's delivery count to the mean (1.0 = perfectly
+/// balanced, and the value when nothing was delivered). Unlike
+/// [`ComplexityReport::from_stats`] it needs no duration, so it is defined
+/// for zero-horizon runs too.
+pub fn delivery_imbalance(stats: &MessageStats) -> f64 {
+    let Some(&max) = stats.per_node_deliveries.iter().max() else {
+        return 1.0;
+    };
+    let mean = stats.deliveries as f64 / stats.per_node_deliveries.len() as f64;
+    if mean > 0.0 {
+        max as f64 / mean
+    } else {
+        1.0
+    }
+}
+
 /// Complexity figures for one execution, in the units of the paper's
 /// Section 6.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,17 +76,6 @@ impl ComplexityReport {
         assert!(nodes > 0, "no nodes");
         let sends_per_node_per_time = stats.send_events as f64 / nodes as f64 / duration;
         let t_hat = params.t_hat();
-        let delivery_imbalance = if stats.deliveries == 0 || stats.per_node_deliveries.is_empty() {
-            1.0
-        } else {
-            let max = *stats.per_node_deliveries.iter().max().expect("non-empty") as f64;
-            let mean = stats.deliveries as f64 / stats.per_node_deliveries.len() as f64;
-            if mean > 0.0 {
-                max / mean
-            } else {
-                1.0
-            }
-        };
         ComplexityReport {
             sends_per_node_per_time,
             sends_per_node_per_t: sends_per_node_per_time * t_hat,
@@ -83,7 +88,7 @@ impl ComplexityReport {
             dropped_model: stats.dropped_model,
             dropped_faults: stats.dropped_faults,
             duplicated: stats.duplicated,
-            delivery_imbalance,
+            delivery_imbalance: delivery_imbalance(stats),
         }
     }
 

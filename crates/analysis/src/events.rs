@@ -106,6 +106,20 @@ pub fn encode_event(event: &EngineEvent) -> String {
     }
 }
 
+/// Writes `events` to the file at `path` in the JSONL event-log format.
+///
+/// # Errors
+///
+/// The file write failure.
+pub fn write_jsonl(path: impl AsRef<std::path::Path>, events: &[EngineEvent]) -> io::Result<()> {
+    let mut out = String::new();
+    for event in events {
+        out.push_str(&encode_event(event));
+        out.push('\n');
+    }
+    std::fs::write(path, out)
+}
+
 /// An [`EventSink`] writing each event as one JSON line to any
 /// [`Write`] target.
 ///

@@ -14,15 +14,16 @@ mod accounting;
 mod clock_trace;
 pub mod events;
 mod gradient;
+pub mod json;
 mod legal;
 pub mod metrics;
 mod table;
 mod trace;
 mod watchdog;
 
-pub use accounting::ComplexityReport;
+pub use accounting::{delivery_imbalance, ComplexityReport};
 pub use clock_trace::ClockTrace;
-pub use events::{diff_streams, encode_event, JsonlWriter, StreamDiff};
+pub use events::{diff_streams, encode_event, write_jsonl, JsonlWriter, StreamDiff};
 pub use gradient::GradientProfile;
 pub use legal::{LegalStateChecker, LegalStateViolation};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSink};

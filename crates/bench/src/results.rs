@@ -22,6 +22,8 @@
 use std::fmt::Display;
 use std::io;
 
+use gcs_analysis::json;
+
 /// Accumulates one bench's configuration and measurements, then renders
 /// or writes the `BENCH_<name>.json` artifact.
 #[derive(Debug, Clone)]
@@ -63,22 +65,22 @@ impl BenchReport {
     /// newline, stable key order).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"schema\":\"gcs-bench-result/v1\",\"bench\":");
-        push_json_string(&mut out, &self.name);
+        json::push_string(&mut out, &self.name);
         out.push_str(",\"config\":{");
         for (i, (k, v)) in self.config.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            push_json_string(&mut out, k);
+            json::push_string(&mut out, k);
             out.push(':');
-            push_json_string(&mut out, v);
+            json::push_string(&mut out, v);
         }
         out.push_str("},\"metrics\":{");
         for (i, (k, v)) in self.metrics.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            push_json_string(&mut out, k);
+            json::push_string(&mut out, k);
             out.push(':');
             // `{}` prints the shortest representation that round-trips.
             out.push_str(&format!("{v}"));
@@ -101,22 +103,6 @@ impl BenchReport {
         std::fs::write(&path, self.to_json())?;
         Ok(path.display().to_string())
     }
-}
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

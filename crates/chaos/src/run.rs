@@ -1,17 +1,10 @@
-//! Executing one chaos scenario: the sweep substrate (topology, delay
-//! model, rate schedules) with the fault schedule compiled onto it via
-//! [`gcs_adversary::ChaosDelay`], observed by the invariant watchdog as the
-//! online oracle.
+//! Executing one chaos scenario: the shared [`Scenario`] substrate with
+//! the fault schedule compiled onto it via [`gcs_adversary::ChaosDelay`],
+//! observed by the invariant watchdog as the online oracle.
 
-use gcs_adversary::{apply_rate_faults, ChaosDelay};
-use gcs_analysis::{InvariantWatchdog, SkewObserver, WatchdogViolation};
-use gcs_core::{
-    AOpt, AOptJump, EnvelopeAOpt, MaxAlgorithm, MidpointAlgorithm, MinGapAOpt, NoSync, Params,
-};
-use gcs_graph::Graph;
-use gcs_sim::{Engine, EngineEvent, EventSink, MessageStats, Protocol, RecorderSink};
-use gcs_sweep::{build_delay, build_rates, parse_topology, SweepDelay};
-use gcs_time::{DriftBounds, RateSchedule};
+use gcs_analysis::WatchdogViolation;
+use gcs_sim::{EngineEvent, MessageStats};
+use gcs_sweep::{Scenario, ScenarioSpec, SinkSet};
 
 use crate::spec::ChaosSpec;
 
@@ -53,120 +46,60 @@ impl ScenarioOutcome {
     }
 }
 
-/// The oracle sink: exact skew observation plus the invariant watchdog,
-/// with the flight recorder armed so a violation leaves a causal window.
-struct OracleSinks {
-    observer: SkewObserver,
-    watchdog: InvariantWatchdog,
-    recorder: RecorderSink,
-}
-
-impl EventSink for OracleSinks {
-    fn record(&mut self, event: &EngineEvent) {
-        self.recorder.record(event);
-        self.watchdog.record(event);
-    }
-
-    fn wants_snapshots(&self) -> bool {
-        true
-    }
-
-    fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
-        self.observer.observe_clocks(t, clocks);
-        self.watchdog.snapshot(t, clocks, queue_depth);
-    }
-}
-
-fn exec<P: Protocol + Send>(
-    graph: Graph,
-    protocols: Vec<P>,
-    delay: ChaosDelay<SweepDelay>,
-    schedules: Vec<RateSchedule>,
-    horizon: f64,
-    threads: usize,
-    sinks: OracleSinks,
-) -> (OracleSinks, MessageStats)
-where
-    P::Msg: Send,
-{
-    let mut engine = Engine::builder(graph)
-        .protocols(protocols)
-        .delay_model(delay)
-        .rate_schedules(schedules)
-        .event_sink(sinks)
-        .build();
-    engine.wake_all_at(0.0);
-    if threads >= 2 {
-        // The parallel driver transparently falls back to the sequential
-        // loop whenever the (chaos-degraded) lookahead promise cannot
-        // justify a window — either way the observable execution is
-        // byte-identical to `threads = 1`.
-        engine.run_until_threaded(horizon, threads);
-    } else {
-        engine.run_until(horizon);
-    }
-    let stats = engine.message_stats().clone();
-    (engine.into_sink(), stats)
-}
-
 /// Runs `spec` to completion and reports what the oracle saw.
 ///
 /// The outcome is a pure function of the spec: topology randomness, delay
 /// randomness, rate walks, and every fault coin-flip all derive from
 /// `spec.seed`, and the engine guarantees `threads`-independence, so the
-/// same spec reproduces the same outcome at any thread count.
+/// same spec reproduces the same outcome at any thread count. With
+/// `threads >= 2` the parallel driver transparently falls back to the
+/// sequential loop whenever the (chaos-degraded) lookahead promise cannot
+/// justify a window.
+///
+/// # Panics
+///
+/// Propagates an engine panic.
 pub fn run_scenario(spec: &ChaosSpec, threads: usize) -> Result<ScenarioOutcome, String> {
-    let graph = parse_topology(&spec.topology, spec.seed)?;
-    let n = graph.len();
-    let d = graph.diameter();
-    let drift = DriftBounds::new(spec.eps).map_err(|e| e.to_string())?;
-    let params = match spec.sigma {
-        Some(sigma) => Params::with_sigma(spec.eps, spec.t, sigma),
-        None => Params::recommended(spec.eps, spec.t),
-    }
-    .map_err(|e| e.to_string())?;
-    let (delay, min_horizon) = build_delay(&spec.delay, &graph, spec.t, spec.eps, spec.seed)?;
-    let horizon = spec.horizon.max(min_horizon);
-    let mut schedules = build_rates(&spec.rates, &graph, drift, horizon, spec.seed)?;
-    apply_rate_faults(&mut schedules, &spec.faults)?;
-    let delay = ChaosDelay::new(delay, spec.faults.clone(), spec.seed);
+    let scenario = Scenario::build(ScenarioSpec {
+        topology: &spec.topology,
+        eps: spec.eps,
+        t: spec.t,
+        sigma: spec.sigma,
+        delay: &spec.delay,
+        rates: &spec.rates,
+        faults: spec.faults.clone(),
+        seed: spec.seed,
+        horizon: spec.horizon,
+        horizon_per_diameter: 0.0,
+    })?;
     let violation_expected = spec
         .faults
         .iter()
-        .any(|c| c.violation_allowed(drift, Some(spec.t)));
-    let sinks = OracleSinks {
-        observer: SkewObserver::new(&graph),
-        watchdog: InvariantWatchdog::new(&graph, params, drift),
-        recorder: RecorderSink::new(),
-    };
-
-    macro_rules! run {
-        ($protocols:expr) => {
-            exec(graph, $protocols, delay, schedules, horizon, threads, sinks)
-        };
+        .any(|c| c.violation_allowed(scenario.drift, Some(spec.t)));
+    let mut sinks = SinkSet::new(&scenario.graph);
+    sinks.watchdog = Some(scenario.watchdog());
+    let out = scenario.run(&spec.algo, sinks, threads, false)?;
+    if let Some(payload) = out.panic {
+        std::panic::resume_unwind(payload);
     }
-    let (sinks, stats) = match spec.algo.as_str() {
-        "aopt" => run!(vec![AOpt::new(params); n]),
-        "jump" => run!(vec![AOptJump::new(params); n]),
-        "mingap" => run!(vec![MinGapAOpt::new(params); n]),
-        "envelope" => run!(vec![EnvelopeAOpt::new(params); n]),
-        "max" => run!(vec![MaxAlgorithm::new(1.0); n]),
-        "midpoint" => run!(vec![MidpointAlgorithm::new(params.h0(), params.mu()); n]),
-        "nosync" => run!(vec![NoSync; n]),
-        other => return Err(format!("unknown algorithm `{other}`")),
-    };
-
-    let violation = sinks.watchdog.trip().map(|trip| trip.violation.clone());
-    let recorder_window = violation.is_some().then(|| sinks.recorder.window_events());
+    let violation = out
+        .sinks
+        .watchdog
+        .as_ref()
+        .and_then(|w| w.trip())
+        .map(|trip| trip.violation.clone());
+    let recorder_window = violation
+        .is_some()
+        .then(|| out.sinks.recorder.window_events());
     Ok(ScenarioOutcome {
-        nodes: n,
-        diameter: d,
-        horizon,
-        global_skew: sinks.observer.worst_global(),
-        local_skew: sinks.observer.worst_local(),
-        global_bound: params.global_skew_bound(d),
-        local_bound: params.local_skew_bound(d),
-        stats,
+        nodes: out.nodes,
+        diameter: out.diameter,
+        horizon: out.horizon,
+        global_skew: out.sinks.observer.worst_global(),
+        local_skew: out.sinks.observer.worst_local(),
+        global_bound: out.global_bound,
+        local_bound: out.local_bound,
+        stats: out.stats,
         violation,
         violation_expected,
         recorder_window,
@@ -268,5 +201,19 @@ mod tests {
         let mut spec = spec_with(&[]);
         spec.topology = "moebius:5".into();
         assert!(run_scenario(&spec, 1).is_err());
+    }
+
+    #[test]
+    fn nan_and_negative_horizons_are_rejected_not_clamped() {
+        for (text, shown) in [("nan", "NaN"), ("-5", "-5")] {
+            let spec = ChaosSpec::parse(&format!("horizon = {text}\n")).unwrap();
+            assert_eq!(
+                run_scenario(&spec, 1),
+                Err(format!("horizon must be non-negative, got {shown}"))
+            );
+        }
+        let mut spec = spec_with(&[]);
+        spec.horizon = 0.0;
+        assert_eq!(run_scenario(&spec, 1).unwrap().horizon, 0.0);
     }
 }

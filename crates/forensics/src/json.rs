@@ -300,6 +300,16 @@ mod tests {
     }
 
     #[test]
+    fn reads_back_the_shared_string_writer() {
+        // Every JSON emitter in the workspace writes strings through
+        // `gcs_analysis::json`; this reader must recover them exactly.
+        let text = "quote \" backslash \\ newline \n return \r tab \t ctrl \u{1} ε̂";
+        let line = format!("{{\"s\":{}}}", gcs_analysis::json::string(text));
+        let parsed = parse(&line).unwrap();
+        assert_eq!(parsed.get("s").and_then(Json::as_str), Some(text));
+    }
+
+    #[test]
     fn round_trips_float_formatting() {
         // The recorders use shortest-round-trip Display; the reader must
         // recover the exact value.

@@ -28,13 +28,13 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fs;
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use gcs_analysis::json;
 use gcs_sim::EngineEvent;
 use gcs_sweep::report::{jsonl_row, jsonl_summary};
 use gcs_sweep::{run_job_full, JobOutcome, JobResult, JobSpec, SweepAggregate};
@@ -282,43 +282,26 @@ fn meta_line(
 ) -> String {
     let mut line = format!(
         "{{\"schema\":\"gcs-serve-job/v1\",\"id\":\"{id}\",\"kind\":\"{}\",\
-         \"status\":\"{status}\",\"session\":\"{}\",\"jobs_total\":{jobs_total},\
+         \"status\":\"{status}\",\"session\":{},\"jobs_total\":{jobs_total},\
          \"deduped\":{deduped},\"units_total\":{units_total},\"units_done\":{units_done},\
          \"jobs_done\":{jobs_done},\"failures\":{failures},\"watchdog_trips\":{trips},\
          \"dumps\":[",
         kind.as_str(),
-        json_escape(session),
+        json::string(session),
     );
     for (i, (_, path)) in dumps.iter().enumerate() {
         if i > 0 {
             line.push(',');
         }
-        line.push('"');
-        line.push_str(&json_escape(path));
-        line.push('"');
+        json::push_string(&mut line, path);
     }
     line.push(']');
     if let Some(note) = note {
-        line.push_str(",\"note\":\"");
-        line.push_str(&json_escape(note));
-        line.push('"');
+        line.push_str(",\"note\":");
+        json::push_string(&mut line, note);
     }
     line.push_str("}\n");
     line
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// One schedulable slice of a job.
@@ -654,11 +637,11 @@ impl Scheduler {
         let seq = self.hb_seq.fetch_add(1, Ordering::Relaxed);
         let line = format!(
             "{{\"schema\":\"gcs-serve-heartbeat/v1\",\"seq\":{seq},\
-             \"event\":\"{event}\",\"job\":\"{}\",\"live_jobs\":{live},\
+             \"event\":\"{event}\",\"job\":{},\"live_jobs\":{live},\
              \"pending_units\":{pending},\"running_units\":{running},\
              \"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},\
              \"cache_entries\":{},\"cache_bytes\":{}}}\n",
-            json_escape(job),
+            json::string(job),
             cache.hits,
             cache.misses,
             cache.evictions,
@@ -850,11 +833,7 @@ fn write_dump(
     events: &[EngineEvent],
 ) -> std::io::Result<()> {
     fs::create_dir_all(dir)?;
-    let mut out = std::io::BufWriter::new(fs::File::create(path)?);
-    for event in events {
-        writeln!(out, "{}", gcs_analysis::encode_event(event))?;
-    }
-    out.flush()
+    gcs_analysis::write_jsonl(path, events)
 }
 
 /// Folds one completed unit into the job state: advances the original-order
@@ -943,16 +922,16 @@ fn execute_chaos_batch(sched: &Arc<Scheduler>, job: &Arc<LiveJob>, spec: &ChaosB
     let mut results = Vec::new();
     for finding in &summary.findings {
         let line = format!(
-            "{{\"kind\":\"finding\",\"seed\":{},\"violation\":\"{}\"}}\n",
+            "{{\"kind\":\"finding\",\"seed\":{},\"violation\":{}}}\n",
             finding.seed,
-            json_escape(&finding.kind),
+            json::string(&finding.kind),
         );
         results.extend_from_slice(line.as_bytes());
     }
     for (seed, message) in &summary.failed {
         let line = format!(
-            "{{\"kind\":\"failed\",\"seed\":{seed},\"error\":\"{}\"}}\n",
-            json_escape(message),
+            "{{\"kind\":\"failed\",\"seed\":{seed},\"error\":{}}}\n",
+            json::string(message),
         );
         results.extend_from_slice(line.as_bytes());
     }

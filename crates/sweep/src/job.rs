@@ -1,16 +1,11 @@
-//! Executing one sweep job: a fresh engine, a fresh observability stack,
-//! one measured execution.
+//! Executing one sweep job: a fresh [`Scenario`], a fresh observability
+//! stack, one measured execution, projected into a [`JobResult`].
 
-use gcs_adversary::{apply_rate_faults, ChaosDelay};
-use gcs_analysis::{InvariantWatchdog, MetricsSink, SkewObserver};
-use gcs_core::{
-    AOpt, AOptJump, EnvelopeAOpt, MaxAlgorithm, MidpointAlgorithm, MinGapAOpt, NoSync, Params,
-};
-use gcs_graph::Graph;
-use gcs_sim::{Engine, EngineEvent, EventSink, MessageStats, Protocol, RecorderSink};
-use gcs_time::{DriftBounds, RateSchedule};
+use gcs_analysis::MetricsSink;
+use gcs_sim::RecorderSink;
 
-use crate::parse::{build_delay, build_rates, parse_topology, resolve_chaos, SweepDelay};
+use crate::parse::resolve_chaos;
+use crate::scenario::{Scenario, ScenarioSpec, SinkSet};
 use crate::spec::JobSpec;
 
 /// Measurements from one completed job.
@@ -49,92 +44,6 @@ pub struct JobResult {
     /// Whether the invariant watchdog tripped (always `false` when the
     /// sweep runs without `watchdog`).
     pub watchdog_tripped: bool,
-}
-
-/// The per-job observability stack: exact skew observation, the PR-1
-/// metrics registry, and (optionally) the PR-1 invariant watchdog — all
-/// freshly constructed per job so jobs share no state.
-struct JobSinks {
-    observer: SkewObserver,
-    metrics: MetricsSink,
-    watchdog: Option<InvariantWatchdog>,
-    /// The always-armed flight recorder: bounded memory per job, so even
-    /// wide sweeps keep a recent-event window for post-mortems.
-    recorder: RecorderSink,
-}
-
-impl JobSinks {
-    fn new(graph: &Graph, params: Params, drift: DriftBounds, watchdog: bool) -> Self {
-        JobSinks {
-            observer: SkewObserver::new(graph),
-            metrics: MetricsSink::new(),
-            watchdog: watchdog.then(|| InvariantWatchdog::new(graph, params, drift)),
-            recorder: RecorderSink::new(),
-        }
-    }
-}
-
-impl EventSink for JobSinks {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, event: &EngineEvent) {
-        self.recorder.record(event);
-        self.metrics.record(event);
-        if let Some(w) = self.watchdog.as_mut() {
-            w.record(event);
-        }
-    }
-
-    fn wants_snapshots(&self) -> bool {
-        true
-    }
-
-    fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
-        self.observer.observe_clocks(t, clocks);
-        self.metrics.snapshot(t, clocks, queue_depth);
-        if let Some(w) = self.watchdog.as_mut() {
-            w.snapshot(t, clocks, queue_depth);
-        }
-    }
-}
-
-fn exec<P: Protocol>(
-    graph: Graph,
-    protocols: Vec<P>,
-    delay: ChaosDelay<SweepDelay>,
-    schedules: Vec<RateSchedule>,
-    horizon: f64,
-    sinks: JobSinks,
-) -> Result<(JobSinks, MessageStats), (Box<JobSinks>, String)> {
-    let mut engine = Engine::builder(graph)
-        .protocols(protocols)
-        .delay_model(delay)
-        .rate_schedules(schedules)
-        .event_sink(sinks)
-        .build();
-    engine.wake_all_at(0.0);
-    // Deliberately the sequential loop, never `run_until_threaded`: the
-    // sweep's parallelism budget (`--jobs`) is spent on independent jobs,
-    // one per worker thread. Nesting the windowed parallel driver inside a
-    // job would oversubscribe the machine to jobs x threads cores — use
-    // `gcs run --threads` when one large simulation should own the cores.
-    //
-    // The unwind guard salvages the observability stack — most importantly
-    // the flight recorder's event window — when protocol or engine code
-    // panics mid-run, so hosted jobs (`gcs serve`) can dump the window.
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.run_until(horizon)));
-    match run {
-        Ok(()) => {
-            let stats = engine.message_stats().clone();
-            Ok((engine.into_sink(), stats))
-        }
-        Err(payload) => {
-            let message = crate::pool::panic_message(payload.as_ref());
-            Err((Box::new(engine.into_sink()), message))
-        }
-    }
 }
 
 /// Everything one execution produced: the measurement (or failure), the
@@ -178,90 +87,70 @@ pub fn run_job(job: &JobSpec) -> Result<JobResult, String> {
 /// and the flight recorder so hosts can write post-mortem dumps and serve
 /// blame queries. See [`JobExecution`].
 pub fn run_job_full(job: &JobSpec) -> JobExecution {
-    match run_job_inner(job) {
-        Ok(execution) => execution,
-        Err(message) => JobExecution {
-            outcome: Err(message),
-            tripped: false,
-            panicked: false,
-            recorder: RecorderSink::new(),
-        },
-    }
+    // Setup errors (bad topology, unknown algorithm) happen before an
+    // engine exists, so there is no recorder to salvage.
+    execute(job).unwrap_or_else(|message| JobExecution {
+        outcome: Err(message),
+        tripped: false,
+        panicked: false,
+        recorder: RecorderSink::new(),
+    })
 }
 
-/// The fallible setup phase: errors here (bad topology, unknown algorithm)
-/// happen before an engine exists, so there is no recorder to salvage.
-fn run_job_inner(job: &JobSpec) -> Result<JobExecution, String> {
-    let graph = parse_topology(&job.topology, job.seed)?;
-    let n = graph.len();
-    let d = graph.diameter();
-    let drift = DriftBounds::new(job.eps).map_err(|e| e.to_string())?;
-    let params = match job.sigma {
-        Some(sigma) => Params::with_sigma(job.eps, job.t, sigma),
-        None => Params::recommended(job.eps, job.t),
-    }
-    .map_err(|e| e.to_string())?;
-    let base_horizon = job.horizon + job.horizon_per_diameter * d as f64 * job.t;
-    let (delay, min_horizon) = build_delay(&job.delay, &graph, job.t, job.eps, job.seed)?;
-    let horizon = base_horizon.max(min_horizon);
-    let mut schedules = build_rates(&job.rates, &graph, drift, horizon, job.seed)?;
-    // The chaos layer always wraps; an empty schedule is fully transparent,
-    // so chaos-free jobs behave exactly as before.
-    let clauses = resolve_chaos(&job.chaos)?;
-    apply_rate_faults(&mut schedules, &clauses)?;
-    let delay = ChaosDelay::new(delay, clauses, job.seed);
-    let sinks = JobSinks::new(&graph, params, drift, job.watchdog);
-
-    macro_rules! run {
-        ($protocols:expr) => {
-            exec(graph, $protocols, delay, schedules, horizon, sinks)
-        };
-    }
-    let executed = match job.algo.as_str() {
-        "aopt" => run!(vec![AOpt::new(params); n]),
-        "jump" => run!(vec![AOptJump::new(params); n]),
-        "mingap" => run!(vec![MinGapAOpt::new(params); n]),
-        "envelope" => run!(vec![EnvelopeAOpt::new(params); n]),
-        "max" => run!(vec![MaxAlgorithm::new(1.0); n]),
-        "midpoint" => run!(vec![MidpointAlgorithm::new(params.h0(), params.mu()); n]),
-        "nosync" => run!(vec![NoSync; n]),
-        other => return Err(format!("unknown algorithm `{other}`")),
+fn execute(job: &JobSpec) -> Result<JobExecution, String> {
+    let scenario = Scenario::build(ScenarioSpec {
+        topology: &job.topology,
+        eps: job.eps,
+        t: job.t,
+        sigma: job.sigma,
+        delay: &job.delay,
+        rates: &job.rates,
+        faults: resolve_chaos(&job.chaos)?,
+        seed: job.seed,
+        horizon: job.horizon,
+        horizon_per_diameter: job.horizon_per_diameter,
+    })?;
+    let mut sinks = SinkSet::new(&scenario.graph);
+    sinks.metrics = Some(MetricsSink::new());
+    sinks.watchdog = job.watchdog.then(|| scenario.watchdog());
+    // Deliberately the sequential loop (one thread): the sweep's
+    // parallelism budget (`--jobs`) is spent on independent jobs, one per
+    // worker thread. Nesting the windowed parallel driver inside a job
+    // would oversubscribe the machine to jobs x threads cores — use
+    // `gcs run --threads` when one large simulation should own the cores.
+    let mut out = scenario.run(&job.algo, sinks, 1, false)?;
+    let tripped = out.sinks.tripped();
+    let outcome = match &out.panic {
+        Some(payload) => Err(crate::pool::panic_message(payload.as_ref())),
+        None => Ok(JobResult {
+            nodes: out.nodes,
+            diameter: out.diameter,
+            horizon: out.horizon,
+            global_skew: out.sinks.observer.worst_global(),
+            local_skew: out.sinks.observer.worst_local(),
+            global_bound: out.global_bound,
+            local_bound: out.local_bound,
+            send_events: out.stats.send_events,
+            transmissions: out.stats.transmissions,
+            deliveries: out.stats.deliveries,
+            dropped: out.stats.dropped,
+            dropped_model: out.stats.dropped_model,
+            dropped_faults: out.stats.dropped_faults,
+            duplicated: out.stats.duplicated,
+            events_recorded: out
+                .sinks
+                .metrics
+                .as_mut()
+                .and_then(|m| m.registry().counter_value("events.total"))
+                .unwrap_or(0),
+            watchdog_tripped: tripped,
+        }),
     };
-    let (sinks, outcome, panicked) = match executed {
-        Ok((mut sinks, stats)) => {
-            sinks.metrics.flush_rate_window(horizon);
-            let result = JobResult {
-                nodes: n,
-                diameter: d,
-                horizon,
-                global_skew: sinks.observer.worst_global(),
-                local_skew: sinks.observer.worst_local(),
-                global_bound: params.global_skew_bound(d),
-                local_bound: params.local_skew_bound(d),
-                send_events: stats.send_events,
-                transmissions: stats.transmissions,
-                deliveries: stats.deliveries,
-                dropped: stats.dropped,
-                dropped_model: stats.dropped_model,
-                dropped_faults: stats.dropped_faults,
-                duplicated: stats.duplicated,
-                events_recorded: sinks
-                    .metrics
-                    .registry()
-                    .counter_value("events.total")
-                    .unwrap_or(0),
-                watchdog_tripped: sinks.watchdog.as_ref().is_some_and(|w| w.tripped()),
-            };
-            (sinks, Ok(result), false)
-        }
-        Err((sinks, message)) => (*sinks, Err(message), true),
-    };
-    let tripped = sinks.watchdog.as_ref().is_some_and(|w| w.tripped());
     Ok(JobExecution {
         outcome,
         tripped,
-        panicked,
-        recorder: sinks.recorder,
+        panicked: out.panic.is_some(),
+        recorder: out.sinks.recorder,
     })
 }
 

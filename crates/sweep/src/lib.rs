@@ -8,6 +8,10 @@
 //! * [`SweepSpec`] — the grid. Expanded by [`SweepSpec::expand`] into
 //!   [`JobSpec`]s in a fixed nesting order; the job index is the job's
 //!   identity in every output stream.
+//! * [`Scenario`] / [`SinkSet`] / [`Scenario::run`] — the one execution
+//!   path shared with `gcs run` and chaos scenarios: build the substrate
+//!   once, pick the protocol from the registry ([`with_protocols`]),
+//!   observe through one sink set, get one [`Outcome`].
 //! * [`run_job`] — one job on a **fresh engine** with a fresh per-job
 //!   observability stack (exact [`gcs_analysis::SkewObserver`],
 //!   [`gcs_analysis::MetricsSink`], optional
@@ -46,13 +50,17 @@ mod job;
 pub mod parse;
 mod pool;
 pub mod report;
+pub mod scenario;
 mod spec;
 
 pub use agg::{Stat, SweepAggregate};
 pub use dedupe::{run_sweep_deduped, DedupePlan};
 pub use job::{run_job, run_job_full, JobExecution, JobResult};
-pub use parse::{build_delay, build_rates, parse_topology, SweepDelay, ALGOS};
+pub use parse::{build_delay, build_rates, parse_topology, SweepDelay};
 pub use pool::{run_pool, run_pool_timed, JobOutcome, PoolProgress, PoolStats};
+pub use scenario::{
+    with_protocols, Outcome, ProtocolVisitor, Scenario, ScenarioSpec, SinkSet, ALGOS,
+};
 pub use spec::{JobSpec, SweepSpec};
 
 /// Runs the given jobs on `workers` threads and aggregates the results.

@@ -11,10 +11,7 @@ use gcs_sim::{
 };
 use gcs_time::{DriftBounds, RateSchedule};
 
-/// Algorithm names the sweep job runner can instantiate.
-pub const ALGOS: &[&str] = &[
-    "aopt", "jump", "mingap", "envelope", "max", "midpoint", "nosync",
-];
+use crate::scenario::ALGOS;
 
 /// Checks `name` is a runnable algorithm.
 pub fn known_algo(name: &str) -> Result<(), String> {

@@ -6,6 +6,8 @@
 //! ([`gcs_analysis::events`]), so `gcs replay-check` can diff two sweep
 //! JSONL files just like two event logs.
 
+use gcs_analysis::json;
+
 use crate::agg::{Stat, SweepAggregate};
 use crate::job::JobResult;
 use crate::pool::JobOutcome;
@@ -66,14 +68,14 @@ pub fn jsonl_row(job: &JobSpec, outcome: &JobOutcome<JobResult>) -> String {
     let head = format!(
         r#"{{"kind":"job","job":{},"topology":{},"algo":{},"eps":{},"t":{},"sigma":{},"delay":{},"rates":{},"chaos":{},"seed":{}"#,
         job.index,
-        json_string(&job.topology),
-        json_string(&job.algo),
-        json_f64(job.eps),
-        json_f64(job.t),
+        json::string(&job.topology),
+        json::string(&job.algo),
+        json::number(job.eps),
+        json::number(job.t),
         sigma,
-        json_string(&job.delay),
-        json_string(&job.rates),
-        json_string(&job.chaos),
+        json::string(&job.delay),
+        json::string(&job.rates),
+        json::string(&job.chaos),
         job.seed
     );
     match outcome {
@@ -81,11 +83,11 @@ pub fn jsonl_row(job: &JobSpec, outcome: &JobOutcome<JobResult>) -> String {
             r#"{head},"status":"completed","nodes":{},"diameter":{},"horizon":{},"global_skew":{},"local_skew":{},"global_bound":{},"local_bound":{},"send_events":{},"transmissions":{},"deliveries":{},"dropped":{},"dropped_model":{},"dropped_faults":{},"duplicated":{},"events":{},"watchdog_tripped":{}}}"#,
             r.nodes,
             r.diameter,
-            json_f64(r.horizon),
-            json_f64(r.global_skew),
-            json_f64(r.local_skew),
-            json_f64(r.global_bound),
-            json_f64(r.local_bound),
+            json::number(r.horizon),
+            json::number(r.global_skew),
+            json::number(r.local_skew),
+            json::number(r.global_bound),
+            json::number(r.local_bound),
             r.send_events,
             r.transmissions,
             r.deliveries,
@@ -98,7 +100,7 @@ pub fn jsonl_row(job: &JobSpec, outcome: &JobOutcome<JobResult>) -> String {
         ),
         JobOutcome::Failed(message) => format!(
             r#"{head},"status":"failed","error":{}}}"#,
-            json_string(message)
+            json::string(message)
         ),
     }
 }
@@ -122,7 +124,7 @@ pub fn jsonl_summary(agg: &SweepAggregate) -> String {
 }
 
 fn json_stat(stat: &Stat) -> String {
-    let f = |v: Option<f64>| v.map_or("null".to_string(), json_f64);
+    let f = |v: Option<f64>| v.map_or("null".to_string(), json::number);
     format!(
         r#"{{"count":{},"mean":{},"min":{},"p50":{},"p95":{},"p99":{},"max":{}}}"#,
         stat.count(),
@@ -133,32 +135,6 @@ fn json_stat(stat: &Stat) -> String {
         f(stat.quantile(0.99)),
         f(stat.max()),
     )
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        v.to_string()
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn csv_escape(field: &str) -> String {

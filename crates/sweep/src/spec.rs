@@ -10,6 +10,7 @@
 use std::ops::Range;
 
 use crate::parse::{known_algo, parse_delay_kind, parse_rates_kind, parse_topology};
+use crate::scenario::check_horizon;
 
 /// The default seed range: a single execution with seed 0.
 const DEFAULT_SEEDS: Range<u64> = 0..1;
@@ -228,19 +229,7 @@ impl SweepSpec {
                 return Err(format!("t must be positive, got {t}"));
             }
         }
-        if !(self.horizon >= 0.0 && self.horizon.is_finite()) {
-            return Err(format!(
-                "horizon must be non-negative, got {}",
-                self.horizon
-            ));
-        }
-        if !(self.horizon_per_diameter >= 0.0 && self.horizon_per_diameter.is_finite()) {
-            return Err(format!(
-                "horizon-per-d must be non-negative, got {}",
-                self.horizon_per_diameter
-            ));
-        }
-        Ok(())
+        check_horizon(self.horizon, self.horizon_per_diameter)
     }
 
     /// Parses a spec file: one `key = value` per line, `#` comments, blank

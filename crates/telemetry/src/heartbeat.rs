@@ -16,6 +16,8 @@
 use std::io::{self, Write};
 use std::time::Instant;
 
+use gcs_analysis::json;
+
 /// The schema tag stamped on every record.
 pub const SCHEMA: &str = "gcs-heartbeat/v1";
 
@@ -162,33 +164,6 @@ pub struct HeartbeatEmitter<W: Write> {
     last_wall_s: f64,
 }
 
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&v.to_string());
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn push_opt(out: &mut String, v: Option<f64>) {
-    match v {
-        Some(v) => push_f64(out, v),
-        None => out.push_str("null"),
-    }
-}
-
-fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
 impl<W: Write> HeartbeatEmitter<W> {
     /// Creates an emitter whose first beat is due at `start + every`.
     ///
@@ -263,14 +238,12 @@ impl<W: Write> HeartbeatEmitter<W> {
              \"jobs_total\":{jobs_total},\"events\":{events},\"wall_ms\":",
             self.seq
         );
-        push_f64(&mut line, wall_ms);
-        line.push_str(",\"job\":\"");
-        push_escaped(&mut line, job);
-        line.push('"');
+        json::push_f64(&mut line, wall_ms);
+        line.push_str(",\"job\":");
+        json::push_string(&mut line, job);
         if let Some(session) = session {
-            line.push_str(",\"session\":\"");
-            push_escaped(&mut line, session);
-            line.push('"');
+            line.push_str(",\"session\":");
+            json::push_string(&mut line, session);
         }
         line.push_str("}\n");
         self.seq += 1;
@@ -299,7 +272,7 @@ impl<W: Write> HeartbeatEmitter<W> {
             "{{\"schema\":\"{SCHEMA}\",\"kind\":\"{kind}\",\"seq\":{},\"t\":",
             self.seq
         );
-        push_f64(&mut line, input.t);
+        json::push_f64(&mut line, input.t);
         line.push_str(&format!(
             ",\"events\":{},\"queue_depth\":{},\"timers_armed\":{},\"dropped_model\":{},\
              \"dropped_faults\":{},\"skew_global\":",
@@ -309,24 +282,24 @@ impl<W: Write> HeartbeatEmitter<W> {
             input.dropped_model,
             input.dropped_faults
         ));
-        push_opt(&mut line, input.skew_global);
+        json::push_f64(&mut line, input.skew_global.unwrap_or(f64::NAN));
         line.push_str(",\"skew_local\":");
-        push_opt(&mut line, input.skew_local);
+        json::push_f64(&mut line, input.skew_local.unwrap_or(f64::NAN));
         line.push_str(&format!(
             ",\"watchdog\":\"{}\",\"wall_ms\":",
             input.watchdog.as_str()
         ));
-        push_f64(&mut line, wall_ms);
+        json::push_f64(&mut line, wall_ms);
         line.push_str(",\"events_per_sec\":");
-        push_f64(&mut line, rate);
+        json::push_f64(&mut line, rate);
         if let Some(p) = par {
             line.push_str(&format!(
                 ",\"threads\":{},\"par_windows\":{},\"replay_share\":",
                 p.threads, p.windows
             ));
-            push_f64(&mut line, p.replay_share);
+            json::push_f64(&mut line, p.replay_share);
             line.push_str(",\"idle_share\":");
-            push_f64(&mut line, p.idle_share);
+            json::push_f64(&mut line, p.idle_share);
         }
         line.push_str("}\n");
         self.seq += 1;

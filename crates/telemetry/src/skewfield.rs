@@ -23,21 +23,20 @@
 
 use std::io::{self, Write};
 
+use gcs_analysis::json;
+
 /// The schema tag stamped on every record.
 pub const SCHEMA: &str = "gcs-skewfield/v1";
 
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&v.to_string());
-    } else {
-        out.push_str("null");
-    }
-}
-
 /// Streams `gcs-skewfield/v1` records to a writer.
+///
+/// I/O errors are sticky: the first error stops further writing and is
+/// surfaced by [`SkewFieldWriter::finish`] (observation runs inside an
+/// engine sink, which cannot return errors).
 #[derive(Debug)]
 pub struct SkewFieldWriter<W: Write> {
     out: W,
+    error: Option<io::Error>,
     /// Undirected edges as `(a, b)` node-index pairs.
     edges: Vec<(usize, usize)>,
     window: f64,
@@ -71,6 +70,7 @@ impl<W: Write> SkewFieldWriter<W> {
         let n = edges.len();
         SkewFieldWriter {
             out,
+            error: None,
             edges,
             window,
             window_start: start,
@@ -87,13 +87,9 @@ impl<W: Write> SkewFieldWriter<W> {
 
     /// Observes one post-event clock snapshot. Closes (and emits) any
     /// windows that `t` has moved past before folding the snapshot in.
-    ///
-    /// # Errors
-    ///
-    /// Propagates writer I/O errors from window emission.
-    pub fn observe(&mut self, t: f64, clocks: &[f64]) -> io::Result<()> {
+    pub fn observe(&mut self, t: f64, clocks: &[f64]) {
         while t >= self.window_start + self.window {
-            self.close_window()?;
+            self.close_window();
         }
         self.samples += 1;
         self.total_samples += 1;
@@ -108,7 +104,6 @@ impl<W: Write> SkewFieldWriter<W> {
                 self.worst_t = t;
             }
         }
-        Ok(())
     }
 
     /// Closes the still-open window (if it saw any samples) and emits the
@@ -117,36 +112,39 @@ impl<W: Write> SkewFieldWriter<W> {
     ///
     /// # Errors
     ///
-    /// Propagates writer I/O errors.
+    /// The first I/O error of the stream.
     pub fn finish(mut self) -> io::Result<W> {
         if self.samples > 0 {
-            self.close_window()?;
+            self.close_window();
+        }
+        if let Some(e) = self.error {
+            return Err(e);
         }
         let mut line = format!(
             "{{\"schema\":\"{SCHEMA}\",\"kind\":\"summary\",\"windows\":{},\"samples\":{},\
              \"worst\":",
             self.seq, self.total_samples
         );
-        push_f64(&mut line, self.worst);
+        json::push_f64(&mut line, self.worst);
         line.push_str(&format!(
             ",\"worst_edge\":[{},{}],\"worst_t\":",
             self.worst_edge.0, self.worst_edge.1
         ));
-        push_f64(&mut line, self.worst_t);
+        json::push_f64(&mut line, self.worst_t);
         line.push_str("}\n");
         self.out.write_all(line.as_bytes())?;
         self.out.flush()?;
         Ok(self.out)
     }
 
-    fn close_window(&mut self) -> io::Result<()> {
+    fn close_window(&mut self) {
         let t0 = self.window_start;
         let t1 = t0 + self.window;
         self.window_start = t1;
         if self.samples == 0 {
             // Nothing observed in this slice (e.g. the first snapshot
             // arrived windows later): emit nothing, keep the cadence.
-            return Ok(());
+            return;
         }
         let mut max = 0.0f64;
         let mut max_edge = self.edges[0];
@@ -170,28 +168,30 @@ impl<W: Write> SkewFieldWriter<W> {
             "{{\"schema\":\"{SCHEMA}\",\"kind\":\"window\",\"seq\":{},\"t0\":",
             self.seq
         );
-        push_f64(&mut line, t0);
+        json::push_f64(&mut line, t0);
         line.push_str(",\"t1\":");
-        push_f64(&mut line, t1);
+        json::push_f64(&mut line, t1);
         line.push_str(&format!(
             ",\"samples\":{},\"edges\":{},\"max\":",
             self.samples,
             self.edges.len()
         ));
-        push_f64(&mut line, max);
+        json::push_f64(&mut line, max);
         line.push_str(&format!(
             ",\"max_edge\":[{},{}],\"p99\":",
             max_edge.0, max_edge.1
         ));
-        push_f64(&mut line, p99);
+        json::push_f64(&mut line, p99);
         line.push_str(",\"mean\":");
-        push_f64(&mut line, mean);
+        json::push_f64(&mut line, mean);
         line.push_str("}\n");
         self.seq += 1;
         self.samples = 0;
         self.edge_max.fill(0.0);
-        self.out.write_all(line.as_bytes())?;
-        self.out.flush()
+        if self.error.is_none() {
+            let written = self.out.write_all(line.as_bytes());
+            self.error = written.and_then(|()| self.out.flush()).err();
+        }
     }
 }
 
@@ -241,9 +241,9 @@ mod tests {
     fn windows_aggregate_per_edge_maxima() {
         let edges = vec![(0, 1), (1, 2)];
         let mut w = SkewFieldWriter::new(Vec::new(), edges, 1.0, 0.0);
-        w.observe(0.25, &[0.0, 0.1, 0.1]).unwrap(); // edge (0,1): 0.1
-        w.observe(0.75, &[0.0, 0.05, 0.35]).unwrap(); // edge (1,2): 0.3
-        w.observe(1.5, &[0.0, 0.02, 0.04]).unwrap(); // second window
+        w.observe(0.25, &[0.0, 0.1, 0.1]); // edge (0,1): 0.1
+        w.observe(0.75, &[0.0, 0.05, 0.35]); // edge (1,2): 0.3
+        w.observe(1.5, &[0.0, 0.02, 0.04]); // second window
         let text = String::from_utf8(w.finish().unwrap()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3, "two windows + summary: {text}");
@@ -259,7 +259,7 @@ mod tests {
     #[test]
     fn empty_windows_are_skipped_but_cadence_holds() {
         let mut w = SkewFieldWriter::new(Vec::new(), vec![(0, 1)], 1.0, 0.0);
-        w.observe(5.5, &[0.0, 0.25]).unwrap(); // five empty windows skipped
+        w.observe(5.5, &[0.0, 0.25]); // five empty windows skipped
         let text = String::from_utf8(w.finish().unwrap()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -272,7 +272,7 @@ mod tests {
             let mut w = SkewFieldWriter::new(Vec::new(), vec![(0, 1), (1, 2)], 0.5, 0.0);
             for i in 0..40 {
                 let t = i as f64 * 0.1;
-                w.observe(t, &[0.0, (t * 0.7).sin() * 0.1, 0.05]).unwrap();
+                w.observe(t, &[0.0, (t * 0.7).sin() * 0.1, 0.05]);
             }
             String::from_utf8(w.finish().unwrap()).unwrap()
         };
@@ -282,7 +282,7 @@ mod tests {
     #[test]
     fn records_are_valid_json() {
         let mut w = SkewFieldWriter::new(Vec::new(), vec![(0, 1)], 1.0, 0.0);
-        w.observe(0.5, &[0.0, 0.125]).unwrap();
+        w.observe(0.5, &[0.0, 0.125]);
         let text = String::from_utf8(w.finish().unwrap()).unwrap();
         for line in text.lines() {
             gcs_forensics::parse_json(line).expect("valid JSON");

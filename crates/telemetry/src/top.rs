@@ -389,8 +389,8 @@ mod tests {
     fn skewfield_records_parse_and_render() {
         use crate::skewfield::SkewFieldWriter;
         let mut w = SkewFieldWriter::new(Vec::new(), vec![(0, 1), (1, 2)], 1.0, 0.0);
-        w.observe(0.5, &[0.0, 0.25, 0.3]).unwrap();
-        w.observe(1.5, &[0.0, 0.1, 0.15]).unwrap();
+        w.observe(0.5, &[0.0, 0.25, 0.3]);
+        w.observe(1.5, &[0.0, 0.1, 0.15]);
         let text = String::from_utf8(w.finish().unwrap()).unwrap();
         let (records, skipped) = parse_stream(&text);
         assert_eq!(skipped, 0, "own skew-field stream must parse fully");

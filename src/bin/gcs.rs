@@ -23,36 +23,28 @@ use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use clock_sync::adversary::framed::LocalLowerBound;
+use clock_sync::adversary::framed::{LocalLowerBound, StageReport};
 use clock_sync::adversary::shift::GlobalLowerBound;
 use clock_sync::analysis::{
-    diff_streams, encode_event, ClockTrace, ComplexityReport, InvariantWatchdog, JsonlWriter,
-    MetricsSink, SkewObserver, Table, WatchdogTrip,
+    delivery_imbalance, diff_streams, write_jsonl, ClockTrace, JsonlWriter, MetricsSink, Table,
 };
 use clock_sync::bench::{diff as bench_diff, parse_artifact, run_serve_bench, ServeBenchConfig};
 use clock_sync::chaos::{
     run_batch, run_scenario, shrink as shrink_scenario, BatchConfig, ChaosSpec, ScenarioOutcome,
 };
-use clock_sync::core::{
-    AOpt, AOptJump, EnvelopeAOpt, MaxAlgorithm, MidpointAlgorithm, MinGapAOpt, NoSync, Params,
-};
+use clock_sync::core::{AOpt, Params};
 use clock_sync::forensics::{
     blame, decode_dump, export_chrome, is_recorder_dump, parse_stream, ClockReconstruction, Dag,
     TraceSummary,
 };
-use clock_sync::graph::Graph;
 use clock_sync::serve::{ServeConfig, ServerHandle};
-use clock_sync::sim::{
-    DelayModel, DropCause, Engine, EngineEvent, EngineProfile, EventSink, MessageStats, Protocol,
-    RecorderSink,
-};
+use clock_sync::sim::{DelayModel, Protocol, RecorderSink};
+use clock_sync::sweep::scenario::Heartbeat;
 use clock_sync::sweep::{
-    build_delay, build_rates, parse_topology, report, run_sweep_deduped, PoolProgress, SweepSpec,
+    report, run_sweep_deduped, with_protocols, Outcome, PoolProgress, ProtocolVisitor, Scenario,
+    ScenarioSpec, SinkSet, SweepSpec,
 };
-use clock_sync::telemetry::{
-    BeatInput, HeartbeatEmitter, ParStats, SkewFieldWriter, WatchdogStatus,
-};
-use clock_sync::time::{DriftBounds, RateSchedule};
+use clock_sync::telemetry::{HeartbeatEmitter, ParStats, SkewFieldWriter};
 
 const USAGE: &str = "\
 gcs — gradient clock synchronization (Lenzen/Locher/Wattenhofer) toolkit
@@ -735,89 +727,6 @@ fn cmd_bounds(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// The `gcs run` observability pipeline: one statically composed
-/// [`EventSink`] feeding every requested consumer from a single event
-/// stream and a single per-event snapshot pass.
-struct RunSinks {
-    observer: SkewObserver,
-    /// The always-armed flight recorder: every event is encoded into a
-    /// bounded ring of binary frames, dumped on trip/panic/request.
-    recorder: RecorderSink,
-    /// Where `--dump-recorder` wants the window written (also used for
-    /// trip and panic dumps when present).
-    dump_recorder: Option<String>,
-    trace: Option<(String, ClockTrace)>,
-    events: Option<(String, JsonlWriter<BufWriter<File>>)>,
-    metrics: Option<(String, MetricsSink)>,
-    watchdog: Option<InvariantWatchdog>,
-    heartbeat: Option<Heartbeat>,
-    skew_field: Option<SkewField>,
-    /// Per-cause drop split for heartbeat `beat` records.
-    dropped_model: u64,
-    dropped_faults: u64,
-    /// Sample engine state after every event. Under `--threads K>1` this is
-    /// served by the parallel driver's barrier-time snapshot replay, which
-    /// reconstructs the exact sequential per-event state; without any
-    /// observer the run skips it and the observer sees a single snapshot
-    /// at the horizon instead.
-    per_event: bool,
-}
-
-/// Live `--heartbeat` state carried through the run by [`RunSinks`]: the
-/// emitter plus the counters a beat reports.
-struct Heartbeat {
-    path: String,
-    emitter: HeartbeatEmitter<Box<dyn Write + Send>>,
-    deterministic: bool,
-    events: u64,
-    timer_sets: u64,
-    timer_fires: u64,
-    timer_cancels: u64,
-    last_queue_depth: u64,
-    /// First write failure; surfaced after the run (a sink cannot return
-    /// errors mid-simulation).
-    error: Option<String>,
-}
-
-impl Heartbeat {
-    fn input(
-        &self,
-        t: f64,
-        queue_depth: u64,
-        observer: &SkewObserver,
-        watchdog: Option<&InvariantWatchdog>,
-        dropped: (u64, u64),
-    ) -> BeatInput {
-        BeatInput {
-            t,
-            events: self.events,
-            queue_depth,
-            timers_armed: self
-                .timer_sets
-                .saturating_sub(self.timer_fires)
-                .saturating_sub(self.timer_cancels),
-            dropped_model: dropped.0,
-            dropped_faults: dropped.1,
-            skew_global: Some(observer.worst_global()),
-            skew_local: Some(observer.worst_local()),
-            watchdog: match watchdog {
-                None => WatchdogStatus::Off,
-                Some(w) if w.tripped() => WatchdogStatus::Tripped,
-                Some(_) => WatchdogStatus::Ok,
-            },
-        }
-    }
-}
-
-/// Live `--skew-field` state carried through the run by [`RunSinks`].
-struct SkewField {
-    path: String,
-    writer: SkewFieldWriter<Box<dyn Write + Send>>,
-    /// First write failure; surfaced after the run (a sink cannot return
-    /// errors mid-simulation).
-    error: Option<String>,
-}
-
 /// Opens a heartbeat sink: `-` is stdout, anything else a fresh file.
 fn heartbeat_writer(path: &str) -> Result<Box<dyn Write + Send>, String> {
     if path == "-" {
@@ -853,358 +762,61 @@ fn write_recorder_dump(path: &str, recorder: &RecorderSink) -> Result<usize, Str
         Ok(recorder.window_len())
     } else {
         let events = recorder.window_events();
-        write_events_jsonl(path, &events).map_err(fail)?;
+        write_jsonl(path, &events).map_err(fail)?;
         Ok(events.len())
     }
 }
 
-/// Writes events in the standard JSONL event-log format.
-fn write_events_jsonl(path: &str, events: &[EngineEvent]) -> std::io::Result<()> {
-    let mut out = String::new();
-    for event in events {
-        out.push_str(&encode_event(event));
-        out.push('\n');
+/// Builds the `gcs run` sink set: each observability flag switches on one
+/// optional sink of the shared [`SinkSet`].
+fn run_sinks(scenario: &Scenario, opts: &Options, per_event: bool) -> Result<SinkSet, String> {
+    let graph = &scenario.graph;
+    let horizon = scenario.horizon;
+    let mut sinks = SinkSet::new(graph);
+    sinks.per_event = per_event;
+    if opts.values.contains_key("trace") {
+        if horizon <= 0.0 {
+            return Err("--trace samples every horizon / 500 and needs a positive horizon".into());
+        }
+        sinks.trace = Some(ClockTrace::new(graph.len(), horizon / 500.0));
     }
-    std::fs::write(path, out)
-}
-
-impl RunSinks {
-    fn new(
-        graph: &Graph,
-        horizon: f64,
-        opts: &Options,
-        params: Params,
-        per_event: bool,
-    ) -> Result<Self, String> {
-        let trace = opts
-            .values
-            .get("trace")
-            .map(|path| (path.clone(), ClockTrace::new(graph.len(), horizon / 500.0)));
-        let events = match opts.values.get("events") {
-            Some(path) => {
-                let file = File::create(path)
-                    .map_err(|e| format!("cannot create event log {path}: {e}"))?;
-                Some((path.clone(), JsonlWriter::new(BufWriter::new(file))))
-            }
-            None => None,
-        };
-        let metrics = opts
-            .values
-            .get("metrics")
-            .map(|path| (path.clone(), MetricsSink::new()));
-        let watchdog = if opts.flag("watchdog") {
-            let eps = opts.f64_or("eps", 1e-2)?;
-            let drift = DriftBounds::new(eps).map_err(|e| e.to_string())?;
-            Some(InvariantWatchdog::new(graph, params, drift))
-        } else {
-            None
-        };
-        let heartbeat = match opts.values.get("heartbeat") {
-            Some(path) => {
-                let every = opts.f64_or("heartbeat-every", horizon / 20.0)?;
-                if !(every > 0.0 && every.is_finite()) {
-                    return Err(format!(
-                        "option --heartbeat-every: cadence must be positive, got `{every}`"
-                    ));
-                }
-                let deterministic = opts.flag("deterministic-heartbeat");
-                Some(Heartbeat {
-                    path: path.clone(),
-                    emitter: HeartbeatEmitter::new(
-                        heartbeat_writer(path)?,
-                        every,
-                        0.0,
-                        deterministic,
-                    ),
-                    deterministic,
-                    events: 0,
-                    timer_sets: 0,
-                    timer_fires: 0,
-                    timer_cancels: 0,
-                    last_queue_depth: 0,
-                    error: None,
-                })
-            }
-            None => None,
-        };
-        let skew_field = match opts.values.get("skew-field") {
-            Some(path) => {
-                let edges: Vec<(usize, usize)> =
-                    graph.edges().map(|(a, b)| (a.index(), b.index())).collect();
-                if edges.is_empty() {
-                    return Err("--skew-field needs a topology with at least one edge".to_string());
-                }
-                let every = opts.f64_or("skew-field-every", horizon / 20.0)?;
-                if !(every > 0.0 && every.is_finite()) {
-                    return Err(format!(
-                        "option --skew-field-every: window must be positive, got `{every}`"
-                    ));
-                }
-                Some(SkewField {
-                    path: path.clone(),
-                    writer: SkewFieldWriter::new(heartbeat_writer(path)?, edges, every, 0.0),
-                    error: None,
-                })
-            }
-            None => None,
-        };
-        Ok(RunSinks {
-            observer: SkewObserver::new(graph),
-            recorder: RecorderSink::new(),
-            dump_recorder: opts.values.get("dump-recorder").cloned(),
-            trace,
-            events,
-            metrics,
-            watchdog,
-            heartbeat,
-            skew_field,
-            dropped_model: 0,
-            dropped_faults: 0,
-            per_event,
-        })
+    if let Some(path) = opts.values.get("events") {
+        let file =
+            File::create(path).map_err(|e| format!("cannot create event log {path}: {e}"))?;
+        sinks.events = Some(JsonlWriter::new(BufWriter::new(file)));
     }
-}
-
-impl EventSink for RunSinks {
-    fn enabled(&self) -> bool {
-        // The flight recorder is always armed, so every run records.
-        true
+    sinks.metrics = opts.values.contains_key("metrics").then(MetricsSink::new);
+    sinks.watchdog = opts.flag("watchdog").then(|| scenario.watchdog());
+    if let Some(path) = opts.values.get("heartbeat") {
+        let every = opts.f64_or("heartbeat-every", horizon / 20.0)?;
+        if !(every > 0.0 && every.is_finite()) {
+            return Err(format!(
+                "option --heartbeat-every: cadence must be positive, got `{every}`"
+            ));
+        }
+        let deterministic = opts.flag("deterministic-heartbeat");
+        sinks.heartbeat = Some(Heartbeat::new(
+            heartbeat_writer(path)?,
+            every,
+            deterministic,
+        ));
     }
-
-    fn record(&mut self, event: &EngineEvent) {
-        self.recorder.record(event);
-        if let EngineEvent::Drop { cause, .. } = event {
-            match cause {
-                DropCause::Model => self.dropped_model += 1,
-                DropCause::Fault => self.dropped_faults += 1,
-            }
+    if let Some(path) = opts.values.get("skew-field") {
+        let edges: Vec<(usize, usize)> =
+            graph.edges().map(|(a, b)| (a.index(), b.index())).collect();
+        if edges.is_empty() {
+            return Err("--skew-field needs a topology with at least one edge".to_string());
         }
-        if let Some((_, w)) = self.events.as_mut() {
-            w.record(event);
+        let every = opts.f64_or("skew-field-every", horizon / 20.0)?;
+        if !(every > 0.0 && every.is_finite()) {
+            return Err(format!(
+                "option --skew-field-every: window must be positive, got `{every}`"
+            ));
         }
-        if let Some((_, m)) = self.metrics.as_mut() {
-            m.record(event);
-        }
-        if let Some(w) = self.watchdog.as_mut() {
-            w.record(event);
-        }
-        if let Some(hb) = self.heartbeat.as_mut() {
-            hb.events += 1;
-            match event {
-                EngineEvent::TimerSet { .. } => hb.timer_sets += 1,
-                EngineEvent::TimerFire { .. } => hb.timer_fires += 1,
-                EngineEvent::TimerCancel { .. } => hb.timer_cancels += 1,
-                _ => {}
-            }
-        }
+        let writer = SkewFieldWriter::new(heartbeat_writer(path)?, edges, every, 0.0);
+        sinks.skew_field = Some(writer);
     }
-
-    fn wants_snapshots(&self) -> bool {
-        self.per_event // the skew observer samples per-event state
-    }
-
-    fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
-        self.observer.snapshot(t, clocks, queue_depth);
-        if let Some((_, trace)) = self.trace.as_mut() {
-            trace.snapshot(t, clocks, queue_depth);
-        }
-        if let Some((_, m)) = self.metrics.as_mut() {
-            m.snapshot(t, clocks, queue_depth);
-        }
-        if let Some(w) = self.watchdog.as_mut() {
-            w.snapshot(t, clocks, queue_depth);
-        }
-        if let Some(sf) = self.skew_field.as_mut() {
-            if sf.error.is_none() {
-                if let Err(e) = sf.writer.observe(t, clocks) {
-                    sf.error = Some(format!("skew-field write failed: {e}"));
-                }
-            }
-        }
-        if let Some(hb) = self.heartbeat.as_mut() {
-            hb.last_queue_depth = queue_depth as u64;
-            if hb.emitter.due(t) && hb.error.is_none() {
-                let input = hb.input(
-                    t,
-                    queue_depth as u64,
-                    &self.observer,
-                    self.watchdog.as_ref(),
-                    (self.dropped_model, self.dropped_faults),
-                );
-                if let Err(e) = hb.emitter.beat(&input) {
-                    hb.error = Some(format!("heartbeat write failed: {e}"));
-                }
-            }
-        }
-    }
-}
-
-/// What one `gcs run` execution produced, after all file sinks are closed.
-struct RunOutput {
-    observer: SkewObserver,
-    stats: MessageStats,
-    metrics: Option<(String, MetricsSink)>,
-    trip: Option<WatchdogTrip>,
-    profile: Option<EngineProfile>,
-    /// False when the observer only saw the horizon snapshot (`--threads`):
-    /// its "worst" skews are then end-of-run values, not running maxima.
-    skews_are_maxima: bool,
-}
-
-/// How to execute a run: how far, on how many threads, timed or not.
-#[derive(Clone, Copy)]
-struct RunExec {
-    horizon: f64,
-    profiling: bool,
-    threads: usize,
-}
-
-fn run_any<P, D>(
-    graph: Graph,
-    protocols: Vec<P>,
-    delay: D,
-    schedules: Vec<RateSchedule>,
-    sinks: RunSinks,
-    exec: RunExec,
-) -> Result<RunOutput, String>
-where
-    P: Protocol + Send,
-    P::Msg: Send,
-    D: DelayModel + Clone + Send,
-{
-    let RunExec {
-        horizon,
-        profiling,
-        threads,
-    } = exec;
-    let mut engine = Engine::builder(graph)
-        .protocols(protocols)
-        .delay_model(delay)
-        .rate_schedules(schedules)
-        .event_sink(sinks)
-        .profiling(profiling)
-        .build();
-    engine.wake_all_at(0.0);
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if threads > 1 {
-            engine.run_until_threaded(horizon, threads);
-        } else {
-            engine.run_until(horizon);
-        }
-    }));
-    if let Err(payload) = run {
-        // The engine panicked mid-run: salvage the flight-recorder window
-        // before propagating, so the crash leaves a forensic artifact.
-        let sinks = engine.into_sink();
-        let path = sinks
-            .dump_recorder
-            .clone()
-            .unwrap_or_else(|| default_dump_path("recorder-panic.jsonl"));
-        match write_recorder_dump(&path, &sinks.recorder) {
-            Ok(count) => eprintln!("panic: recorder dump written to {path} ({count} events)"),
-            Err(e) => eprintln!("panic: {e}"),
-        }
-        std::panic::resume_unwind(payload);
-    }
-    let stats = engine.message_stats().clone();
-    let profile = engine.profile().cloned();
-    let clocks = engine.logical_values();
-    let mut sinks = engine.into_sink();
-    if !sinks.per_event {
-        // The parallel driver skipped per-event sampling; give the observer
-        // (and the report) at least the final state.
-        sinks.observer.snapshot(horizon, &clocks, 0);
-    }
-    if let Some((path, trace)) = sinks.trace.take() {
-        trace
-            .write_csv(&path)
-            .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
-        println!("trace written to {path} ({} rows)", trace.len());
-    }
-    if let Some((path, writer)) = sinks.events.take() {
-        let written = writer.written();
-        writer
-            .finish()
-            .map_err(|e| format!("cannot write event log to {path}: {e}"))?;
-        println!("event log written to {path} ({written} events)");
-    }
-    if let Some((_, m)) = sinks.metrics.as_mut() {
-        m.flush_rate_window(horizon);
-    }
-    if let Some(mut sf) = sinks.skew_field.take() {
-        if let Some(e) = sf.error.take() {
-            return Err(e);
-        }
-        sf.writer
-            .finish()
-            .map_err(|e| format!("skew-field write failed: {e}"))?;
-        if sf.path != "-" {
-            println!("skew-field log written to {}", sf.path);
-        }
-    }
-    if let Some(hb) = sinks.heartbeat.as_mut() {
-        // Final summary record. The parallel shares are wall-clock
-        // measurements, so deterministic streams omit them (they would
-        // differ across thread counts and machines).
-        let input = hb.input(
-            horizon,
-            hb.last_queue_depth,
-            &sinks.observer,
-            sinks.watchdog.as_ref(),
-            (sinks.dropped_model, sinks.dropped_faults),
-        );
-        let par = (!hb.deterministic).then(|| {
-            let wall = profile.as_ref().map_or(0.0, |p| p.par_wall.as_secs_f64());
-            let share = |d: std::time::Duration| {
-                if wall > 0.0 {
-                    d.as_secs_f64() / wall
-                } else {
-                    0.0
-                }
-            };
-            ParStats {
-                threads: threads as u64,
-                windows: profile.as_ref().map_or(0, |p| p.par_windows),
-                replay_share: profile.as_ref().map_or(0.0, |p| share(p.par_replay)),
-                idle_share: profile.as_ref().map_or(0.0, |p| share(p.par_idle)),
-            }
-        });
-        if let Err(e) = hb.emitter.summary(&input, par.as_ref()) {
-            hb.error
-                .get_or_insert(format!("heartbeat write failed: {e}"));
-        }
-        if let Some(e) = hb.error.take() {
-            return Err(e);
-        }
-        if hb.path != "-" {
-            println!("heartbeat log written to {}", hb.path);
-        }
-    }
-    let trip = sinks.watchdog.as_ref().and_then(|w| w.trip().cloned());
-    // Dump the flight-recorder window when asked (--dump-recorder) or when
-    // the watchdog tripped (to the requested path, else a default under
-    // dumps/), so every violation leaves a trace-able artifact without
-    // littering the working-tree root.
-    let dump_path = match (&sinks.dump_recorder, &trip) {
-        (Some(path), _) => Some(path.clone()),
-        (None, Some(_)) => Some(default_dump_path("recorder-trip.jsonl")),
-        (None, None) => None,
-    };
-    if let Some(path) = dump_path {
-        let count = write_recorder_dump(&path, &sinks.recorder)?;
-        println!(
-            "recorder dump written to {path} ({count} of {} recorded events)",
-            sinks.recorder.recorded()
-        );
-    }
-    Ok(RunOutput {
-        observer: sinks.observer,
-        stats,
-        metrics: sinks.metrics,
-        trip,
-        profile,
-        skews_are_maxima: sinks.per_event,
-    })
+    Ok(sinks)
 }
 
 fn cmd_run(opts: &Options) -> Result<(), String> {
@@ -1212,29 +824,33 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
     let t = opts.f64_or("t", 0.1)?;
     let horizon = opts.f64_or("horizon", 120.0)?;
     let seed = opts.u64_or("seed", 42)?;
-    let graph = parse_topology(opts.str_or("topology", "path:16"), seed)?;
-    let n = graph.len();
-    let d = graph.diameter();
-    let drift = DriftBounds::new(eps).map_err(|e| e.to_string())?;
-    let mut params = Params::recommended(eps, t).map_err(|e| e.to_string())?;
+    let delays = opts.str_or("delays", "uniform");
+    // The sweep crate owns the spec mini-language and the execution path;
+    // `run` is a one-job scenario with extra observability attached.
+    let mut scenario = Scenario::build(ScenarioSpec {
+        topology: opts.str_or("topology", "path:16"),
+        eps,
+        t,
+        sigma: None,
+        delay: delays,
+        rates: opts.str_or("rates", "walk"),
+        faults: Vec::new(),
+        seed,
+        horizon,
+        horizon_per_diameter: 0.0,
+    })?;
     if let Some(factor) = opts.values.get("kappa-factor") {
         let factor: f64 = factor
             .parse()
             .map_err(|_| format!("option --kappa-factor: `{factor}` is not a number"))?;
-        params = params.with_kappa_factor_unchecked(factor);
+        scenario.params = scenario.params.with_kappa_factor_unchecked(factor);
         println!(
             "κ scaled by {factor}: κ = {:.6} (Eq. 4 minimum: {:.6})",
-            params.kappa(),
-            params.min_kappa()
+            scenario.params.kappa(),
+            scenario.params.min_kappa()
         );
     }
     let algo = opts.str_or("algo", "aopt");
-
-    // The sweep crate owns the spec mini-language; `run` is a one-job
-    // sweep with extra observability attached.
-    let (delay, min_horizon) = build_delay(opts.str_or("delays", "uniform"), &graph, t, eps, seed)?;
-    let horizon = horizon.max(min_horizon);
-    let schedules = build_rates(opts.str_or("rates", "walk"), &graph, drift, horizon, seed)?;
 
     let mut threads = match opts.values.get("threads") {
         None => 1,
@@ -1253,70 +869,140 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
     let needs_snapshots = ["trace", "metrics", "watchdog", "heartbeat", "skew-field"]
         .iter()
         .any(|key| opts.values.contains_key(*key));
-    if threads > 1 && !delay.lookahead_at(0.0).is_some_and(|la| la.floor > 0.0) {
-        let model = opts.str_or("delays", "uniform");
+    if threads > 1
+        && !scenario
+            .delay
+            .lookahead_at(0.0)
+            .is_some_and(|la| la.floor > 0.0)
+    {
         if opts.flag("allow-sequential-fallback") {
             eprintln!(
-                "--threads {threads}: delay model `{model}` advertises no positive delay \
+                "--threads {threads}: delay model `{delays}` advertises no positive delay \
                  lower bound; running sequentially (--allow-sequential-fallback)"
             );
             threads = 1;
         } else {
             return Err(format!(
-                "--threads {threads}: delay model `{model}` advertises no positive delay \
+                "--threads {threads}: delay model `{delays}` advertises no positive delay \
                  lower bound, so the lookahead-windowed parallel driver cannot execute \
                  it; drop --threads or pass --allow-sequential-fallback to accept a \
                  sequential run"
             ));
         }
     }
-    let sinks = RunSinks::new(
-        &graph,
+    let sinks = run_sinks(&scenario, opts, threads == 1 || needs_snapshots)?;
+    // The heartbeat summary reports profile-derived parallel shares, so a
+    // non-deterministic heartbeat turns profiling on (profiling is
+    // observational; outputs stay byte-identical).
+    let profiling = opts.flag("profile")
+        || opts.values.contains_key("profile-json")
+        || (opts.values.contains_key("heartbeat") && !opts.flag("deterministic-heartbeat"));
+    let Outcome {
+        nodes: n,
+        diameter: d,
         horizon,
-        opts,
-        params,
-        threads == 1 || needs_snapshots,
-    )?;
-
-    let exec = RunExec {
-        horizon,
-        // The heartbeat summary reports profile-derived parallel shares,
-        // so a non-deterministic heartbeat turns profiling on (profiling
-        // is observational; outputs stay byte-identical).
-        profiling: opts.flag("profile")
-            || opts.values.contains_key("profile-json")
-            || (opts.values.contains_key("heartbeat") && !opts.flag("deterministic-heartbeat")),
-        threads,
-    };
-    macro_rules! dispatch {
-        ($protocols:expr) => {
-            run_any(graph.clone(), $protocols, delay, schedules, sinks, exec)?
-        };
+        global_bound,
+        local_bound,
+        stats,
+        mut sinks,
+        profile,
+        panic,
+    } = scenario.run(algo, sinks, threads, profiling)?;
+    if let Some(payload) = panic {
+        // The engine panicked mid-run: salvage the flight-recorder window
+        // before propagating, so the crash leaves a forensic artifact.
+        let path = opts
+            .values
+            .get("dump-recorder")
+            .cloned()
+            .unwrap_or_else(|| default_dump_path("recorder-panic.jsonl"));
+        match write_recorder_dump(&path, &sinks.recorder) {
+            Ok(count) => eprintln!("panic: recorder dump written to {path} ({count} events)"),
+            Err(e) => eprintln!("panic: {e}"),
+        }
+        std::panic::resume_unwind(payload);
     }
-    let mut output = match algo {
-        "aopt" => dispatch!(vec![AOpt::new(params); n]),
-        "jump" => dispatch!(vec![AOptJump::new(params); n]),
-        "mingap" => dispatch!(vec![MinGapAOpt::new(params); n]),
-        "envelope" => dispatch!(vec![EnvelopeAOpt::new(params); n]),
-        "max" => dispatch!(vec![MaxAlgorithm::new(1.0); n]),
-        "midpoint" => dispatch!(vec![MidpointAlgorithm::new(params.h0(), params.mu()); n]),
-        "nosync" => dispatch!(vec![NoSync; n]),
-        other => return Err(format!("unknown algorithm `{other}`")),
+
+    if let Some(trace) = sinks.trace.take() {
+        let path = &opts.values["trace"];
+        trace
+            .write_csv(path)
+            .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
+        println!("trace written to {path} ({} rows)", trace.len());
+    }
+    if let Some(writer) = sinks.events.take() {
+        let path = &opts.values["events"];
+        let written = writer.written();
+        writer
+            .finish()
+            .map_err(|e| format!("cannot write event log to {path}: {e}"))?;
+        println!("event log written to {path} ({written} events)");
+    }
+    if let Some(skew_field) = sinks.skew_field.take() {
+        skew_field
+            .finish()
+            .map_err(|e| format!("skew-field write failed: {e}"))?;
+        let path = &opts.values["skew-field"];
+        if path != "-" {
+            println!("skew-field log written to {path}");
+        }
+    }
+    if let Some(heartbeat) = sinks.heartbeat.take() {
+        // Final summary record. The parallel shares are wall-clock
+        // measurements, so deterministic streams omit them (they would
+        // differ across thread counts and machines).
+        let par = (!opts.flag("deterministic-heartbeat")).then(|| {
+            let wall = profile.as_ref().map_or(0.0, |p| p.par_wall.as_secs_f64());
+            let share = |d: std::time::Duration| {
+                if wall > 0.0 {
+                    d.as_secs_f64() / wall
+                } else {
+                    0.0
+                }
+            };
+            ParStats {
+                threads: threads as u64,
+                windows: profile.as_ref().map_or(0, |p| p.par_windows),
+                replay_share: profile.as_ref().map_or(0.0, |p| share(p.par_replay)),
+                idle_share: profile.as_ref().map_or(0.0, |p| share(p.par_idle)),
+            }
+        });
+        heartbeat.finish(
+            horizon,
+            &sinks.observer,
+            sinks.watchdog.as_ref(),
+            par.as_ref(),
+        )?;
+        let path = &opts.values["heartbeat"];
+        if path != "-" {
+            println!("heartbeat log written to {path}");
+        }
+    }
+    let trip = sinks.watchdog.as_ref().and_then(|w| w.trip().cloned());
+    // Dump the flight-recorder window when asked (--dump-recorder) or when
+    // the watchdog tripped (to the requested path, else a default under
+    // dumps/), so every violation leaves a trace-able artifact without
+    // littering the working-tree root.
+    let dump_path = match (opts.values.get("dump-recorder"), &trip) {
+        (Some(path), _) => Some(path.clone()),
+        (None, Some(_)) => Some(default_dump_path("recorder-trip.jsonl")),
+        (None, None) => None,
     };
-    let observer = &output.observer;
-    let stats = &output.stats;
+    if let Some(path) = dump_path {
+        let count = write_recorder_dump(&path, &sinks.recorder)?;
+        println!(
+            "recorder dump written to {path} ({count} of {} recorded events)",
+            sinks.recorder.recorded()
+        );
+    }
 
-    let max_degree = graph
-        .nodes()
-        .map(|v| graph.neighbors(v).len())
-        .max()
-        .unwrap_or(0);
-    let report = ComplexityReport::from_stats(stats, &params, n, max_degree, d, horizon);
-
+    let observer = &sinks.observer;
     let mut table = Table::new(vec!["quantity", "value"]);
     table.row(vec!["algorithm".into(), algo.to_string()]);
     table.row(vec!["nodes / diameter".into(), format!("{n} / {d}")]);
-    let (global_label, local_label) = if output.skews_are_maxima {
+    // Without per-event sampling (--threads, no observer) the observer only
+    // saw the horizon snapshot: its "worst" skews are end-of-run values.
+    let (global_label, local_label) = if sinks.per_event {
         ("worst global skew", "worst local skew")
     } else {
         ("global skew at horizon", "local skew at horizon")
@@ -1341,11 +1027,7 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
     ]);
     table.row(vec![
         "A^opt bounds (𝒢 / local)".into(),
-        format!(
-            "{:.6} / {:.6}",
-            params.global_skew_bound(d),
-            params.local_skew_bound(d)
-        ),
+        format!("{global_bound:.6} / {local_bound:.6}"),
     ]);
     table.row(vec!["send events".into(), stats.send_events.to_string()]);
     table.row(vec![
@@ -1354,11 +1036,11 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
     ]);
     table.row(vec![
         "delivery imbalance (max/mean)".into(),
-        format!("{:.3}", report.delivery_imbalance),
+        format!("{:.3}", delivery_imbalance(&stats)),
     ]);
     println!("{table}");
 
-    if let Some(profile) = &output.profile {
+    if let Some(profile) = &profile {
         if opts.flag("profile") {
             println!();
             print!("{profile}");
@@ -1375,8 +1057,8 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
         }
     }
 
-    if let Some((path, metrics)) = &mut output.metrics {
-        let path = path.as_str();
+    if let Some(metrics) = sinks.metrics.as_mut() {
+        let path = opts.values["metrics"].as_str();
         let json = metrics.registry().to_json();
         if path == "-" {
             print!("{json}");
@@ -1389,7 +1071,7 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
         }
     }
 
-    match &output.trip {
+    match &trip {
         Some(trip) => {
             println!();
             print!("{}", trip.render());
@@ -1882,18 +1564,11 @@ fn cmd_lb_local(opts: &Options) -> Result<(), String> {
     let alpha = 1.0 - eps;
     let lb = LocalLowerBound::new(b, stages, eps, t, alpha);
     let algo = opts.str_or("algo", "nosync");
-    let reports = match algo {
-        "nosync" => lb.run(|n| vec![NoSync; n]),
-        "aopt" => {
-            let params = Params::recommended(eps, t).map_err(|e| e.to_string())?;
-            lb.run(|n| vec![AOpt::new(params); n])
-        }
-        "jump" => {
-            let params = Params::recommended(eps, t).map_err(|e| e.to_string())?;
-            lb.run(|n| vec![AOptJump::new(params); n])
-        }
-        other => return Err(format!("lb-local supports nosync|aopt|jump, got `{other}`")),
-    };
+    if !["nosync", "aopt", "jump"].contains(&algo) {
+        return Err(format!("lb-local supports nosync|aopt|jump, got `{algo}`"));
+    }
+    let params = Params::recommended(eps, t).map_err(|e| e.to_string())?;
+    let reports = with_protocols(algo, params, lb.d_prime() + 1, LocalConstruction(&lb))?;
     println!(
         "Theorem 7.7 construction: D' = {}, b = {b}, {stages} stages, vs {algo}\n",
         lb.d_prime()
@@ -1914,6 +1589,21 @@ fn cmd_lb_local(opts: &Options) -> Result<(), String> {
         lb.guaranteed_final_skew()
     );
     Ok(())
+}
+
+/// Runs the Theorem 7.7 construction against the registry's protocols.
+struct LocalConstruction<'a>(&'a LocalLowerBound);
+
+impl ProtocolVisitor for LocalConstruction<'_> {
+    type Output = Vec<StageReport>;
+
+    fn visit<P>(self, protocols: Vec<P>) -> Vec<StageReport>
+    where
+        P: Protocol + Send,
+        P::Msg: Send,
+    {
+        self.0.run(|_| protocols)
+    }
 }
 
 /// `gcs chaos` — see [`CHAOS_USAGE`]. Returns `Ok(false)` for oracle-level
@@ -1948,7 +1638,7 @@ fn cmd_chaos(args: &[String]) -> Result<bool, String> {
                     Some(o) => o.clone(),
                     None => format!("{}.dump.jsonl", p.strip_suffix(".chaos").unwrap_or(p)),
                 };
-                write_events_jsonl(&dump, events)
+                write_jsonl(&dump, events)
                     .map_err(|e| format!("cannot write recorder dump {dump}: {e}"))?;
                 println!("recorder dump written to {dump} ({} events)", events.len());
             }
@@ -2001,7 +1691,7 @@ fn cmd_chaos(args: &[String]) -> Result<bool, String> {
                         if let Ok(rerun) = run_scenario(spec, threads) {
                             if let Some(events) = &rerun.recorder_window {
                                 let dump = format!("{dir}/finding-{}.dump.jsonl", f.seed);
-                                write_events_jsonl(&dump, events).map_err(|e| {
+                                write_jsonl(&dump, events).map_err(|e| {
                                     format!("cannot write recorder dump {dump}: {e}")
                                 })?;
                                 println!("recorder dump: {dump} ({} events)", events.len());
