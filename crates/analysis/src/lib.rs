@@ -4,8 +4,9 @@
 //! experiment harness.
 //!
 //! Logical clocks in the simulator are piecewise linear between events, so
-//! observing at every event (via [`gcs_sim::Engine::run_until_observed`])
-//! captures the *exact* extrema of any skew — there is no sampling error.
+//! observing at every event (a [`SkewObserver`] installed as the engine's
+//! event sink) captures the *exact* extrema of any skew — there is no
+//! sampling error.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,6 +16,7 @@ mod clock_trace;
 pub mod events;
 mod gradient;
 pub mod json;
+mod kinetic;
 mod legal;
 pub mod metrics;
 mod table;

@@ -12,6 +12,13 @@
 //!
 //! A second row at n = 4096 checks that the recorder's cost stays flat as
 //! the node count (and hence the partition spread) grows.
+//!
+//! The `gcs_run_sinks` rows measure the default `gcs run` composition —
+//! the `SinkSet` with its always-on skew observer and flight recorder — on
+//! the default `gcs run` scenario at n = 32 and n = 4096, against the bare
+//! engine. The observer works event-locally, so its per-event cost must
+//! not grow with n the way a per-event `O(n)` clock scan does; CI gates the
+//! n = 4096 ratio.
 
 use criterion::{BatchSize, Criterion};
 use gcs_adversary::WavefrontDelay;
@@ -19,8 +26,8 @@ use gcs_analysis::{JsonlWriter, MetricsSink};
 use gcs_bench::BenchReport;
 use gcs_core::{AOpt, Params};
 use gcs_graph::{topology, NodeId};
-use gcs_sim::{Engine, EventSink, NullSink, RecorderSink, UniformDelay};
-use gcs_sweep::build_rates;
+use gcs_sim::{DelayModel, Engine, EventSink, NullSink, RecorderSink, UniformDelay};
+use gcs_sweep::{build_rates, SinkSet};
 
 const N: usize = 32;
 const HORIZON: f64 = 100.0;
@@ -173,13 +180,34 @@ fn wavefront_engine<S: EventSink>(n: usize, sink: S) -> Engine<AOpt, WavefrontDe
     engine
 }
 
+/// The default `gcs run --topology path:<n>` scenario — `A^opt`, ε̂ = 0.01,
+/// 𝒯̂ = 0.1, uniform delays, random-walk drift — warmed to t = 10, past
+/// the start-up fan-out during which every clock sits within ε·t of the
+/// others and no event-local certificate can last.
+fn gcs_run_engine<S: EventSink>(n: usize, sink: S) -> Engine<AOpt, UniformDelay, S> {
+    let (eps, t_max, warmup_horizon) = (0.01, 0.1, 10.0);
+    let graph = topology::path(n);
+    let drift = gcs_time::DriftBounds::new(eps).unwrap();
+    let schedules = build_rates("walk", &graph, drift, 1000.0, 1).unwrap();
+    let params = Params::recommended(eps, t_max).unwrap();
+    let mut engine = Engine::builder(graph)
+        .protocols(vec![AOpt::new(params); n])
+        .delay_model(UniformDelay::new(t_max, 1))
+        .rate_schedules(schedules)
+        .event_sink(sink)
+        .build();
+    engine.wake_all_at(0.0);
+    engine.run_until(warmup_horizon);
+    engine
+}
+
 /// Times `window` engine steps; the inner loop of the paired measurement.
-fn run_window<S: EventSink>(engine: &mut Engine<AOpt, WavefrontDelay, S>, window: u64) -> f64 {
+fn run_window<D: DelayModel, S: EventSink>(engine: &mut Engine<AOpt, D, S>, window: u64) -> f64 {
     let started = std::time::Instant::now();
     for _ in 0..window {
         engine
             .step()
-            .expect("the wavefront fixture never drains its queue");
+            .expect("the steady-state fixtures never drain their queues");
     }
     started.elapsed().as_secs_f64()
 }
@@ -215,18 +243,44 @@ fn run_window<S: EventSink>(engine: &mut Engine<AOpt, WavefrontDelay, S>, window
 fn recorder_steady_ratio(n: usize, window: u64, reps: usize) -> f64 {
     let mut base = wavefront_engine(n, NullSink);
     let mut recorder = wavefront_engine(n, RecorderSink::new());
+    let ratio = paired_steady_ratio(&mut base, &mut recorder, window, reps, "recorder", n);
+    criterion::black_box(recorder.sink().recorded());
+    ratio
+}
+
+/// The `gcs_run_sinks` rows: the same paired steady-state measurement as
+/// the recorder's, with the default `gcs run` sink set on the default
+/// `gcs run` scenario.
+fn gcs_run_sinks_steady_ratio(n: usize, window: u64, reps: usize) -> f64 {
+    let mut base = gcs_run_engine(n, NullSink);
+    let mut sinks = gcs_run_engine(n, SinkSet::new(&topology::path(n)));
+    let ratio = paired_steady_ratio(&mut base, &mut sinks, window, reps, "gcs run sinks", n);
+    criterion::black_box(sinks.sink().observer.worst_global());
+    ratio
+}
+
+/// Times `reps` interleaved `(base, probe)` window pairs and returns the
+/// median `probe / base` ratio of the fastest quarter of pairs by combined
+/// time (see [`recorder_steady_ratio`] for why).
+fn paired_steady_ratio<D: DelayModel, S: EventSink>(
+    base: &mut Engine<AOpt, D, NullSink>,
+    probe: &mut Engine<AOpt, D, S>,
+    window: u64,
+    reps: usize,
+    what: &str,
+    n: usize,
+) -> f64 {
     let mut pairs: Vec<(f64, f64)> = (0..reps)
         .map(|i| {
             if i % 2 == 0 {
-                let b = run_window(&mut base, window);
-                (b, run_window(&mut recorder, window))
+                let b = run_window(base, window);
+                (b, run_window(probe, window))
             } else {
-                let r = run_window(&mut recorder, window);
-                (run_window(&mut base, window), r)
+                let r = run_window(probe, window);
+                (run_window(base, window), r)
             }
         })
         .collect();
-    criterion::black_box(recorder.sink().recorded());
     pairs.sort_unstable_by(|p, q| (p.0 + p.1).total_cmp(&(q.0 + q.1)));
     let kept = (pairs.len() / 4).max(1);
     let mut ratios: Vec<f64> = pairs[..kept].iter().map(|(b, r)| r / b).collect();
@@ -239,7 +293,7 @@ fn recorder_steady_ratio(n: usize, window: u64, reps: usize) -> f64 {
     let mut all: Vec<f64> = pairs.iter().map(|(b, r)| r / b).collect();
     all.sort_unstable_by(|a, b| a.total_cmp(b));
     eprintln!(
-        "recorder steady-state pairs (n = {n}): fastest-quarter median = {fastest_quarter:.4}, \
+        "{what} steady-state pairs (n = {n}): fastest-quarter median = {fastest_quarter:.4}, \
          all-pairs median = {:.4}",
         all[all.len() / 2],
     );
@@ -274,7 +328,11 @@ fn main() {
         .config("topology_large", format!("path:{N_LARGE}"))
         .config("horizon_large", HORIZON_LARGE)
         .config("eps", 0.02)
-        .config("t", 0.25);
+        .config("t", 0.25)
+        .config(
+            "gcs_run_sinks_fixture",
+            "gcs run defaults on path:n (eps 0.01, t 0.1, uniform, walk), warmed to t = 10",
+        );
     let name = |id: &str| id.rsplit('/').next().unwrap_or(id).to_string();
     let mut baseline = None;
     let mut baseline_large = None;
@@ -315,15 +373,26 @@ fn main() {
     // dodges background load sustained for the whole repetition —
     // contamination only ever inflates the estimate, so the smallest
     // repetition is the most accurate one.
-    let best_of = |n: usize, window: u64, reps: usize| {
+    let best_of = |ratio: fn(usize, u64, usize) -> f64, n: usize, window: u64, reps: usize| {
         (0..EPOCHS)
-            .map(|_| recorder_steady_ratio(n, window, reps))
+            .map(|_| ratio(n, window, reps))
             .fold(f64::INFINITY, f64::min)
     };
-    report.metric("overhead_ratio/recorder_sink", best_of(64, 5_000, 301));
+    report.metric(
+        "overhead_ratio/recorder_sink",
+        best_of(recorder_steady_ratio, 64, 5_000, 301),
+    );
     report.metric(
         "overhead_ratio/recorder_sink_n4096",
-        best_of(N_LARGE, 5_000, 75),
+        best_of(recorder_steady_ratio, N_LARGE, 5_000, 75),
+    );
+    report.metric(
+        "overhead_ratio/gcs_run_sinks",
+        best_of(gcs_run_sinks_steady_ratio, N, 5_000, 151),
+    );
+    report.metric(
+        "overhead_ratio/gcs_run_sinks_n4096",
+        best_of(gcs_run_sinks_steady_ratio, N_LARGE, 5_000, 75),
     );
     match report.write() {
         Ok(path) => println!("machine-readable results written to {path}"),

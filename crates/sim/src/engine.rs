@@ -8,7 +8,7 @@ use crate::pending::{PendingHw, PendingSlab};
 use crate::profile::EngineProfile;
 use crate::protocol::{Action, Context, Protocol, TimerId};
 use crate::queue::EventQueue;
-use crate::sink::{EngineEvent, EventSink, NullSink};
+use crate::sink::{ClockView, EngineEvent, EventSink, NullSink};
 use std::time::Instant;
 
 /// Counters over the messages exchanged in an execution.
@@ -112,6 +112,34 @@ pub(crate) struct Nodes<P: Protocol> {
     /// allocation-free in steady state).
     pub(crate) pending: Vec<PendingSlab<P::Msg>>,
     cold: Vec<ColdNode<P::Msg>>,
+}
+
+/// The [`ClockView`] lent to [`EventSink::local_snapshot`] (by the engine,
+/// or by the parallel replay over its shadow planes): evaluates a node's
+/// clock on demand with the same `proto.logical_value(hw.value_at(t))`
+/// expression the snapshot vector uses, so `value(v)` matches the vector
+/// entry bit for bit.
+pub(crate) struct NodeClocks<'a, P> {
+    pub(crate) protos: &'a [P],
+    pub(crate) hot: &'a [HotNode],
+    pub(crate) now: f64,
+}
+
+impl<P: Protocol> ClockView for NodeClocks<'_, P> {
+    fn len(&self) -> usize {
+        self.protos.len()
+    }
+
+    #[inline]
+    fn value(&self, v: NodeId) -> f64 {
+        self.value_at(v, self.now)
+    }
+
+    #[inline]
+    fn value_at(&self, v: NodeId, t: f64) -> f64 {
+        let i = v.index();
+        self.protos[i].logical_value(self.hot[i].hw.value_at(t))
+    }
 }
 
 impl<P: Protocol> Nodes<P> {
@@ -258,6 +286,7 @@ impl<P: Protocol, D: DelayModel, S: EventSink> EngineBuilder<P, D, S> {
             },
             sink: self.sink,
             clock_buf: Vec::with_capacity(n),
+            touched: Vec::with_capacity(8),
             action_buf: Vec::with_capacity(8),
             profile: self.profiling.then(Box::default),
             remote: None,
@@ -289,6 +318,9 @@ pub struct Engine<P: Protocol, D: DelayModel, S: EventSink = NullSink> {
     pub(crate) sink: S,
     /// Scratch buffer for per-event logical-clock snapshots.
     pub(crate) clock_buf: Vec<f64>,
+    /// Nodes whose clock trajectory changed since the last local snapshot
+    /// (filled only while the sink wants local snapshots).
+    pub(crate) touched: Vec<NodeId>,
     /// Reusable action buffer lent to each protocol handler's [`Context`]
     /// and drained by `apply_actions` — no per-event `Vec` allocation.
     pub(crate) action_buf: Vec<Action<P::Msg>>,
@@ -386,7 +418,24 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
 
     /// All logical-clock readings, indexed by node.
     pub fn logical_values(&self) -> Vec<f64> {
-        self.graph.nodes().map(|v| self.logical_value(v)).collect()
+        let mut out = Vec::with_capacity(self.nodes.len());
+        self.logical_values_into(&mut out);
+        out
+    }
+
+    /// Overwrites `out` with all logical-clock readings, indexed by node —
+    /// [`Engine::logical_values`] without the allocation once `out` has
+    /// grown to the node count.
+    pub fn logical_values_into(&self, out: &mut Vec<f64>) {
+        let now = self.now;
+        out.clear();
+        out.extend(
+            self.nodes
+                .proto
+                .iter()
+                .zip(&self.nodes.hot)
+                .map(|(p, h)| p.logical_value(h.hw.value_at(now))),
+        );
     }
 
     /// Whether node `v` has been initialized.
@@ -424,6 +473,7 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
     pub fn set_hardware_rate(&mut self, v: NodeId, rate: f64) {
         let now = self.now;
         self.nodes.hot[v.index()].hw.set_rate(now, rate);
+        self.touch(v);
         if self.sink.enabled() {
             self.sink.record(&EngineEvent::RateStep {
                 node: v,
@@ -475,13 +525,14 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
     }
 
     /// Like [`Engine::run_until`], invoking `observer` after every processed
-    /// event (and once at the horizon). Used by the analysis layer to record
-    /// exact skew extrema: logical clocks are piecewise linear between
-    /// events, so per-event sampling captures every kink.
+    /// event (and once at the horizon). Logical clocks are piecewise linear
+    /// between events, so per-event sampling captures every kink.
     ///
     /// New code should prefer installing an [`EventSink`] with
     /// [`EngineBuilder::event_sink`] — sinks see the same per-event cadence
-    /// through [`EventSink::snapshot`] without borrowing the engine.
+    /// through [`EventSink::snapshot`] or [`EventSink::local_snapshot`]
+    /// without borrowing the engine, and a local sink is not handed an
+    /// `O(n)` clock vector it may not need.
     pub fn run_until_observed(&mut self, t: f64, mut observer: impl FnMut(&Self)) {
         assert!(t >= self.now, "cannot run backwards");
         while let Some(next) = self.next_event_time() {
@@ -500,27 +551,45 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
     // Internals
     // ------------------------------------------------------------------
 
-    /// Reports the post-event state to the sink, if it wants state.
+    /// Reports the post-event state to the sink, if it wants state: the
+    /// full clock vector, the touched nodes with a lazy [`ClockView`], or
+    /// both.
     pub(crate) fn maybe_snapshot(&mut self) {
-        if !self.sink.wants_snapshots() {
+        let full = self.sink.wants_snapshots();
+        let local = self.sink.wants_local_snapshots();
+        if !full && !local {
             return;
         }
         let started = self.profile.as_ref().map(|_| Instant::now());
-        let mut buf = std::mem::take(&mut self.clock_buf);
-        buf.clear();
         let now = self.now;
-        buf.extend(
-            self.nodes
-                .proto
-                .iter()
-                .zip(&self.nodes.hot)
-                .map(|(p, h)| p.logical_value(h.hw.value_at(now))),
-        );
-        self.sink.snapshot(now, &buf, self.queue.len());
-        self.clock_buf = buf;
+        if full {
+            let mut buf = std::mem::take(&mut self.clock_buf);
+            self.logical_values_into(&mut buf);
+            self.sink.snapshot(now, &buf, self.queue.len());
+            self.clock_buf = buf;
+        }
+        if local {
+            let clocks = NodeClocks {
+                protos: &self.nodes.proto,
+                hot: &self.nodes.hot,
+                now,
+            };
+            self.sink
+                .local_snapshot(now, &self.touched, &clocks, self.queue.len());
+            self.touched.clear();
+        }
         if let (Some(profile), Some(started)) = (self.profile.as_deref_mut(), started) {
             profile.snapshot += started.elapsed();
             profile.snapshots += 1;
+        }
+    }
+
+    /// Notes that `v`'s clock trajectory changed, for the next local
+    /// snapshot.
+    #[inline]
+    fn touch(&mut self, v: NodeId) {
+        if self.sink.wants_local_snapshots() {
+            self.touched.push(v);
         }
     }
 
@@ -562,6 +631,7 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
             return;
         }
         self.start_node(v);
+        self.touch(v);
         let hw = self.hardware_value(v);
         if self.sink.enabled() {
             self.sink.record(&EngineEvent::Wake {
@@ -621,6 +691,7 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
         }
         let rate = self.nodes.cold[i].schedule.rate_at(at);
         self.nodes.hot[i].hw.set_rate(self.now, rate);
+        self.touch(v);
         if self.sink.enabled() {
             self.sink.record(&EngineEvent::RateStep {
                 node: v,
@@ -643,6 +714,7 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
     fn handle_deliver(&mut self, src: NodeId, dst: NodeId, msg: P::Msg) {
         self.stats.deliveries += 1;
         self.stats.per_node_deliveries[dst.index()] += 1;
+        self.touch(dst);
         let fresh = !self.nodes.hot[dst.index()].hw.is_started();
         if fresh {
             self.start_node(dst);
@@ -704,6 +776,7 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
                 if let Some(pos) = slots.iter().position(|&(t, _)| t == timer) {
                     slots.swap_remove(pos);
                 }
+                self.touch(v);
                 let hw = self.hardware_value(v);
                 if self.sink.enabled() {
                     self.sink.record(&EngineEvent::TimerFire {

@@ -85,8 +85,8 @@ pub use engine::{Engine, EngineBuilder, MessageStats};
 pub use profile::EngineProfile;
 pub use protocol::{Context, Protocol, TimerId};
 pub use sink::{
-    decode_frame, encode_frame, EngineEvent, EventSink, NullSink, RecorderSink, RingBufferSink,
-    VecSink, DEFAULT_RECORDER_FRAMES, DEFAULT_RECORDER_PARTITIONS, FRAME_LEN, KIND_COUNT,
-    KIND_LABELS, RECORDER_MAGIC,
+    decode_frame, encode_frame, ClockView, EngineEvent, EventSink, NullSink, RecorderSink,
+    RingBufferSink, VecSink, DEFAULT_RECORDER_FRAMES, DEFAULT_RECORDER_PARTITIONS, FRAME_LEN,
+    KIND_COUNT, KIND_LABELS, RECORDER_MAGIC,
 };
 pub use ticked::Ticked;

@@ -34,10 +34,9 @@ use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use gcs_graph::{partition, NodeId};
-use gcs_time::HardwareClock;
 
 use crate::delay::DelayModel;
-use crate::engine::{Engine, EventKind, MessageStats};
+use crate::engine::{Engine, EventKind, HotNode, MessageStats, NodeClocks};
 use crate::protocol::Protocol;
 use crate::queue::EventQueue;
 use crate::sink::{EngineEvent, EventSink};
@@ -86,7 +85,7 @@ struct PopRecord {
 #[derive(Debug, Clone)]
 struct PopState<P: Protocol> {
     home: NodeId,
-    hw: HardwareClock,
+    hot: HotNode,
     proto: P,
 }
 
@@ -207,18 +206,27 @@ impl<P: Protocol> ReplayState<P> {
 }
 
 /// The serial snapshot reconstructor, used when the real sink wants
-/// per-event snapshots. It shadows every node's snapshot-relevant state
-/// (`hw`, `proto`) and the global queue depth, updating both from each
-/// replayed pop, and feeds the sink the **exact** snapshot the sequential
-/// engine would have produced after that pop: the clock buffer is computed
-/// by the same `proto.logical_value(hw.value_at(now))` expression on
-/// bit-identical state, and the queue depth follows from pop/push
-/// arithmetic (each pop removes one entry; each seq increment — queue push
-/// or outbox send, which is a queue push sequentially — adds one).
+/// per-event snapshots (full or local). It shadows every node's
+/// snapshot-relevant state (hot plane, `proto`) and the global queue depth,
+/// updating both from each replayed pop, and feeds the sink the **exact**
+/// snapshot the sequential engine would have produced after that pop: the
+/// clock buffer (or the lazy [`NodeClocks`] view) evaluates the same
+/// `proto.logical_value(hw.value_at(now))` expression on bit-identical
+/// state, and the queue depth follows from pop/push arithmetic (each pop
+/// removes one entry; each seq increment — queue push or outbox send,
+/// which is a queue push sequentially — adds one). A local snapshot names
+/// the pop's home node as touched — for a stale pop that is one more node
+/// than the sequential engine names, which a local sink must (and does)
+/// treat as a no-op re-read.
 struct SnapReplay<P: Protocol> {
-    hw: Vec<HardwareClock>,
+    hot: Vec<HotNode>,
     protos: Vec<P>,
+    full: bool,
+    local: bool,
     clock_buf: Vec<f64>,
+    /// Touches not yet reported, starting with any the engine had pending
+    /// when the parallel phase began.
+    touched: Vec<NodeId>,
     depth: usize,
     now: f64,
     snapshots: u64,
@@ -231,19 +239,31 @@ impl<P: Protocol> SnapReplay<P> {
     fn replay_pop(&mut self, rec: &PopRecord, st: &PopState<P>, sink: &mut impl EventSink) {
         let started = Instant::now();
         let i = st.home.index();
-        self.hw[i] = st.hw.clone();
+        self.hot[i] = st.hot.clone();
         self.protos[i].clone_from(&st.proto);
         self.now = self.now.max(rec.time);
         self.depth = self.depth + rec.pushes as usize - 1;
         let now = self.now;
-        self.clock_buf.clear();
-        self.clock_buf.extend(
-            self.protos
-                .iter()
-                .zip(&self.hw)
-                .map(|(p, hw)| p.logical_value(hw.value_at(now))),
-        );
-        sink.snapshot(now, &self.clock_buf, self.depth);
+        if self.full {
+            self.clock_buf.clear();
+            self.clock_buf.extend(
+                self.protos
+                    .iter()
+                    .zip(&self.hot)
+                    .map(|(p, h)| p.logical_value(h.hw.value_at(now))),
+            );
+            sink.snapshot(now, &self.clock_buf, self.depth);
+        }
+        if self.local {
+            self.touched.push(st.home);
+            let clocks = NodeClocks {
+                protos: &self.protos,
+                hot: &self.hot,
+                now,
+            };
+            sink.local_snapshot(now, &self.touched, &clocks, self.depth);
+            self.touched.clear();
+        }
         self.snapshots += 1;
         self.dur += started.elapsed();
     }
@@ -305,10 +325,17 @@ where
         if k < 2 {
             return self.now;
         }
-        let mut snap = self.sink.wants_snapshots().then(|| SnapReplay {
-            hw: self.nodes.hot.iter().map(|n| n.hw.clone()).collect(),
+        let (full, local) = (
+            self.sink.wants_snapshots(),
+            self.sink.wants_local_snapshots(),
+        );
+        let mut snap = (full || local).then(|| SnapReplay {
+            hot: self.nodes.hot.clone(),
             protos: self.nodes.proto.clone(),
-            clock_buf: Vec::with_capacity(self.nodes.len()),
+            full,
+            local,
+            clock_buf: Vec::with_capacity(if full { self.nodes.len() } else { 0 }),
+            touched: std::mem::take(&mut self.touched),
             depth: self.queue.len(),
             now: self.now,
             snapshots: 0,
@@ -426,12 +453,15 @@ where
             .map(|m| m.into_inner().expect("no panics while locked"))
             .collect();
         self.merge(parts, &owner, completed, replay.next_seq);
-        if let Some(snap) = &snap {
+        if let Some(snap) = snap.as_mut() {
             debug_assert_eq!(
                 snap.depth,
                 self.queue.len(),
                 "reconstructed queue depth diverged from the merged queue"
             );
+            // Hand back touches no replayed pop reported (a phase that
+            // popped nothing).
+            std::mem::swap(&mut self.touched, &mut snap.touched);
         }
         if let Some(profile) = self.profile.as_deref_mut() {
             profile.par_workers = profile.par_workers.max(k as u64);
@@ -534,6 +564,7 @@ where
                     on: self.sink.enabled(),
                 },
                 clock_buf: Vec::new(),
+                touched: Vec::new(),
                 action_buf: Vec::with_capacity(8),
                 profile: None,
                 remote: Some(Box::new(RemoteCtx {
@@ -541,7 +572,7 @@ where
                     owner: Arc::clone(owner),
                     outbox: vec![Vec::new(); k],
                     records: Vec::new(),
-                    log_state: self.sink.wants_snapshots(),
+                    log_state: self.sink.wants_snapshots() || self.sink.wants_local_snapshots(),
                     states: Vec::new(),
                     pops: 0,
                     run_dur: Duration::ZERO,
@@ -653,7 +684,7 @@ impl<P: Protocol, D: DelayModel> Engine<P, D, BufferSink> {
             if log_state {
                 let state = PopState {
                     home,
-                    hw: self.nodes.hot[home.index()].hw.clone(),
+                    hot: self.nodes.hot[home.index()].clone(),
                     proto: self.nodes.proto[home.index()].clone(),
                 };
                 let remote = self.remote_mut();

@@ -6,8 +6,12 @@
 //! * **protocol** — time inside protocol handlers (`on_start`,
 //!   `on_message`, `on_timer`);
 //! * **delay** — time inside the delay model's `delivery` sampling;
-//! * **snapshot** — time spent building per-event state snapshots for the
-//!   installed event sink;
+//! * **snapshot** — time spent on per-event state observation by the
+//!   installed event sink: building the clock vector and running
+//!   [`EventSink::snapshot`](crate::EventSink::snapshot), and/or running
+//!   the event-local [`EventSink::local_snapshot`](crate::EventSink::local_snapshot)
+//!   (for the default `gcs run` sinks, the skew observer's certificate
+//!   upkeep);
 //! * everything else (queue operations, clock arithmetic, sink records)
 //!   is the residual of the total dispatch time.
 //!
@@ -34,9 +38,11 @@ pub struct EngineProfile {
     pub delay: Duration,
     /// Delay-model samples taken.
     pub delay_calls: u64,
-    /// Wall-time building sink snapshots.
+    /// Wall-time in per-event sink observation: full snapshots (vector
+    /// build plus the sink's call) and event-local snapshots.
     pub snapshot: Duration,
-    /// Snapshots delivered to the sink.
+    /// Observation points delivered to the sink (one per event plus one
+    /// per horizon, whichever snapshot kinds it takes).
     pub snapshots: u64,
     /// Stale `HwDue` queue entries skipped (superseded by a later insert or
     /// a rate-change re-stamp) — included in `events`.

@@ -41,6 +41,18 @@ pub trait Protocol: Clone {
     /// Used by the engine and the analysis layer to observe `L_v(t)`; must
     /// be a pure function of protocol state and `hw` (with `hw` at or after
     /// the last event the protocol handled).
+    ///
+    /// **Monotonicity contract.** Between two events of this node the value
+    /// must be non-decreasing in `hw` *as computed in `f64`*, down to
+    /// adjacent floats — not just in exact arithmetic. A chain of correctly
+    /// rounded operations that are each monotone for the protocol's
+    /// positive multipliers (e.g. `l + m · (hw − h)` with `m > 0`) meets
+    /// it; clamps, subtractions of `hw` and other non-monotone steps break
+    /// it. The event-local skew observer's certificates are exact only
+    /// under this contract, and it also expects the value never to drop
+    /// across the node's own events (the model's Condition 2; it re-checks
+    /// that and falls back to a full rescan if a protocol breaks it).
+    /// `tests/protocol_contract.rs` checks every registry protocol.
     fn logical_value(&self, hw: f64) -> f64;
 
     /// The current logical-rate multiplier relative to the hardware clock

@@ -22,6 +22,13 @@
 //! event with the exact logical clock values — but only when
 //! [`EventSink::wants_snapshots`] returns `true`, because computing the
 //! clock vector costs `O(n)` per event.
+//!
+//! Sinks whose state can be maintained incrementally implement
+//! [`EventSink::local_snapshot`] instead (opted into by
+//! [`EventSink::wants_local_snapshots`]): after each processed event the
+//! engine names the nodes whose clock trajectory the event changed and
+//! lends a lazy [`ClockView`], so the per-event cost is whatever the sink
+//! chooses to read rather than `O(n)`.
 
 use gcs_graph::NodeId;
 
@@ -212,6 +219,35 @@ pub const KIND_LABELS: [&str; KIND_COUNT] = [
     "multiplier",
 ];
 
+/// Lazy access to every node's logical clock at the instant of a
+/// [`EventSink::local_snapshot`].
+///
+/// Between two events of node `v`, `L_v` is a fixed function of real time
+/// (its hardware clock runs at a fixed rate and its protocol state does not
+/// change), so [`ClockView::value_at`] can read `v`'s clock at any later
+/// time `T` under that state: the value `v` will show at `T` unless an
+/// event touches `v` first. By the [`Protocol::logical_value`] contract
+/// (correctly rounded, monotone operations on positive rates and
+/// multipliers) that value is non-decreasing in `T`.
+///
+/// [`Protocol::logical_value`]: crate::Protocol::logical_value
+pub trait ClockView {
+    /// Number of nodes.
+    fn len(&self) -> usize;
+
+    /// Whether the view has no nodes.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// `L_v(now)` — bit-identical to entry `v` of the clock vector
+    /// [`EventSink::snapshot`] would have received at this instant.
+    fn value(&self, v: NodeId) -> f64;
+
+    /// `L_v(t)` for `t ≥ now`, extrapolated under `v`'s current state.
+    fn value_at(&self, v: NodeId, t: f64) -> f64;
+}
+
 /// Receiver of engine transitions (and, optionally, post-event state
 /// snapshots).
 ///
@@ -249,6 +285,39 @@ pub trait EventSink {
     fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
         let _ = (t, clocks, queue_depth);
     }
+
+    /// Whether the sink wants [`EventSink::local_snapshot`] calls.
+    ///
+    /// The engine asks before every observation, so a sink may switch
+    /// between the two snapshot kinds mid-run. Touches are recorded only
+    /// while this is `true`: a sink that turns it back on has missed the
+    /// touches in between and must not trust state it built before. Under
+    /// [`Engine::run_until_threaded`](crate::Engine::run_until_threaded)
+    /// both answers are sampled once per parallel phase, so a switching
+    /// sink must also accept the kind it stopped asking for.
+    #[inline]
+    fn wants_local_snapshots(&self) -> bool {
+        false
+    }
+
+    /// Called at the same points as [`EventSink::snapshot`], without the
+    /// `O(n)` clock vector: `touched` lists the nodes whose clock
+    /// trajectory changed since the previous local snapshot (the event's
+    /// home node, plus any [`Engine::set_hardware_rate`] target; possibly
+    /// with repeats, and empty for stale queue entries and the horizon
+    /// pass), and `clocks` reads any node's clock on demand.
+    ///
+    /// [`Engine::set_hardware_rate`]: crate::Engine::set_hardware_rate
+    #[inline]
+    fn local_snapshot(
+        &mut self,
+        t: f64,
+        touched: &[NodeId],
+        clocks: &dyn ClockView,
+        queue_depth: usize,
+    ) {
+        let _ = (t, touched, clocks, queue_depth);
+    }
 }
 
 /// The default sink: observes nothing, costs nothing.
@@ -275,6 +344,18 @@ impl<S: EventSink + ?Sized> EventSink for Box<S> {
     fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
         (**self).snapshot(t, clocks, queue_depth);
     }
+    fn wants_local_snapshots(&self) -> bool {
+        (**self).wants_local_snapshots()
+    }
+    fn local_snapshot(
+        &mut self,
+        t: f64,
+        touched: &[NodeId],
+        clocks: &dyn ClockView,
+        queue_depth: usize,
+    ) {
+        (**self).local_snapshot(t, touched, clocks, queue_depth);
+    }
 }
 
 impl<S: EventSink> EventSink for Option<S> {
@@ -294,6 +375,20 @@ impl<S: EventSink> EventSink for Option<S> {
             s.snapshot(t, clocks, queue_depth);
         }
     }
+    fn wants_local_snapshots(&self) -> bool {
+        self.as_ref().is_some_and(|s| s.wants_local_snapshots())
+    }
+    fn local_snapshot(
+        &mut self,
+        t: f64,
+        touched: &[NodeId],
+        clocks: &dyn ClockView,
+        queue_depth: usize,
+    ) {
+        if let Some(s) = self {
+            s.local_snapshot(t, touched, clocks, queue_depth);
+        }
+    }
 }
 
 macro_rules! tuple_sinks {
@@ -310,6 +405,18 @@ macro_rules! tuple_sinks {
             }
             fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
                 $(self.$idx.snapshot(t, clocks, queue_depth);)+
+            }
+            fn wants_local_snapshots(&self) -> bool {
+                $(self.$idx.wants_local_snapshots())||+
+            }
+            fn local_snapshot(
+                &mut self,
+                t: f64,
+                touched: &[NodeId],
+                clocks: &dyn ClockView,
+                queue_depth: usize,
+            ) {
+                $(self.$idx.local_snapshot(t, touched, clocks, queue_depth);)+
             }
         }
     )*};
@@ -834,6 +941,7 @@ mod tests {
     fn null_sink_is_disabled() {
         assert!(!NullSink.enabled());
         assert!(!NullSink.wants_snapshots());
+        assert!(!NullSink.wants_local_snapshots());
     }
 
     #[test]

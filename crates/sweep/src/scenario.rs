@@ -16,9 +16,10 @@ use gcs_analysis::{ClockTrace, InvariantWatchdog, JsonlWriter, MetricsSink, Skew
 use gcs_core::{
     AOpt, AOptJump, EnvelopeAOpt, MaxAlgorithm, MidpointAlgorithm, MinGapAOpt, NoSync, Params,
 };
-use gcs_graph::Graph;
+use gcs_graph::{Graph, NodeId};
 use gcs_sim::{
-    DropCause, Engine, EngineEvent, EngineProfile, EventSink, MessageStats, Protocol, RecorderSink,
+    ClockView, DropCause, Engine, EngineEvent, EngineProfile, EventSink, MessageStats, Protocol,
+    RecorderSink,
 };
 use gcs_telemetry::{BeatInput, HeartbeatEmitter, ParStats, SkewFieldWriter, WatchdogStatus};
 use gcs_time::{DriftBounds, RateSchedule};
@@ -402,6 +403,14 @@ impl Heartbeat {
 
 /// The observability stack of one execution, composed statically: one
 /// event stream and one per-event snapshot pass feed every consumer.
+///
+/// The snapshot pass asks the engine for full clock vectors only when a
+/// consumer needs one (trace, metrics, watchdog, skew field) or the skew
+/// observer is in one of its full-scan stints. Otherwise — the default
+/// `gcs run` composition of observer, recorder and optional event log or
+/// heartbeat — it takes the event-local hook: the observer updates its
+/// certificates from the touched nodes, and the heartbeat is paced from
+/// the same call.
 pub struct SinkSet {
     /// Exact global/local skew observation (always on).
     pub observer: SkewObserver,
@@ -447,6 +456,14 @@ impl SinkSet {
     pub fn tripped(&self) -> bool {
         self.watchdog.as_ref().is_some_and(|w| w.tripped())
     }
+
+    /// Whether some consumer reads the whole clock vector every event.
+    fn needs_vectors(&self) -> bool {
+        self.trace.is_some()
+            || self.metrics.is_some()
+            || self.watchdog.is_some()
+            || self.skew_field.is_some()
+    }
 }
 
 impl EventSink for SinkSet {
@@ -466,11 +483,11 @@ impl EventSink for SinkSet {
     }
 
     fn wants_snapshots(&self) -> bool {
-        self.per_event
+        self.per_event && (self.needs_vectors() || self.observer.wants_snapshots())
     }
 
     fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
-        self.observer.observe_clocks(t, clocks);
+        self.observer.snapshot(t, clocks, queue_depth);
         self.trace.snapshot(t, clocks, queue_depth);
         self.metrics.snapshot(t, clocks, queue_depth);
         self.watchdog.snapshot(t, clocks, queue_depth);
@@ -481,6 +498,23 @@ impl EventSink for SinkSet {
         // this snapshot.
         if let Some(hb) = self.heartbeat.as_mut() {
             hb.snapshot(t, queue_depth, &self.observer, self.watchdog.as_ref());
+        }
+    }
+
+    fn wants_local_snapshots(&self) -> bool {
+        self.per_event && !self.needs_vectors() && self.observer.wants_local_snapshots()
+    }
+
+    fn local_snapshot(
+        &mut self,
+        t: f64,
+        touched: &[NodeId],
+        clocks: &dyn ClockView,
+        queue_depth: usize,
+    ) {
+        self.observer.observe_local(t, touched, clocks);
+        if let Some(hb) = self.heartbeat.as_mut() {
+            hb.snapshot(t, queue_depth, &self.observer, None);
         }
     }
 }

@@ -1,0 +1,142 @@
+//! The `Protocol::logical_value` contract the event-local skew observer
+//! rests on, checked for every registry protocol over random executions.
+//! Between two consecutive events:
+//!
+//! * each node's `logical_value(hw)` is non-decreasing in `hw` from the
+//!   node's current hardware reading on — down to adjacent floats, since
+//!   the observer's certificates are exact in `f64`;
+//! * `Engine::logical_value(v)` equals entry `v` of the clock vector the
+//!   engine hands to `EventSink::snapshot`, bit for bit.
+
+use clock_sync::graph::NodeId;
+use clock_sync::sim::{Engine, EventSink, Protocol};
+use clock_sync::sweep::{with_protocols, ProtocolVisitor, Scenario, ScenarioSpec, ALGOS};
+
+/// Keeps the latest snapshot vector.
+#[derive(Default)]
+struct LastSnapshot {
+    clocks: Vec<f64>,
+}
+
+impl EventSink for LastSnapshot {
+    fn enabled(&self) -> bool {
+        false
+    }
+
+    fn wants_snapshots(&self) -> bool {
+        true
+    }
+
+    fn snapshot(&mut self, _t: f64, clocks: &[f64], _queue_depth: usize) {
+        self.clocks.clear();
+        self.clocks.extend_from_slice(clocks);
+    }
+}
+
+/// Hardware readings ahead of `h` at which a clock must not decrease:
+/// adjacent floats first, then growing steps.
+fn probes(h: f64) -> Vec<f64> {
+    let mut out = vec![h];
+    let mut x = h;
+    for _ in 0..3 {
+        x = x.next_up();
+        out.push(x);
+    }
+    for step in [1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3] {
+        out.push(h + step);
+    }
+    out
+}
+
+struct Contract {
+    scenario: Scenario,
+    label: String,
+}
+
+impl ProtocolVisitor for Contract {
+    type Output = u64;
+
+    fn visit<P>(self, protocols: Vec<P>) -> u64
+    where
+        P: Protocol + Send,
+        P::Msg: Send,
+    {
+        let Contract {
+            scenario: sc,
+            label,
+        } = self;
+        let n = sc.graph.len();
+        let horizon = sc.horizon;
+        let mut engine = Engine::builder(sc.graph)
+            .protocols(protocols)
+            .delay_model(sc.delay)
+            .rate_schedules(sc.schedules)
+            .event_sink(LastSnapshot::default())
+            .build();
+        engine.wake_all_at(0.0);
+        let mut checked = 0;
+        while engine.next_event_time().is_some_and(|t| t <= horizon) {
+            engine.step();
+            let t = engine.now();
+            for v in (0..n).map(NodeId) {
+                let value = engine.logical_value(v);
+                let entry = engine.sink().clocks[v.index()];
+                assert_eq!(
+                    value.to_bits(),
+                    entry.to_bits(),
+                    "{label}: v{} at t = {t}: Engine::logical_value {value} != snapshot {entry}",
+                    v.index()
+                );
+                let proto = engine.protocol(v);
+                let mut last = f64::NEG_INFINITY;
+                for h in probes(engine.hardware_value(v)) {
+                    let l = proto.logical_value(h);
+                    assert!(
+                        l >= last,
+                        "{label}: v{} at t = {t}: logical_value decreased to {l} (from {last}) \
+                         at hw = {h}",
+                        v.index()
+                    );
+                    last = l;
+                }
+                checked += 1;
+            }
+        }
+        checked
+    }
+}
+
+#[test]
+fn every_protocol_keeps_the_logical_value_contract() {
+    let cases = [
+        ("path:6", "uniform", "walk"),
+        ("ring:5", "const", "split"),
+        ("grid:3x3", "wavefront", "walk"),
+        ("star:7", "zero", "nominal"),
+        ("tree:9", "uniform", "gradient"),
+    ];
+    for algo in ALGOS {
+        let mut checked = 0;
+        for (i, (topology, delay, rates)) in cases.into_iter().enumerate() {
+            let seed = 7 * i as u64 + 1;
+            let scenario = Scenario::build(ScenarioSpec {
+                topology,
+                eps: 0.05,
+                t: 0.2,
+                sigma: None,
+                delay,
+                rates,
+                faults: Vec::new(),
+                seed,
+                horizon: 8.0,
+                horizon_per_diameter: 0.0,
+            })
+            .expect("valid scenario");
+            let (params, n) = (scenario.params, scenario.graph.len());
+            let label = format!("{algo} on {topology} ({delay}, {rates}, seed {seed})");
+            checked += with_protocols(algo, params, n, Contract { scenario, label })
+                .expect("registered algorithm");
+        }
+        assert!(checked > 500, "{algo}: only {checked} node-events checked");
+    }
+}

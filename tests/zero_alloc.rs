@@ -7,6 +7,11 @@
 //! handler, the `neighbors.to_vec()` broadcast clone, the collect-and-sort
 //! in rate-change rescheduling — would trip this test if reintroduced.
 //!
+//! The same bar holds for the default `gcs run` observability stack
+//! (`SinkSet::new`: skew observer plus flight recorder), whose observer
+//! runs the event-local path: its certificate heaps and scratch are sized
+//! on the first observation and only re-keyed afterwards.
+//!
 //! This file holds a single `#[test]` on purpose: the allocator count is
 //! process-global, and a sibling test thread would pollute the window.
 
@@ -16,8 +21,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use gcs_adversary::WavefrontDelay;
 use gcs_core::{AOpt, Params};
 use gcs_graph::{topology, NodeId};
-use gcs_sim::{Engine, RecorderSink};
-use gcs_sweep::build_rates;
+use gcs_sim::{Engine, EventSink, RecorderSink};
+use gcs_sweep::{build_rates, SinkSet};
 
 /// Counts every allocation (alloc + realloc) made by the process.
 struct CountingAlloc;
@@ -172,5 +177,50 @@ fn steady_state_window_makes_no_heap_allocations() {
     assert_eq!(
         allocated, 0,
         "calendar-queue hot path allocated {allocated} times across a 10k-event window"
+    );
+
+    // The default `gcs run` sinks (`gcs run --topology path:1024` with its
+    // uniform delays and random-walk rates, warmed past the start-up
+    // fan-out): the skew observer's event-local path (certificate heaps,
+    // per-node caches) plus the flight recorder must not allocate per
+    // event either — nor must its full-scan stints, should it take any.
+    let n = 1024;
+    let graph = topology::path(n);
+    let eps = 0.01;
+    let drift = gcs_time::DriftBounds::new(eps).unwrap();
+    let horizon = 20.0;
+    let schedules = build_rates("walk", &graph, drift, horizon, 1).unwrap();
+    let sinks = SinkSet::new(&graph);
+    let mut engine = Engine::builder(graph)
+        .protocols(vec![AOpt::new(Params::recommended(eps, 0.1).unwrap()); n])
+        .delay_model(gcs_sim::UniformDelay::new(0.1, 1))
+        .rate_schedules(schedules)
+        .event_sink(sinks)
+        .build();
+    engine.wake_all_at(0.0);
+    engine.run_until(10.0);
+
+    let observed_before = engine.sink().observer.observations();
+    let mut local = 0;
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..10_000 {
+        local += usize::from(engine.sink().wants_local_snapshots());
+        engine
+            .step()
+            .expect("the uniform-delay fixture never drains its queue");
+    }
+    let allocated = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        allocated, 0,
+        "default gcs run sinks allocated {allocated} times across a 10k-event window"
+    );
+    assert_eq!(
+        engine.sink().observer.observations() - observed_before,
+        10_000,
+        "the observer must have seen every event of the window"
+    );
+    assert!(
+        local > 9_000,
+        "only {local} of 10 000 events were observed event-locally"
     );
 }
