@@ -521,3 +521,46 @@ impl Kinetic {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn alarm_heap_walk_matches_a_linear_scan_after_random_rekeys() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |k: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % k
+        };
+        for len in [1usize, 2, 3, 5, 17, 64, 257] {
+            let mut heap = AlarmHeap::new(len);
+            let mut keys = vec![f64::NEG_INFINITY; len];
+            for _ in 0..2_000 {
+                let item = next(len as u64) as u32;
+                // Coarse keys make ties (broken by item) common.
+                let key = [f64::NEG_INFINITY, f64::INFINITY, 0.0, 1.0, 2.0][next(5) as usize]
+                    + next(4) as f64;
+                heap.set(item, key);
+                keys[item as usize] = key;
+                for (i, &(k, it)) in heap.heap.iter().enumerate() {
+                    assert_eq!(heap.pos[it as usize] as usize, i, "position index");
+                    assert_eq!(keys[it as usize], k, "stored key");
+                    if i > 0 {
+                        assert!(!before((k, it), heap.heap[(i - 1) / ARITY]), "heap order");
+                    }
+                }
+                let bound = (next(5) as f64, next(len as u64) as u32);
+                let mut walked = Vec::new();
+                heap.for_each_before(bound, &mut |it| walked.push(it));
+                walked.sort_unstable();
+                let expected: Vec<u32> = (0..len as u32)
+                    .filter(|&it| before((keys[it as usize], it), bound))
+                    .collect();
+                assert_eq!(walked, expected);
+            }
+        }
+    }
+}
