@@ -6,19 +6,16 @@
 //! window's end, node **crash**/restart, and **rate**-schedule attacks.
 //! The delay-layer clauses compile into [`ChaosDelay`], a [`DelayModel`]
 //! wrapper injected through the ordinary engine send path — so `EventSink`
-//! tracing, the invariant watchdog, and the parallel engine's lookahead
-//! promises keep working (a clause that kills the delay floor *degrades*
-//! the promise rather than breaking window parity; see
-//! [`ChaosDelay::lookahead_at`]). Rate clauses are compiled separately into
-//! [`RateSchedule`] overlays by [`apply_rate_faults`], because hardware
-//! rates are engine inputs, not message delays.
+//! tracing and the invariant watchdog keep working. Rate clauses are
+//! compiled separately into [`RateSchedule`] overlays by
+//! [`apply_rate_faults`], because hardware rates are engine inputs, not
+//! message delays.
 //!
 //! Every random decision (drop, duplicate) is a [`chaos_hash`] of
 //! `(seed, clause, src, dst, send time)` — a pure function of the send
 //! context, with no RNG stream. That makes an injected execution a pure
 //! function of the clause list and seed: re-running a shrunk schedule is
-//! exactly re-running the scenario, and cloned partition replicas decide
-//! identically to the sequential loop.
+//! exactly re-running the scenario.
 //!
 //! "Fault Tolerant Gradient Clock Synchronization" (see `PAPERS.md`)
 //! delineates which of these faults `A^opt` should survive;
@@ -29,7 +26,7 @@
 use std::fmt;
 
 use gcs_graph::NodeId;
-use gcs_sim::{DelayCtx, DelayModel, Delivery, DropCause, Lookahead};
+use gcs_sim::{DelayCtx, DelayModel, Delivery, DropCause};
 use gcs_time::{DriftBounds, RateSchedule};
 
 /// A set of undirected edges a clause applies to.
@@ -467,9 +464,7 @@ pub fn format_schedule(clauses: &[FaultClause]) -> String {
 ///
 /// SplitMix64 finalization over `(seed, clause index, src, dst, send
 /// time)`. Being a pure function of the [`DelayCtx`] (no RNG stream), the
-/// decision is independent of call order and identical on cloned partition
-/// replicas — which is what lets [`ChaosDelay`] keep its inner model's
-/// lookahead promise.
+/// decision is independent of call order.
 pub fn chaos_hash(seed: u64, clause: usize, src: NodeId, dst: NodeId, now: f64) -> f64 {
     fn mix(mut z: u64) -> u64 {
         z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -510,7 +505,7 @@ pub struct ChaosDelay<D> {
 
 impl<D: DelayModel> ChaosDelay<D> {
     /// Wraps `inner` under the given schedule. An empty clause list is
-    /// fully transparent (delivery, uncertainty, and lookahead all defer).
+    /// fully transparent (delivery, uncertainty, and delay floor all defer).
     pub fn new(inner: D, clauses: Vec<FaultClause>, seed: u64) -> Self {
         ChaosDelay {
             inner,
@@ -621,36 +616,6 @@ impl<D: DelayModel> DelayModel for ChaosDelay<D> {
             }
         }
         Some(floor)
-    }
-
-    fn lookahead_at(&self, now: f64) -> Option<Lookahead> {
-        // Degrade the inner promise instead of breaking it: clamp the
-        // validity at every upcoming clause boundary (behaviour changes
-        // there, so the engine must re-query), lower the floor under an
-        // active clog, and withdraw the promise entirely while a flap is
-        // active (its fast phases deliver at 0). Fault drops are
-        // promise-compatible — they schedule nothing — and every chaos
-        // decision is a pure hash of the context, so the inner model's
-        // purity guarantee carries through.
-        let la = self.inner.lookahead_at(now)?;
-        let mut floor = la.floor;
-        let mut valid_until = la.valid_until;
-        for c in &self.clauses {
-            if !c.is_delay_layer() {
-                continue;
-            }
-            if c.active(now) {
-                match &c.kind {
-                    FaultKind::Flap { .. } => return None,
-                    FaultKind::Clog { delay, .. } => floor = floor.min(*delay),
-                    _ => {}
-                }
-                valid_until = valid_until.min(c.end);
-            } else if now < c.start {
-                valid_until = valid_until.min(c.start);
-            }
-        }
-        (floor > 0.0).then_some(Lookahead { floor, valid_until })
     }
 }
 
@@ -868,67 +833,21 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_degrades_instead_of_breaking() {
-        let m = ChaosDelay::new(
+    fn floor_folds_clogs_and_flaps() {
+        let clogged = ChaosDelay::new(
             ConstantDelay::new(0.2),
             vec![clause("clog:10..20:*:0.05"), clause("drop:30..40:*:0.5")],
             7,
         );
-        // Before any clause: full floor, clamped at the first boundary.
-        assert_eq!(
-            m.lookahead_at(0.0),
-            Some(Lookahead {
-                floor: 0.2,
-                valid_until: 10.0
-            })
-        );
-        // Inside the clog: the floor drops to the clog delay.
-        assert_eq!(
-            m.lookahead_at(12.0),
-            Some(Lookahead {
-                floor: 0.05,
-                valid_until: 20.0
-            })
-        );
-        // Between clauses: full floor again until the drop window opens.
-        assert_eq!(
-            m.lookahead_at(25.0),
-            Some(Lookahead {
-                floor: 0.2,
-                valid_until: 30.0
-            })
-        );
-        // A drop window never lowers the floor (drops schedule nothing)
-        // but still bounds the promise at its own end.
-        assert_eq!(
-            m.lookahead_at(35.0),
-            Some(Lookahead {
-                floor: 0.2,
-                valid_until: 40.0
-            })
-        );
-        // Past every clause: the inner promise shines through untouched.
-        assert_eq!(
-            m.lookahead_at(50.0),
-            Some(Lookahead {
-                floor: 0.2,
-                valid_until: f64::INFINITY
-            })
-        );
-    }
-
-    #[test]
-    fn flap_withdraws_the_promise_while_active() {
-        let m = ChaosDelay::new(
+        // A clog lowers the floor; drops schedule nothing and leave it.
+        assert_eq!(clogged.min_delay(), Some(0.05));
+        let flapping = ChaosDelay::new(
             ConstantDelay::new(0.2),
             vec![clause("flap:10..20:*:1:0.4")],
             7,
         );
-        assert!(m.lookahead_at(5.0).is_some());
-        assert_eq!(m.lookahead_at(15.0), None);
-        assert!(m.lookahead_at(25.0).is_some());
         // The static floor truthfully reports the fast phases.
-        assert_eq!(m.min_delay(), Some(0.0));
+        assert_eq!(flapping.min_delay(), Some(0.0));
     }
 
     #[test]
@@ -938,10 +857,6 @@ mod tests {
         assert_eq!(m.delivery(&ctx(&g, 0, 1, 1.0)), Delivery::After(0.2));
         assert_eq!(m.uncertainty(), Some(0.2));
         assert_eq!(m.min_delay(), Some(0.2));
-        assert_eq!(
-            m.lookahead_at(0.0),
-            ConstantDelay::new(0.2).lookahead_at(0.0)
-        );
     }
 
     #[test]

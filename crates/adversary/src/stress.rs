@@ -7,7 +7,7 @@
 //! algorithms build `Θ(D)`-scale skew between neighbours at the wavefront.
 
 use gcs_graph::{Graph, NodeId};
-use gcs_sim::{DelayCtx, DelayModel, Delivery, Lookahead};
+use gcs_sim::{DelayCtx, DelayModel, Delivery};
 
 /// Delays that flap between the extremes on a fixed period: during an odd
 /// phase every message takes the full `𝒯`; during an even phase messages
@@ -64,7 +64,7 @@ impl DelayModel for FlappingDelay {
 
     fn min_delay(&self) -> Option<f64> {
         // Even phases deliver toward-messages instantaneously, so the
-        // static floor over all time is 0 — no parallel lookahead.
+        // static floor over all time is 0.
         Some(0.0)
     }
 }
@@ -124,27 +124,6 @@ impl DelayModel for WavefrontDelay {
         // messages, so the *static* floor is 0; a boundary of 0 keeps every
         // edge at the full `𝒯` forever.
         Some(if self.boundary == 0 { self.t_max } else { 0.0 })
-    }
-
-    fn lookahead_at(&self, now: f64) -> Option<Lookahead> {
-        // Phase 1 is a pure function of `(now, dst)` with every delay equal
-        // to `𝒯`, so until `flip_time` the model promises the full
-        // uncertainty as lookahead. The promise expires at the flip; the
-        // parallel engine then re-queries, gets `None`, and merges back to
-        // the sequential loop for phase 2 (where 0-delay messages exist).
-        if self.t_max <= 0.0 {
-            return None;
-        }
-        if self.boundary == 0 {
-            return Some(Lookahead {
-                floor: self.t_max,
-                valid_until: f64::INFINITY,
-            });
-        }
-        (now < self.flip_time).then_some(Lookahead {
-            floor: self.t_max,
-            valid_until: self.flip_time,
-        })
     }
 }
 
@@ -236,46 +215,22 @@ mod tests {
     }
 
     #[test]
-    fn wavefront_lookahead_expires_at_the_flip() {
+    fn static_floors() {
         let g = topology::path(8);
-        let m = WavefrontDelay::new(&g, NodeId(0), 0.4, 30.0, 3);
-        // Static floor is 0 (post-flip near side is instantaneous)...
-        assert_eq!(m.min_delay(), Some(0.0));
-        // ...but phase 1 promises the full 𝒯 until the flip.
+        // The post-flip near side is instantaneous, so the static floor is
+        // 0; a boundary of 0 keeps every edge at the full 𝒯 forever.
         assert_eq!(
-            m.lookahead_at(0.0),
-            Some(Lookahead {
-                floor: 0.4,
-                valid_until: 30.0
-            })
+            WavefrontDelay::new(&g, NodeId(0), 0.4, 30.0, 3).min_delay(),
+            Some(0.0)
         );
-        assert_eq!(m.lookahead_at(29.999), m.lookahead_at(0.0));
-        // At and after the flip the promise is gone: sequential fallback.
-        assert_eq!(m.lookahead_at(30.0), None);
-        assert_eq!(m.lookahead_at(100.0), None);
-    }
-
-    #[test]
-    fn wavefront_with_zero_boundary_promises_forever() {
-        // boundary = 0 keeps every edge at the full 𝒯 in both phases.
-        let g = topology::path(4);
-        let m = WavefrontDelay::new(&g, NodeId(0), 0.4, 30.0, 0);
-        assert_eq!(m.min_delay(), Some(0.4));
         assert_eq!(
-            m.lookahead_at(1e6),
-            Some(Lookahead {
-                floor: 0.4,
-                valid_until: f64::INFINITY
-            })
+            WavefrontDelay::new(&g, NodeId(0), 0.4, 30.0, 0).min_delay(),
+            Some(0.4)
         );
-    }
-
-    #[test]
-    fn flapping_has_no_lookahead() {
-        let g = topology::path(4);
-        let m = FlappingDelay::new(&g, NodeId(0), 0.5, 1.0);
-        assert_eq!(m.min_delay(), Some(0.0));
-        assert_eq!(m.lookahead_at(0.0), None);
+        assert_eq!(
+            FlappingDelay::new(&g, NodeId(0), 0.5, 1.0).min_delay(),
+            Some(0.0)
+        );
     }
 
     #[test]

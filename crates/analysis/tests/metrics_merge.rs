@@ -1,7 +1,6 @@
 //! Property tests for the metrics merge fold: merging per-shard state must
 //! be indistinguishable from feeding one registry the interleaved stream.
-//! This is the algebra the parallel engine's sweep-level metrics fold and
-//! any future sharded observer rest on.
+//! This is the algebra any sharded metrics fold rests on.
 
 use gcs_analysis::{Histogram, MetricsRegistry};
 use proptest::prelude::*;

@@ -9,8 +9,7 @@
 //! size land in `BENCH_engine_hotpath.json` (`gcs-bench-result/v1`):
 //!
 //! * `events_per_sec_per_core/n=N` — the headline: steady-state dispatch
-//!   throughput divided by `config.cores` (1 here — the sequential engine),
-//!   comparable against the parallel engine's per-core numbers,
+//!   throughput divided by `config.cores` (1: the engine is sequential),
 //! * `events_per_sec/n=N`   — raw steady-state dispatch throughput,
 //! * `allocs_per_event/n=N` — heap allocations per dispatched event
 //!   (the engine's steady state is allocation-free; see
@@ -89,8 +88,7 @@ fn fixture(n: usize) -> Engine<AOpt, WavefrontDelay> {
 const REPS: usize = 5;
 
 /// Cores used by the sequential engine — the divisor behind the
-/// `events_per_sec_per_core` headline, so sequential and parallel
-/// artifacts report on one scale.
+/// `events_per_sec_per_core` headline.
 const CORES: u64 = 1;
 
 /// Steps `REPS` windows of exactly `window` events each, returning the

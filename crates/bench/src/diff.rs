@@ -372,7 +372,7 @@ mod tests {
     use crate::BenchReport;
 
     fn artifact(cores: &str, metrics: &[(&str, f64)]) -> BenchArtifact {
-        let mut r = BenchReport::new("engine_parallel");
+        let mut r = BenchReport::new("sweep_scaling");
         r.config("cores", cores);
         for (k, v) in metrics {
             r.metric(k, *v);
@@ -383,7 +383,7 @@ mod tests {
     #[test]
     fn parses_own_report_format() {
         let a = artifact("4", &[("events_per_sec/n=64", 1e6), ("windows", 98.0)]);
-        assert_eq!(a.bench, "engine_parallel");
+        assert_eq!(a.bench, "sweep_scaling");
         assert_eq!(a.config_value("cores"), Some("4"));
         assert_eq!(a.metric("windows"), Some(98.0));
         assert!(!a.single_core());
@@ -489,7 +489,7 @@ mod tests {
             "4",
             &[("events_per_sec/n=64", 1e6), ("wall_seconds/x", 2.0)],
         );
-        let mut r = BenchReport::new("engine_parallel");
+        let mut r = BenchReport::new("sweep_scaling");
         r.config("cores", "4").config("quick", "true");
         r.metric("events_per_sec/n=64", 1e6);
         r.metric("events_per_sec/n=128", 2e6);

@@ -23,9 +23,6 @@ pub struct BatchConfig {
     pub start_seed: u64,
     /// Worker threads for the pool (`0` ⇒ available parallelism).
     pub workers: usize,
-    /// Engine threads *per scenario* (usually 1: the pool already owns the
-    /// cores; raise it only to exercise the parallel engine under chaos).
-    pub threads: usize,
     /// Whether to auto-shrink findings to minimal reproducers.
     pub shrink: bool,
 }
@@ -36,7 +33,6 @@ impl Default for BatchConfig {
             scenarios: 1000,
             start_seed: 1,
             workers: 0,
-            threads: 1,
             shrink: true,
         }
     }
@@ -103,9 +99,8 @@ pub struct BatchSummary {
 }
 
 /// Runs the batch. Results are deterministic in content and order for a
-/// given `(scenarios, start_seed, threads)` regardless of `workers`.
+/// given `(scenarios, start_seed)` regardless of `workers`.
 pub fn run_batch(cfg: &BatchConfig) -> BatchSummary {
-    let threads = cfg.threads.max(1);
     let start = cfg.start_seed;
     let verdicts: Vec<JobOutcome<ScenarioVerdict>> = run_pool(
         cfg.scenarios,
@@ -113,7 +108,7 @@ pub fn run_batch(cfg: &BatchConfig) -> BatchSummary {
         |i| {
             let seed = start + i as u64;
             let spec = random_spec(seed);
-            run_scenario(&spec, threads).map(|o| ScenarioVerdict::from_outcome(seed, &o))
+            run_scenario(&spec).map(|o| ScenarioVerdict::from_outcome(seed, &o))
         },
         |_, _| {},
     );
@@ -133,7 +128,7 @@ pub fn run_batch(cfg: &BatchConfig) -> BatchSummary {
                     .expect("finding has violation")
                     .0
                     .clone();
-                let shrunk = cfg.shrink.then(|| shrink(&spec, threads).ok()).flatten();
+                let shrunk = cfg.shrink.then(|| shrink(&spec).ok()).flatten();
                 summary.findings.push(Finding {
                     seed,
                     spec,
@@ -160,7 +155,6 @@ mod tests {
             scenarios,
             start_seed: 1,
             workers,
-            threads: 1,
             shrink: false,
         }
     }

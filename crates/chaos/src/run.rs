@@ -50,16 +50,12 @@ impl ScenarioOutcome {
 ///
 /// The outcome is a pure function of the spec: topology randomness, delay
 /// randomness, rate walks, and every fault coin-flip all derive from
-/// `spec.seed`, and the engine guarantees `threads`-independence, so the
-/// same spec reproduces the same outcome at any thread count. With
-/// `threads >= 2` the parallel driver transparently falls back to the
-/// sequential loop whenever the (chaos-degraded) lookahead promise cannot
-/// justify a window.
+/// `spec.seed`, so the same spec reproduces the same outcome.
 ///
 /// # Panics
 ///
 /// Propagates an engine panic.
-pub fn run_scenario(spec: &ChaosSpec, threads: usize) -> Result<ScenarioOutcome, String> {
+pub fn run_scenario(spec: &ChaosSpec) -> Result<ScenarioOutcome, String> {
     let scenario = Scenario::build(ScenarioSpec {
         topology: &spec.topology,
         eps: spec.eps,
@@ -78,7 +74,7 @@ pub fn run_scenario(spec: &ChaosSpec, threads: usize) -> Result<ScenarioOutcome,
         .any(|c| c.violation_allowed(scenario.drift, Some(spec.t)));
     let mut sinks = SinkSet::new(&scenario.graph);
     sinks.watchdog = Some(scenario.watchdog());
-    let out = scenario.run(&spec.algo, sinks, threads, false)?;
+    let out = scenario.run(&spec.algo, sinks, false)?;
     if let Some(payload) = out.panic {
         std::panic::resume_unwind(payload);
     }
@@ -127,8 +123,8 @@ mod tests {
     #[test]
     fn fault_free_scenario_is_clean_and_reproducible() {
         let spec = spec_with(&[]);
-        let a = run_scenario(&spec, 1).unwrap();
-        let b = run_scenario(&spec, 1).unwrap();
+        let a = run_scenario(&spec).unwrap();
+        let b = run_scenario(&spec).unwrap();
         assert_eq!(a, b);
         assert!(a.violation.is_none());
         assert!(!a.violation_expected);
@@ -144,7 +140,7 @@ mod tests {
             "dup:0..40:*:1:0.05",
             "clog:10..25:*:0.2",
         ]);
-        let out = run_scenario(&spec, 1).unwrap();
+        let out = run_scenario(&spec).unwrap();
         assert!(!out.violation_expected);
         assert!(
             out.violation.is_none(),
@@ -161,7 +157,7 @@ mod tests {
         // watchdog enforces: Condition (1)/(2) must break, and the fault
         // taxonomy must classify the violation as expected.
         let spec = spec_with(&["rate:5..40:0..1:0.9"]);
-        let out = run_scenario(&spec, 1).unwrap();
+        let out = run_scenario(&spec).unwrap();
         assert!(out.violation_expected);
         assert!(!out.unexpected());
         let v = out.violation.expect("rate attack must trip the watchdog");
@@ -171,36 +167,33 @@ mod tests {
     #[test]
     fn violations_carry_a_recorder_window() {
         let spec = spec_with(&["rate:5..40:0..1:0.9"]);
-        let out = run_scenario(&spec, 1).unwrap();
+        let out = run_scenario(&spec).unwrap();
         let window = out
             .recorder_window
             .as_ref()
             .expect("a tripped scenario must attach its recorder window");
         assert!(!window.is_empty());
         // Clean scenarios attach nothing — the window is a violation artifact.
-        let clean = run_scenario(&spec_with(&[]), 1).unwrap();
+        let clean = run_scenario(&spec_with(&[])).unwrap();
         assert!(clean.recorder_window.is_none());
     }
 
     #[test]
-    fn outcome_is_thread_count_independent() {
-        // `const` delay has a positive floor, so threads=4 genuinely engages
-        // the windowed parallel driver; chaos clauses degrade the promise
-        // rather than breaking parity.
+    fn faulted_outcome_is_reproducible() {
         let spec = spec_with(&["drop:5..15:*:0.2", "clog:8..20:*:0.15"]);
-        let seq = run_scenario(&spec, 1).unwrap();
-        let par = run_scenario(&spec, 4).unwrap();
-        assert_eq!(seq, par, "threads must not change the observable outcome");
+        let a = run_scenario(&spec).unwrap();
+        let b = run_scenario(&spec).unwrap();
+        assert_eq!(a, b, "same spec, same observable outcome");
     }
 
     #[test]
     fn bad_specs_error_cleanly() {
         let mut spec = spec_with(&[]);
         spec.algo = "quantum".into();
-        assert!(run_scenario(&spec, 1).is_err());
+        assert!(run_scenario(&spec).is_err());
         let mut spec = spec_with(&[]);
         spec.topology = "moebius:5".into();
-        assert!(run_scenario(&spec, 1).is_err());
+        assert!(run_scenario(&spec).is_err());
     }
 
     #[test]
@@ -208,12 +201,12 @@ mod tests {
         for (text, shown) in [("nan", "NaN"), ("-5", "-5")] {
             let spec = ChaosSpec::parse(&format!("horizon = {text}\n")).unwrap();
             assert_eq!(
-                run_scenario(&spec, 1),
+                run_scenario(&spec),
                 Err(format!("horizon must be non-negative, got {shown}"))
             );
         }
         let mut spec = spec_with(&[]);
         spec.horizon = 0.0;
-        assert_eq!(run_scenario(&spec, 1).unwrap().horizon, 0.0);
+        assert_eq!(run_scenario(&spec).unwrap().horizon, 0.0);
     }
 }

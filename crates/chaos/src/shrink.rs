@@ -42,9 +42,9 @@ pub struct ShrinkOutcome {
 ///
 /// Returns an error if the spec does not execute, or if it does not trip
 /// the watchdog at all (nothing to shrink).
-pub fn shrink(spec: &ChaosSpec, threads: usize) -> Result<ShrinkOutcome, String> {
+pub fn shrink(spec: &ChaosSpec) -> Result<ShrinkOutcome, String> {
     let mut executions = 0usize;
-    let first = run_scenario(spec, threads)?;
+    let first = run_scenario(spec)?;
     executions += 1;
     let Some(v0) = first.violation else {
         return Err("scenario does not trip the watchdog; nothing to shrink".into());
@@ -59,7 +59,7 @@ pub fn shrink(spec: &ChaosSpec, threads: usize) -> Result<ShrinkOutcome, String>
     // combination the substrate rejects) are simply not accepted.
     let mut fails = |cand: &ChaosSpec, executions: &mut usize| -> bool {
         *executions += 1;
-        run_scenario(cand, threads)
+        run_scenario(cand)
             .ok()
             .and_then(|o| o.violation)
             .is_some_and(|v| v.kind() == kind)
@@ -141,7 +141,7 @@ pub fn shrink(spec: &ChaosSpec, threads: usize) -> Result<ShrinkOutcome, String>
 
     // Record the reproduced violation of the *minimal* spec so the fixture
     // carries its own replay oracle.
-    let fin = run_scenario(&current, threads)?;
+    let fin = run_scenario(&current)?;
     executions += 1;
     let violation = fin
         .violation
@@ -238,7 +238,7 @@ mod tests {
 
     #[test]
     fn shrink_isolates_the_guilty_clause() {
-        let out = shrink(&crafted(), 1).unwrap();
+        let out = shrink(&crafted()).unwrap();
         assert_eq!(out.original_clauses, 5);
         // Only the out-of-model rate attack can break Condition (1)/(2);
         // every in-model clause must be shrunk away.
@@ -260,20 +260,20 @@ mod tests {
 
     #[test]
     fn shrink_is_deterministic_byte_for_byte() {
-        let a = shrink(&crafted(), 1).unwrap();
-        let b = shrink(&crafted(), 1).unwrap();
+        let a = shrink(&crafted()).unwrap();
+        let b = shrink(&crafted()).unwrap();
         assert_eq!(a.spec.format(), b.spec.format());
         assert_eq!(a.executions, b.executions);
     }
 
     #[test]
     fn minimal_spec_is_locally_minimal() {
-        let out = shrink(&crafted(), 1).unwrap();
+        let out = shrink(&crafted()).unwrap();
         // Dropping the surviving clause must lose the violation.
         let mut cand = out.spec.clone();
         cand.faults.clear();
         cand.violation = None;
-        let o = run_scenario(&cand, 1).unwrap();
+        let o = run_scenario(&cand).unwrap();
         assert!(o.violation.is_none());
     }
 
@@ -284,7 +284,7 @@ mod tests {
             horizon: 20.0,
             ..ChaosSpec::default()
         };
-        let err = shrink(&spec, 1).unwrap_err();
+        let err = shrink(&spec).unwrap_err();
         assert!(err.contains("does not trip"));
     }
 }

@@ -34,22 +34,20 @@ fn every_committed_fixture_replays_its_recorded_violation() {
             .violation
             .clone()
             .unwrap_or_else(|| panic!("{}: fixture has no recorded violation", path.display()));
-        for threads in [1, 4] {
-            let out = run_scenario(&spec, threads).unwrap();
-            let got = out
-                .violation
-                .unwrap_or_else(|| panic!("{}: no violation at threads={threads}", path.display()));
-            assert_eq!(got.kind(), recorded.kind, "{}", path.display());
-            assert_eq!(got.node(), recorded.node, "{}", path.display());
-            assert_eq!(
-                got.time().to_bits(),
-                recorded.t.to_bits(),
-                "{}: t {} != recorded {} at threads={threads}",
-                path.display(),
-                got.time(),
-                recorded.t
-            );
-        }
+        let out = run_scenario(&spec).unwrap();
+        let got = out
+            .violation
+            .unwrap_or_else(|| panic!("{}: no violation", path.display()));
+        assert_eq!(got.kind(), recorded.kind, "{}", path.display());
+        assert_eq!(got.node(), recorded.node, "{}", path.display());
+        assert_eq!(
+            got.time().to_bits(),
+            recorded.t.to_bits(),
+            "{}: t {} != recorded {}",
+            path.display(),
+            got.time(),
+            recorded.t
+        );
         checked += 1;
     }
     assert!(checked > 0, "no fixtures found under {}", dir.display());
@@ -61,7 +59,7 @@ fn shrinking_the_crafted_example_regenerates_the_committed_fixture() {
     let example = load(&root.join("examples/chaos/rate_attack.chaos"));
     let committed =
         std::fs::read_to_string(root.join("tests/fixtures/chaos/rate_attack.min.chaos")).unwrap();
-    let out = shrink(&example, 1).unwrap();
+    let out = shrink(&example).unwrap();
     assert_eq!(
         out.spec.format(),
         committed,

@@ -4,16 +4,13 @@
 //! arrives within 𝒯̂), so the Definition 5.6 legal-state invariant is
 //! *allowed* to break while it lasts — whether it actually does depends on
 //! how long the halves drift apart. These tests pin both sides of that
-//! line, deterministically, at `threads = 1` **and** `threads = 4` (the
-//! chaos layer must degrade the parallel engine's lookahead promise, never
-//! break replay parity).
+//! line, deterministically.
 
 use gcs_adversary::FaultClause;
 use gcs_chaos::{run_scenario, ChaosSpec};
 
-/// `path:8` under `const` delay (positive delay floor, so `threads = 4`
-/// genuinely engages the windowed parallel driver) with `split` rates
-/// (the fast half drifts at `1 + ε` against the slow half's `1 − ε`).
+/// `path:8` under `const` delay with `split` rates (the fast half drifts at
+/// `1 + ε` against the slow half's `1 − ε`).
 fn partition_spec(start: f64, end: f64, horizon: f64) -> ChaosSpec {
     ChaosSpec {
         topology: "path:8".into(),
@@ -36,7 +33,7 @@ fn long_partition_trips_legal_state_then_heals() {
     // A^opt cannot correct across a severed edge. The watchdog must trip —
     // and the violation must be classified as expected (out-of-model).
     let spec = partition_spec(5.0, 80.0, 100.0);
-    let out = run_scenario(&spec, 1).unwrap();
+    let out = run_scenario(&spec).unwrap();
     let v = out
         .violation
         .as_ref()
@@ -53,13 +50,13 @@ fn long_partition_trips_legal_state_then_heals() {
 }
 
 #[test]
-fn long_partition_outcome_is_identical_across_thread_counts() {
+fn long_partition_outcome_is_reproducible() {
     let spec = partition_spec(5.0, 80.0, 100.0);
-    let seq = run_scenario(&spec, 1).unwrap();
-    let par = run_scenario(&spec, 4).unwrap();
-    assert_eq!(seq, par, "partition chaos must preserve engine parity");
+    let first = run_scenario(&spec).unwrap();
+    let again = run_scenario(&spec).unwrap();
+    assert_eq!(first, again, "partition chaos must be deterministic");
     // Same violation, bit-for-bit.
-    let (a, b) = (seq.violation.unwrap(), par.violation.unwrap());
+    let (a, b) = (first.violation.unwrap(), again.violation.unwrap());
     assert_eq!(a.kind(), b.kind());
     assert_eq!(a.node(), b.node());
     assert_eq!(a.time().to_bits(), b.time().to_bits());
@@ -69,18 +66,15 @@ fn long_partition_outcome_is_identical_across_thread_counts() {
 fn short_partition_that_heals_early_never_trips() {
     // The same cut held only 5 time units: the halves drift at most
     // ~2ε · 5 = 0.2 apart — comfortably inside the legal-state bound —
-    // and after the heal A^opt re-converges. Provably no trip, at either
-    // thread count.
+    // and after the heal A^opt re-converges. Provably no trip.
     let spec = partition_spec(5.0, 10.0, 100.0);
-    let seq = run_scenario(&spec, 1).unwrap();
-    let par = run_scenario(&spec, 4).unwrap();
-    assert_eq!(seq, par);
+    let out = run_scenario(&spec).unwrap();
     assert!(
-        seq.violation.is_none(),
+        out.violation.is_none(),
         "short heal must stay legal: {:?}",
-        seq.violation
+        out.violation
     );
-    assert!(seq.global_skew <= seq.global_bound + 1e-9);
+    assert!(out.global_skew <= out.global_bound + 1e-9);
 }
 
 #[test]
@@ -88,11 +82,11 @@ fn messages_resume_after_the_heal() {
     // Drop accounting proves the partition was real and that traffic
     // resumed: the cut edge drops messages only inside the window.
     let spec = partition_spec(5.0, 80.0, 100.0);
-    let out = run_scenario(&spec, 1).unwrap();
+    let out = run_scenario(&spec).unwrap();
     assert!(out.stats.dropped_faults > 0, "the cut must drop messages");
     assert_eq!(out.stats.dropped_model, 0);
     let healed = partition_spec(5.0, 10.0, 100.0);
-    let healed_out = run_scenario(&healed, 1).unwrap();
+    let healed_out = run_scenario(&healed).unwrap();
     assert!(
         healed_out.stats.dropped_faults < out.stats.dropped_faults,
         "a shorter cut must drop fewer messages"

@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 
 mod build;
-pub mod partition;
 pub mod topology;
 
 pub use build::{Graph, GraphError, NodeId};

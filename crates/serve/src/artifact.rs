@@ -52,17 +52,14 @@ pub struct ChaosBatchSpec {
     pub scenarios: usize,
     /// First seed; scenario `i` uses `start_seed + i`.
     pub start_seed: u64,
-    /// Engine threads per scenario.
-    pub threads: usize,
 }
 
 impl ChaosBatchSpec {
-    /// Parses `scenarios = N`, `start-seed = S`, `threads = T` lines.
+    /// Parses `scenarios = N`, `start-seed = S` lines.
     pub fn parse_str(text: &str) -> Result<Self, String> {
         let mut spec = ChaosBatchSpec {
             scenarios: 100,
             start_seed: 1,
-            threads: 1,
         };
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.split('#').next().unwrap_or("").trim();
@@ -84,7 +81,6 @@ impl ChaosBatchSpec {
             match key {
                 "scenarios" => spec.scenarios = parse("scenarios")? as usize,
                 "start-seed" => spec.start_seed = parse("start-seed")?,
-                "threads" => spec.threads = (parse("threads")? as usize).max(1),
                 other => {
                     return Err(format!(
                         "spec line {}: unknown chaos-batch key `{other}`",
@@ -104,7 +100,6 @@ impl ChaosBatchSpec {
         let mut bytes = b"gcs-chaos-batch/v1".to_vec();
         bytes.extend_from_slice(&(self.scenarios as u64).to_le_bytes());
         bytes.extend_from_slice(&self.start_seed.to_le_bytes());
-        bytes.extend_from_slice(&(self.threads as u64).to_le_bytes());
         bytes
     }
 }

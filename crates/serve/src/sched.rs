@@ -915,7 +915,6 @@ fn execute_chaos_batch(sched: &Arc<Scheduler>, job: &Arc<LiveJob>, spec: &ChaosB
         // already own the cores, and workers=1 keeps the summary's finding
         // order deterministic regardless of daemon parallelism.
         workers: 1,
-        threads: spec.threads,
         shrink: false,
     };
     let summary = gcs_chaos::run_batch(&cfg);

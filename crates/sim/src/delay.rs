@@ -84,14 +84,6 @@ enum HwSource<'a> {
     Reading(f64),
     /// Evaluate the clock when (and only when) the reading is requested.
     Clock(&'a HardwareClock),
-    /// No reading exists. Requesting it is a contract violation and panics:
-    /// the parallel engine uses this for the receiver clock on
-    /// cross-partition sends, where the owner partition may have advanced the
-    /// receiver past this partition's stale replica. Models advertising a
-    /// lookahead promise never to consult `dst_hw` (see
-    /// [`DelayModel::lookahead_at`]), so the panic only fires on a broken
-    /// promise — never on a correct model.
-    Unavailable,
 }
 
 impl HwSource<'_> {
@@ -99,11 +91,6 @@ impl HwSource<'_> {
         match self {
             HwSource::Reading(hw) => *hw,
             HwSource::Clock(clock) => clock.value_at(now),
-            HwSource::Unavailable => panic!(
-                "delay model consulted the receiver's hardware clock on a \
-                 cross-partition send; models that advertise a lookahead \
-                 must not read dst_hw"
-            ),
         }
     }
 }
@@ -167,26 +154,6 @@ impl<'a> DelayCtx<'a> {
         }
     }
 
-    /// Like [`DelayCtx::from_clocks`], but for a cross-partition send in the
-    /// parallel engine: the receiver lives on another partition, so its
-    /// clock replica here may be stale and no reading is offered at all.
-    pub(crate) fn from_clocks_remote_dst(
-        src: NodeId,
-        dst: NodeId,
-        now: f64,
-        src_clock: &'a HardwareClock,
-        graph: &'a Graph,
-    ) -> Self {
-        DelayCtx {
-            src,
-            dst,
-            now,
-            src_hw: HwSource::Clock(src_clock),
-            dst_hw: HwSource::Unavailable,
-            graph,
-        }
-    }
-
     /// Sender's hardware-clock reading at send time.
     pub fn src_hw(&self) -> f64 {
         self.src_hw.resolve(self.now)
@@ -198,33 +165,18 @@ impl<'a> DelayCtx<'a> {
     }
 }
 
-/// A conservative-lookahead promise made by a [`DelayModel`], consumed by
-/// the windowed parallel engine (see `docs/PARALLEL.md`).
+/// A lower bound on message delays over a span of time, as answered by
+/// [`DelayModel::lookahead_at`].
 ///
-/// A model returning `Some(Lookahead { floor, valid_until })` from
-/// [`DelayModel::lookahead_at`] guarantees that for every send at a time in
-/// `[now, valid_until)`:
-///
-/// * the delivery is [`Delivery::After(d)`](Delivery::After) with
-///   `d >= floor`, an [`Delivery::AfterEcho`] with both delays `>= floor`,
-///   or a [`Delivery::Drop`] (which schedules nothing and therefore cannot
-///   violate any window) — never [`Delivery::AtReceiverHw`];
-/// * the delivery is a *pure function* of the [`DelayCtx`] — independent of
-///   call order and of calls on cloned copies of the model (which rules out
-///   models drawing from an RNG stream), and it never consults
-///   [`DelayCtx::dst_hw`] (the receiver may live on another partition whose
-///   replica of its clock is stale).
-///
-/// `floor` is the conservative lookahead: no message sent inside a time
-/// window of width `floor` can be delivered within that same window, so
-/// graph partitions can process such a window independently.
+/// Nothing in the engine consumes it; it stays public because the
+/// benchmark's traced pass forwards `lookahead_at` through its delay-model
+/// wrapper.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Lookahead {
     /// Positive lower bound on every delay in the validity span.
     pub floor: f64,
-    /// First instant at which the promise expires (`f64::INFINITY` for
-    /// time-invariant models). The parallel engine re-queries at expiry and
-    /// falls back to the sequential loop if the promise is gone.
+    /// First instant at which the bound expires (`f64::INFINITY` for
+    /// time-invariant models).
     pub valid_until: f64,
 }
 
@@ -243,27 +195,23 @@ pub trait DelayModel {
     }
 
     /// A static lower bound on every delay this model will ever produce,
-    /// or `None` if the model cannot promise one (it may return `0`, use
-    /// [`Delivery::AtReceiverHw`], or depend on call order — e.g. an RNG
-    /// stream, which clones differently onto partitions than it plays out
-    /// sequentially).
+    /// or `None` if the model makes no promise (it may return `0` or use
+    /// [`Delivery::AtReceiverHw`]).
     ///
-    /// `Some(0.0)` is a valid answer ("delays are bounded below by zero");
-    /// only a *strictly positive* floor enables parallel execution. The
-    /// default is `None`: pure opt-in, every existing model stays sequential
-    /// until it explicitly promises a floor.
+    /// `Some(0.0)` is a valid answer ("delays are bounded below by zero").
+    /// A *strictly positive* floor turns on the event queue's calendar
+    /// layer of floor-wide buckets; the pop order is the same either way.
+    /// The default is `None`.
     fn min_delay(&self) -> Option<f64> {
         None
     }
 
-    /// The lookahead promise in effect at time `now`, if any.
-    ///
-    /// The default derives a time-invariant promise from
+    /// The delay floor in effect at time `now`, derived from
     /// [`DelayModel::min_delay`]: a strictly positive static floor holds
-    /// forever. Time-varying adversaries (e.g. a wavefront that flips to
-    /// zero delays at a known instant) override this to bound the promise's
-    /// validity; the parallel engine merges back to the sequential loop when
-    /// a promise expires without a successor.
+    /// forever.
+    ///
+    /// The engine never calls this; it stays because the benchmark's traced
+    /// pass forwards it through its delay-model wrapper.
     fn lookahead_at(&self, now: f64) -> Option<Lookahead> {
         let _ = now;
         self.min_delay()
@@ -623,83 +571,32 @@ mod tests {
     }
 
     #[test]
-    fn constant_delay_promises_its_delay_as_floor() {
-        let m = ConstantDelay::new(0.25);
-        assert_eq!(m.min_delay(), Some(0.25));
-        assert_eq!(
-            m.lookahead_at(0.0),
-            Some(Lookahead {
-                floor: 0.25,
-                valid_until: f64::INFINITY
-            })
-        );
-        // The promise is time-invariant.
-        assert_eq!(m.lookahead_at(0.0), m.lookahead_at(1e9));
-    }
-
-    #[test]
-    fn zero_constant_delay_offers_no_lookahead() {
-        // `min_delay` truthfully reports the floor (0), but the derived
-        // lookahead filters it out: a 0-width window cannot advance, so the
-        // engine must fall back to the sequential loop.
-        let m = ConstantDelay::new(0.0);
-        assert_eq!(m.min_delay(), Some(0.0));
-        assert_eq!(m.lookahead_at(0.0), None);
-    }
-
-    #[test]
-    fn uniform_delay_promises_nothing() {
-        // Uniform draws from an RNG stream: replaying the stream on cloned
-        // partition-local copies would diverge from the sequential order,
-        // and the infimum of the support is 0 anyway.
-        let m = UniformDelay::new(0.5, 9);
-        assert_eq!(m.min_delay(), None);
-        assert_eq!(m.lookahead_at(0.0), None);
-    }
-
-    #[test]
-    fn bimodal_delay_promises_nothing() {
-        let m = BimodalDelay::new(0.5, 0.5, 3);
-        assert_eq!(m.min_delay(), None);
-        assert_eq!(m.lookahead_at(0.0), None);
-    }
-
-    #[test]
-    fn directional_delay_floor_is_the_smaller_leg() {
+    fn min_delay_reports_each_static_floor() {
         let g = topology::path(3);
-        let m = DirectionalDelay::new(&g, NodeId(0), 0.5, 0.2);
-        assert_eq!(m.min_delay(), Some(0.2));
+        assert_eq!(ConstantDelay::new(0.25).min_delay(), Some(0.25));
+        assert_eq!(ConstantDelay::new(0.0).min_delay(), Some(0.0));
+        // The smaller leg bounds a directional model; the paper's E₁ shape
+        // (one leg at 0) truthfully reports 0.
         assert_eq!(
-            m.lookahead_at(0.0).map(|la| la.floor),
-            Some(0.2),
-            "positive floor yields a usable lookahead"
+            DirectionalDelay::new(&g, NodeId(0), 0.5, 0.2).min_delay(),
+            Some(0.2)
         );
-        // The paper's E₁ shape (one leg at 0) truthfully reports floor 0 and
-        // therefore no lookahead — sequential fallback, not a wrong answer.
-        let e1 = DirectionalDelay::new(&g, NodeId(0), 0.5, 0.0);
-        assert_eq!(e1.min_delay(), Some(0.0));
-        assert_eq!(e1.lookahead_at(0.0), None);
-    }
-
-    #[test]
-    fn lossy_delay_promises_nothing_even_over_a_constant_inner() {
-        // Loss decisions come from an RNG stream, so delivery is call-order
-        // dependent even though the inner model has a positive floor.
-        let m = LossyDelay::new(ConstantDelay::new(0.2), 0.3, 5);
-        assert_eq!(m.min_delay(), None);
-        assert_eq!(m.lookahead_at(0.0), None);
-    }
-
-    #[test]
-    fn fn_delay_promises_nothing() {
-        // Arbitrary closures may use `AtReceiverHw` (the paper's shifting
-        // adversary) or return 0; no promise can be made for them.
-        let m = FnDelay::new(
+        assert_eq!(
+            DirectionalDelay::new(&g, NodeId(0), 0.5, 0.0).min_delay(),
+            Some(0.0)
+        );
+        // Randomized and closure models make no promise.
+        assert_eq!(UniformDelay::new(0.5, 9).min_delay(), None);
+        assert_eq!(BimodalDelay::new(0.5, 0.5, 3).min_delay(), None);
+        assert_eq!(
+            LossyDelay::new(ConstantDelay::new(0.2), 0.3, 5).min_delay(),
+            None
+        );
+        let f = FnDelay::new(
             |c: &DelayCtx<'_>| Delivery::AtReceiverHw(c.src_hw() + 1.0),
             Some(1.0),
         );
-        assert_eq!(m.min_delay(), None);
-        assert_eq!(m.lookahead_at(0.0), None);
+        assert_eq!(f.min_delay(), None);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub struct MessageStats {
 }
 
 #[derive(Debug, Clone)]
-pub(crate) enum EventKind<M> {
+enum EventKind<M> {
     /// Spontaneous initialization of a node.
     Wake { node: NodeId },
     /// Real-time message delivery.
@@ -63,25 +63,13 @@ pub(crate) enum EventKind<M> {
     RateStep { node: NodeId, at: f64 },
 }
 
-impl<M> EventKind<M> {
-    /// The node on which this event executes — the partition router's key.
-    pub(crate) fn home(&self) -> NodeId {
-        match self {
-            EventKind::Wake { node }
-            | EventKind::HwDue { node, .. }
-            | EventKind::RateStep { node, .. } => *node,
-            EventKind::Deliver { dst, .. } => *dst,
-        }
-    }
-}
-
 /// Hot per-node plane: what every dispatched event touches — the hardware
 /// clock and the sink's multiplier-change detector — packed contiguously
 /// so a wake reads one cache line of per-node engine state (plus the
 /// node's entry in the protocol and pending planes).
 #[derive(Debug, Clone)]
-pub(crate) struct HotNode {
-    pub(crate) hw: HardwareClock,
+struct HotNode {
+    hw: HardwareClock,
     /// The protocol's logical rate multiplier after its last handler ran
     /// (for change detection when a sink is installed).
     last_multiplier: f64,
@@ -105,24 +93,23 @@ struct ColdNode<M> {
 /// reads node `v`'s clock, protocol, and pending slab touches three short
 /// runs of contiguous memory instead of one sparse ~300-byte record.
 #[derive(Debug, Clone)]
-pub(crate) struct Nodes<P: Protocol> {
-    pub(crate) hot: Vec<HotNode>,
-    pub(crate) proto: Vec<P>,
+struct Nodes<P: Protocol> {
+    hot: Vec<HotNode>,
+    proto: Vec<P>,
     /// Pending hardware-value items per node (slab-backed,
     /// allocation-free in steady state).
-    pub(crate) pending: Vec<PendingSlab<P::Msg>>,
+    pending: Vec<PendingSlab<P::Msg>>,
     cold: Vec<ColdNode<P::Msg>>,
 }
 
-/// The [`ClockView`] lent to [`EventSink::local_snapshot`] (by the engine,
-/// or by the parallel replay over its shadow planes): evaluates a node's
-/// clock on demand with the same `proto.logical_value(hw.value_at(t))`
+/// The [`ClockView`] lent to [`EventSink::local_snapshot`]: evaluates a
+/// node's clock on demand with the same `proto.logical_value(hw.value_at(t))`
 /// expression the snapshot vector uses, so `value(v)` matches the vector
 /// entry bit for bit.
-pub(crate) struct NodeClocks<'a, P> {
-    pub(crate) protos: &'a [P],
-    pub(crate) hot: &'a [HotNode],
-    pub(crate) now: f64,
+struct NodeClocks<'a, P> {
+    protos: &'a [P],
+    hot: &'a [HotNode],
+    now: f64,
 }
 
 impl<P: Protocol> ClockView for NodeClocks<'_, P> {
@@ -143,17 +130,8 @@ impl<P: Protocol> ClockView for NodeClocks<'_, P> {
 }
 
 impl<P: Protocol> Nodes<P> {
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.hot.len()
-    }
-
-    /// Swaps node `i`'s state across engines — the parallel driver's merge,
-    /// which reabsorbs owned nodes from partition replicas plane by plane.
-    pub(crate) fn swap_entry(&mut self, other: &mut Self, i: usize) {
-        std::mem::swap(&mut self.hot[i], &mut other.hot[i]);
-        std::mem::swap(&mut self.proto[i], &mut other.proto[i]);
-        std::mem::swap(&mut self.pending[i], &mut other.pending[i]);
-        std::mem::swap(&mut self.cold[i], &mut other.cold[i]);
     }
 }
 
@@ -289,7 +267,6 @@ impl<P: Protocol, D: DelayModel, S: EventSink> EngineBuilder<P, D, S> {
             touched: Vec::with_capacity(8),
             action_buf: Vec::with_capacity(8),
             profile: self.profiling.then(Box::default),
-            remote: None,
         }
     }
 }
@@ -308,30 +285,25 @@ impl<P: Protocol, D: DelayModel, S: EventSink> EngineBuilder<P, D, S> {
 /// [`sink`](crate::sink) module docs.
 #[derive(Debug, Clone)]
 pub struct Engine<P: Protocol, D: DelayModel, S: EventSink = NullSink> {
-    pub(crate) graph: Graph,
-    pub(crate) delay: D,
-    pub(crate) now: f64,
-    pub(crate) seq: u64,
-    pub(crate) queue: EventQueue<EventKind<P::Msg>>,
-    pub(crate) nodes: Nodes<P>,
-    pub(crate) stats: MessageStats,
-    pub(crate) sink: S,
+    graph: Graph,
+    delay: D,
+    now: f64,
+    seq: u64,
+    queue: EventQueue<EventKind<P::Msg>>,
+    nodes: Nodes<P>,
+    stats: MessageStats,
+    sink: S,
     /// Scratch buffer for per-event logical-clock snapshots.
-    pub(crate) clock_buf: Vec<f64>,
+    clock_buf: Vec<f64>,
     /// Nodes whose clock trajectory changed since the last local snapshot
     /// (filled only while the sink wants local snapshots).
-    pub(crate) touched: Vec<NodeId>,
+    touched: Vec<NodeId>,
     /// Reusable action buffer lent to each protocol handler's [`Context`]
     /// and drained by `apply_actions` — no per-event `Vec` allocation.
-    pub(crate) action_buf: Vec<Action<P::Msg>>,
+    action_buf: Vec<Action<P::Msg>>,
     /// Phase timers, present only when profiling was requested (boxed to
     /// keep the common unprofiled engine small).
-    pub(crate) profile: Option<Box<EngineProfile>>,
-    /// Present only on a partition replica inside the parallel driver
-    /// (`parallel.rs`): identifies the owned node set and collects
-    /// cross-partition sends and pop records. `None` on every engine a user
-    /// builds, costing the sequential hot path one predictable branch.
-    pub(crate) remote: Option<Box<crate::parallel::RemoteCtx<P>>>,
+    profile: Option<Box<EngineProfile>>,
 }
 
 impl<P: Protocol, D: DelayModel> Engine<P, D, NullSink> {
@@ -554,7 +526,7 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
     /// Reports the post-event state to the sink, if it wants state: the
     /// full clock vector, the touched nodes with a lazy [`ClockView`], or
     /// both.
-    pub(crate) fn maybe_snapshot(&mut self) {
+    fn maybe_snapshot(&mut self) {
         let full = self.sink.wants_snapshots();
         let local = self.sink.wants_local_snapshots();
         if !full && !local {
@@ -617,7 +589,7 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
         self.queue.push(time, seq, kind);
     }
 
-    pub(crate) fn dispatch(&mut self, kind: EventKind<P::Msg>) {
+    fn dispatch(&mut self, kind: EventKind<P::Msg>) {
         match kind {
             EventKind::Wake { node } => self.handle_wake(node),
             EventKind::Deliver { src, dst, msg } => self.handle_deliver(src, dst, msg),
@@ -879,42 +851,16 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
 
     fn transmit(&mut self, src: NodeId, dst: NodeId, msg: P::Msg) {
         self.stats.transmissions += 1;
-        // On a partition replica, a send to a node owned elsewhere must not
-        // enter the local queue (it lands in the outbox, finalized at the
-        // window barrier) and must not read the receiver's clock replica
-        // (the owner may have advanced it). `remote` is `None` on every
-        // user-built engine, so this is one predictable branch.
-        // `Some(d)` names the destination partition's outbox shard; the
-        // owner lookup here is the only one a cross-partition send ever
-        // does — the barrier routes whole shards.
-        let remote_shard = match self.remote.as_deref() {
-            Some(r) => {
-                let d = r.owner[dst.index()];
-                (d != r.part).then_some(d as usize)
-            }
-            None => None,
-        };
-        let remote_dst = remote_shard.is_some();
         // Hardware readings are resolved lazily inside `DelayCtx`: delay
         // models that never consult them cost zero clock evaluations here.
-        let ctx = if remote_dst {
-            DelayCtx::from_clocks_remote_dst(
-                src,
-                dst,
-                self.now,
-                &self.nodes.hot[src.index()].hw,
-                &self.graph,
-            )
-        } else {
-            DelayCtx::from_clocks(
-                src,
-                dst,
-                self.now,
-                &self.nodes.hot[src.index()].hw,
-                &self.nodes.hot[dst.index()].hw,
-                &self.graph,
-            )
-        };
+        let ctx = DelayCtx::from_clocks(
+            src,
+            dst,
+            self.now,
+            &self.nodes.hot[src.index()].hw,
+            &self.nodes.hot[dst.index()].hw,
+            &self.graph,
+        );
         let delivery = if self.profile.is_some() {
             let started = Instant::now();
             let delivery = self.delay.delivery(&ctx);
@@ -961,29 +907,14 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
                             delay: Some(d),
                         });
                     }
-                    let time = self.now + d;
-                    if let Some(shard) = remote_shard {
-                        assert!(time.is_finite(), "non-finite event time");
-                        let seq = self.seq;
-                        self.seq += 1;
-                        let r = self.remote.as_deref_mut().expect("remote_dst implies Some");
-                        r.outbox[shard].push(crate::parallel::Outgoing {
-                            time,
-                            seq,
+                    self.push(
+                        self.now + d,
+                        EventKind::Deliver {
                             src,
                             dst,
                             msg: msg.clone(),
-                        });
-                    } else {
-                        self.push(
-                            time,
-                            EventKind::Deliver {
-                                src,
-                                dst,
-                                msg: msg.clone(),
-                            },
-                        );
-                    }
+                        },
+                    );
                 }
             }
             Delivery::After(d) => {
@@ -999,30 +930,9 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
                         delay: Some(d),
                     });
                 }
-                let time = self.now + d;
-                if let Some(shard) = remote_shard {
-                    assert!(time.is_finite(), "non-finite event time");
-                    let seq = self.seq;
-                    self.seq += 1;
-                    let r = self.remote.as_deref_mut().expect("remote_dst implies Some");
-                    r.outbox[shard].push(crate::parallel::Outgoing {
-                        time,
-                        seq,
-                        src,
-                        dst,
-                        msg,
-                    });
-                } else {
-                    self.push(time, EventKind::Deliver { src, dst, msg });
-                }
+                self.push(self.now + d, EventKind::Deliver { src, dst, msg });
             }
             Delivery::AtReceiverHw(target) => {
-                assert!(
-                    !remote_dst,
-                    "delay model returned AtReceiverHw for a cross-partition \
-                     send; models that advertise a lookahead promise plain \
-                     `After` delays only"
-                );
                 if self.sink.enabled() {
                     self.sink.record(&EngineEvent::Transmit {
                         src,

@@ -68,7 +68,6 @@
 
 mod delay;
 mod engine;
-mod parallel;
 mod pending;
 pub mod profile;
 mod protocol;

@@ -47,21 +47,6 @@ pub struct EngineProfile {
     /// Stale `HwDue` queue entries skipped (superseded by a later insert or
     /// a rate-change re-stamp) — included in `events`.
     pub stale_events: u64,
-    /// Worker threads used by the parallel driver (0 for a purely
-    /// sequential run). The remaining fields are likewise filled only by
-    /// `run_until_threaded`; see `docs/PARALLEL.md`.
-    pub par_workers: u64,
-    /// Synchronized time windows executed in parallel.
-    pub par_windows: u64,
-    /// Wall-time in the serial barrier phase (merge/replay of per-partition
-    /// pop logs, seq finalization, mailbox routing) — the Amdahl fraction.
-    pub par_replay: Duration,
-    /// Summed wall-time partitions spent idle inside a window, waiting at
-    /// the closing barrier for the slowest partition (load imbalance).
-    pub par_idle: Duration,
-    /// Wall-time of the whole parallel phase (windows + barriers), as seen
-    /// by the coordinating thread.
-    pub par_wall: Duration,
 }
 
 impl EngineProfile {
@@ -87,9 +72,8 @@ impl EngineProfile {
     /// (one line, trailing newline).
     ///
     /// Units: every `*_seconds` field is wall-clock seconds as a decimal
-    /// number; every other field is an exact integer count. The `par_*`
-    /// fields are zero for purely sequential runs. `other_seconds` is the
-    /// residual of [`EngineProfile::other`], so
+    /// number; every other field is an exact integer count.
+    /// `other_seconds` is the residual of [`EngineProfile::other`], so
     /// `protocol + delay + snapshot + other == dispatch` up to float
     /// rounding.
     pub fn to_json(&self) -> String {
@@ -102,10 +86,7 @@ impl EngineProfile {
                 "\"protocol_seconds\":{},\"protocol_calls\":{},",
                 "\"delay_seconds\":{},\"delay_calls\":{},",
                 "\"snapshot_seconds\":{},\"snapshots\":{},",
-                "\"other_seconds\":{},",
-                "\"par_workers\":{},\"par_windows\":{},",
-                "\"par_replay_seconds\":{},\"par_idle_seconds\":{},",
-                "\"par_wall_seconds\":{}}}\n",
+                "\"other_seconds\":{}}}\n",
             ),
             self.events,
             self.stale_events,
@@ -118,11 +99,6 @@ impl EngineProfile {
             s(self.snapshot),
             self.snapshots,
             s(self.other()),
-            self.par_workers,
-            self.par_windows,
-            s(self.par_replay),
-            s(self.par_idle),
-            s(self.par_wall),
         )
     }
 }
@@ -167,29 +143,6 @@ impl fmt::Display for EngineProfile {
         if self.stale_events > 0 {
             writeln!(f, "  ({} stale queue entries skipped)", self.stale_events)?;
         }
-        if self.par_workers > 0 {
-            let wall = self.par_wall.as_secs_f64();
-            let pct = |d: Duration| {
-                if wall > 0.0 {
-                    100.0 * d.as_secs_f64() / wall
-                } else {
-                    0.0
-                }
-            };
-            writeln!(
-                f,
-                "  parallel: {} workers, {} windows in {:.3}s \
-                 (replay {:.4}s = {:.1}%, idle {:.4}s = {:.1}% of {}x wall)",
-                self.par_workers,
-                self.par_windows,
-                wall,
-                self.par_replay.as_secs_f64(),
-                pct(self.par_replay),
-                self.par_idle.as_secs_f64(),
-                pct(self.par_idle) / self.par_workers as f64,
-                self.par_workers,
-            )?;
-        }
         Ok(())
     }
 }
@@ -230,11 +183,6 @@ mod tests {
             delay_calls: 2,
             snapshot: Duration::from_millis(20),
             snapshots: 4,
-            par_workers: 2,
-            par_windows: 7,
-            par_replay: Duration::from_millis(5),
-            par_idle: Duration::from_millis(9),
-            par_wall: Duration::from_millis(60),
             ..EngineProfile::default()
         };
         let json = p.to_json();
@@ -243,12 +191,7 @@ mod tests {
         assert!(json.contains("\"events\":4"));
         assert!(json.contains("\"dispatch_seconds\":0.1"));
         assert!(json.contains("\"per_event_seconds\":0.025"));
-        assert!(json.contains("\"other_seconds\":0.03"));
-        assert!(json.contains("\"par_workers\":2"));
-        assert!(json.contains("\"par_windows\":7"));
-        assert!(json.contains("\"par_replay_seconds\":0.005"));
-        assert!(json.contains("\"par_idle_seconds\":0.009"));
-        assert!(json.contains("\"par_wall_seconds\":0.06"));
+        assert!(json.contains("\"other_seconds\":0.03}"));
         // Empty profiles serialize without NaNs or infinities.
         let empty = EngineProfile::default().to_json();
         assert!(!empty.contains("NaN") && !empty.contains("inf"));

@@ -181,16 +181,6 @@ impl PackedHeap {
         self.slots[i] = slot;
         Some(root)
     }
-
-    #[cfg(debug_assertions)]
-    fn assert_invariant(&self) {
-        for i in 1..self.keys.len() {
-            debug_assert!(
-                self.keys[(i - 1) / ARITY] <= self.keys[i],
-                "heap invariant broken"
-            );
-        }
-    }
 }
 
 /// The timing-wheel layer, present only when the delay model promised a
@@ -322,9 +312,7 @@ impl<T> EventQueue<T> {
         self.pop_entry().map(|(time, _, item)| (time, item))
     }
 
-    /// Removes and returns the earliest event as `(time, seq, payload)` —
-    /// the full ordering key, needed by the parallel engine's barrier
-    /// replay to merge per-partition pop logs into the global order.
+    /// Removes and returns the earliest event as `(time, seq, payload)`.
     pub fn pop_entry(&mut self) -> Option<(f64, u64, T)> {
         let (key, slot) = self.near.pop()?;
         self.len -= 1;
@@ -376,42 +364,6 @@ impl<T> EventQueue<T> {
             cal.ring_len -= bucket.len();
             for (key, slot) in bucket.drain(..) {
                 self.near.push(key, slot);
-            }
-        }
-    }
-
-    /// Rewrites every queued key's `seq` through `f` in place, without
-    /// re-heapifying.
-    ///
-    /// The caller must guarantee `f` is strictly monotone on the seqs
-    /// present (it preserves every pairwise `<`), so the heap invariant is
-    /// untouched — and region routing depends on time alone, so the
-    /// calendar layout is untouched too. The parallel engine uses this at
-    /// window barriers to replace provisional partition-local seqs with
-    /// their final global values — a mapping that is monotone by
-    /// construction (see `parallel.rs`).
-    pub fn remap_seqs(&mut self, mut f: impl FnMut(u64) -> u64) {
-        let remap = |key: &mut u128, f: &mut dyn FnMut(u64) -> u64| {
-            *key = (*key & !(u64::MAX as u128)) | f(unpack_seq(*key)) as u128;
-        };
-        for key in &mut self.near.keys {
-            remap(key, &mut f);
-        }
-        if let Some(cal) = &mut self.calendar {
-            for key in &mut cal.overflow.keys {
-                remap(key, &mut f);
-            }
-            for bucket in &mut cal.ring {
-                for (key, _) in bucket {
-                    remap(key, &mut f);
-                }
-            }
-        }
-        #[cfg(debug_assertions)]
-        {
-            self.near.assert_invariant();
-            if let Some(cal) = &self.calendar {
-                cal.overflow.assert_invariant();
             }
         }
     }
@@ -491,30 +443,6 @@ mod tests {
         assert_eq!(q.pop_entry(), Some((1.0, 3, "y")));
         assert_eq!(q.pop_entry(), Some((1.0, 7, "x")));
         assert_eq!(q.pop_entry(), None);
-    }
-
-    #[test]
-    fn remap_seqs_preserves_pop_order_under_monotone_maps() {
-        let mut q = EventQueue::with_capacity(8);
-        // Provisional seqs in the high half, finals in the low half, ties in
-        // time everywhere — the exact shape the parallel engine produces.
-        const P: u64 = 1 << 63;
-        q.push(2.0, P + 1, "p1");
-        q.push(1.0, 5, "f5");
-        q.push(1.0, P, "p0");
-        q.push(1.0, 2, "f2");
-        // Monotone map: finals fixed, provisionals land above them.
-        q.remap_seqs(|s| if s >= P { s - P + 100 } else { s });
-        let order: Vec<_> = std::iter::from_fn(|| q.pop_entry()).collect();
-        assert_eq!(
-            order,
-            vec![
-                (1.0, 2, "f2"),
-                (1.0, 5, "f5"),
-                (1.0, 100, "p0"),
-                (2.0, 101, "p1"),
-            ]
-        );
     }
 
     #[test]
@@ -623,29 +551,6 @@ mod tests {
         // Re-anchoring after a full drain works too.
         q.push(5.0, 4, "later");
         assert_eq!(q.pop(), Some((5.0, "later")));
-    }
-
-    /// `remap_seqs` must cover all three regions; entries keep their
-    /// region (routing is by time alone) and pop in the remapped order.
-    #[test]
-    fn calendar_remap_covers_all_regions() {
-        const P: u64 = 1 << 63;
-        let mut q = EventQueue::with_capacity_and_floor(4, Some(1.0));
-        q.push(0.5, P, "near");
-        q.push(3.5, P + 1, "ring");
-        q.push(3.5, 2, "ring-final");
-        q.push(1e5, P + 2, "overflow");
-        q.remap_seqs(|s| if s >= P { s - P + 10 } else { s });
-        let order: Vec<_> = std::iter::from_fn(|| q.pop_entry()).collect();
-        assert_eq!(
-            order,
-            vec![
-                (0.5, 10, "near"),
-                (3.5, 2, "ring-final"),
-                (3.5, 11, "ring"),
-                (1e5, 12, "overflow"),
-            ]
-        );
     }
 
     /// Steady-state churn in calendar mode reuses slab slots and ring

@@ -291,10 +291,7 @@ pub trait EventSink {
     /// The engine asks before every observation, so a sink may switch
     /// between the two snapshot kinds mid-run. Touches are recorded only
     /// while this is `true`: a sink that turns it back on has missed the
-    /// touches in between and must not trust state it built before. Under
-    /// [`Engine::run_until_threaded`](crate::Engine::run_until_threaded)
-    /// both answers are sampled once per parallel phase, so a switching
-    /// sink must also accept the kind it stopped asking for.
+    /// touches in between and must not trust state it built before.
     #[inline]
     fn wants_local_snapshots(&self) -> bool {
         false
@@ -771,8 +768,7 @@ impl EventRing {
 /// sequence number lets [`RecorderSink::window_events`] merge the rings
 /// back into exact execution order at dump time. Because partitioning and
 /// sequencing are functions of the (deterministic) record order alone, the
-/// retained window is byte-identical across `--threads` counts and
-/// same-seed reruns.
+/// retained window is byte-identical across same-seed reruns.
 ///
 /// One event kind never enters the rings: `Wake`. The offline clock
 /// reconstruction cannot anchor a node's trajectory without its wake, and

@@ -113,12 +113,7 @@ fn execute(job: &JobSpec) -> Result<JobExecution, String> {
     let mut sinks = SinkSet::new(&scenario.graph);
     sinks.metrics = Some(MetricsSink::new());
     sinks.watchdog = job.watchdog.then(|| scenario.watchdog());
-    // Deliberately the sequential loop (one thread): the sweep's
-    // parallelism budget (`--jobs`) is spent on independent jobs, one per
-    // worker thread. Nesting the windowed parallel driver inside a job
-    // would oversubscribe the machine to jobs x threads cores — use
-    // `gcs run --threads` when one large simulation should own the cores.
-    let mut out = scenario.run(&job.algo, sinks, 1, false)?;
+    let mut out = scenario.run(&job.algo, sinks, false)?;
     let tripped = out.sinks.tripped();
     let outcome = match &out.panic {
         Some(payload) => Err(crate::pool::panic_message(payload.as_ref())),

@@ -7,7 +7,7 @@
 use gcs_adversary::WavefrontDelay;
 use gcs_graph::{topology, Graph, NodeId};
 use gcs_sim::{
-    rates, ConstantDelay, DelayCtx, DelayModel, Delivery, DirectionalDelay, Lookahead, UniformDelay,
+    rates, ConstantDelay, DelayCtx, DelayModel, Delivery, DirectionalDelay, UniformDelay,
 };
 use gcs_time::{DriftBounds, RateSchedule};
 
@@ -187,24 +187,15 @@ impl DelayModel for SweepDelay {
         }
     }
 
-    // Forwarded explicitly: the trait defaults would answer `None` for every
-    // variant and silently keep `gcs run --threads` sequential even under
-    // `const`/`wavefront` delays.
+    // Forwarded explicitly: the trait default would answer `None` for every
+    // variant and keep the event queue's calendar layer off even under
+    // `const` delays.
     fn min_delay(&self) -> Option<f64> {
         match self {
             SweepDelay::Uniform(m) => m.min_delay(),
             SweepDelay::Constant(m) => m.min_delay(),
             SweepDelay::Directional(m) => m.min_delay(),
             SweepDelay::Wavefront(m) => m.min_delay(),
-        }
-    }
-
-    fn lookahead_at(&self, now: f64) -> Option<Lookahead> {
-        match self {
-            SweepDelay::Uniform(m) => m.lookahead_at(now),
-            SweepDelay::Constant(m) => m.lookahead_at(now),
-            SweepDelay::Directional(m) => m.lookahead_at(now),
-            SweepDelay::Wavefront(m) => m.lookahead_at(now),
         }
     }
 }

@@ -21,7 +21,7 @@ use gcs_sim::{
     ClockView, DropCause, Engine, EngineEvent, EngineProfile, EventSink, MessageStats, Protocol,
     RecorderSink,
 };
-use gcs_telemetry::{BeatInput, HeartbeatEmitter, ParStats, SkewFieldWriter, WatchdogStatus};
+use gcs_telemetry::{BeatInput, HeartbeatEmitter, SkewFieldWriter, WatchdogStatus};
 use gcs_time::{DriftBounds, RateSchedule};
 
 use crate::parse::{build_delay, build_rates, parse_topology, SweepDelay};
@@ -33,10 +33,7 @@ pub trait ProtocolVisitor {
     type Output;
 
     /// Consumes one protocol instance per node.
-    fn visit<P>(self, protocols: Vec<P>) -> Self::Output
-    where
-        P: Protocol + Send,
-        P::Msg: Send;
+    fn visit<P: Protocol>(self, protocols: Vec<P>) -> Self::Output;
 }
 
 macro_rules! registry {
@@ -175,26 +172,18 @@ impl Scenario {
         InvariantWatchdog::new(&self.graph, self.params, self.drift)
     }
 
-    /// Runs protocol `algo` observed by `sinks` on `threads` engine threads
-    /// (`1` = the sequential loop), profiling the engine when `profiling`.
-    /// An engine panic is caught into [`Outcome::panic`] with the sinks
-    /// intact, so callers can salvage the flight recorder first.
+    /// Runs protocol `algo` observed by `sinks`, profiling the engine when
+    /// `profiling`. An engine panic is caught into [`Outcome::panic`] with
+    /// the sinks intact, so callers can salvage the flight recorder first.
     ///
     /// # Errors
     ///
     /// ``unknown algorithm `NAME` `` (see [`with_protocols`]).
-    pub fn run(
-        self,
-        algo: &str,
-        sinks: SinkSet,
-        threads: usize,
-        profiling: bool,
-    ) -> Result<Outcome, String> {
+    pub fn run(self, algo: &str, sinks: SinkSet, profiling: bool) -> Result<Outcome, String> {
         let (params, n) = (self.params, self.graph.len());
         let executor = Executor {
             scenario: self,
             sinks,
-            threads,
             profiling,
         };
         with_protocols(algo, params, n, executor)
@@ -205,25 +194,19 @@ impl Scenario {
 struct Executor {
     scenario: Scenario,
     sinks: SinkSet,
-    threads: usize,
     profiling: bool,
 }
 
 impl ProtocolVisitor for Executor {
     type Output = Outcome;
 
-    fn visit<P>(self, protocols: Vec<P>) -> Outcome
-    where
-        P: Protocol + Send,
-        P::Msg: Send,
-    {
+    fn visit<P: Protocol>(self, protocols: Vec<P>) -> Outcome {
         let Executor {
             scenario: sc,
             sinks,
-            threads,
             profiling,
         } = self;
-        let (nodes, horizon, per_event) = (sc.graph.len(), sc.horizon, sinks.per_event);
+        let (nodes, horizon) = (sc.graph.len(), sc.horizon);
         let mut engine = Engine::builder(sc.graph)
             .protocols(protocols)
             .delay_model(sc.delay)
@@ -232,23 +215,10 @@ impl ProtocolVisitor for Executor {
             .profiling(profiling)
             .build();
         engine.wake_all_at(0.0);
-        let panic = catch_unwind(AssertUnwindSafe(|| {
-            if threads > 1 {
-                engine.run_until_threaded(horizon, threads);
-            } else {
-                engine.run_until(horizon);
-            }
-        }))
-        .err();
+        let panic = catch_unwind(AssertUnwindSafe(|| engine.run_until(horizon))).err();
         let stats = engine.message_stats().clone();
         let profile = engine.profile().cloned();
-        let final_clocks = (panic.is_none() && !per_event).then(|| engine.logical_values());
         let mut sinks = engine.into_sink();
-        if let Some(clocks) = final_clocks {
-            // Per-event sampling was skipped; give the observer at least
-            // the state at the horizon.
-            sinks.observer.observe_clocks(horizon, &clocks);
-        }
         if panic.is_none() {
             if let Some(m) = sinks.metrics.as_mut() {
                 m.flush_rate_window(horizon);
@@ -379,8 +349,8 @@ impl Heartbeat {
         }
     }
 
-    /// Writes the final `summary` record at `t` (with the parallel shares
-    /// `par`, if any) and surfaces the first write failure.
+    /// Writes the final `summary` record at `t` and surfaces the first
+    /// write failure.
     ///
     /// # Errors
     ///
@@ -390,10 +360,9 @@ impl Heartbeat {
         t: f64,
         observer: &SkewObserver,
         watchdog: Option<&InvariantWatchdog>,
-        par: Option<&ParStats>,
     ) -> Result<(), String> {
         let input = self.input(t, self.last_queue_depth, observer, watchdog);
-        if let Err(e) = self.emitter.summary(&input, par) {
+        if let Err(e) = self.emitter.summary(&input) {
             self.error
                 .get_or_insert(format!("heartbeat write failed: {e}"));
         }
@@ -430,14 +399,10 @@ pub struct SinkSet {
     pub heartbeat: Option<Heartbeat>,
     /// `gcs-skewfield/v1` per-edge windows (`gcs run --skew-field`).
     pub skew_field: Option<SkewFieldWriter<Box<dyn Write + Send>>>,
-    /// Sample engine state after every event. Under `--threads K>1` the
-    /// parallel driver serves this by barrier-time snapshot replay; when
-    /// off, the observer sees a single snapshot at the horizon instead.
-    pub per_event: bool,
 }
 
 impl SinkSet {
-    /// Observer and recorder only, sampling per event.
+    /// Observer and recorder only.
     pub fn new(graph: &Graph) -> Self {
         SinkSet {
             observer: SkewObserver::new(graph),
@@ -448,7 +413,6 @@ impl SinkSet {
             events: None,
             heartbeat: None,
             skew_field: None,
-            per_event: true,
         }
     }
 
@@ -483,7 +447,7 @@ impl EventSink for SinkSet {
     }
 
     fn wants_snapshots(&self) -> bool {
-        self.per_event && (self.needs_vectors() || self.observer.wants_snapshots())
+        self.needs_vectors() || self.observer.wants_snapshots()
     }
 
     fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
@@ -502,7 +466,7 @@ impl EventSink for SinkSet {
     }
 
     fn wants_local_snapshots(&self) -> bool {
-        self.per_event && !self.needs_vectors() && self.observer.wants_local_snapshots()
+        !self.needs_vectors() && self.observer.wants_local_snapshots()
     }
 
     fn local_snapshot(
@@ -528,11 +492,7 @@ mod tests {
     impl ProtocolVisitor for Len {
         type Output = usize;
 
-        fn visit<P>(self, protocols: Vec<P>) -> usize
-        where
-            P: Protocol + Send,
-            P::Msg: Send,
-        {
+        fn visit<P: Protocol>(self, protocols: Vec<P>) -> usize {
             protocols.len()
         }
     }
@@ -572,7 +532,7 @@ mod tests {
         }
         let zero = Scenario::build(spec(0.0)).unwrap();
         let sinks = SinkSet::new(&zero.graph);
-        let out = zero.run("aopt", sinks, 1, false).unwrap();
+        let out = zero.run("aopt", sinks, false).unwrap();
         assert_eq!(out.horizon, 0.0);
         assert!(out.panic.is_none());
     }

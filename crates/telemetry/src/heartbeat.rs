@@ -3,15 +3,12 @@
 //! Three record kinds share the schema tag:
 //!
 //! * `beat` — a periodic run heartbeat, paced by simulated time;
-//! * `summary` — the final record of a run, extending `beat` with the
-//!   parallel driver's aggregate shares;
+//! * `summary` — the final record of a run, with the fields of `beat`;
 //! * `sweep` — per-completed-job progress of a parameter sweep.
 //!
 //! Field units: `t` is simulated time, `wall_ms` is wall-clock milliseconds
 //! since the emitter was created, `events_per_sec` is the wall-clock event
-//! rate since the previous beat, `replay_share`/`idle_share` are fractions
-//! of the parallel phase's wall time in `[0, 1]` (idle summed over all
-//! workers, so it can exceed 1 on pathological partitions).
+//! rate since the previous beat.
 
 use std::io::{self, Write};
 use std::time::Instant;
@@ -79,20 +76,6 @@ pub struct BeatInput {
     pub watchdog: WatchdogStatus,
 }
 
-/// Parallel-driver aggregates attached to the final `summary` record.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ParStats {
-    /// Worker threads the parallel phase ran with (1 = sequential run).
-    pub threads: u64,
-    /// Lookahead windows executed.
-    pub windows: u64,
-    /// Serial replay share of the parallel phase's wall time, `[0, 1]`.
-    pub replay_share: f64,
-    /// Worker idle share of the parallel phase's wall time (summed over
-    /// workers).
-    pub idle_share: f64,
-}
-
 /// A parsed `beat` or `summary` record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunBeat {
@@ -124,8 +107,6 @@ pub struct RunBeat {
     /// Wall-clock event rate since the previous beat (0 in deterministic
     /// mode).
     pub events_per_sec: f64,
-    /// Parallel aggregates (`summary` records only).
-    pub par: Option<ParStats>,
 }
 
 /// A parsed `sweep` record.
@@ -197,13 +178,13 @@ impl<W: Write> HeartbeatEmitter<W> {
         while self.next_due <= input.t {
             self.next_due += self.every;
         }
-        self.write_run(input, "beat", None)
+        self.write_run(input, "beat")
     }
 
     /// Emits the final `summary` record. Ends the stream; cadence no longer
     /// matters.
-    pub fn summary(&mut self, input: &BeatInput, par: Option<&ParStats>) -> io::Result<()> {
-        self.write_run(input, "summary", par)
+    pub fn summary(&mut self, input: &BeatInput) -> io::Result<()> {
+        self.write_run(input, "summary")
     }
 
     /// Emits one `sweep` record (call after each completed job).
@@ -251,12 +232,7 @@ impl<W: Write> HeartbeatEmitter<W> {
         self.out.flush()
     }
 
-    fn write_run(
-        &mut self,
-        input: &BeatInput,
-        kind: &str,
-        par: Option<&ParStats>,
-    ) -> io::Result<()> {
+    fn write_run(&mut self, input: &BeatInput, kind: &str) -> io::Result<()> {
         let (wall_ms, rate) = if self.deterministic {
             (0.0, 0.0)
         } else {
@@ -292,15 +268,6 @@ impl<W: Write> HeartbeatEmitter<W> {
         json::push_f64(&mut line, wall_ms);
         line.push_str(",\"events_per_sec\":");
         json::push_f64(&mut line, rate);
-        if let Some(p) = par {
-            line.push_str(&format!(
-                ",\"threads\":{},\"par_windows\":{},\"replay_share\":",
-                p.threads, p.windows
-            ));
-            json::push_f64(&mut line, p.replay_share);
-            line.push_str(",\"idle_share\":");
-            json::push_f64(&mut line, p.idle_share);
-        }
         line.push_str("}\n");
         self.seq += 1;
         self.out.write_all(line.as_bytes())?;
@@ -351,16 +318,7 @@ mod tests {
             let mut e = HeartbeatEmitter::new(Vec::new(), 1.0, 0.0, true);
             e.beat(&input(1.0, 10)).unwrap();
             e.beat(&input(2.0, 30)).unwrap();
-            e.summary(
-                &input(3.0, 40),
-                Some(&ParStats {
-                    threads: 4,
-                    windows: 7,
-                    replay_share: 0.125,
-                    idle_share: 0.5,
-                }),
-            )
-            .unwrap();
+            e.summary(&input(3.0, 40)).unwrap();
             String::from_utf8(e.into_inner()).unwrap()
         };
         let a = run();
@@ -369,7 +327,6 @@ mod tests {
         assert!(a.contains("\"events_per_sec\":0"));
         assert!(a.contains("\"kind\":\"summary\""));
         assert!(a.contains("\"dropped_model\":1,\"dropped_faults\":3"));
-        assert!(a.contains("\"threads\":4"));
         for line in a.lines() {
             gcs_forensics::parse_json(line).expect("every heartbeat line is valid JSON");
         }

@@ -3,10 +3,8 @@
 //!
 //! A skew *field* is the map `edge ↦ |L_a − L_b|` — the quantity the
 //! paper's gradient property (Theorem 5.10) bounds. The writer consumes the
-//! engine's post-event clock snapshots (the same `SnapReplay`-reconstructed
-//! snapshots the parallel driver feeds every snapshot consumer, so the
-//! stream is byte-identical at any `--threads` count), tracks each edge's
-//! worst skew within fixed simulated-time windows, and emits one `window`
+//! engine's post-event clock snapshots, tracks each edge's worst skew
+//! within fixed simulated-time windows, and emits one `window`
 //! record per closed window plus a final `summary`:
 //!
 //! ```json

@@ -3,7 +3,7 @@
 
 use gcs_forensics::{parse_json, Json};
 
-use crate::heartbeat::{ParStats, RunBeat, SweepBeat, WatchdogStatus, SCHEMA};
+use crate::heartbeat::{RunBeat, SweepBeat, WatchdogStatus, SCHEMA};
 use crate::skewfield::{SkewSummary, SkewWindow, SCHEMA as SKEWFIELD_SCHEMA};
 
 /// One parsed heartbeat record of either flavor.
@@ -81,32 +81,23 @@ fn parse_line(line: &str) -> Option<Record> {
             job: v.get("job").and_then(Json::as_str)?.to_string(),
             session: v.get("session").and_then(Json::as_str).map(str::to_string),
         })),
-        kind @ ("beat" | "summary") => {
-            let par = int(&v, "threads").map(|threads| ParStats {
-                threads,
-                windows: int(&v, "par_windows").unwrap_or(0),
-                replay_share: num(&v, "replay_share").unwrap_or(0.0),
-                idle_share: num(&v, "idle_share").unwrap_or(0.0),
-            });
-            Some(Record::Run(RunBeat {
-                summary: kind == "summary",
-                seq: int(&v, "seq")?,
-                t: num(&v, "t")?,
-                events: int(&v, "events")?,
-                queue_depth: int(&v, "queue_depth")?,
-                timers_armed: int(&v, "timers_armed")?,
-                // Absent in pre-split streams; default to 0 so old files
-                // still render.
-                dropped_model: int(&v, "dropped_model").unwrap_or(0),
-                dropped_faults: int(&v, "dropped_faults").unwrap_or(0),
-                skew_global: opt_num(&v, "skew_global"),
-                skew_local: opt_num(&v, "skew_local"),
-                watchdog: WatchdogStatus::parse(v.get("watchdog").and_then(Json::as_str)?)?,
-                wall_ms: num(&v, "wall_ms").unwrap_or(0.0),
-                events_per_sec: num(&v, "events_per_sec").unwrap_or(0.0),
-                par,
-            }))
-        }
+        kind @ ("beat" | "summary") => Some(Record::Run(RunBeat {
+            summary: kind == "summary",
+            seq: int(&v, "seq")?,
+            t: num(&v, "t")?,
+            events: int(&v, "events")?,
+            queue_depth: int(&v, "queue_depth")?,
+            timers_armed: int(&v, "timers_armed")?,
+            // Absent in pre-split streams; default to 0 so old files
+            // still render.
+            dropped_model: int(&v, "dropped_model").unwrap_or(0),
+            dropped_faults: int(&v, "dropped_faults").unwrap_or(0),
+            skew_global: opt_num(&v, "skew_global"),
+            skew_local: opt_num(&v, "skew_local"),
+            watchdog: WatchdogStatus::parse(v.get("watchdog").and_then(Json::as_str)?)?,
+            wall_ms: num(&v, "wall_ms").unwrap_or(0.0),
+            events_per_sec: num(&v, "events_per_sec").unwrap_or(0.0),
+        })),
         _ => None,
     }
 }
@@ -138,7 +129,7 @@ fn fmt_skew(v: Option<f64>) -> String {
 }
 
 /// Renders a status table from a parsed stream: the most recent run beats,
-/// the run/parallel summary if the stream has finished, and sweep progress.
+/// the run summary if the stream has finished, and sweep progress.
 /// Purely a function of the records, so deterministic streams render
 /// deterministically.
 pub fn render_top(records: &[Record], skipped: usize) -> String {
@@ -228,15 +219,6 @@ pub fn render_top(records: &[Record], skipped: usize) -> String {
             last.dropped_faults,
             last.watchdog_str(),
         ));
-        if let Some(p) = runs.iter().rev().find_map(|b| b.par.as_ref()) {
-            out.push_str(&format!(
-                "parallel: threads {}  windows {}  replay {:.1}%  idle {:.1}%\n",
-                p.threads,
-                p.windows,
-                p.replay_share * 100.0,
-                p.idle_share * 100.0
-            ));
-        }
     }
 
     if !skew_windows.is_empty() || skew_summary.is_some() {
@@ -310,25 +292,17 @@ mod tests {
             })
             .unwrap();
         }
-        e.summary(
-            &BeatInput {
-                t: 13.0,
-                events: 1300,
-                queue_depth: 0,
-                timers_armed: 0,
-                dropped_model: 2,
-                dropped_faults: 12,
-                skew_global: Some(1.5),
-                skew_local: Some(0.01),
-                watchdog: WatchdogStatus::Ok,
-            },
-            Some(&ParStats {
-                threads: 4,
-                windows: 20,
-                replay_share: 0.25,
-                idle_share: 0.75,
-            }),
-        )
+        e.summary(&BeatInput {
+            t: 13.0,
+            events: 1300,
+            queue_depth: 0,
+            timers_armed: 0,
+            dropped_model: 2,
+            dropped_faults: 12,
+            skew_global: Some(1.5),
+            skew_local: Some(0.01),
+            watchdog: WatchdogStatus::Ok,
+        })
         .unwrap();
         e.sweep_beat(3, 9, 5000, "eps=0.05").unwrap();
         String::from_utf8(e.into_inner()).unwrap()
@@ -350,7 +324,6 @@ mod tests {
             (2, 12),
             "per-cause drop split survives the round trip"
         );
-        assert_eq!(last_run.par.as_ref().map(|p| p.threads), Some(4));
         let Record::Sweep(sweep) = &records[13] else {
             panic!("record 13 should be the sweep beat");
         };
@@ -375,7 +348,6 @@ mod tests {
         assert!(text.contains("watchdog ok"));
         assert!(text.contains("(summary)"));
         assert!(text.contains("dropped 2+12"));
-        assert!(text.contains("parallel: threads 4  windows 20  replay 25.0%  idle 75.0%"));
         assert!(text.contains("sweep: 3/9 job(s) done"));
         assert!(text.contains("earlier beat(s) not shown"));
         assert_eq!(

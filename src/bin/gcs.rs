@@ -38,13 +38,13 @@ use clock_sync::forensics::{
     TraceSummary,
 };
 use clock_sync::serve::{ServeConfig, ServerHandle};
-use clock_sync::sim::{DelayModel, Protocol, RecorderSink};
+use clock_sync::sim::{Protocol, RecorderSink};
 use clock_sync::sweep::scenario::Heartbeat;
 use clock_sync::sweep::{
     report, run_sweep_deduped, with_protocols, Outcome, PoolProgress, ProtocolVisitor, Scenario,
     ScenarioSpec, SinkSet, SweepSpec,
 };
-use clock_sync::telemetry::{HeartbeatEmitter, ParStats, SkewFieldWriter};
+use clock_sync::telemetry::{HeartbeatEmitter, SkewFieldWriter};
 
 const USAGE: &str = "\
 gcs — gradient clock synchronization (Lenzen/Locher/Wattenhofer) toolkit
@@ -113,7 +113,7 @@ gcs run — simulate one algorithm on one topology and report skews
 USAGE:
     gcs run [--algo NAME] [--topology SPEC] [--eps E] [--t T]
             [--horizon H] [--delays SPEC] [--rates SPEC] [--seed N]
-            [--threads K|auto] [--trace FILE.csv] [--events FILE.jsonl]
+            [--trace FILE.csv] [--events FILE.jsonl]
             [--metrics FILE|-] [--watchdog] [--heartbeat FILE|-]
             [--dump-recorder FILE] [--skew-field FILE|-] [--kappa-factor F]
 
@@ -126,15 +126,6 @@ OPTIONS:
     --delays SPEC        uniform|const|zero|directional|wavefront[:B]
     --rates SPEC         walk|split|distsplit|alternating[:P]|gradient|nominal
     --seed N             seed for random topology/delays/rates (default 42)
-    --threads K|auto     run the engine on K cores via lookahead-windowed
-                         parallel execution (see docs/PARALLEL.md); event
-                         streams and every observer below stay byte-identical
-                         to --threads 1. Errors out when the delay model
-                         advertises no positive delay lower bound, unless
-                         --allow-sequential-fallback. `auto` = all cores
-    --allow-sequential-fallback
-                         with --threads K>1 and a delay model that cannot be
-                         parallelized, run sequentially instead of erroring
 
 OBSERVABILITY:
     --trace FILE.csv     sampled clock trajectories (plotting)
@@ -151,14 +142,12 @@ OBSERVABILITY:
     --heartbeat-every S  heartbeat cadence in simulated time units
                          (default: horizon / 20)
     --deterministic-heartbeat
-                         zero the wall-clock heartbeat fields and omit the
-                         parallel summary fields, making the stream a pure
-                         function of the simulation (byte-identical across
-                         seeds-equal runs at any --threads value)
+                         zero the wall-clock heartbeat fields, making the
+                         stream a pure function of the simulation
+                         (byte-identical across same-seed runs)
     --profile            time the engine's event-loop phases (protocol /
                          delay / snapshot) and print the breakdown; timing
                          is observational — all outputs stay byte-identical.
-                         With --threads it adds window/replay/idle counters
     --profile-json FILE|-  write the same accounting as one `gcs-profile/v1`
                          JSON object (`-` = stdout); see docs/TRACE_FORMAT.md
     --kappa-factor F     scale κ by F, bypassing the Eq. (4) validation
@@ -180,16 +169,9 @@ FLIGHT RECORDER (always armed):
                          `gcs trace` also reads directly
     --skew-field FILE|-  stream windowed per-edge skew aggregates as
                          `gcs-skewfield/v1` JSONL (`-` = stdout); render
-                         with `gcs top`. Deterministic at any --threads
+                         with `gcs top`
     --skew-field-every S skew-field window length in simulated time
                          (default: horizon / 20)
-
-    Every observer runs under --threads K>1: the parallel driver replays
-    per-event engine state at each window barrier, so --trace, --metrics,
-    --watchdog and --heartbeat produce results identical to --threads 1
-    (property-tested; see docs/PARALLEL.md). Without any observer the
-    engine skips per-event sampling and the skew rows report the state at
-    the horizon, not the running maximum.
 ";
 
 const SWEEP_USAGE: &str = "\
@@ -368,7 +350,7 @@ USAGE:
 
 Reads a `gcs-heartbeat/v1` JSONL stream (written by `gcs run --heartbeat`
 or `gcs sweep --heartbeat`; `-` = stdin) and renders the most recent run
-beats, the final run / parallel summary, and sweep progress. Malformed,
+beats, the final run summary, and sweep progress. Malformed,
 truncated, or foreign lines are skipped, not fatal, so it works on live,
 still-growing files. See docs/TRACE_FORMAT.md for the record schema.
 ";
@@ -448,7 +430,7 @@ gcs chaos — seeded fault-injection scenarios with an invariant oracle
 Scenarios are `.chaos` documents (see docs/CHAOS.md): topology, algorithm,
 substrate specs, a seed, and a schedule of timed fault clauses compiled
 onto the delay model. Every scenario is deterministic — its outcome is a
-pure function of the document, at any thread count — and the invariant
+pure function of the document — and the invariant
 watchdog (Conditions (1)/(2), Definition 5.6) is the online oracle. A
 violation is *expected* when an out-of-model clause (a rate outside the
 drift bounds, a clog beyond 𝒯̂, a partition, a crash) allows it; otherwise
@@ -462,11 +444,11 @@ the shrunk reproducer next to each finding-SEED.chaos fixture. Dumps are
 standard event-log JSONL, consumable by `gcs trace summary|blame|export`.
 
 USAGE:
-    gcs chaos run FILE.chaos [--threads K] [--dump-recorder PATH]
+    gcs chaos run FILE.chaos [--dump-recorder PATH]
     gcs chaos batch [--scenarios N] [--start-seed S] [--jobs W]
-                    [--threads K] [--no-shrink] [--fixtures DIR]
-    gcs chaos shrink FILE.chaos [--out FILE.chaos] [--threads K]
-    gcs chaos replay FILE.chaos [--threads K]
+                    [--no-shrink] [--fixtures DIR]
+    gcs chaos shrink FILE.chaos [--out FILE.chaos]
+    gcs chaos replay FILE.chaos
 
 SUBCOMMANDS:
     run       execute one scenario and print the oracle's verdict
@@ -483,7 +465,6 @@ OPTIONS:
     --scenarios N     scenarios per batch                    (default 1000)
     --start-seed S    seed of the first scenario             (default 1)
     --jobs W          pool workers (default: available parallelism)
-    --threads K       engine threads per scenario            (default 1)
     --no-shrink       report findings without minimizing them
     --fixtures DIR    write finding fixtures into DIR instead of printing
                       the minimal documents to stdout
@@ -578,7 +559,7 @@ fn main() -> ExitCode {
     } else if command == "top" {
         cmd_top(rest)
     } else {
-        let opts = match Options::parse(rest) {
+        let opts = match Options::parse(rest, command, usage) {
             Ok(opts) => opts,
             Err(message) => {
                 eprintln!("error: {message}\n");
@@ -620,7 +601,6 @@ impl Options {
         "progress",
         "global",
         "chrome",
-        "allow-sequential-fallback",
         "no-shrink",
         "deterministic-heartbeat",
         "quick",
@@ -628,13 +608,18 @@ impl Options {
         "no-artifact",
     ];
 
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parses `args` of `gcs VERB`, accepting only options that `usage`,
+    /// the verb's help text, lists.
+    fn parse(args: &[String], verb: &str, usage: &str) -> Result<Self, String> {
         let mut values = HashMap::new();
         let mut iter = args.iter();
         while let Some(key) = iter.next() {
             let Some(name) = key.strip_prefix("--") else {
                 return Err(format!("expected an option, got `{key}`"));
             };
+            if !lists_option(usage, name) {
+                return Err(format!("unknown option `{key}` for `gcs {verb}`"));
+            }
             if Self::FLAGS.contains(&name) {
                 values.insert(name.to_string(), String::new());
                 continue;
@@ -681,6 +666,16 @@ impl Options {
                 .map_err(|_| format!("option --{key}: `{v}` is not an integer")),
         }
     }
+}
+
+/// Whether `usage` mentions `--name` as a whole option (not as the prefix
+/// of a longer one).
+fn lists_option(usage: &str, name: &str) -> bool {
+    let needle = format!("--{name}");
+    !name.is_empty()
+        && usage.match_indices(&needle).any(|(i, _)| {
+            !usage[i + needle.len()..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+        })
 }
 
 fn cmd_bounds(opts: &Options) -> Result<(), String> {
@@ -769,11 +764,10 @@ fn write_recorder_dump(path: &str, recorder: &RecorderSink) -> Result<usize, Str
 
 /// Builds the `gcs run` sink set: each observability flag switches on one
 /// optional sink of the shared [`SinkSet`].
-fn run_sinks(scenario: &Scenario, opts: &Options, per_event: bool) -> Result<SinkSet, String> {
+fn run_sinks(scenario: &Scenario, opts: &Options) -> Result<SinkSet, String> {
     let graph = &scenario.graph;
     let horizon = scenario.horizon;
     let mut sinks = SinkSet::new(graph);
-    sinks.per_event = per_event;
     if opts.values.contains_key("trace") {
         if horizon <= 0.0 {
             return Err("--trace samples every horizon / 500 and needs a positive horizon".into());
@@ -851,52 +845,8 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
         );
     }
     let algo = opts.str_or("algo", "aopt");
-
-    let mut threads = match opts.values.get("threads") {
-        None => 1,
-        Some(v) if v == "auto" => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        Some(v) => match v.parse::<usize>() {
-            Ok(k) if k >= 1 => k,
-            _ => return Err(format!("option --threads: `{v}` is not a count or `auto`")),
-        },
-    };
-    // Observers (--trace/--metrics/--watchdog/--heartbeat) all run under
-    // --threads K>1: the parallel driver reconstructs per-event snapshots
-    // at the window barrier. The one thing it cannot run in parallel is a
-    // delay model with no positive delay lower bound (no lookahead), so
-    // that combination fails fast instead of silently changing the
-    // execution mode.
-    let needs_snapshots = ["trace", "metrics", "watchdog", "heartbeat", "skew-field"]
-        .iter()
-        .any(|key| opts.values.contains_key(*key));
-    if threads > 1
-        && !scenario
-            .delay
-            .lookahead_at(0.0)
-            .is_some_and(|la| la.floor > 0.0)
-    {
-        if opts.flag("allow-sequential-fallback") {
-            eprintln!(
-                "--threads {threads}: delay model `{delays}` advertises no positive delay \
-                 lower bound; running sequentially (--allow-sequential-fallback)"
-            );
-            threads = 1;
-        } else {
-            return Err(format!(
-                "--threads {threads}: delay model `{delays}` advertises no positive delay \
-                 lower bound, so the lookahead-windowed parallel driver cannot execute \
-                 it; drop --threads or pass --allow-sequential-fallback to accept a \
-                 sequential run"
-            ));
-        }
-    }
-    let sinks = run_sinks(&scenario, opts, threads == 1 || needs_snapshots)?;
-    // The heartbeat summary reports profile-derived parallel shares, so a
-    // non-deterministic heartbeat turns profiling on (profiling is
-    // observational; outputs stay byte-identical).
-    let profiling = opts.flag("profile")
-        || opts.values.contains_key("profile-json")
-        || (opts.values.contains_key("heartbeat") && !opts.flag("deterministic-heartbeat"));
+    let sinks = run_sinks(&scenario, opts)?;
+    let profiling = opts.flag("profile") || opts.values.contains_key("profile-json");
     let Outcome {
         nodes: n,
         diameter: d,
@@ -907,7 +857,7 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
         mut sinks,
         profile,
         panic,
-    } = scenario.run(algo, sinks, threads, profiling)?;
+    } = scenario.run(algo, sinks, profiling)?;
     if let Some(payload) = panic {
         // The engine panicked mid-run: salvage the flight-recorder window
         // before propagating, so the crash leaves a forensic artifact.
@@ -948,31 +898,7 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
         }
     }
     if let Some(heartbeat) = sinks.heartbeat.take() {
-        // Final summary record. The parallel shares are wall-clock
-        // measurements, so deterministic streams omit them (they would
-        // differ across thread counts and machines).
-        let par = (!opts.flag("deterministic-heartbeat")).then(|| {
-            let wall = profile.as_ref().map_or(0.0, |p| p.par_wall.as_secs_f64());
-            let share = |d: std::time::Duration| {
-                if wall > 0.0 {
-                    d.as_secs_f64() / wall
-                } else {
-                    0.0
-                }
-            };
-            ParStats {
-                threads: threads as u64,
-                windows: profile.as_ref().map_or(0, |p| p.par_windows),
-                replay_share: profile.as_ref().map_or(0.0, |p| share(p.par_replay)),
-                idle_share: profile.as_ref().map_or(0.0, |p| share(p.par_idle)),
-            }
-        });
-        heartbeat.finish(
-            horizon,
-            &sinks.observer,
-            sinks.watchdog.as_ref(),
-            par.as_ref(),
-        )?;
+        heartbeat.finish(horizon, &sinks.observer, sinks.watchdog.as_ref())?;
         let path = &opts.values["heartbeat"];
         if path != "-" {
             println!("heartbeat log written to {path}");
@@ -1000,16 +926,9 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
     let mut table = Table::new(vec!["quantity", "value"]);
     table.row(vec!["algorithm".into(), algo.to_string()]);
     table.row(vec!["nodes / diameter".into(), format!("{n} / {d}")]);
-    // Without per-event sampling (--threads, no observer) the observer only
-    // saw the horizon snapshot: its "worst" skews are end-of-run values.
-    let (global_label, local_label) = if sinks.per_event {
-        ("worst global skew", "worst local skew")
-    } else {
-        ("global skew at horizon", "local skew at horizon")
-    };
     let (g_ahead, g_behind) = observer.worst_global_pair();
     table.row(vec![
-        global_label.into(),
+        "worst global skew".into(),
         format!(
             "{:.6}  (v{g_ahead} − v{g_behind} at t = {:.2})",
             observer.worst_global(),
@@ -1018,7 +937,7 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
     ]);
     let (l_ahead, l_behind) = observer.worst_local_pair();
     table.row(vec![
-        local_label.into(),
+        "worst local skew".into(),
         format!(
             "{:.6}  (v{l_ahead} − v{l_behind} at t = {:.2})",
             observer.worst_local(),
@@ -1411,7 +1330,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             "trace needs an action (summary|blame|export) and an event-log path".to_string(),
         );
     };
-    let opts = Options::parse(rest)?;
+    let opts = Options::parse(rest, "trace", TRACE_USAGE)?;
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     // Binary flight-recorder dumps (`GCSREC01` magic) decode straight to
     // events; everything else is the JSONL event-log format.
@@ -1499,7 +1418,7 @@ fn cmd_bench(args: &[String]) -> Result<bool, String> {
     if action != "diff" {
         return Err(format!("unknown bench action `{action}` (expected diff)"));
     }
-    let opts = Options::parse(rest)?;
+    let opts = Options::parse(rest, "bench", BENCH_USAGE)?;
     let tolerance = opts.f64_or("tolerance", 0.05)?;
     if !(tolerance >= 0.0 && tolerance.is_finite()) {
         return Err(format!(
@@ -1597,11 +1516,7 @@ struct LocalConstruction<'a>(&'a LocalLowerBound);
 impl ProtocolVisitor for LocalConstruction<'_> {
     type Output = Vec<StageReport>;
 
-    fn visit<P>(self, protocols: Vec<P>) -> Vec<StageReport>
-    where
-        P: Protocol + Send,
-        P::Msg: Send,
-    {
+    fn visit<P: Protocol>(self, protocols: Vec<P>) -> Vec<StageReport> {
         self.0.run(|_| protocols)
     }
 }
@@ -1617,8 +1532,7 @@ fn cmd_chaos(args: &[String]) -> Result<bool, String> {
         Some((first, more)) if !first.starts_with("--") => (Some(first.as_str()), more),
         _ => (None, rest),
     };
-    let opts = Options::parse(flags)?;
-    let threads = opts.usize_or("threads", 1)?.max(1);
+    let opts = Options::parse(flags, "chaos", CHAOS_USAGE)?;
     let need_path = || path.ok_or_else(|| format!("chaos {sub} needs a FILE.chaos argument"));
     let load = |p: &str| -> Result<ChaosSpec, String> {
         let text = std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"))?;
@@ -1628,7 +1542,7 @@ fn cmd_chaos(args: &[String]) -> Result<bool, String> {
         "run" => {
             let p = need_path()?;
             let spec = load(p)?;
-            let out = run_scenario(&spec, threads)?;
+            let out = run_scenario(&spec)?;
             print_chaos_outcome(&out);
             // A tripped oracle leaves its flight-recorder window next to
             // the scenario (or wherever --dump-recorder points): the
@@ -1652,7 +1566,6 @@ fn cmd_chaos(args: &[String]) -> Result<bool, String> {
                 scenarios: opts.usize_or("scenarios", 1000)?,
                 start_seed: opts.u64_or("start-seed", 1)?,
                 workers: opts.usize_or("jobs", 0)?,
-                threads,
                 shrink: !opts.flag("no-shrink"),
             };
             println!(
@@ -1688,7 +1601,7 @@ fn cmd_chaos(args: &[String]) -> Result<bool, String> {
                         // Re-run the (shrunk) reproducer once to capture
                         // its flight-recorder window — the minimal causal
                         // event dump — next to the fixture.
-                        if let Ok(rerun) = run_scenario(spec, threads) {
+                        if let Ok(rerun) = run_scenario(spec) {
                             if let Some(events) = &rerun.recorder_window {
                                 let dump = format!("{dir}/finding-{}.dump.jsonl", f.seed);
                                 write_jsonl(&dump, events).map_err(|e| {
@@ -1710,7 +1623,7 @@ fn cmd_chaos(args: &[String]) -> Result<bool, String> {
         "shrink" => {
             let p = need_path()?;
             let spec = load(p)?;
-            let res = shrink_scenario(&spec, threads)?;
+            let res = shrink_scenario(&spec)?;
             let out_path = match opts.values.get("out") {
                 Some(o) => o.clone(),
                 None => format!("{}.min.chaos", p.strip_suffix(".chaos").unwrap_or(p)),
@@ -1737,7 +1650,7 @@ fn cmd_chaos(args: &[String]) -> Result<bool, String> {
         "replay" => {
             let p = need_path()?;
             let spec = load(p)?;
-            let out = run_scenario(&spec, threads)?;
+            let out = run_scenario(&spec)?;
             let observed = out
                 .violation
                 .as_ref()

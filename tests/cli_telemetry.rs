@@ -2,16 +2,13 @@
 //! binary driven end to end via `CARGO_BIN_EXE_gcs`.
 //!
 //! Covered contracts:
-//! * `gcs run --threads 4 --metrics --watchdog` produces metrics JSON and
-//!   watchdog verdicts byte/field-identical to the sequential run (the
-//!   ISSUE-6 acceptance criterion);
+//! * `gcs run --metrics --watchdog` produces metrics JSON and watchdog
+//!   verdicts byte-identical across repeated same-seed runs;
 //! * `--heartbeat` streams with `--deterministic-heartbeat` are
-//!   byte-identical across `--threads 1/2/4` and across repeated
-//!   same-seed runs, with wall-clock fields zeroed;
+//!   byte-identical across repeated same-seed runs, with wall-clock fields
+//!   zeroed;
 //! * `gcs sweep --heartbeat` streams are byte-identical at any `--jobs`;
 //! * `gcs top` renders files and stdin, tolerating torn streams;
-//! * `--threads` with a no-lookahead delay model fails fast, and
-//!   `--allow-sequential-fallback` is the escape hatch;
 //! * `gcs bench diff` exits 0 / 1 / 2 for clean / regressed / malformed
 //!   comparisons;
 //! * `--profile-json` emits a parseable `gcs-profile/v1` object.
@@ -45,8 +42,7 @@ fn read(path: &PathBuf) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path:?}: {e}"))
 }
 
-/// A fixed-seed parallelizable run: constant delays promise a lookahead,
-/// so `--threads K>1` executes real parallel windows.
+/// A fixed-seed run under constant delays and gradient rates.
 const CONST_RUN: &[&str] = &[
     "run",
     "--topology",
@@ -64,51 +60,41 @@ const CONST_RUN: &[&str] = &[
 ];
 
 #[test]
-fn parallel_metrics_and_watchdog_match_sequential() {
-    let run = |threads: &str, metrics: &PathBuf| {
+fn metrics_and_watchdog_are_byte_identical_across_repeats() {
+    let run = |metrics: &PathBuf| {
         let metrics = metrics.to_str().unwrap().to_string();
         let mut args: Vec<&str> = CONST_RUN.to_vec();
-        args.extend_from_slice(&["--threads", threads, "--watchdog", "--metrics", &metrics]);
+        args.extend_from_slice(&["--watchdog", "--metrics", &metrics]);
         let output = gcs(&args);
-        assert!(
-            output.status.success(),
-            "run --threads {threads} failed: {}",
-            stderr(&output)
-        );
+        assert!(output.status.success(), "run failed: {}", stderr(&output));
         stdout(&output)
     };
-    let m1 = tmp("metrics-t1.json");
-    let m4 = tmp("metrics-t4.json");
-    let out1 = run("1", &m1);
-    let out4 = run("4", &m4);
-    let (json1, json4) = (read(&m1), read(&m4));
+    let (m1, m2) = (tmp("metrics-1.json"), tmp("metrics-2.json"));
+    let (out1, out2) = (run(&m1), run(&m2));
+    let json1 = read(&m1);
     assert!(json1.starts_with("{\"schema\":\"gcs-metrics/v1\""));
-    assert_eq!(json1, json4, "metrics JSON must be byte-identical");
-    for out in [&out1, &out4] {
-        assert!(out.contains("watchdog: all invariants held"), "{out}");
-        assert!(out.contains("worst global skew"), "{out}");
-    }
+    assert_eq!(json1, read(&m2), "metrics JSON must be byte-identical");
+    assert!(out1.contains("watchdog: all invariants held"), "{out1}");
+    assert!(out1.contains("worst global skew"), "{out1}");
     // The report tables (skews, message counts, metrics snapshot) agree
-    // line for line; only thread-dependent notes may differ.
+    // line for line; only the metrics file names differ.
     let table = |s: &str| -> Vec<String> {
         s.lines()
             .filter(|l| l.contains("skew") || l.contains("events") || l.contains("deliveries"))
             .map(str::to_string)
             .collect()
     };
-    assert_eq!(table(&out1), table(&out4));
+    assert_eq!(table(&out1), table(&out2));
     let _ = std::fs::remove_file(m1);
-    let _ = std::fs::remove_file(m4);
+    let _ = std::fs::remove_file(m2);
 }
 
 #[test]
-fn deterministic_heartbeats_are_byte_identical_across_threads_and_repeats() {
-    let run = |threads: &str, path: &PathBuf| {
+fn deterministic_heartbeats_are_byte_identical_across_repeats() {
+    let run = |path: &PathBuf| {
         let hb = path.to_str().unwrap().to_string();
         let mut args: Vec<&str> = CONST_RUN.to_vec();
         args.extend_from_slice(&[
-            "--threads",
-            threads,
             "--heartbeat",
             &hb,
             "--heartbeat-every",
@@ -118,8 +104,8 @@ fn deterministic_heartbeats_are_byte_identical_across_threads_and_repeats() {
         let output = gcs(&args);
         assert!(output.status.success(), "{}", stderr(&output));
     };
-    let base = tmp("hb-t1.jsonl");
-    run("1", &base);
+    let base = tmp("hb-1.jsonl");
+    run(&base);
     let reference = read(&base);
     assert!(reference.lines().count() >= 10, "expected a real stream");
     assert!(reference.contains("\"kind\":\"summary\""));
@@ -128,21 +114,11 @@ fn deterministic_heartbeats_are_byte_identical_across_threads_and_repeats() {
             line.contains("\"wall_ms\":0,\"events_per_sec\":0"),
             "{line}"
         );
-        assert!(
-            !line.contains("\"threads\""),
-            "deterministic summaries omit wall-derived parallel fields: {line}"
-        );
     }
-    for threads in ["1", "2", "4"] {
-        let path = tmp(&format!("hb-t{threads}-again.jsonl"));
-        run(threads, &path);
-        assert_eq!(
-            read(&path),
-            reference,
-            "--threads {threads}: heartbeat stream diverged"
-        );
-        let _ = std::fs::remove_file(path);
-    }
+    let again = tmp("hb-2.jsonl");
+    run(&again);
+    assert_eq!(read(&again), reference, "heartbeat stream diverged");
+    let _ = std::fs::remove_file(again);
     let _ = std::fs::remove_file(base);
 }
 
@@ -217,39 +193,6 @@ fn top_renders_files_and_stdin() {
     assert!(output.status.success());
     assert!(stdout(&output).contains("1 line(s) skipped"));
     let _ = std::fs::remove_file(hb);
-}
-
-#[test]
-fn threads_without_lookahead_fail_fast_unless_fallback_allowed() {
-    // Uniform random delays have a zero delay floor: no lookahead, no
-    // parallel execution. Asking for threads must be a hard error ...
-    let output = gcs(&[
-        "run",
-        "--topology",
-        "path:6",
-        "--horizon",
-        "20",
-        "--threads",
-        "2",
-    ]);
-    assert!(!output.status.success());
-    let err = stderr(&output);
-    assert!(err.contains("no positive delay lower bound"), "{err}");
-    assert!(err.contains("--allow-sequential-fallback"), "{err}");
-
-    // ... and the escape hatch downgrades to a sequential run, loudly.
-    let output = gcs(&[
-        "run",
-        "--topology",
-        "path:6",
-        "--horizon",
-        "20",
-        "--threads",
-        "2",
-        "--allow-sequential-fallback",
-    ]);
-    assert!(output.status.success(), "{}", stderr(&output));
-    assert!(stderr(&output).contains("running sequentially"));
 }
 
 #[test]
@@ -344,7 +287,7 @@ fn committed_bench_artifacts_diff_clean_against_themselves() {
 #[test]
 fn profile_json_is_emitted_and_consistent() {
     let mut args: Vec<&str> = CONST_RUN.to_vec();
-    args.extend_from_slice(&["--threads", "2", "--profile-json", "-"]);
+    args.extend_from_slice(&["--profile-json", "-"]);
     let output = gcs(&args);
     assert!(output.status.success(), "{}", stderr(&output));
     let text = stdout(&output);
@@ -355,10 +298,8 @@ fn profile_json_is_emitted_and_consistent() {
     for field in [
         "\"events\":",
         "\"dispatch_seconds\":",
-        "\"par_workers\":2",
-        "\"par_windows\":",
-        "\"par_replay_seconds\":",
-        "\"par_wall_seconds\":",
+        "\"snapshot_seconds\":",
+        "\"other_seconds\":",
     ] {
         assert!(line.contains(field), "missing {field} in {line}");
     }

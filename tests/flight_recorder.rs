@@ -4,16 +4,15 @@
 //!
 //! Covered contracts:
 //! * the recorder dump of the golden F2 wavefront fixture is byte-identical
-//!   to the recorded event stream at `--threads 1/2/4` and across repeated
-//!   same-seed runs (the ISSUE-8 acceptance criterion);
+//!   to the recorded event stream and across repeated same-seed runs;
 //! * a binary `.gcsrec` dump round-trips through `gcs trace summary`
 //!   identically to the JSONL form;
 //! * a crafted watchdog violation (`--kappa-factor 0.05`) dumps a window
 //!   whose `gcs trace blame` chain names the same peak local-skew pair as
 //!   the run's own online observer;
-//! * `gcs chaos run` attaches a dump on violation, identical at 1 and 4
-//!   threads, and `gcs trace blame` processes it end to end;
-//! * `--skew-field` streams are byte-identical across thread counts and
+//! * `gcs chaos run` attaches a dump on violation, identical across
+//!   reruns, and `gcs trace blame` processes it end to end;
+//! * `--skew-field` streams are byte-identical across same-seed reruns and
 //!   render under `gcs top`.
 
 use std::path::PathBuf;
@@ -68,18 +67,14 @@ const WAVEFRONT: &[&str] = &[
 ];
 
 #[test]
-fn recorder_dump_is_golden_and_thread_count_invariant() {
-    let run_dump = |name: &str, threads: &str| {
+fn recorder_dump_is_golden_and_reproducible() {
+    let run_dump = |name: &str| {
         let dump = tmp(name);
         let dump_str = dump.to_str().unwrap().to_string();
         let mut args: Vec<&str> = WAVEFRONT.to_vec();
-        args.extend(["--dump-recorder", &dump_str, "--threads", threads]);
+        args.extend(["--dump-recorder", &dump_str]);
         let run = gcs(&args);
-        assert!(
-            run.status.success(),
-            "run --threads {threads} failed: {}",
-            stderr(&run)
-        );
+        assert!(run.status.success(), "run failed: {}", stderr(&run));
         assert!(
             stdout(&run).contains("recorder dump written to"),
             "{}",
@@ -90,24 +85,14 @@ fn recorder_dump_is_golden_and_thread_count_invariant() {
         text
     };
 
-    let t1 = run_dump("golden-t1.jsonl", "1");
+    let first = run_dump("golden.jsonl");
     assert_eq!(
-        t1, FIXTURE,
+        first, FIXTURE,
         "the recorder window of the F2 run must reproduce the golden stream byte-for-byte"
     );
     assert_eq!(
-        t1,
-        run_dump("golden-t2.jsonl", "2"),
-        "--threads 2 dump diverged"
-    );
-    assert_eq!(
-        t1,
-        run_dump("golden-t4.jsonl", "4"),
-        "--threads 4 dump diverged"
-    );
-    assert_eq!(
-        t1,
-        run_dump("golden-rerun.jsonl", "1"),
+        first,
+        run_dump("golden-rerun.jsonl"),
         "same-seed rerun diverged"
     );
 }
@@ -222,39 +207,30 @@ fault = rate:5..40:0..1:0.9
 ";
 
 #[test]
-fn chaos_violation_dump_is_thread_invariant_and_blameable() {
+fn chaos_violation_dump_is_reproducible_and_blameable() {
     let spec = tmp("attack.chaos");
     let spec_str = spec.to_str().unwrap().to_string();
     std::fs::write(&spec, RATE_ATTACK).unwrap();
 
-    let run_dump = |name: &str, threads: &str| {
+    let run_dump = |name: &str| {
         let dump = tmp(name);
         let dump_str = dump.to_str().unwrap().to_string();
-        let output = gcs(&[
-            "chaos",
-            "run",
-            &spec_str,
-            "--threads",
-            threads,
-            "--dump-recorder",
-            &dump_str,
-        ]);
+        let output = gcs(&["chaos", "run", &spec_str, "--dump-recorder", &dump_str]);
         // An expected violation is exit 0 — not a finding.
-        assert!(
-            output.status.success(),
-            "chaos run --threads {threads}: {}",
-            stderr(&output)
-        );
+        assert!(output.status.success(), "chaos run: {}", stderr(&output));
         let out = stdout(&output);
         assert!(out.contains("recorder dump written to"), "{out}");
         let text = read(&dump);
         let _ = std::fs::remove_file(&dump);
-        (text, dump_str)
+        text
     };
 
-    let (t1, dump1) = run_dump("chaos-t1.jsonl", "1");
-    let (t4, _) = run_dump("chaos-t4.jsonl", "4");
-    assert_eq!(t1, t4, "chaos dumps must be thread-count invariant");
+    let t1 = run_dump("chaos-1.jsonl");
+    assert_eq!(
+        t1,
+        run_dump("chaos-2.jsonl"),
+        "chaos dumps must be reproducible"
+    );
     assert!(!t1.is_empty());
 
     // The dump feeds the full forensics pipeline end to end.
@@ -288,39 +264,25 @@ fn chaos_violation_dump_is_thread_invariant_and_blameable() {
     );
     let _ = std::fs::remove_file(&default_dump);
     let _ = std::fs::remove_file(&spec);
-    let _ = dump1;
 }
 
 #[test]
-fn skew_field_stream_is_thread_invariant_and_renders() {
-    let run_field = |name: &str, threads: &str| {
+fn skew_field_stream_is_reproducible_and_renders() {
+    let run_field = |name: &str| {
         let field = tmp(name);
         let field_str = field.to_str().unwrap().to_string();
         let mut args: Vec<&str> = WAVEFRONT.to_vec();
-        args.extend(["--skew-field", &field_str, "--threads", threads]);
+        args.extend(["--skew-field", &field_str]);
         let run = gcs(&args);
-        assert!(
-            run.status.success(),
-            "run --threads {threads} failed: {}",
-            stderr(&run)
-        );
+        assert!(run.status.success(), "run failed: {}", stderr(&run));
         assert!(stdout(&run).contains("skew-field log written to"));
         let text = read(&field);
         let _ = std::fs::remove_file(&field);
         text
     };
 
-    let t1 = run_field("field-t1.jsonl", "1");
-    assert_eq!(
-        t1,
-        run_field("field-t2.jsonl", "2"),
-        "--threads 2 stream diverged"
-    );
-    assert_eq!(
-        t1,
-        run_field("field-t4.jsonl", "4"),
-        "--threads 4 stream diverged"
-    );
+    let t1 = run_field("field-1.jsonl");
+    assert_eq!(t1, run_field("field-2.jsonl"), "same-seed rerun diverged");
 
     // Every line is a schema-tagged JSON record; the stream ends in a
     // summary carrying the run-worst edge.

@@ -33,8 +33,8 @@ impl<M: DelayModel> DelayModel for HideFloor<M> {
         self.0.uncertainty()
     }
 
-    // `min_delay` stays at the default `None`: same delays, no lookahead
-    // promise, plain-heap queue.
+    // `min_delay` stays at the default `None`: same delays, plain-heap
+    // queue.
 }
 
 /// Sink that streams deterministic heartbeats from engine snapshots and

@@ -7,7 +7,7 @@
 //! The matrix covers every registry protocol (including `jump`, whose
 //! clocks jump forward), six topology families at sizes 1 to 512, four
 //! delay models, three rate families and several seeds, plus external rate
-//! overrides and the threaded driver's replayed snapshots.
+//! overrides.
 
 use clock_sync::analysis::SkewObserver;
 use clock_sync::graph::NodeId;
@@ -115,8 +115,6 @@ enum Drive {
     /// Override a few hardware rates between steps (`set_hardware_rate`
     /// touches outside any dispatch).
     RateOverrides,
-    /// `run_until_threaded` on two threads.
-    Threaded,
     /// Advance in steps of 0.05 and re-rate a few nodes after each, so
     /// clocks keep overtaking each other while most certificates run to
     /// their expiry instead of being cut short by the node's own events.
@@ -132,11 +130,7 @@ struct Case {
 impl ProtocolVisitor for Case {
     type Output = u64;
 
-    fn visit<P>(self, protocols: Vec<P>) -> u64
-    where
-        P: Protocol + Send,
-        P::Msg: Send,
-    {
+    fn visit<P: Protocol>(self, protocols: Vec<P>) -> u64 {
         let Case {
             scenario: sc,
             label,
@@ -159,7 +153,6 @@ impl ProtocolVisitor for Case {
         engine.wake_all_at(0.0);
         match drive {
             Drive::Plain => engine.run_until(horizon),
-            Drive::Threaded => engine.run_until_threaded(horizon, 2),
             Drive::RateOverrides => {
                 let mut k = 0usize;
                 while engine.next_event_time().is_some_and(|t| t <= horizon) {
@@ -287,7 +280,7 @@ fn event_local_observation_matches_at_large_n() {
 }
 
 #[test]
-fn event_local_observation_matches_under_rate_overrides_and_threads() {
+fn event_local_observation_matches_under_rate_overrides() {
     for algo in ALGOS {
         for (topology, seed) in [("path:9", 1), ("ring:12", 2), ("grid:4x4", 3)] {
             run_case(
@@ -299,7 +292,6 @@ fn event_local_observation_matches_under_rate_overrides_and_threads() {
                 6.0,
                 Drive::RateOverrides,
             );
-            run_case(algo, topology, "const", "walk", seed, 6.0, Drive::Threaded);
         }
     }
 }

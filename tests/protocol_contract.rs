@@ -56,11 +56,7 @@ struct Contract {
 impl ProtocolVisitor for Contract {
     type Output = u64;
 
-    fn visit<P>(self, protocols: Vec<P>) -> u64
-    where
-        P: Protocol + Send,
-        P::Msg: Send,
-    {
+    fn visit<P: Protocol>(self, protocols: Vec<P>) -> u64 {
         let Contract {
             scenario: sc,
             label,

@@ -40,7 +40,7 @@ fn via_run(algo: &str, watchdog: bool) -> Result<Outcome, String> {
     if watchdog {
         sinks.watchdog = Some(scenario.watchdog());
     }
-    scenario.run(algo, sinks, 1, false)
+    scenario.run(algo, sinks, false)
 }
 
 fn via_job(algo: &str, watchdog: bool) -> Result<JobResult, String> {
@@ -73,7 +73,7 @@ fn via_chaos(algo: &str) -> Result<ScenarioOutcome, String> {
         faults: Vec::new(),
         violation: None,
     };
-    run_scenario(&spec, 1)
+    run_scenario(&spec)
 }
 
 fn gcs(args: &[&str]) -> Output {
