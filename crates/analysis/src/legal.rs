@@ -66,6 +66,11 @@ pub struct LegalStateChecker {
     /// Worst (smallest) slack `bound − skew` seen per level.
     margins: Vec<f64>,
     first_violation: Option<LegalStateViolation>,
+    /// How far a margin may go negative before it is a violation: 1e-9,
+    /// absolute, in clock units. It is not ulp-relative, so it holds only
+    /// while one rounding step of a clock value stays below it: from
+    /// L ≥ 2²³ ≈ 8.4·10⁶ one ulp (2⁻²⁹ ≈ 1.9·10⁻⁹) exceeds it, and a single
+    /// rounding could read as a violation.
     tolerance: f64,
 }
 

@@ -413,6 +413,16 @@ impl MetricsRegistry {
 /// * a `global_skew` histogram sampling the clock spread after every event,
 /// * `time.last` — the real time of the latest observation.
 ///
+/// Events arrive through [`EventSink::record`]; the post-event state
+/// arrives through [`MetricsSink::observe`]: the time, the global skew
+/// `max − min`, and the queue depth. Inside `gcs_sweep::SinkSet` the sink
+/// is fed event-locally: the set's skew observer already tracks the
+/// current extremes ([`crate::SkewObserver::current_global`]), so the
+/// metrics never ask the engine for a clock vector. Installed on its own,
+/// the sink asks for snapshots and folds each clock vector into
+/// `max − min` itself ([`EventSink::snapshot`]); both feeds give
+/// bit-identical registries.
+///
 /// The hot path touches **no registry maps**: the standard metrics live in
 /// preresolved fields (an `events.*` counter array indexed by
 /// [`EngineEvent::kind_index`], owned histograms) and are folded into the
@@ -539,6 +549,20 @@ impl MetricsSink {
         self.window_events = 0;
     }
 
+    /// Records the state after one event: real time `t`, the global skew
+    /// `max − min` over all clocks (`None` for an empty clock vector, which
+    /// records no skew sample) and the event-queue depth.
+    #[inline]
+    pub fn observe(&mut self, t: f64, global: Option<f64>, queue_depth: usize) {
+        self.time_last = t;
+        self.queue_last = queue_depth as f64;
+        self.seen_snapshot = true;
+        self.queue_depth.record(queue_depth as f64);
+        if let Some(global) = global {
+            self.global_skew.record(global);
+        }
+    }
+
     fn roll_rate_window(&mut self, t: f64) {
         while t >= self.window_start + self.window {
             let rate = self.window_events as f64 / self.window;
@@ -582,19 +606,13 @@ impl EventSink for MetricsSink {
 
     #[inline]
     fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
-        self.time_last = t;
-        self.queue_last = queue_depth as f64;
-        self.seen_snapshot = true;
-        self.queue_depth.record(queue_depth as f64);
         let mut max = f64::NEG_INFINITY;
         let mut min = f64::INFINITY;
         for &c in clocks {
             max = max.max(c);
             min = min.min(c);
         }
-        if max >= min {
-            self.global_skew.record(max - min);
-        }
+        self.observe(t, (max >= min).then_some(max - min), queue_depth);
     }
 }
 
@@ -722,6 +740,26 @@ mod tests {
         assert_eq!(r.gauge_value("queue_depth.last"), Some(3.0));
         let skew = r.histogram_ref("global_skew").unwrap();
         assert_eq!(skew.max(), Some(0.25));
+    }
+
+    #[test]
+    fn observe_matches_a_clock_vector_snapshot() {
+        let mut vector = MetricsSink::new();
+        let mut local = MetricsSink::new();
+        for (t, clocks, depth) in [
+            (0.0, &[0.0, 0.0][..], 2),
+            (0.5, &[0.75, 0.5][..], 4),
+            (1.5, &[][..], 0),
+        ] {
+            vector.snapshot(t, clocks, depth);
+            let global = match clocks {
+                [] => None,
+                _ => Some(clocks[0].max(clocks[1]) - clocks[0].min(clocks[1])),
+            };
+            local.observe(t, global, depth);
+        }
+        assert_eq!(vector.registry().to_json(), local.registry().to_json());
+        assert_eq!(vector.render(), local.render());
     }
 
     #[test]

@@ -79,6 +79,9 @@ pub struct SkewObserver {
     worst_local_at: f64,
     worst_global_pair: (usize, usize),
     worst_local_pair: (usize, usize),
+    /// `max − min` at the latest observation (`None` before the first one
+    /// and on an empty clock vector).
+    current_global: Option<f64>,
     series_interval: Option<f64>,
     next_sample_at: f64,
     series: Vec<SkewSample>,
@@ -108,6 +111,7 @@ impl SkewObserver {
             worst_local_at: 0.0,
             worst_global_pair: (0, 0),
             worst_local_pair: (0, 0),
+            current_global: None,
             series_interval: None,
             next_sample_at: 0.0,
             series: Vec::new(),
@@ -166,6 +170,7 @@ impl SkewObserver {
             }
         }
         let global = max - min;
+        self.current_global = (max >= min).then_some(global);
         let mut local: f64 = 0.0;
         let mut local_pair = (0, 0);
         for &(a, b) in &self.edges {
@@ -239,6 +244,7 @@ impl SkewObserver {
             self.pace(reading.work, n);
         }
         let global = reading.max - reading.min;
+        self.current_global = Some(global);
         if global > self.worst_global {
             self.worst_global = global;
             self.worst_global_at = t;
@@ -293,6 +299,14 @@ impl SkewObserver {
     /// The largest neighbour skew seen so far.
     pub fn worst_local(&self) -> f64 {
         self.worst_local
+    }
+
+    /// The global skew `max − min` over all clocks at the latest
+    /// observation, as either path computed it — bit-identical to a fold
+    /// over the full clock vector. `None` before the first observation and
+    /// for an empty graph.
+    pub fn current_global(&self) -> Option<f64> {
+        self.current_global
     }
 
     /// When the worst global skew occurred.
@@ -498,6 +512,11 @@ mod tests {
             );
             assert_eq!(full.worst_local_at(), local.worst_local_at(), "{ctx}");
             assert_eq!(full.worst_local_pair(), local.worst_local_pair(), "{ctx}");
+            assert_eq!(
+                full.current_global().map(f64::to_bits),
+                local.current_global().map(f64::to_bits),
+                "{ctx}"
+            );
         }
         assert_eq!(full.series(), local.series());
         assert_eq!(full.observations(), local.observations());

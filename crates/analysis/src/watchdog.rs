@@ -157,6 +157,9 @@ impl WatchdogTrip {
 pub struct InvariantWatchdog {
     drift: DriftBounds,
     envelope: RateEnvelope,
+    /// The Condition (1)/(2) checkers' slack: 1e-9 absolute, the same as
+    /// the legal-state checker's, and with the same limit — from clock
+    /// values L ≥ 2²³ ≈ 8.4·10⁶ one ulp (1.9·10⁻⁹) exceeds it.
     tolerance: f64,
     /// Per-node Condition (1) checker, created when the node wakes (the
     /// envelope needs the initialization time `t_v`).

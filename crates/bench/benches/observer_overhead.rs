@@ -18,7 +18,10 @@
 //! the default `gcs run` scenario at n = 32 and n = 4096, against the bare
 //! engine. The observer works event-locally, so its per-event cost must
 //! not grow with n the way a per-event `O(n)` clock scan does; CI gates the
-//! n = 4096 ratio.
+//! n = 4096 ratio. The `gcs_run_sinks_metrics_n4096` row adds the metrics
+//! sink (`gcs run --metrics`), which the set feeds from the same
+//! event-local hook; CI gates it at the same bound, so metrics cannot
+//! quietly go back to a per-event clock vector.
 
 use criterion::{BatchSize, Criterion};
 use gcs_adversary::WavefrontDelay;
@@ -252,9 +255,27 @@ fn recorder_steady_ratio(n: usize, window: u64, reps: usize) -> f64 {
 /// the recorder's, with the default `gcs run` sink set on the default
 /// `gcs run` scenario.
 fn gcs_run_sinks_steady_ratio(n: usize, window: u64, reps: usize) -> f64 {
+    sink_set_steady_ratio(n, window, reps, false)
+}
+
+/// The `gcs_run_sinks_metrics` row: the `gcs_run_sinks` measurement with
+/// the metrics sink added (`gcs run --metrics`), which the set feeds
+/// event-locally.
+fn gcs_run_sinks_metrics_steady_ratio(n: usize, window: u64, reps: usize) -> f64 {
+    sink_set_steady_ratio(n, window, reps, true)
+}
+
+fn sink_set_steady_ratio(n: usize, window: u64, reps: usize, metrics: bool) -> f64 {
+    let mut set = SinkSet::new(&topology::path(n));
+    set.metrics = metrics.then(MetricsSink::new);
+    let what = if metrics {
+        "gcs run sinks + metrics"
+    } else {
+        "gcs run sinks"
+    };
     let mut base = gcs_run_engine(n, NullSink);
-    let mut sinks = gcs_run_engine(n, SinkSet::new(&topology::path(n)));
-    let ratio = paired_steady_ratio(&mut base, &mut sinks, window, reps, "gcs run sinks", n);
+    let mut sinks = gcs_run_engine(n, set);
+    let ratio = paired_steady_ratio(&mut base, &mut sinks, window, reps, what, n);
     criterion::black_box(sinks.sink().observer.worst_global());
     ratio
 }
@@ -393,6 +414,10 @@ fn main() {
     report.metric(
         "overhead_ratio/gcs_run_sinks_n4096",
         best_of(gcs_run_sinks_steady_ratio, N_LARGE, 5_000, 75),
+    );
+    report.metric(
+        "overhead_ratio/gcs_run_sinks_metrics_n4096",
+        best_of(gcs_run_sinks_metrics_steady_ratio, N_LARGE, 5_000, 75),
     );
     match report.write() {
         Ok(path) => println!("machine-readable results written to {path}"),

@@ -830,6 +830,16 @@ impl RecorderSink {
         }
     }
 
+    /// Forgets every recorded event, keeping the rings' memory: the
+    /// recorder then behaves exactly like a fresh one of its geometry.
+    pub fn clear(&mut self) {
+        for ring in &mut self.partitions {
+            ring.head = 0;
+        }
+        self.wakes.clear();
+        self.seq = 0;
+    }
+
     /// Total events recorded over the recorder's lifetime (including
     /// frames already evicted from the window).
     pub fn recorded(&self) -> u64 {
@@ -1168,6 +1178,24 @@ mod tests {
         assert_eq!(rec.recorded(), events.len() as u64);
         assert_eq!(rec.window_len(), events.len());
         assert_eq!(rec.window_events(), events);
+    }
+
+    #[test]
+    fn a_cleared_recorder_records_like_a_fresh_one() {
+        let events = all_events();
+        let mut reused = RecorderSink::with_geometry(2, 4);
+        for event in events.iter().chain(&events) {
+            reused.record(event);
+        }
+        reused.clear();
+        assert_eq!((reused.recorded(), reused.window_len()), (0, 0));
+        let mut fresh = RecorderSink::with_geometry(2, 4);
+        for event in &events {
+            reused.record(event);
+            fresh.record(event);
+        }
+        assert_eq!(reused.recorded(), fresh.recorded());
+        assert_eq!(reused.window_frames(), fresh.window_frames());
     }
 
     #[test]

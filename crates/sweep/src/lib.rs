@@ -13,9 +13,11 @@
 //!   once, pick the protocol from the registry ([`with_protocols`]),
 //!   observe through one sink set, get one [`Outcome`].
 //! * [`run_job`] — one job on a **fresh engine** with a fresh per-job
-//!   observability stack (exact [`gcs_analysis::SkewObserver`],
-//!   [`gcs_analysis::MetricsSink`], optional
-//!   [`gcs_analysis::InvariantWatchdog`]). A job's result is a pure
+//!   [`SinkSet`]: the exact [`gcs_analysis::SkewObserver`], the flight
+//!   recorder, the set's event counter (the `events` column) and, with
+//!   `watchdog = true`, the [`gcs_analysis::InvariantWatchdog`]. Without
+//!   the watchdog a job never asks the engine for a clock vector outside
+//!   the observer's own full-scan stints. A job's result is a pure
 //!   function of its spec.
 //! * [`run_pool`] — the shared work queue. Panics are caught per job
 //!   ([`JobOutcome::Failed`]) and the pool keeps draining; completed

@@ -30,6 +30,13 @@ pub fn known_algo(name: &str) -> Result<(), String> {
 /// `path:N | ring:N | star:N | tree:N | complete:N | hypercube:DIM |
 /// grid:WxH | torus:WxH | er:N:P | geo:N:R`. Random families (`er`, `geo`)
 /// consume `seed`.
+///
+/// # Errors
+///
+/// An unknown family, a malformed size, and every size or parameter the
+/// family's constructor would reject: no nodes, a ring below 3 nodes, a
+/// torus side below 3, a hypercube dimension outside `1..64`, an `er`
+/// probability outside `[0, 1]`, a `geo` radius that is not positive.
 pub fn parse_topology(spec: &str, seed: u64) -> Result<Graph, String> {
     let mut parts = spec.split(':');
     let kind = parts.next().unwrap_or_default();
@@ -38,46 +45,82 @@ pub fn parse_topology(spec: &str, seed: u64) -> Result<Graph, String> {
     fn need<'a>(a: Option<&'a str>, spec: &str) -> Result<&'a str, String> {
         a.ok_or_else(|| format!("topology `{spec}` needs a size"))
     }
+    let invalid = |what: &str| format!("topology `{spec}`: {what}");
     let int = |s: &str| {
         s.parse::<usize>()
             .map_err(|_| format!("bad size in topology `{spec}`"))
     };
-    let dims = |s: &str| -> Result<(usize, usize), String> {
+    // A size of at least `min`.
+    let size = |s: Option<&str>, min: usize| -> Result<usize, String> {
+        let n = int(need(s, spec)?)?;
+        if n < min {
+            return Err(invalid(&format!("size must be at least {min}, got {n}")));
+        }
+        Ok(n)
+    };
+    let dims = |s: &str, min: usize| -> Result<(usize, usize), String> {
         let (w, h) = s
             .split_once('x')
             .ok_or_else(|| format!("topology `{spec}` needs WxH dimensions"))?;
-        Ok((int(w)?, int(h)?))
+        Ok((size(Some(w), min)?, size(Some(h), min)?))
     };
     match kind {
-        "path" => Ok(topology::path(int(need(arg, spec)?)?)),
-        "ring" => Ok(topology::cycle(int(need(arg, spec)?)?)),
-        "star" => Ok(topology::star(int(need(arg, spec)?)?)),
-        "tree" => Ok(topology::binary_tree(int(need(arg, spec)?)?)),
-        "complete" => Ok(topology::complete(int(need(arg, spec)?)?)),
-        "hypercube" => Ok(topology::hypercube(int(need(arg, spec)?)?)),
+        "path" => Ok(topology::path(size(arg, 1)?)),
+        "ring" => Ok(topology::cycle(size(arg, 3)?)),
+        "star" => Ok(topology::star(size(arg, 1)?)),
+        "tree" => Ok(topology::binary_tree(size(arg, 1)?)),
+        "complete" => Ok(topology::complete(size(arg, 1)?)),
+        "hypercube" => match size(arg, 1)? {
+            dim if dim < usize::BITS as usize => Ok(topology::hypercube(dim)),
+            dim => Err(invalid(&format!(
+                "dimension must be below {}, got {dim}",
+                usize::BITS
+            ))),
+        },
         "grid" => {
-            let (w, h) = dims(need(arg, spec)?)?;
+            let (w, h) = dims(need(arg, spec)?, 1)?;
             Ok(topology::grid(w, h))
         }
         "torus" => {
-            let (w, h) = dims(need(arg, spec)?)?;
+            let (w, h) = dims(need(arg, spec)?, 3)?;
             Ok(topology::torus(w, h))
         }
         "er" => {
-            let n = int(need(arg, spec)?)?;
+            let n = size(arg, 1)?;
             let p: f64 = need(arg2, spec)?
                 .parse()
                 .map_err(|_| format!("bad probability in `{spec}`"))?;
+            if !(0.0..=1.0).contains(&p) {
+                return Err(invalid(&format!("probability must lie in [0, 1], got {p}")));
+            }
             Ok(topology::erdos_renyi(n, p, seed))
         }
         "geo" => {
-            let n = int(need(arg, spec)?)?;
+            let n = size(arg, 1)?;
             let r: f64 = need(arg2, spec)?
                 .parse()
                 .map_err(|_| format!("bad radius in `{spec}`"))?;
+            if r.is_nan() || r <= 0.0 {
+                return Err(invalid(&format!("radius must be positive, got {r}")));
+            }
             Ok(topology::random_geometric(n, r, seed))
         }
         other => Err(format!("unknown topology `{other}`")),
+    }
+}
+
+/// The square-wave period of an `alternating[:PERIOD]` rates spec
+/// (default 10).
+fn alternating_period(arg: &str, spec: &str) -> Result<f64, String> {
+    if arg.is_empty() {
+        return Ok(10.0);
+    }
+    match arg.parse::<f64>() {
+        Ok(period) if period > 0.0 => Ok(period),
+        Ok(_) => Err(format!(
+            "period `{arg}` in rates spec `{spec}` must be positive"
+        )),
+        Err(_) => Err(format!("bad period `{arg}` in rates spec `{spec}`")),
     }
 }
 
@@ -86,15 +129,7 @@ pub fn parse_rates_kind(spec: &str) -> Result<(), String> {
     let (kind, arg) = spec.split_once(':').unwrap_or((spec, ""));
     match kind {
         "walk" | "split" | "distsplit" | "gradient" | "nominal" => Ok(()),
-        "alternating" => {
-            if arg.is_empty() {
-                Ok(())
-            } else {
-                arg.parse::<f64>()
-                    .map(|_| ())
-                    .map_err(|_| format!("bad period `{arg}` in rates spec `{spec}`"))
-            }
-        }
+        "alternating" => alternating_period(arg, spec).map(|_| ()),
         other => Err(format!("unknown rates spec `{other}`")),
     }
 }
@@ -125,11 +160,7 @@ pub fn build_rates(
         "gradient" => Ok(rates::gradient(n, drift)),
         "nominal" => Ok(rates::nominal(n)),
         "alternating" => {
-            let period: f64 = if arg.is_empty() {
-                10.0
-            } else {
-                arg.parse().map_err(|_| format!("bad period `{arg}`"))?
-            };
+            let period = alternating_period(arg, spec)?;
             Ok(rates::alternating(n, drift, period, horizon))
         }
         other => Err(format!("unknown rates spec `{other}`")),
@@ -279,6 +310,55 @@ mod tests {
         assert!(parse_topology("moebius:8", 1).is_err());
         assert!(parse_topology("grid:9", 1).is_err());
         assert!(parse_topology("path", 1).is_err());
+    }
+
+    #[test]
+    fn sizes_the_constructors_reject_are_errors() {
+        for spec in [
+            "path:0",
+            "ring:2",
+            "star:0",
+            "tree:0",
+            "complete:0",
+            "hypercube:0",
+            "hypercube:64",
+            "grid:0x3",
+            "torus:1x1",
+            "torus:3x2",
+            "er:0:0.5",
+            "er:5:2",
+            "er:5:nan",
+            "geo:5:0",
+            "geo:5:-1",
+            "geo:5:nan",
+        ] {
+            let err = parse_topology(spec, 1).expect_err(spec);
+            assert!(err.contains(&format!("`{spec}`")), "{spec}: {err}");
+        }
+        for spec in [
+            "path:1",
+            "ring:3",
+            "grid:1x1",
+            "torus:3x3",
+            "er:5:0",
+            "geo:5:1",
+        ] {
+            assert!(parse_topology(spec, 1).is_ok(), "{spec} should parse");
+        }
+    }
+
+    #[test]
+    fn alternating_periods_must_be_positive() {
+        let graph = topology::path(3);
+        let drift = DriftBounds::new(0.01).unwrap();
+        for spec in ["alternating:0", "alternating:-1", "alternating:nan"] {
+            let err = parse_rates_kind(spec).expect_err(spec);
+            assert!(err.contains(&format!("`{spec}`")), "{spec}: {err}");
+            let err = build_rates(spec, &graph, drift, 10.0, 0).expect_err(spec);
+            assert!(err.contains(&format!("`{spec}`")), "{spec}: {err}");
+        }
+        assert!(build_rates("alternating:2.5", &graph, drift, 10.0, 0).is_ok());
+        assert!(build_rates("alternating", &graph, drift, 10.0, 0).is_ok());
     }
 
     #[test]

@@ -261,10 +261,9 @@ pub struct Outcome {
 }
 
 /// Live `--heartbeat` state: the emitter plus the counters a beat
-/// reports.
+/// reports beyond the [`SinkSet`]'s own event count.
 pub struct Heartbeat {
     emitter: HeartbeatEmitter<Box<dyn Write + Send>>,
-    events: u64,
     timer_sets: u64,
     timer_fires: u64,
     timer_cancels: u64,
@@ -281,7 +280,6 @@ impl Heartbeat {
     pub fn new(out: Box<dyn Write + Send>, every: f64, deterministic: bool) -> Self {
         Heartbeat {
             emitter: HeartbeatEmitter::new(out, every, 0.0, deterministic),
-            events: 0,
             timer_sets: 0,
             timer_fires: 0,
             timer_cancels: 0,
@@ -293,7 +291,6 @@ impl Heartbeat {
     }
 
     fn record(&mut self, event: &EngineEvent) {
-        self.events += 1;
         match event {
             EngineEvent::TimerSet { .. } => self.timer_sets += 1,
             EngineEvent::TimerFire { .. } => self.timer_fires += 1,
@@ -310,12 +307,13 @@ impl Heartbeat {
         &self,
         t: f64,
         queue_depth: u64,
+        events: u64,
         observer: &SkewObserver,
         watchdog: Option<&InvariantWatchdog>,
     ) -> BeatInput {
         BeatInput {
             t,
-            events: self.events,
+            events,
             queue_depth,
             timers_armed: self
                 .timer_sets
@@ -337,31 +335,33 @@ impl Heartbeat {
         &mut self,
         t: f64,
         queue_depth: usize,
+        events: u64,
         observer: &SkewObserver,
         watchdog: Option<&InvariantWatchdog>,
     ) {
         self.last_queue_depth = queue_depth as u64;
         if self.emitter.due(t) && self.error.is_none() {
-            let input = self.input(t, queue_depth as u64, observer, watchdog);
+            let input = self.input(t, queue_depth as u64, events, observer, watchdog);
             if let Err(e) = self.emitter.beat(&input) {
                 self.error = Some(format!("heartbeat write failed: {e}"));
             }
         }
     }
 
-    /// Writes the final `summary` record at `t` and surfaces the first
-    /// write failure.
+    /// Writes the final `summary` record at `t`, from the state of the
+    /// `sinks` it was taken out of, and surfaces the first write failure.
     ///
     /// # Errors
     ///
     /// The first failed heartbeat write.
-    pub fn finish(
-        mut self,
-        t: f64,
-        observer: &SkewObserver,
-        watchdog: Option<&InvariantWatchdog>,
-    ) -> Result<(), String> {
-        let input = self.input(t, self.last_queue_depth, observer, watchdog);
+    pub fn finish(mut self, t: f64, sinks: &SinkSet) -> Result<(), String> {
+        let input = self.input(
+            t,
+            self.last_queue_depth,
+            sinks.recorded,
+            &sinks.observer,
+            sinks.watchdog.as_ref(),
+        );
         if let Err(e) = self.emitter.summary(&input) {
             self.error
                 .get_or_insert(format!("heartbeat write failed: {e}"));
@@ -374,19 +374,21 @@ impl Heartbeat {
 /// event stream and one per-event snapshot pass feed every consumer.
 ///
 /// The snapshot pass asks the engine for full clock vectors only when a
-/// consumer needs one (trace, metrics, watchdog, skew field) or the skew
+/// consumer reads every clock (trace, watchdog, skew field) or the skew
 /// observer is in one of its full-scan stints. Otherwise — the default
-/// `gcs run` composition of observer, recorder and optional event log or
-/// heartbeat — it takes the event-local hook: the observer updates its
-/// certificates from the touched nodes, and the heartbeat is paced from
-/// the same call.
+/// `gcs run` composition of observer, recorder and optional event log,
+/// heartbeat or metrics, and every sweep job without `watchdog` — it takes
+/// the event-local hook: the observer updates its certificates from the
+/// touched nodes, and the metrics and heartbeat are fed from the same call,
+/// the metrics' global skew from the observer's current extremes.
 pub struct SinkSet {
     /// Exact global/local skew observation (always on).
     pub observer: SkewObserver,
     /// The always-armed flight recorder: a bounded ring of recent events,
     /// dumped on trip, panic, or request.
     pub recorder: RecorderSink,
-    /// Metrics registry (`gcs run --metrics`; always on in sweep jobs).
+    /// Metrics registry (`gcs run --metrics`), fed event-locally: see
+    /// [`MetricsSink::observe`].
     pub metrics: Option<MetricsSink>,
     /// Conditions (1)/(2) and Def. 5.6 online (`--watchdog`, the sweep
     /// `watchdog` key; always on in chaos scenarios).
@@ -399,21 +401,34 @@ pub struct SinkSet {
     pub heartbeat: Option<Heartbeat>,
     /// `gcs-skewfield/v1` per-edge windows (`gcs run --skew-field`).
     pub skew_field: Option<SkewFieldWriter<Box<dyn Write + Send>>>,
+    /// Engine events recorded so far.
+    recorded: u64,
 }
 
 impl SinkSet {
     /// Observer and recorder only.
     pub fn new(graph: &Graph) -> Self {
+        SinkSet::with_recorder(graph, RecorderSink::new())
+    }
+
+    /// Observer and the given (empty) recorder only.
+    pub fn with_recorder(graph: &Graph, recorder: RecorderSink) -> Self {
         SinkSet {
             observer: SkewObserver::new(graph),
-            recorder: RecorderSink::new(),
+            recorder,
             metrics: None,
             watchdog: None,
             trace: None,
             events: None,
             heartbeat: None,
             skew_field: None,
+            recorded: 0,
         }
+    }
+
+    /// Engine events recorded so far (the sweep CSV `events` column).
+    pub fn recorded(&self) -> u64 {
+        self.recorded
     }
 
     /// Whether an attached watchdog tripped.
@@ -423,10 +438,15 @@ impl SinkSet {
 
     /// Whether some consumer reads the whole clock vector every event.
     fn needs_vectors(&self) -> bool {
-        self.trace.is_some()
-            || self.metrics.is_some()
-            || self.watchdog.is_some()
-            || self.skew_field.is_some()
+        self.trace.is_some() || self.watchdog.is_some() || self.skew_field.is_some()
+    }
+
+    /// Feeds the metrics the state after an event, once the observer has
+    /// seen it.
+    fn observe_metrics(&mut self, t: f64, queue_depth: usize) {
+        if let Some(m) = self.metrics.as_mut() {
+            m.observe(t, self.observer.current_global(), queue_depth);
+        }
     }
 }
 
@@ -437,6 +457,7 @@ impl EventSink for SinkSet {
     }
 
     fn record(&mut self, event: &EngineEvent) {
+        self.recorded += 1;
         self.recorder.record(event);
         self.events.record(event);
         self.metrics.record(event);
@@ -453,7 +474,7 @@ impl EventSink for SinkSet {
     fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
         self.observer.snapshot(t, clocks, queue_depth);
         self.trace.snapshot(t, clocks, queue_depth);
-        self.metrics.snapshot(t, clocks, queue_depth);
+        self.observe_metrics(t, queue_depth);
         self.watchdog.snapshot(t, clocks, queue_depth);
         if let Some(sf) = self.skew_field.as_mut() {
             sf.observe(t, clocks);
@@ -461,7 +482,8 @@ impl EventSink for SinkSet {
         // Last: a beat reports the observer's and watchdog's state after
         // this snapshot.
         if let Some(hb) = self.heartbeat.as_mut() {
-            hb.snapshot(t, queue_depth, &self.observer, self.watchdog.as_ref());
+            let watchdog = self.watchdog.as_ref();
+            hb.snapshot(t, queue_depth, self.recorded, &self.observer, watchdog);
         }
     }
 
@@ -477,8 +499,9 @@ impl EventSink for SinkSet {
         queue_depth: usize,
     ) {
         self.observer.observe_local(t, touched, clocks);
+        self.observe_metrics(t, queue_depth);
         if let Some(hb) = self.heartbeat.as_mut() {
-            hb.snapshot(t, queue_depth, &self.observer, None);
+            hb.snapshot(t, queue_depth, self.recorded, &self.observer, None);
         }
     }
 }

@@ -6,6 +6,13 @@
 //! Condition (2) (bounded progress): there are constants
 //! `0 < α ≤ 1 − ε` and `β ≥ 1 + ε` with
 //! `α (t' − t) ≤ L_v(t') − L_v(t) ≤ β (t' − t)` for all `t' ≥ t ≥ t_v`.
+//!
+//! Both checkers take an absolute `f64` tolerance. The online oracles
+//! (`gcs_analysis`'s invariant watchdog and legal-state checker) pass
+//! 1e-9. An absolute slack is sound only while it exceeds the rounding
+//! of the values compared: from clock values L ≥ 2²³ ≈ 8.4·10⁶, one ulp
+//! of L (2⁻²⁹ ≈ 1.9·10⁻⁹) is larger than 1e-9, and an ulp-relative
+//! tolerance is needed before a run reaches that scale.
 
 use crate::DriftBounds;
 
@@ -216,6 +223,18 @@ mod tests {
 
     fn drift() -> DriftBounds {
         DriftBounds::new(0.1).unwrap()
+    }
+
+    #[test]
+    fn the_oracles_absolute_tolerance_outgrows_one_ulp_only_below_2_pow_23() {
+        // The 1e-9 the watchdog passes exceeds one ulp of every clock
+        // value below 2²³ and falls short of it from 2²³ on.
+        let ulp = |x: f64| f64::from_bits(x.to_bits() + 1) - x;
+        let edge = 23f64.exp2();
+        let below = f64::from_bits(edge.to_bits() - 1);
+        assert!(ulp(below) < 1e-9);
+        assert_eq!(ulp(edge), (-29f64).exp2());
+        assert!(ulp(edge) > 1e-9);
     }
 
     #[test]

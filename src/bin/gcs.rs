@@ -819,6 +819,20 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
     let horizon = opts.f64_or("horizon", 120.0)?;
     let seed = opts.u64_or("seed", 42)?;
     let delays = opts.str_or("delays", "uniform");
+    let kappa_factor = match opts.values.get("kappa-factor") {
+        None => None,
+        Some(text) => {
+            let factor: f64 = text
+                .parse()
+                .map_err(|_| format!("option --kappa-factor: `{text}` is not a number"))?;
+            if !(factor > 0.0 && factor.is_finite()) {
+                return Err(format!(
+                    "option --kappa-factor: `{text}` must be positive and finite"
+                ));
+            }
+            Some((text, factor))
+        }
+    };
     // The sweep crate owns the spec mini-language and the execution path;
     // `run` is a one-job scenario with extra observability attached.
     let mut scenario = Scenario::build(ScenarioSpec {
@@ -833,13 +847,10 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
         horizon,
         horizon_per_diameter: 0.0,
     })?;
-    if let Some(factor) = opts.values.get("kappa-factor") {
-        let factor: f64 = factor
-            .parse()
-            .map_err(|_| format!("option --kappa-factor: `{factor}` is not a number"))?;
+    if let Some((text, factor)) = kappa_factor {
         scenario.params = scenario.params.with_kappa_factor_unchecked(factor);
         println!(
-            "κ scaled by {factor}: κ = {:.6} (Eq. 4 minimum: {:.6})",
+            "κ scaled by {text}: κ = {:.6} (Eq. 4 minimum: {:.6})",
             scenario.params.kappa(),
             scenario.params.min_kappa()
         );
@@ -898,7 +909,7 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
         }
     }
     if let Some(heartbeat) = sinks.heartbeat.take() {
-        heartbeat.finish(horizon, &sinks.observer, sinks.watchdog.as_ref())?;
+        heartbeat.finish(horizon, &sinks)?;
         let path = &opts.values["heartbeat"];
         if path != "-" {
             println!("heartbeat log written to {path}");

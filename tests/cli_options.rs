@@ -140,3 +140,41 @@ fn benchmark_driver_options_are_accepted() {
         let _ = std::fs::remove_file(path);
     }
 }
+
+/// Asserts `args` exits 1 with an `error:` line naming `spec`, not a
+/// panic (exit 101).
+fn rejects_spec(args: &[&str], spec: &str) {
+    let output = gcs(args);
+    let err = stderr(&output);
+    assert_eq!(output.status.code(), Some(1), "{args:?}: {err}");
+    assert!(
+        err.starts_with("error:") && err.contains(&format!("`{spec}`")),
+        "{args:?}: {err}"
+    );
+    assert!(!err.contains("panicked"), "{args:?}: {err}");
+}
+
+#[test]
+fn malformed_specs_are_errors_not_panics() {
+    for topology in [
+        "path:0",
+        "ring:2",
+        "grid:0x3",
+        "torus:1x1",
+        "er:5:2",
+        "geo:5:0",
+    ] {
+        rejects_spec(&["run", "--topology", topology, "--horizon", "1"], topology);
+    }
+    for rates in ["alternating:0", "alternating:-1"] {
+        rejects_spec(&with(&["--rates", rates]), rates);
+    }
+    for factor in ["0", "nan"] {
+        rejects_spec(&with(&["--kappa-factor", factor]), factor);
+    }
+    // The sweep's up-front check catches them like an unknown family.
+    for topology in ["path:0", "tree:0"] {
+        rejects_spec(&["sweep", "--topologies", topology], topology);
+    }
+    rejects_spec(&["sweep", "--topologies", "moebius:6"], "moebius");
+}

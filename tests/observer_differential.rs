@@ -4,21 +4,41 @@
 //! scan of the clock vector) reports — every worst value, `*_at` time and
 //! pair, compared by `to_bits`.
 //!
+//! Both paths must also leave `current_global` at the full scan's
+//! `max − min` after every event, and a `SinkSet` that feeds its metrics
+//! event-locally from it must build the same registry, byte for byte, as
+//! a standalone `MetricsSink` folding every clock vector itself.
+//!
 //! The matrix covers every registry protocol (including `jump`, whose
 //! clocks jump forward), six topology families at sizes 1 to 512, four
 //! delay models, three rate families and several seeds, plus external rate
 //! overrides.
 
-use clock_sync::analysis::SkewObserver;
+use clock_sync::adversary::{parse_schedule, FaultClause};
+use clock_sync::analysis::{MetricsSink, SkewObserver};
 use clock_sync::graph::NodeId;
-use clock_sync::sim::{ClockView, Engine, EventSink, Protocol};
-use clock_sync::sweep::{with_protocols, ProtocolVisitor, Scenario, ScenarioSpec, ALGOS};
+use clock_sync::sim::{ClockView, Engine, EngineEvent, EventSink, Protocol};
+use clock_sync::sweep::{with_protocols, ProtocolVisitor, Scenario, ScenarioSpec, SinkSet, ALGOS};
+
+/// `max − min` of a clock vector, folded the way a standalone
+/// `MetricsSink` folds it (`None` for no clocks).
+fn spread(clocks: &[f64]) -> Option<f64> {
+    let max = clocks.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let min = clocks.iter().copied().fold(f64::INFINITY, f64::min);
+    (max >= min).then_some(max - min)
+}
+
+fn bits(global: Option<f64>) -> Option<u64> {
+    global.map(f64::to_bits)
+}
 
 /// Feeds one observer the full vector and a twin the event-local hook at
 /// the same instants, and checks them against each other after each one.
 struct Twin {
     full: SkewObserver,
     local: SkewObserver,
+    /// The full scan's `max − min` at the current instant.
+    spread: Option<f64>,
     label: String,
     checks: u64,
 }
@@ -73,6 +93,8 @@ impl Twin {
             ctx()
         );
         assert_eq!(f.worst_local_pair(), l.worst_local_pair(), "{}", ctx());
+        assert_eq!(bits(f.current_global()), bits(self.spread), "{}", ctx());
+        assert_eq!(bits(l.current_global()), bits(self.spread), "{}", ctx());
         self.checks += 1;
     }
 }
@@ -88,6 +110,7 @@ impl EventSink for Twin {
 
     fn snapshot(&mut self, t: f64, clocks: &[f64], _queue_depth: usize) {
         self.full.observe_clocks(t, clocks);
+        self.spread = spread(clocks);
     }
 
     fn wants_local_snapshots(&self) -> bool {
@@ -139,6 +162,7 @@ impl ProtocolVisitor for Case {
         let twin = Twin {
             full: SkewObserver::new(&sc.graph),
             local: SkewObserver::new(&sc.graph),
+            spread: None,
             label,
             checks: 0,
         };
@@ -191,6 +215,29 @@ impl ProtocolVisitor for Case {
     }
 }
 
+fn build(
+    topology: &str,
+    delay: &str,
+    rates: &str,
+    faults: Vec<FaultClause>,
+    seed: u64,
+    horizon: f64,
+) -> Scenario {
+    Scenario::build(ScenarioSpec {
+        topology,
+        eps: 0.02,
+        t: 0.1,
+        sigma: None,
+        delay,
+        rates,
+        faults,
+        seed,
+        horizon,
+        horizon_per_diameter: 0.0,
+    })
+    .unwrap_or_else(|e| panic!("{topology}/{delay}/{rates}: {e}"))
+}
+
 fn run_case(
     algo: &str,
     topology: &str,
@@ -200,19 +247,7 @@ fn run_case(
     horizon: f64,
     drive: Drive,
 ) -> u64 {
-    let scenario = Scenario::build(ScenarioSpec {
-        topology,
-        eps: 0.02,
-        t: 0.1,
-        sigma: None,
-        delay,
-        rates,
-        faults: Vec::new(),
-        seed,
-        horizon,
-        horizon_per_diameter: 0.0,
-    })
-    .unwrap_or_else(|e| panic!("{topology}/{delay}/{rates}: {e}"));
+    let scenario = build(topology, delay, rates, Vec::new(), seed, horizon);
     let (params, n) = (scenario.params, scenario.graph.len());
     let label = format!("{algo} on {topology}, delays {delay}, rates {rates}, seed {seed}");
     let case = Case {
@@ -316,4 +351,134 @@ fn event_local_observation_matches_while_clocks_overtake_each_other() {
             );
         }
     }
+}
+
+/// A `SinkSet` with event-local metrics beside a standalone vector-fed
+/// `MetricsSink`, on one engine. The set sees exactly the hooks it would
+/// see alone: the vector only while it asks for one (an observer stint),
+/// the event-local hook otherwise.
+struct MetricsTwin {
+    set: SinkSet,
+    vector: MetricsSink,
+    vector_observations: u64,
+    local_observations: u64,
+}
+
+impl EventSink for MetricsTwin {
+    fn record(&mut self, event: &EngineEvent) {
+        self.set.record(event);
+        self.vector.record(event);
+    }
+
+    fn wants_snapshots(&self) -> bool {
+        true
+    }
+
+    fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
+        self.vector.snapshot(t, clocks, queue_depth);
+        if self.set.wants_snapshots() {
+            self.set.snapshot(t, clocks, queue_depth);
+            self.vector_observations += 1;
+        }
+    }
+
+    fn wants_local_snapshots(&self) -> bool {
+        self.set.wants_local_snapshots()
+    }
+
+    fn local_snapshot(
+        &mut self,
+        t: f64,
+        touched: &[NodeId],
+        clocks: &dyn ClockView,
+        queue_depth: usize,
+    ) {
+        self.set.local_snapshot(t, touched, clocks, queue_depth);
+        self.local_observations += 1;
+    }
+}
+
+struct MetricsCase {
+    scenario: Scenario,
+    label: String,
+}
+
+impl ProtocolVisitor for MetricsCase {
+    /// Observations the set served from a vector and event-locally.
+    type Output = (u64, u64);
+
+    fn visit<P: Protocol>(self, protocols: Vec<P>) -> (u64, u64) {
+        let MetricsCase {
+            scenario: sc,
+            label,
+        } = self;
+        let mut set = SinkSet::new(&sc.graph);
+        set.metrics = Some(MetricsSink::new());
+        let twin = MetricsTwin {
+            set,
+            vector: MetricsSink::new(),
+            vector_observations: 0,
+            local_observations: 0,
+        };
+        let horizon = sc.horizon;
+        let mut engine = Engine::builder(sc.graph)
+            .protocols(protocols)
+            .delay_model(sc.delay)
+            .rate_schedules(sc.schedules)
+            .event_sink(twin)
+            .build();
+        engine.wake_all_at(0.0);
+        engine.run_until(horizon);
+        let mut twin = engine.into_sink();
+        let mut local = twin.set.metrics.take().expect("metrics installed");
+        let vector = &mut twin.vector;
+        local.flush_rate_window(horizon);
+        vector.flush_rate_window(horizon);
+        assert_eq!(
+            local.registry().to_json(),
+            vector.registry().to_json(),
+            "{label}"
+        );
+        assert_eq!(local.render(), vector.render(), "{label}");
+        assert_eq!(
+            local.registry().counter_value("events.total"),
+            Some(twin.set.recorded()),
+            "{label}"
+        );
+        (twin.vector_observations, twin.local_observations)
+    }
+}
+
+fn metrics_case(algo: &str, topology: &str, faults: &str, seed: u64, horizon: f64) -> (u64, u64) {
+    let faults = parse_schedule(faults).expect("valid fault schedule");
+    let scenario = build(topology, "uniform", "walk", faults, seed, horizon);
+    let (params, n) = (scenario.params, scenario.graph.len());
+    let label = format!("metrics of {algo} on {topology}, seed {seed}, horizon {horizon}");
+    with_protocols(algo, params, n, MetricsCase { scenario, label }).expect("registered algorithm")
+}
+
+#[test]
+fn event_local_metrics_match_a_standalone_vector_sink_byte_for_byte() {
+    let sizes = [1, 2, 5, 9, 16, 64];
+    let (mut vector, mut local) = (0, 0);
+    for (i, algo) in ALGOS.iter().enumerate() {
+        for (j, topology) in topologies(sizes[i % sizes.len()]).iter().enumerate() {
+            let (v, l) = metrics_case(algo, topology, "none", (i + j) as u64, 6.0);
+            vector += v;
+            local += l;
+        }
+        // Horizon 0: only the wake-ups at t = 0 and the horizon pass.
+        metrics_case(algo, "path:4", "none", 1, 0.0);
+        metrics_case(algo, "path:1", "none", 1, 0.0);
+    }
+    metrics_case(
+        "aopt",
+        "ring:10",
+        "drop:1..3:*:0.5;dup:0..4:*:1:0.05;rate:1..4:0..2:1.01",
+        7,
+        8.0,
+    );
+    // Both ways the set observes are exercised: the event-local hook, and
+    // the vectors of the observer's full-scan stints.
+    assert!(vector > 0 && local > 0, "vector {vector}, local {local}");
 }

@@ -10,7 +10,9 @@
 //! The same bar holds for the default `gcs run` observability stack
 //! (`SinkSet::new`: skew observer plus flight recorder), whose observer
 //! runs the event-local path: its certificate heaps and scratch are sized
-//! on the first observation and only re-keyed afterwards.
+//! on the first observation and only re-keyed afterwards. Adding the
+//! metrics sink (`gcs run --metrics`) keeps both properties: it is fed
+//! from the same event-local hook.
 //!
 //! This file holds a single `#[test]` on purpose: the allocator count is
 //! process-global, and a sibling test thread would pollute the window.
@@ -19,6 +21,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gcs_adversary::WavefrontDelay;
+use gcs_analysis::MetricsSink;
 use gcs_core::{AOpt, Params};
 use gcs_graph::{topology, NodeId};
 use gcs_sim::{Engine, EventSink, RecorderSink};
@@ -222,5 +225,44 @@ fn steady_state_window_makes_no_heap_allocations() {
     assert!(
         local > 9_000,
         "only {local} of 10 000 events were observed event-locally"
+    );
+
+    // The same fixture under `gcs run --metrics`: the metrics sink is fed
+    // from the event-local hook (global skew from the observer's extremes),
+    // so it neither allocates nor brings back the per-event clock vector.
+    let graph = topology::path(n);
+    let schedules = build_rates("walk", &graph, drift, horizon, 1).unwrap();
+    let mut sinks = SinkSet::new(&graph);
+    sinks.metrics = Some(MetricsSink::new());
+    let mut engine = Engine::builder(graph)
+        .protocols(vec![AOpt::new(Params::recommended(eps, 0.1).unwrap()); n])
+        .delay_model(gcs_sim::UniformDelay::new(0.1, 1))
+        .rate_schedules(schedules)
+        .event_sink(sinks)
+        .build();
+    engine.wake_all_at(0.0);
+    engine.run_until(10.0);
+
+    let recorded_before = engine.sink().recorded();
+    let mut local = 0;
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..10_000 {
+        local += usize::from(engine.sink().wants_local_snapshots());
+        engine
+            .step()
+            .expect("the uniform-delay fixture never drains its queue");
+    }
+    let allocated = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        allocated, 0,
+        "gcs run --metrics sinks allocated {allocated} times across a 10k-event window"
+    );
+    assert!(
+        engine.sink().recorded() > recorded_before,
+        "the metrics window must have recorded events"
+    );
+    assert!(
+        local > 9_000,
+        "only {local} of 10 000 events were observed event-locally with metrics on"
     );
 }
