@@ -118,16 +118,18 @@ pub struct StageReport {
 /// use gcs_core::NoSync;
 ///
 /// // NoSync has α = 1 − ε, β = 1 + ε ⇒ guaranteed b = ⌈4/(1 − ε)⌉ = 5.
-/// let lb = LocalLowerBound::new(5, 2, 0.2, 1.0, 0.8);
+/// let lb = LocalLowerBound::new(5, 2, 0.2, 1.0, 0.8)?;
 /// let reports = lb.run(|n| vec![NoSync; n]);
 /// let last = reports.last().unwrap();
 /// assert_eq!(last.distance, 1);
 /// assert!(last.skew >= last.target - 1e-9);
+/// # Ok::<(), String>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalLowerBound {
     b: usize,
     stages: usize,
+    d_prime: usize,
     epsilon: f64,
     t_max: f64,
     alpha: f64,
@@ -144,22 +146,44 @@ impl LocalLowerBound {
     /// * `t_max` — the delay uncertainty `𝒯`,
     /// * `alpha` — the algorithm's minimum logical rate `α`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on out-of-range parameters.
-    pub fn new(b: usize, stages: usize, epsilon: f64, t_max: f64, alpha: f64) -> Self {
-        assert!(b >= 2, "branching factor must be at least 2");
-        assert!(stages >= 1, "need at least one stage");
-        assert!(epsilon > 0.0 && epsilon < 1.0, "invalid ε {epsilon}");
-        assert!(t_max > 0.0 && t_max.is_finite(), "invalid 𝒯 {t_max}");
-        assert!(alpha > 0.0, "invalid α {alpha}");
-        LocalLowerBound {
+    /// Returns a message naming the first out-of-range parameter, or the
+    /// overflow when `b^S` does not fit in a `usize`.
+    pub fn new(
+        b: usize,
+        stages: usize,
+        epsilon: f64,
+        t_max: f64,
+        alpha: f64,
+    ) -> Result<Self, String> {
+        if b < 2 {
+            return Err("branching factor must be at least 2".into());
+        }
+        if stages < 1 {
+            return Err("need at least one stage".into());
+        }
+        if !(epsilon > 0.0 && epsilon < 1.0) {
+            return Err(format!("invalid ε {epsilon}"));
+        }
+        if !(t_max > 0.0 && t_max.is_finite()) {
+            return Err(format!("invalid 𝒯 {t_max}"));
+        }
+        if alpha.is_nan() || alpha <= 0.0 {
+            return Err(format!("invalid α {alpha}"));
+        }
+        let d_prime = u32::try_from(stages)
+            .ok()
+            .and_then(|s| b.checked_pow(s))
+            .ok_or_else(|| format!("path length b^S = {b}^{stages} overflows"))?;
+        Ok(LocalLowerBound {
             b,
             stages,
+            d_prime,
             epsilon,
             t_max,
             alpha,
-        }
+        })
     }
 
     /// The branching factor Theorem 7.7 requires for an algorithm with the
@@ -170,7 +194,7 @@ impl LocalLowerBound {
 
     /// The path length `D' = b^S` (number of edges).
     pub fn d_prime(&self) -> usize {
-        self.b.pow(self.stages as u32)
+        self.d_prime
     }
 
     /// The skew Theorem 7.7 forces between the final pair of neighbours:
@@ -327,7 +351,7 @@ mod tests {
         let eps = 0.2;
         let b = LocalLowerBound::required_branching(0.8, 1.2, eps);
         assert_eq!(b, 5);
-        let lb = LocalLowerBound::new(b, 2, eps, 1.0, 0.8);
+        let lb = LocalLowerBound::new(b, 2, eps, 1.0, 0.8).expect("valid construction");
         let reports = lb.run(|n| vec![NoSync; n]);
         assert_eq!(reports.len(), 3);
         for r in &reports {
@@ -346,7 +370,7 @@ mod tests {
 
     #[test]
     fn stage_targets_grow_per_level() {
-        let lb = LocalLowerBound::new(5, 2, 0.2, 1.0, 0.8);
+        let lb = LocalLowerBound::new(5, 2, 0.2, 1.0, 0.8).expect("valid construction");
         let reports = lb.run(|n| vec![NoSync; n]);
         // Targets: 0.5·α·n₀𝒯, 1·α·n₁𝒯, 1.5·α·n₂𝒯 — per-edge average grows.
         let averages: Vec<f64> = reports.iter().map(|r| r.skew / r.distance as f64).collect();
@@ -362,7 +386,7 @@ mod tests {
         let eps = 0.1;
         let t_max = 1.0;
         let params = Params::recommended(eps, t_max).unwrap();
-        let lb = LocalLowerBound::new(3, 2, eps, t_max, 1.0 - eps);
+        let lb = LocalLowerBound::new(3, 2, eps, t_max, 1.0 - eps).expect("valid construction");
         let reports = lb.run(|n| vec![AOpt::new(params); n]);
         assert!(reports[0].skew >= reports[0].target - 1e-9);
         let last = reports.last().unwrap();
@@ -378,14 +402,21 @@ mod tests {
 
     #[test]
     fn d_prime_and_guarantee_formulas() {
-        let lb = LocalLowerBound::new(4, 3, 0.1, 2.0, 0.9);
+        let lb = LocalLowerBound::new(4, 3, 0.1, 2.0, 0.9).expect("valid construction");
         assert_eq!(lb.d_prime(), 64);
         assert!((lb.guaranteed_final_skew() - 2.0 * 0.9 * 2.0).abs() < 1e-12);
     }
 
     #[test]
-    #[should_panic(expected = "branching factor")]
-    fn rejects_tiny_branching() {
-        let _ = LocalLowerBound::new(1, 2, 0.1, 1.0, 0.9);
+    fn out_of_range_parameters_are_errors() {
+        let err = |b, stages, eps, t| LocalLowerBound::new(b, stages, eps, t, 0.9).unwrap_err();
+        assert!(err(1, 2, 0.1, 1.0).contains("branching factor"));
+        assert!(err(4, 0, 0.1, 1.0).contains("at least one stage"));
+        assert!(err(4, 2, 0.0, 1.0).contains("invalid ε"));
+        assert!(err(4, 2, 0.1, 0.0).contains("invalid 𝒯"));
+        assert!(err(4, 2, 0.1, -1.0).contains("invalid 𝒯"));
+        // 65536⁴ = 2⁶⁴ would wrap to D' = 0.
+        assert!(err(65536, 4, 0.1, 1.0).contains("overflows"));
+        assert!(LocalLowerBound::new(4, 2, 0.1, 1.0, f64::NAN).is_err());
     }
 }

@@ -90,12 +90,12 @@ pub struct ShiftReport {
 /// use gcs_graph::topology;
 ///
 /// // True 𝒯 = 0.5 but the algorithm only knows 𝒯̂ = 1.0 (c₁ = ½):
-/// let lb = GlobalLowerBound::new(topology::path(5), 0.05, 0.05, 0.5, 1.0, 0.01);
-/// let params = Params::recommended(0.05, 1.0)?;
+/// let lb = GlobalLowerBound::new(topology::path(5), 0.05, 0.05, 0.5, 1.0, 0.01)?;
+/// let params = Params::recommended(0.05, 1.0).map_err(|e| e.to_string())?;
 /// let report = lb.run(vec![AOpt::new(params); 5], gcs_adversary::shift::ShiftExecution::E3);
 /// // The forced skew is within a whisker of the prediction (1 + ϱ)·D·𝒯.
 /// assert!(report.endpoint_skew >= 0.9 * lb.predicted_skew());
-/// # Ok::<(), gcs_core::ParamError>(())
+/// # Ok::<(), String>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct GlobalLowerBound {
@@ -124,9 +124,10 @@ impl GlobalLowerBound {
     ///   longer. The effective `ϱ` is reduced by `ε̃` so all `E₃` rates
     ///   stay within the *true* drift bound.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the parameters are out of range.
+    /// Returns a message naming the first out-of-range parameter, or the
+    /// graph's diameter when it is 0 (there is no far node to skew).
     pub fn new(
         graph: Graph,
         epsilon: f64,
@@ -134,25 +135,30 @@ impl GlobalLowerBound {
         t: f64,
         t_hat: f64,
         eps_tilde: f64,
-    ) -> Self {
-        assert!(epsilon > 0.0 && epsilon < 1.0, "invalid ε {epsilon}");
-        assert!(
-            eps_prime > 0.0 && eps_prime <= epsilon,
-            "need 0 < ε' ≤ ε, got {eps_prime}"
-        );
-        assert!(t > 0.0 && t_hat >= t, "need 0 < 𝒯 ≤ 𝒯̂");
-        assert!(
-            eps_tilde > 0.0 && eps_tilde < epsilon,
-            "need 0 < ε̃ < ε, got {eps_tilde}"
-        );
+    ) -> Result<Self, String> {
+        if !(epsilon > 0.0 && epsilon < 1.0) {
+            return Err(format!("invalid ε {epsilon}"));
+        }
+        if !(eps_prime > 0.0 && eps_prime <= epsilon) {
+            return Err(format!("need 0 < ε' ≤ ε, got {eps_prime}"));
+        }
+        if !(t > 0.0 && t_hat >= t) {
+            return Err("need 0 < 𝒯 ≤ 𝒯̂".into());
+        }
+        if !(eps_tilde > 0.0 && eps_tilde < epsilon) {
+            return Err(format!("need 0 < ε̃ < ε, got {eps_tilde}"));
+        }
         let (v0, vd) = graph.diameter_endpoints();
         let d = graph.distance(v0, vd);
+        if d == 0 {
+            return Err("the graph has diameter 0; Theorem 7.2 needs D ≥ 1".into());
+        }
         let rho_paper = epsilon.min((1.0 - eps_prime) * t_hat / t - 1.0);
         // Stay strictly within the true drift bound instead of the paper's
         // "formally allow ε + ε̃" convention.
         let rho = rho_paper.min(epsilon - eps_tilde).max(-eps_prime);
         let t_prime = (1.0 + rho) * t / (1.0 - eps_prime);
-        GlobalLowerBound {
+        Ok(GlobalLowerBound {
             graph,
             v0,
             vd,
@@ -163,7 +169,7 @@ impl GlobalLowerBound {
             eps_tilde,
             rho,
             t_prime,
-        }
+        })
     }
 
     /// The reference node `v₀` (one diameter endpoint).
@@ -298,7 +304,8 @@ mod tests {
     fn e3_forces_predicted_skew_on_a_opt() {
         // Loose 𝒯̂ (2× the truth): ϱ ≈ ε, forced skew ≈ (1 + ε)D𝒯.
         let (eps, t, t_hat) = (0.05, 0.5, 1.0);
-        let lb = GlobalLowerBound::new(topology::path(5), eps, eps, t, t_hat, 0.01);
+        let lb = GlobalLowerBound::new(topology::path(5), eps, eps, t, t_hat, 0.01)
+            .expect("valid construction");
         assert!(lb.rho() > 0.0);
         let params = Params::recommended(eps, t_hat).unwrap();
         let report = lb.run(vec![AOpt::new(params); 5], ShiftExecution::E3);
@@ -317,7 +324,8 @@ mod tests {
         // Perfect knowledge (𝒯̂ = 𝒯, ε' = ε): ϱ = −ε' ⇒ skew (1 − ε)D𝒯
         // (Corollary 7.3's second statement).
         let (eps, t) = (0.05, 0.5);
-        let lb = GlobalLowerBound::new(topology::path(5), eps, eps, t, t, 0.01);
+        let lb = GlobalLowerBound::new(topology::path(5), eps, eps, t, t, 0.01)
+            .expect("valid construction");
         assert!((lb.rho() + eps).abs() < 1e-12);
         let params = Params::recommended(eps, t).unwrap();
         let report = lb.run(vec![AOpt::new(params); 5], ShiftExecution::E3);
@@ -329,7 +337,8 @@ mod tests {
     #[test]
     fn the_three_executions_are_indistinguishable_for_a_opt() {
         let (eps, t, t_hat) = (0.05, 0.5, 1.0);
-        let lb = GlobalLowerBound::new(topology::path(4), eps, eps, t, t_hat, 0.01);
+        let lb = GlobalLowerBound::new(topology::path(4), eps, eps, t, t_hat, 0.01)
+            .expect("valid construction");
         let params = Params::recommended(eps, t_hat).unwrap();
         let (_, ok) = lb.verify_indistinguishable(|| vec![AOpt::new(params); 4]);
         assert!(ok, "E₁/E₂/E₃ must be locally indistinguishable");
@@ -341,7 +350,8 @@ mod tests {
         // MaxAlgorithm respects the envelope (it never overtakes the true
         // maximum), so it too is forced.
         let (eps, t, t_hat) = (0.05, 0.5, 1.0);
-        let lb = GlobalLowerBound::new(topology::path(5), eps, eps, t, t_hat, 0.01);
+        let lb = GlobalLowerBound::new(topology::path(5), eps, eps, t, t_hat, 0.01)
+            .expect("valid construction");
         let report = lb.run(vec![MaxAlgorithm::new(1.0); 5], ShiftExecution::E3);
         assert!(report.endpoint_skew >= 0.9 * lb.predicted_skew());
     }
@@ -349,7 +359,8 @@ mod tests {
     #[test]
     fn e1_and_e2_build_no_real_skew() {
         let (eps, t, t_hat) = (0.05, 0.5, 1.0);
-        let lb = GlobalLowerBound::new(topology::path(4), eps, eps, t, t_hat, 0.01);
+        let lb = GlobalLowerBound::new(topology::path(4), eps, eps, t, t_hat, 0.01)
+            .expect("valid construction");
         let params = Params::recommended(eps, t_hat).unwrap();
         for exec in [ShiftExecution::E1, ShiftExecution::E2] {
             let report = lb.run(vec![AOpt::new(params); 4], exec);
@@ -368,13 +379,20 @@ mod tests {
         // engine would panic on a negative target; here we additionally
         // check the positive side by construction: lag/(1 + ϱ) ≤ 𝒯.
         let (eps, t, t_hat) = (0.05, 0.5, 1.0);
-        let lb = GlobalLowerBound::new(topology::path(6), eps, eps, t, t_hat, 0.01);
+        let lb = GlobalLowerBound::new(topology::path(6), eps, eps, t, t_hat, 0.01)
+            .expect("valid construction");
         assert!(lb.local_lag() / (1.0 + lb.rho()) <= t + 1e-12);
     }
 
     #[test]
-    #[should_panic(expected = "need 0 < ε' ≤ ε")]
-    fn rejects_eps_prime_above_eps() {
-        let _ = GlobalLowerBound::new(topology::path(3), 0.01, 0.05, 1.0, 1.0, 0.001);
+    fn out_of_range_parameters_are_errors() {
+        let err = |n, eps, eps_prime, t| {
+            GlobalLowerBound::new(topology::path(n), eps, eps_prime, t, 2.0 * t, 0.001).unwrap_err()
+        };
+        assert!(err(3, 0.01, 0.05, 1.0).contains("need 0 < ε' ≤ ε"));
+        assert!(err(3, 0.0, 0.0, 1.0).contains("invalid ε"));
+        assert!(err(3, 0.05, 0.05, 0.0).contains("𝒯"));
+        assert!(err(3, 0.05, 0.05, -1.0).contains("𝒯"));
+        assert!(err(1, 0.05, 0.05, 1.0).contains("diameter 0"));
     }
 }

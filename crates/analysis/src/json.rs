@@ -1,6 +1,6 @@
 //! The one JSON string and number writer shared by every hand-rolled JSON
 //! emitter in the workspace (heartbeats, skew fields, sweep JSONL rows,
-//! bench artifacts, the serve daemon's status lines).
+//! bench artifacts).
 //!
 //! Strings: `"` and `\` are backslash-escaped, `\n`, `\r` and `\t` use
 //! their short forms, and every other control character below U+0020

@@ -30,7 +30,7 @@ fn main() {
     let t_max = 1.0;
     let b = 4usize;
     let stages = 3usize;
-    let lb = LocalLowerBound::new(b, stages, eps, t_max, alpha);
+    let lb = LocalLowerBound::new(b, stages, eps, t_max, alpha).expect("valid construction");
     let reports = lb.run(|n| vec![NoSync; n]);
     println!(
         "Theorem 7.7 construction on a path of D = {} (b = {b}, α = {alpha}):\n",

@@ -29,7 +29,8 @@ fn main() {
             "indist.",
         ]);
         for d in [4usize, 8, 16, 32] {
-            let lb = GlobalLowerBound::new(topology::path(d + 1), eps, eps, t, t_hat, 0.01);
+            let lb = GlobalLowerBound::new(topology::path(d + 1), eps, eps, t, t_hat, 0.01)
+                .expect("valid construction");
             let (reports, ok) = lb.verify_indistinguishable(|| vec![AOpt::new(params); d + 1]);
             let forced = reports[2].endpoint_skew;
             assert!(

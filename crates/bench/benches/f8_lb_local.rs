@@ -28,7 +28,7 @@ fn main() {
         "forced neighbour skew",
     ]);
     for stages in [1usize, 2, 3] {
-        let lb = LocalLowerBound::new(b, stages, eps, t_max, alpha);
+        let lb = LocalLowerBound::new(b, stages, eps, t_max, alpha).expect("valid construction");
         let reports = lb.run(|n| vec![NoSync; n]);
         let last = reports.last().unwrap();
         assert_eq!(last.distance, 1);
@@ -48,7 +48,7 @@ fn main() {
     println!("--- vs A^opt and the β = ∞ jump variant (b = 3, S = 3) ---");
     let eps = 0.1;
     let params = Params::recommended(eps, t_max).unwrap();
-    let lb = LocalLowerBound::new(3, 3, eps, t_max, 1.0 - eps);
+    let lb = LocalLowerBound::new(3, 3, eps, t_max, 1.0 - eps).expect("valid construction");
     let d = lb.d_prime() as u32;
     let mut table = Table::new(vec![
         "algorithm",

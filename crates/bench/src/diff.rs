@@ -116,19 +116,14 @@ pub enum Direction {
 pub fn direction(name: &str) -> Direction {
     let family = name.split('/').next().unwrap_or(name);
     match family {
-        "events_per_sec"
-        | "events_per_sec_per_core"
-        | "speedup"
-        | "throughput"
-        | "jobs_per_sec"
-        | "cache_hit_ratio"
-        | "cache_speedup" => Direction::HigherIsBetter,
+        "events_per_sec" | "events_per_sec_per_core" | "speedup" | "throughput" => {
+            Direction::HigherIsBetter
+        }
         "wall_seconds"
         | "median_seconds"
         | "allocs_per_event"
         | "allocs_per_event_steady"
-        | "overhead_ratio"
-        | "latency_ms" => Direction::LowerIsBetter,
+        | "overhead_ratio" => Direction::LowerIsBetter,
         _ => Direction::Neutral,
     }
 }

@@ -9,14 +9,12 @@
 
 mod diff;
 mod results;
-mod serve_bench;
 
 pub use diff::{
     diff, direction, parse_artifact, BenchArtifact, BenchDiff, DiffRow, Direction, Status,
     ABS_FLOOR,
 };
 pub use results::BenchReport;
-pub use serve_bench::{run_serve_bench, ServeBenchConfig, ServeBenchOutcome};
 
 use gcs_analysis::SkewObserver;
 use gcs_core::{AOpt, Params};

@@ -23,7 +23,7 @@ pub struct DedupePlan {
     /// Original indices of the representative (first) occurrence of each
     /// distinct spec, in increasing order.
     unique: Vec<usize>,
-    /// For every original job index, the position in [`Self::unique`] of
+    /// For every original job index, the position in `unique` of
     /// its representative.
     rep: Vec<usize>,
 }
@@ -54,17 +54,6 @@ impl DedupePlan {
             }
         }
         DedupePlan { unique, rep }
-    }
-
-    /// Original job indices of the representatives, in increasing order.
-    pub fn unique(&self) -> &[usize] {
-        &self.unique
-    }
-
-    /// The representative (position in [`Self::unique`]) of original job
-    /// `index`.
-    pub fn rep_of(&self, index: usize) -> usize {
-        self.rep[index]
     }
 
     /// Number of jobs that reuse another job's execution.
@@ -149,10 +138,10 @@ mod tests {
         assert_eq!(jobs.len(), 12);
         let plan = DedupePlan::new(&jobs);
         // 2 distinct topologies × 1 distinct eps × 2 seeds = 4 executions.
-        assert_eq!(plan.unique().len(), 4);
+        assert_eq!(plan.unique.len(), 4);
         assert_eq!(plan.duplicates(), 8);
         for (i, job) in jobs.iter().enumerate() {
-            let rep = &jobs[plan.unique()[plan.rep_of(i)]];
+            let rep = &jobs[plan.unique[plan.rep[i]]];
             assert_eq!(rep.canonical_bytes(), job.canonical_bytes());
             assert!(rep.index <= job.index, "representative is first occurrence");
         }
@@ -160,7 +149,7 @@ mod tests {
         let clean = SweepSpec::default().expand();
         let plan = DedupePlan::new(&clean);
         assert_eq!(plan.duplicates(), 0);
-        assert_eq!(plan.unique(), &[0]);
+        assert_eq!(plan.unique, [0]);
     }
 
     #[test]

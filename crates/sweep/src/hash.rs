@@ -1,26 +1,20 @@
-//! Canonical spec serialization and the SplitMix64 content digest.
+//! Canonical job serialization and the SplitMix64 content digest.
 //!
 //! A [`JobSpec`]'s *identity* — everything that determines its result —
 //! is serialized into a canonical byte string and folded into a 64-bit
-//! digest. Two specs hash equal exactly when they describe the same
+//! digest. Two specs serialize equal exactly when they describe the same
 //! execution (the job `index` is deliberately excluded: it names a grid
-//! position, not a computation). The digest is the key for both layers of
-//! result reuse:
+//! position, not a computation). The digest's one user is the sweep
+//! dedupe ([`crate::dedupe`]): `gcs sweep` groups identical expanded grid
+//! points (duplicate axis values) by digest, guards collisions with the
+//! full bytes, and runs each distinct execution once.
 //!
-//! * `gcs sweep` dedupes identical expanded grid points (duplicate axis
-//!   values) so each distinct execution runs once (see [`crate::dedupe`]);
-//! * `gcs serve` keys its result cache by the digest, so a repeated spec
-//!   is answered from the cache without touching the engine.
-//!
-//! The encoding is versioned (`gcs-spec/v1` prefix) and fully explicit:
-//! field tags, length-prefixed strings, `f64::to_bits` for floats — no
-//! textual round-trips, so `0.1` and `1e-1` hash equal while `-0.0` and
-//! `0.0` do not (they are different bit patterns and different specs).
+//! The encoding is fully explicit: field tags, length-prefixed strings,
+//! `f64::to_bits` for floats — no textual round-trips, so `0.1` and
+//! `1e-1` serialize equal while `-0.0` and `0.0` do not (they are
+//! different bit patterns and different specs).
 
-use crate::spec::{JobSpec, SweepSpec};
-
-/// Version prefix folded into every canonical byte string.
-const VERSION_TAG: &[u8] = b"gcs-spec/v1";
+use crate::spec::JobSpec;
 
 /// SplitMix64's odd constant; also used as the digest seed so an empty
 /// input does not hash to zero.
@@ -55,12 +49,6 @@ pub fn digest(bytes: &[u8]) -> u64 {
     splitmix64(h ^ bytes.len() as u64)
 }
 
-/// Renders a digest as the fixed-width hex form used in job ids and
-/// output streams.
-pub fn hex16(hash: u64) -> String {
-    format!("{hash:016x}")
-}
-
 /// The canonical-bytes builder: every field is written as a one-byte tag
 /// followed by a self-delimiting payload, so field order and boundaries
 /// are unambiguous.
@@ -70,12 +58,6 @@ struct Canon {
 }
 
 impl Canon {
-    fn new() -> Self {
-        let mut c = Canon::default();
-        c.bytes.extend_from_slice(VERSION_TAG);
-        c
-    }
-
     fn str(&mut self, tag: u8, value: &str) {
         self.bytes.push(tag);
         self.bytes
@@ -108,22 +90,9 @@ impl Canon {
         self.bytes.push(tag);
         self.bytes.push(value as u8);
     }
-
-    fn list(&mut self, tag: u8, values: &[String]) {
-        self.bytes.push(tag);
-        self.bytes
-            .extend_from_slice(&(values.len() as u32).to_le_bytes());
-        for v in values {
-            self.bytes
-                .extend_from_slice(&(v.len() as u32).to_le_bytes());
-            self.bytes.extend_from_slice(v.as_bytes());
-        }
-    }
 }
 
-// Field tags. Job and sweep fields share a namespace; the leading kind
-// byte (`b'J'` / `b'S'`) keeps a job and a sweep from ever colliding.
-const TAG_KIND: u8 = 0x01;
+// Field tags.
 const TAG_TOPOLOGY: u8 = 0x02;
 const TAG_ALGO: u8 = 0x03;
 const TAG_EPS: u8 = 0x04;
@@ -136,16 +105,13 @@ const TAG_SEED: u8 = 0x0a;
 const TAG_HORIZON: u8 = 0x0b;
 const TAG_HORIZON_PER_D: u8 = 0x0c;
 const TAG_WATCHDOG: u8 = 0x0d;
-const TAG_SEEDS: u8 = 0x0e;
 
 impl JobSpec {
     /// The canonical byte serialization of everything that determines this
     /// job's result. The job `index` is excluded: it is a position in the
     /// expansion order, not part of the computation.
     pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut c = Canon::new();
-        c.bytes.push(TAG_KIND);
-        c.bytes.push(b'J');
+        let mut c = Canon::default();
         c.str(TAG_TOPOLOGY, &self.topology);
         c.str(TAG_ALGO, &self.algo);
         c.f64(TAG_EPS, self.eps);
@@ -160,70 +126,19 @@ impl JobSpec {
         c.bool(TAG_WATCHDOG, self.watchdog);
         c.bytes
     }
-
-    /// The SplitMix64 digest of [`JobSpec::canonical_bytes`] — the job's
-    /// content identity for dedupe and result caching.
-    pub fn canonical_hash(&self) -> u64 {
-        digest(&self.canonical_bytes())
-    }
-}
-
-impl SweepSpec {
-    /// The canonical byte serialization of the whole grid (axis lists in
-    /// declaration order, seed range as its endpoints).
-    pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut c = Canon::new();
-        c.bytes.push(TAG_KIND);
-        c.bytes.push(b'S');
-        c.list(TAG_TOPOLOGY, &self.topologies);
-        c.list(TAG_ALGO, &self.algos);
-        c.bytes.push(TAG_EPS);
-        c.bytes
-            .extend_from_slice(&(self.eps.len() as u32).to_le_bytes());
-        for &v in &self.eps {
-            c.bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        c.bytes.push(TAG_T);
-        c.bytes
-            .extend_from_slice(&(self.t.len() as u32).to_le_bytes());
-        for &v in &self.t {
-            c.bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        c.bytes.push(TAG_SIGMA);
-        c.bytes
-            .extend_from_slice(&(self.sigmas.len() as u32).to_le_bytes());
-        for &v in &self.sigmas {
-            match v {
-                None => c.bytes.push(0),
-                Some(v) => {
-                    c.bytes.push(1);
-                    c.bytes.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-        }
-        c.list(TAG_DELAY, &self.delays);
-        c.list(TAG_RATES, &self.rates);
-        c.list(TAG_CHAOS, &self.chaos);
-        c.u64(TAG_SEEDS, self.seeds.start);
-        c.u64(TAG_SEEDS, self.seeds.end);
-        c.f64(TAG_HORIZON, self.horizon);
-        c.f64(TAG_HORIZON_PER_D, self.horizon_per_diameter);
-        c.bool(TAG_WATCHDOG, self.watchdog);
-        c.bytes
-    }
-
-    /// The SplitMix64 digest of [`SweepSpec::canonical_bytes`].
-    pub fn canonical_hash(&self) -> u64 {
-        digest(&self.canonical_bytes())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::SweepSpec;
 
     fn job() -> JobSpec {
         SweepSpec::default().expand().remove(0)
+    }
+
+    fn hash(job: &JobSpec) -> u64 {
+        digest(&job.canonical_bytes())
     }
 
     #[test]
@@ -232,13 +147,12 @@ mod tests {
         let mut b = a.clone();
         b.index = 917;
         assert_eq!(a.canonical_bytes(), b.canonical_bytes());
-        assert_eq!(a.canonical_hash(), b.canonical_hash());
     }
 
     #[test]
     fn every_result_bearing_field_changes_the_hash() {
         let base = job();
-        let h = base.canonical_hash();
+        let h = hash(&base);
         let mutations: Vec<JobSpec> = vec![
             JobSpec {
                 topology: "ring:16".into(),
@@ -291,7 +205,7 @@ mod tests {
         ];
         let mut seen = vec![h];
         for m in &mutations {
-            let mh = m.canonical_hash();
+            let mh = hash(m);
             assert!(
                 !seen.contains(&mh),
                 "mutation {m:?} collided with a previous hash"
@@ -304,39 +218,34 @@ mod tests {
     fn numeric_values_hash_by_bits_not_text() {
         let a = JobSpec { eps: 0.1, ..job() };
         let b = JobSpec { eps: 1e-1, ..job() };
-        assert_eq!(a.canonical_hash(), b.canonical_hash());
+        assert_eq!(hash(&a), hash(&b));
         let c = JobSpec {
             eps: 0.1 + f64::EPSILON,
             ..job()
         };
-        assert_ne!(a.canonical_hash(), c.canonical_hash());
+        assert_ne!(hash(&a), hash(&c));
     }
 
     #[test]
-    fn sweep_and_job_kinds_never_collide_and_digest_is_stable() {
-        let sweep = SweepSpec::default();
-        assert_ne!(sweep.canonical_hash(), job().canonical_hash());
-        // The digest is a committed format: the serve cache and the job ids
-        // in its API are keyed by these exact values across processes.
+    fn digest_is_deterministic_and_length_aware() {
         assert_eq!(digest(b""), digest(b""));
         assert_ne!(digest(b"a"), digest(b"b"));
         assert_ne!(digest(b"ab"), digest(b"a\0"));
-        assert_eq!(hex16(0xdead_beef).len(), 16);
     }
 
     #[test]
-    fn list_boundaries_are_framed() {
-        // ["ab"] vs ["a", "b"]: same concatenated text, different grids.
-        let a = SweepSpec {
-            topologies: vec!["path:4".into()],
-            algos: vec!["ab".into()],
-            ..SweepSpec::default()
+    fn string_boundaries_are_framed() {
+        // ("ab", "c") vs ("a", "bc"): same concatenated text, different jobs.
+        let a = JobSpec {
+            topology: "ab".into(),
+            algo: "c".into(),
+            ..job()
         };
-        let b = SweepSpec {
-            topologies: vec!["path:4".into()],
-            algos: vec!["a".into(), "b".into()],
-            ..SweepSpec::default()
+        let b = JobSpec {
+            topology: "a".into(),
+            algo: "bc".into(),
+            ..job()
         };
-        assert_ne!(a.canonical_hash(), b.canonical_hash());
+        assert_ne!(a.canonical_bytes(), b.canonical_bytes());
     }
 }

@@ -49,28 +49,6 @@ pub struct JobResult {
     pub watchdog_tripped: bool,
 }
 
-/// Everything one execution produced: the measurement (or failure), the
-/// watchdog/panic disposition, and the flight recorder holding the final
-/// event window.
-///
-/// The recorder is returned still encoded; decode it with
-/// [`gcs_sim::RecorderSink::window_events`] only when the window is
-/// actually needed (a trip/panic dump, a blame query) — plain sweeps drop
-/// it for free.
-#[derive(Debug)]
-pub struct JobExecution {
-    /// The job's measurements, or the failure/panic message.
-    pub outcome: Result<JobResult, String>,
-    /// Whether the invariant watchdog tripped (always `false` without
-    /// `watchdog = true`).
-    pub tripped: bool,
-    /// Whether the engine panicked mid-run (the panic was caught; the
-    /// recorder window below still holds the events leading up to it).
-    pub panicked: bool,
-    /// The per-job flight recorder, with its bounded window intact.
-    pub recorder: RecorderSink,
-}
-
 /// Runs one job to completion on a fresh engine and returns its
 /// measurements.
 ///
@@ -83,9 +61,33 @@ pub struct JobExecution {
 /// — the same message the worker pool would have produced, so sweep output
 /// is unchanged.
 pub fn run_job(job: &JobSpec) -> Result<JobResult, String> {
-    let execution = run_job_full(job);
-    SPARE_RECORDER.set(Some(execution.recorder));
-    execution.outcome
+    let scenario = scenario(job)?;
+    let mut sinks = SinkSet::with_recorder(&scenario.graph, recorder());
+    sinks.watchdog = job.watchdog.then(|| scenario.watchdog());
+    let out = scenario.run(&job.algo, sinks, false)?;
+    let outcome = match &out.panic {
+        Some(payload) => Err(crate::pool::panic_message(payload.as_ref())),
+        None => Ok(JobResult {
+            nodes: out.nodes,
+            diameter: out.diameter,
+            horizon: out.horizon,
+            global_skew: out.sinks.observer.worst_global(),
+            local_skew: out.sinks.observer.worst_local(),
+            global_bound: out.global_bound,
+            local_bound: out.local_bound,
+            send_events: out.stats.send_events,
+            transmissions: out.stats.transmissions,
+            deliveries: out.stats.deliveries,
+            dropped: out.stats.dropped,
+            dropped_model: out.stats.dropped_model,
+            dropped_faults: out.stats.dropped_faults,
+            duplicated: out.stats.duplicated,
+            events_recorded: out.sinks.recorded(),
+            watchdog_tripped: out.sinks.tripped(),
+        }),
+    };
+    SPARE_RECORDER.set(Some(out.sinks.recorder));
+    outcome
 }
 
 thread_local! {
@@ -110,20 +112,6 @@ fn recorder() -> RecorderSink {
     }
 }
 
-/// Like [`run_job`], additionally returning the watchdog/panic disposition
-/// and the flight recorder so hosts can write post-mortem dumps and serve
-/// blame queries. See [`JobExecution`].
-pub fn run_job_full(job: &JobSpec) -> JobExecution {
-    // Setup errors (bad topology, unknown algorithm) happen before an
-    // engine exists, so there is no recorder to salvage.
-    execute(job).unwrap_or_else(|message| JobExecution {
-        outcome: Err(message),
-        tripped: false,
-        panicked: false,
-        recorder: RecorderSink::new(),
-    })
-}
-
 /// The job's substrate.
 fn scenario(job: &JobSpec) -> Result<Scenario, String> {
     Scenario::build(ScenarioSpec {
@@ -137,41 +125,6 @@ fn scenario(job: &JobSpec) -> Result<Scenario, String> {
         seed: job.seed,
         horizon: job.horizon,
         horizon_per_diameter: job.horizon_per_diameter,
-    })
-}
-
-fn execute(job: &JobSpec) -> Result<JobExecution, String> {
-    let scenario = scenario(job)?;
-    let mut sinks = SinkSet::with_recorder(&scenario.graph, recorder());
-    sinks.watchdog = job.watchdog.then(|| scenario.watchdog());
-    let out = scenario.run(&job.algo, sinks, false)?;
-    let tripped = out.sinks.tripped();
-    let outcome = match &out.panic {
-        Some(payload) => Err(crate::pool::panic_message(payload.as_ref())),
-        None => Ok(JobResult {
-            nodes: out.nodes,
-            diameter: out.diameter,
-            horizon: out.horizon,
-            global_skew: out.sinks.observer.worst_global(),
-            local_skew: out.sinks.observer.worst_local(),
-            global_bound: out.global_bound,
-            local_bound: out.local_bound,
-            send_events: out.stats.send_events,
-            transmissions: out.stats.transmissions,
-            deliveries: out.stats.deliveries,
-            dropped: out.stats.dropped,
-            dropped_model: out.stats.dropped_model,
-            dropped_faults: out.stats.dropped_faults,
-            duplicated: out.stats.duplicated,
-            events_recorded: out.sinks.recorded(),
-            watchdog_tripped: tripped,
-        }),
-    };
-    Ok(JobExecution {
-        outcome,
-        tripped,
-        panicked: out.panic.is_some(),
-        recorder: out.sinks.recorder,
     })
 }
 
@@ -256,6 +209,13 @@ mod tests {
         }
     }
 
+    /// Runs `job` and returns the flight recorder it leaves as this
+    /// worker's spare.
+    fn spare_after(job: &JobSpec) -> RecorderSink {
+        run_job(job).unwrap();
+        SPARE_RECORDER.take().expect("run_job keeps its recorder")
+    }
+
     #[test]
     fn a_reused_recorder_dumps_what_a_fresh_one_dumps() {
         let spec = |horizon| SweepSpec {
@@ -266,15 +226,14 @@ mod tests {
         let job = spec(20.0).expand().remove(0);
         let fresh = std::thread::spawn({
             let job = job.clone();
-            move || run_job_full(&job).recorder.window_frames()
+            move || spare_after(&job).window_frames()
         })
         .join()
         .unwrap();
         // A longer job first leaves this thread a spare recorder whose
         // rings are full of its events.
         run_job(&spec(60.0).expand()[0]).unwrap();
-        let reused = run_job_full(&job).recorder;
-        assert_eq!(reused.window_frames(), fresh);
+        assert_eq!(spare_after(&job).window_frames(), fresh);
     }
 
     #[test]

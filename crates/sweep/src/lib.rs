@@ -57,7 +57,7 @@ mod spec;
 
 pub use agg::{Stat, SweepAggregate};
 pub use dedupe::{run_sweep_deduped, DedupePlan};
-pub use job::{run_job, run_job_full, JobExecution, JobResult};
+pub use job::{run_job, JobResult};
 pub use parse::{build_delay, build_rates, parse_topology, SweepDelay};
 pub use pool::{run_pool, run_pool_timed, JobOutcome, PoolProgress, PoolStats};
 pub use scenario::{

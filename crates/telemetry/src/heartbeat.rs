@@ -125,10 +125,6 @@ pub struct SweepBeat {
     pub wall_ms: f64,
     /// Identifier of the last completed job.
     pub job: String,
-    /// Owning session, for daemon-hosted sweeps (`gcs serve` stamps the
-    /// submitting session so multiplexed heartbeat streams stay
-    /// attributable). Absent for plain `gcs sweep` runs.
-    pub session: Option<String>,
 }
 
 /// Streams `gcs-heartbeat/v1` records to a writer, pacing run beats by
@@ -195,20 +191,6 @@ impl<W: Write> HeartbeatEmitter<W> {
         events: u64,
         job: &str,
     ) -> io::Result<()> {
-        self.sweep_beat_session(jobs_done, jobs_total, events, job, None)
-    }
-
-    /// Like [`HeartbeatEmitter::sweep_beat`], additionally stamping the
-    /// owning session — the daemon-side variant, where one process emits
-    /// beats on behalf of many clients.
-    pub fn sweep_beat_session(
-        &mut self,
-        jobs_done: u64,
-        jobs_total: u64,
-        events: u64,
-        job: &str,
-        session: Option<&str>,
-    ) -> io::Result<()> {
         let wall_ms = if self.deterministic {
             0.0
         } else {
@@ -222,10 +204,6 @@ impl<W: Write> HeartbeatEmitter<W> {
         json::push_f64(&mut line, wall_ms);
         line.push_str(",\"job\":");
         json::push_string(&mut line, job);
-        if let Some(session) = session {
-            line.push_str(",\"session\":");
-            json::push_string(&mut line, session);
-        }
         line.push_str("}\n");
         self.seq += 1;
         self.out.write_all(line.as_bytes())?;

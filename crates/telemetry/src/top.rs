@@ -79,7 +79,6 @@ fn parse_line(line: &str) -> Option<Record> {
             events: int(&v, "events")?,
             wall_ms: num(&v, "wall_ms").unwrap_or(0.0),
             job: v.get("job").and_then(Json::as_str)?.to_string(),
-            session: v.get("session").and_then(Json::as_str).map(str::to_string),
         })),
         kind @ ("beat" | "summary") => Some(Record::Run(RunBeat {
             summary: kind == "summary",

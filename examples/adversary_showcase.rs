@@ -23,7 +23,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Theorem 7.2 -------------------------------------------------
     let (eps, t, t_hat) = (0.05, 0.5, 1.0); // the algorithm's 𝒯̂ is 2× loose
     let d = 8;
-    let lb = GlobalLowerBound::new(topology::path(d + 1), eps, eps, t, t_hat, 0.01);
+    let lb = GlobalLowerBound::new(topology::path(d + 1), eps, eps, t, t_hat, 0.01)
+        .expect("valid construction");
     let params = Params::recommended(eps, t_hat)?;
     println!("Theorem 7.2 on a path of D = {d} (ε = {eps}, 𝒯 = {t}, 𝒯̂ = {t_hat}):");
     println!(
@@ -56,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nTheorem 7.7 iterative construction (b = 5, S = 2, against NoSync):");
     let eps = 0.2;
     let alpha = 1.0 - eps;
-    let llb = LocalLowerBound::new(5, 2, eps, 1.0, alpha);
+    let llb = LocalLowerBound::new(5, 2, eps, 1.0, alpha).expect("valid construction");
     let reports = llb.run(|n| vec![NoSync; n]);
     let mut table = Table::new(vec![
         "stage",
@@ -86,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nthe same construction aimed at A^opt (b = 3, S = 2):");
     let eps = 0.1;
     let params = Params::recommended(eps, 1.0)?;
-    let llb = LocalLowerBound::new(3, 2, eps, 1.0, 1.0 - eps);
+    let llb = LocalLowerBound::new(3, 2, eps, 1.0, 1.0 - eps).expect("valid construction");
     let reports = llb.run(|n| vec![AOpt::new(params); n]);
     let last = reports.last().unwrap();
     println!(

@@ -28,7 +28,7 @@ use clock_sync::adversary::shift::GlobalLowerBound;
 use clock_sync::analysis::{
     delivery_imbalance, diff_streams, write_jsonl, ClockTrace, JsonlWriter, MetricsSink, Table,
 };
-use clock_sync::bench::{diff as bench_diff, parse_artifact, run_serve_bench, ServeBenchConfig};
+use clock_sync::bench::{diff as bench_diff, parse_artifact};
 use clock_sync::chaos::{
     run_batch, run_scenario, shrink as shrink_scenario, BatchConfig, ChaosSpec, ScenarioOutcome,
 };
@@ -37,7 +37,6 @@ use clock_sync::forensics::{
     blame, decode_dump, export_chrome, is_recorder_dump, parse_stream, ClockReconstruction, Dag,
     TraceSummary,
 };
-use clock_sync::serve::{ServeConfig, ServerHandle};
 use clock_sync::sim::{Protocol, RecorderSink};
 use clock_sync::sweep::scenario::Heartbeat;
 use clock_sync::sweep::{
@@ -57,8 +56,6 @@ COMMANDS:
     run           simulate one algorithm on one topology and report skews
     sweep         run a parameter grid on a parallel worker pool
     chaos         seeded fault-injection scenarios (run|batch|shrink|replay)
-    serve         admission-controlled simulation daemon with result caching
-    serve-bench   hot/cold load generator against a `gcs serve` daemon
     trace         forensics over a recorded event stream (summary|blame|export)
     top           render a `--heartbeat` stream as a status report
     bench         compare `gcs-bench-result/v1` artifacts (bench diff OLD NEW)
@@ -230,75 +227,6 @@ EXAMPLES:
               --delays directional --rates distsplit --seeds 4 --jobs 8
     gcs sweep --spec examples/sweeps/f4.sweep --csv f4.csv --jsonl f4.jsonl
     gcs sweep --topologies er:24:0.2 --seeds 0..32 --dry-run
-";
-
-const SERVE_USAGE: &str = "\
-gcs serve — admission-controlled simulation daemon
-
-One warm process multiplexing run, sweep, and chaos-batch jobs over a
-hand-rolled HTTP/1.1 + JSONL wire (no dependencies). Submissions are
-canonically hashed; completed jobs freeze into immutable artifacts in a
-byte-budgeted LRU cache, so resubmitting a spec replays the frozen bytes
-without touching the engine. Past the live-job watermark the daemon sheds
-load with `429` + `Retry-After`; a per-session round-robin keeps one
-client's 10k-job sweep from starving interactive runs. Responses for the
-same spec are byte-identical (de-chunked) across cache hit vs miss,
---jobs counts, and concurrent subscribers. See docs/SERVE.md for the
-wire format.
-
-USAGE:
-    gcs serve [--addr HOST:PORT] [--jobs K] [--cache-mb M]
-              [--max-live N] [--dump-dir DIR] [--wall-heartbeats]
-
-OPTIONS:
-    --addr HOST:PORT   listen address            (default 127.0.0.1:7431;
-                       port 0 picks a free port and prints it)
-    --jobs K           worker threads            (default: all cores)
-    --cache-mb M       result-cache budget, MiB  (default 64)
-    --max-live N       admission watermark: live jobs beyond which new
-                       submissions get 429       (default 64)
-    --dump-dir DIR     flight-recorder dumps from tripped/panicked jobs,
-                       one subdirectory per job  (default dumps)
-    --wall-heartbeats  real wall-clock fields in heartbeat streams
-                       (default: zeroed, so responses are reproducible)
-
-ENDPOINTS (see docs/SERVE.md):
-    POST /v1/jobs?kind=run|sweep|chaos-batch[&wait=1]   submit a spec
-    GET  /v1/jobs/ID[/results|/heartbeats|/blame]       poll / stream
-    GET  /stats        scheduler + cache counters
-    GET  /v1/heartbeats[?once=1]                        server event stream
-    POST /v1/shutdown  graceful shutdown
-
-EXIT STATUS:
-    0  clean shutdown        1  bind or runtime error
-";
-
-const SERVE_BENCH_USAGE: &str = "\
-gcs serve-bench — hot/cold load generator for the daemon
-
-Submits a working set of distinct sweep specs from concurrent clients
-(cold phase: every spec executes), then replays the set (hot phase: every
-response must come from the result cache, byte-identical to the cold
-body). Writes BENCH_serve.json (`gcs-bench-result/v1`) with throughput,
-latency percentiles, cache hit ratio, and the cold-vs-hot speedup.
-
-USAGE:
-    gcs serve-bench [--addr HOST:PORT] [--clients C] [--specs S]
-                    [--repeat R] [--jobs K] [--quick] [--no-artifact]
-
-OPTIONS:
-    --addr HOST:PORT   target an already-running daemon (default: spawn an
-                       embedded one for the run)
-    --clients C        concurrent client connections (default 8; 4 quick)
-    --specs S          distinct specs in the set     (default 24; 8 quick)
-    --repeat R         hot replays per spec          (default 4;  2 quick)
-    --jobs K           embedded daemon workers       (default: all cores)
-    --quick            small grids and working set (CI smoke)
-    --no-artifact      print the table only; skip BENCH_serve.json
-
-EXIT STATUS:
-    0  ran (and wrote the artifact)   1  request failures or identity
-                                         violations
 ";
 
 const TRACE_USAGE: &str = "\
@@ -484,8 +412,6 @@ const COMMANDS: &[(&str, &str)] = &[
     ("run", RUN_USAGE),
     ("sweep", SWEEP_USAGE),
     ("chaos", CHAOS_USAGE),
-    ("serve", SERVE_USAGE),
-    ("serve-bench", SERVE_BENCH_USAGE),
     ("trace", TRACE_USAGE),
     ("top", TOP_USAGE),
     ("bench", BENCH_USAGE),
@@ -571,8 +497,6 @@ fn main() -> ExitCode {
             "bounds" => cmd_bounds(&opts),
             "run" => cmd_run(&opts),
             "sweep" => cmd_sweep(&opts),
-            "serve" => cmd_serve(&opts),
-            "serve-bench" => cmd_serve_bench(&opts),
             "lb-global" => cmd_lb_global(&opts),
             "lb-local" => cmd_lb_local(&opts),
             _ => unreachable!("command membership checked above"),
@@ -603,9 +527,6 @@ impl Options {
         "chrome",
         "no-shrink",
         "deterministic-heartbeat",
-        "quick",
-        "wall-heartbeats",
-        "no-artifact",
     ];
 
     /// Parses `args` of `gcs VERB`, accepting only options that `usage`,
@@ -1217,73 +1138,6 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve(opts: &Options) -> Result<(), String> {
-    let addr = opts.str_or("addr", "127.0.0.1:7431");
-    let cache_mb = opts.usize_or("cache-mb", 64)?.max(1);
-    let cfg = ServeConfig {
-        addr: addr.to_string(),
-        workers: opts.usize_or("jobs", 0)?,
-        cache_bytes: cache_mb << 20,
-        max_live: opts.usize_or("max-live", 64)?.max(1),
-        dump_dir: std::path::PathBuf::from(opts.str_or("dump-dir", "dumps")),
-        deterministic: !opts.flag("wall-heartbeats"),
-    };
-    let workers = cfg.effective_workers();
-    let max_live = cfg.max_live;
-    let mut server =
-        ServerHandle::spawn(cfg).map_err(|e| format!("cannot start daemon on {addr}: {e}"))?;
-    println!(
-        "gcs serve: listening on {} ({workers} worker{}, {cache_mb} MiB cache, \
-         watermark {max_live} live jobs)",
-        server.addr(),
-        if workers == 1 { "" } else { "s" },
-    );
-    println!("POST /v1/jobs?kind=run|sweep|chaos-batch to submit; POST /v1/shutdown to stop");
-    server.join();
-    println!("gcs serve: shut down");
-    Ok(())
-}
-
-fn cmd_serve_bench(opts: &Options) -> Result<(), String> {
-    let quick = opts.flag("quick");
-    let cfg = ServeBenchConfig {
-        addr: opts.values.get("addr").cloned(),
-        clients: opts.usize_or("clients", if quick { 4 } else { 8 })?.max(1),
-        specs: opts.usize_or("specs", if quick { 8 } else { 24 })?.max(1),
-        repeat: opts.usize_or("repeat", if quick { 2 } else { 4 })?.max(1),
-        workers: opts.usize_or("jobs", 0)?,
-        quick,
-    };
-    let outcome = run_serve_bench(&cfg)?;
-    let mut table = Table::new(vec!["metric", "value"]);
-    table.row(vec![
-        "cold jobs/sec".into(),
-        format!("{:.1}", outcome.cold_jobs_per_sec),
-    ]);
-    table.row(vec![
-        "hot jobs/sec".into(),
-        format!("{:.1}", outcome.hot_jobs_per_sec),
-    ]);
-    table.row(vec![
-        "cache hit ratio".into(),
-        format!("{:.3}", outcome.hit_ratio),
-    ]);
-    table.row(vec![
-        "hot-vs-cold speedup".into(),
-        format!("{:.1}×", outcome.speedup),
-    ]);
-    println!("{table}");
-    if opts.flag("no-artifact") {
-        return Ok(());
-    }
-    let path = outcome
-        .report
-        .write()
-        .map_err(|e| format!("cannot write BENCH_serve.json: {e}"))?;
-    println!("bench artifact written to {path}");
-    Ok(())
-}
-
 /// Compares two event logs. `Ok(true)` means identical, `Ok(false)` means
 /// a divergence was found and reported (exit code 2 in `main`).
 fn cmd_replay_check(args: &[String]) -> Result<bool, String> {
@@ -1458,7 +1312,7 @@ fn cmd_lb_global(opts: &Options) -> Result<(), String> {
         t,
         t_hat,
         eps / 5.0,
-    );
+    )?;
     let params = Params::recommended(eps, t_hat).map_err(|e| e.to_string())?;
     let (reports, indistinguishable) =
         lb.verify_indistinguishable(|| vec![AOpt::new(params); d + 1]);
@@ -1492,7 +1346,7 @@ fn cmd_lb_local(opts: &Options) -> Result<(), String> {
     let eps = opts.f64_or("eps", 0.2)?;
     let t = opts.f64_or("t", 1.0)?;
     let alpha = 1.0 - eps;
-    let lb = LocalLowerBound::new(b, stages, eps, t, alpha);
+    let lb = LocalLowerBound::new(b, stages, eps, t, alpha)?;
     let algo = opts.str_or("algo", "nosync");
     if !["nosync", "aopt", "jump"].contains(&algo) {
         return Err(format!("lb-local supports nosync|aopt|jump, got `{algo}`"));

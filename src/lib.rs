@@ -19,9 +19,6 @@
 //!   `gcs top` status rendering.
 //! * [`bench`] — the experiment harness and `gcs bench diff` artifact
 //!   comparison.
-//! * [`serve`] — the `gcs serve` daemon: admission-controlled job
-//!   submission over HTTP/1.1 with spec-hash result caching and JSONL
-//!   streaming sessions.
 
 #![forbid(unsafe_code)]
 
@@ -32,7 +29,6 @@ pub use gcs_chaos as chaos;
 pub use gcs_core as core;
 pub use gcs_forensics as forensics;
 pub use gcs_graph as graph;
-pub use gcs_serve as serve;
 pub use gcs_sim as sim;
 pub use gcs_sweep as sweep;
 pub use gcs_telemetry as telemetry;

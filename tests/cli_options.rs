@@ -90,8 +90,6 @@ fn every_option_verb_rejects_unknown_options() {
         ("bounds", &["bounds"][..], 1),
         ("run", &["run"][..], 1),
         ("sweep", &["sweep"][..], 1),
-        ("serve", &["serve"][..], 1),
-        ("serve-bench", &["serve-bench"][..], 1),
         ("lb-global", &["lb-global"][..], 1),
         ("lb-local", &["lb-local"][..], 1),
         ("trace", &["trace", "summary", "missing.jsonl"][..], 1),
@@ -101,6 +99,54 @@ fn every_option_verb_rejects_unknown_options() {
         let mut args = args.to_vec();
         args.extend(["--bogus", "1"]);
         rejects(&args, "--bogus", verb, code);
+    }
+}
+
+/// The removed daemon's load generator, spelled in two pieces like
+/// [`FALLBACK`].
+const DAEMON_BENCH: &str = concat!("serve", "-bench");
+
+#[test]
+fn removed_daemon_verbs_are_unknown_commands() {
+    for verb in ["serve", DAEMON_BENCH] {
+        let output = gcs(&[verb, "--help"]);
+        let err = stderr(&output);
+        assert_eq!(output.status.code(), Some(1), "{verb}: {err}");
+        assert!(
+            err.contains(&format!("unknown command `{verb}`")),
+            "{verb}: {err}"
+        );
+        let list = err
+            .lines()
+            .find_map(|line| line.strip_prefix("available commands: "))
+            .unwrap_or_else(|| panic!("{verb}: no command list in {err}"));
+        assert!(list.split(", ").any(|name| name == "sweep"), "{list}");
+        assert!(!list.contains("serve"), "{list}");
+    }
+    let overview = String::from_utf8_lossy(&gcs(&["--help"]).stdout).into_owned();
+    assert!(!overview.contains("serve"), "{overview}");
+}
+
+#[test]
+fn lower_bound_inputs_out_of_range_are_errors_not_panics() {
+    for args in [
+        &["lb-global", "--d", "0"][..],
+        &["lb-global", "--eps", "0"],
+        &["lb-global", "--t", "0"],
+        &["lb-global", "--t", "-1"],
+        &["lb-local", "--b", "1"],
+        &["lb-local", "--stages", "0"],
+        &["lb-local", "--eps", "0"],
+        &["lb-local", "--t", "0"],
+        &["lb-local", "--t", "-1"],
+        // b^S = 2⁶⁴ wraps to D' = 0 without an overflow check.
+        &["lb-local", "--b", "65536", "--stages", "4"],
+    ] {
+        let output = gcs(args);
+        let err = stderr(&output);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.starts_with("error:"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
     }
 }
 

@@ -265,7 +265,7 @@ fn committed_bench_artifacts_diff_clean_against_themselves() {
     // The repository's own BENCH_*.json artifacts must parse and compare
     // clean against themselves — the CI gate depends on both.
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let mut checked = 0;
+    let mut checked = Vec::new();
     for entry in std::fs::read_dir(&root).unwrap() {
         let path = entry.unwrap().path();
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
@@ -276,11 +276,17 @@ fn committed_bench_artifacts_diff_clean_against_themselves() {
         let output = gcs(&["bench", "diff", p, p]);
         assert!(output.status.success(), "{name}: {}", stderr(&output));
         assert!(stdout(&output).contains("OK: no regressions"), "{name}");
-        checked += 1;
+        checked.push(name);
     }
-    assert!(
-        checked >= 4,
-        "expected the committed artifacts, saw {checked}"
+    checked.sort();
+    assert_eq!(
+        checked,
+        [
+            "BENCH_engine_hotpath.json",
+            "BENCH_observer_overhead.json",
+            "BENCH_sweep_scaling.json",
+        ],
+        "the committed artifacts, no more and no fewer"
     );
 }
 

@@ -13,7 +13,8 @@ fn theorem_7_2_floor_scales_linearly_with_d() {
     let params = Params::recommended(eps, t_hat).unwrap();
     let mut forced = Vec::new();
     for d in [2usize, 4, 8] {
-        let lb = GlobalLowerBound::new(topology::path(d + 1), eps, eps, t, t_hat, 0.01);
+        let lb = GlobalLowerBound::new(topology::path(d + 1), eps, eps, t, t_hat, 0.01)
+            .expect("valid construction");
         let report = lb.run(vec![AOpt::new(params); d + 1], ShiftExecution::E3);
         assert!(report.endpoint_skew >= 0.9 * lb.predicted_skew());
         forced.push(report.endpoint_skew);
@@ -28,7 +29,7 @@ fn theorem_7_2_holds_on_non_path_graphs() {
     let (eps, t, t_hat) = (0.05, 0.5, 1.0);
     let params = Params::recommended(eps, t_hat).unwrap();
     let g = topology::grid(3, 3); // diameter 4
-    let lb = GlobalLowerBound::new(g, eps, eps, t, t_hat, 0.01);
+    let lb = GlobalLowerBound::new(g, eps, eps, t, t_hat, 0.01).expect("valid construction");
     let report = lb.run(vec![AOpt::new(params); 9], ShiftExecution::E3);
     assert!(
         report.endpoint_skew >= 0.85 * lb.predicted_skew(),
@@ -45,7 +46,8 @@ fn upper_and_lower_global_bounds_bracket_a_opt() {
     let (eps, t_hat) = (0.05, 0.5);
     let d = 8;
     let params = Params::recommended(eps, t_hat).unwrap();
-    let lb = GlobalLowerBound::new(topology::path(d + 1), eps, eps, t_hat, t_hat, 0.01);
+    let lb = GlobalLowerBound::new(topology::path(d + 1), eps, eps, t_hat, t_hat, 0.01)
+        .expect("valid construction");
     let report = lb.run(vec![AOpt::new(params); d + 1], ShiftExecution::E3);
     let upper = params.global_skew_bound(d as u32);
     assert!(report.endpoint_skew <= upper + 1e-9);
@@ -59,7 +61,8 @@ fn upper_and_lower_global_bounds_bracket_a_opt() {
 #[test]
 fn indistinguishability_verified_for_multiple_algorithms() {
     let (eps, t, t_hat) = (0.05, 0.5, 1.0);
-    let lb = GlobalLowerBound::new(topology::path(4), eps, eps, t, t_hat, 0.01);
+    let lb = GlobalLowerBound::new(topology::path(4), eps, eps, t, t_hat, 0.01)
+        .expect("valid construction");
     let params = Params::recommended(eps, t_hat).unwrap();
     let (_, ok) = lb.verify_indistinguishable(|| vec![AOpt::new(params); 4]);
     assert!(ok, "A^opt distinguishable");
@@ -74,7 +77,7 @@ fn theorem_7_7_meets_stage_targets_against_nosync() {
     let eps = 0.2;
     let alpha = 1.0 - eps;
     let b = LocalLowerBound::required_branching(alpha, 1.0 + eps, eps);
-    let lb = LocalLowerBound::new(b, 2, eps, 1.0, alpha);
+    let lb = LocalLowerBound::new(b, 2, eps, 1.0, alpha).expect("valid construction");
     let reports = lb.run(|n| vec![NoSync; n]);
     for r in &reports {
         assert!(
@@ -95,7 +98,7 @@ fn theorem_7_7_final_skew_grows_with_stages() {
     let final_skews: Vec<f64> = [1usize, 2]
         .iter()
         .map(|&s| {
-            let lb = LocalLowerBound::new(5, s, eps, 1.0, alpha);
+            let lb = LocalLowerBound::new(5, s, eps, 1.0, alpha).expect("valid construction");
             lb.run(|n| vec![NoSync; n]).last().unwrap().skew
         })
         .collect();
@@ -112,7 +115,7 @@ fn theorem_7_12_jump_algorithms_are_also_forced() {
     let eps = 0.1;
     let t_max = 1.0;
     let params = Params::recommended(eps, t_max).unwrap();
-    let lb = LocalLowerBound::new(3, 2, eps, t_max, 1.0 - eps);
+    let lb = LocalLowerBound::new(3, 2, eps, t_max, 1.0 - eps).expect("valid construction");
     let reports = lb.run(|n| vec![AOptJump::new(params); n]);
     let last = reports.last().unwrap();
     assert_eq!(last.distance, 1);
@@ -128,7 +131,7 @@ fn a_opt_bounds_hold_even_while_under_attack() {
     let eps = 0.1;
     let t_max = 1.0;
     let params = Params::recommended(eps, t_max).unwrap();
-    let lb = LocalLowerBound::new(3, 2, eps, t_max, 1.0 - eps);
+    let lb = LocalLowerBound::new(3, 2, eps, t_max, 1.0 - eps).expect("valid construction");
     let reports = lb.run(|n| vec![AOpt::new(params); n]);
     let d = lb.d_prime() as u32;
     for r in &reports {
