@@ -9,6 +9,8 @@ use std::collections::BTreeMap;
 
 use gcs_sim::{EngineEvent, EventSink};
 
+use crate::json::push_f64;
+
 /// A monotonically increasing event count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter(u64);
@@ -28,11 +30,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0
     }
-
-    /// Folds another counter in: counts add.
-    pub fn merge(&mut self, other: &Counter) {
-        self.0 += other.0;
-    }
 }
 
 /// A last-value-wins instantaneous measurement.
@@ -48,13 +45,6 @@ impl Gauge {
     /// The current value.
     pub fn get(&self) -> f64 {
         self.0
-    }
-
-    /// Folds another gauge in. Gauges are last-value-wins, which is not
-    /// reconstructible from independent shards; the merge is right-biased by
-    /// convention — `other` is the later shard and its value stands.
-    pub fn merge(&mut self, other: &Gauge) {
-        self.0 = other.0;
     }
 }
 
@@ -210,31 +200,6 @@ impl Histogram {
         }
         Some(self.max)
     }
-
-    /// Folds another histogram in: bucket counts, count, and sum add;
-    /// min/max take the extremes. Merging the per-shard histograms of a
-    /// partitioned stream yields exactly the histogram of the interleaved
-    /// stream — bucketing is order-independent (pinned by the property
-    /// tests in `tests/metrics_merge.rs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket bounds differ: histograms of different shapes
-    /// measure different things, and folding them silently would corrupt
-    /// both.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "cannot merge histograms with different bounds"
-        );
-        for (acc, &c) in self.counts.iter_mut().zip(&other.counts) {
-            *acc += c;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// A named collection of counters, gauges, and histograms.
@@ -310,41 +275,11 @@ impl MetricsRegistry {
         out
     }
 
-    /// Folds another registry in: counters add, histograms merge
-    /// (see [`Histogram::merge`] — bounds must agree name-by-name), and
-    /// gauges are right-biased (`other`, the later shard, wins). Metrics
-    /// present in only one side are kept as-is.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, c) in &other.counters {
-            self.counters.entry(name.clone()).or_default().merge(c);
-        }
-        for (name, g) in &other.gauges {
-            self.gauges.entry(name.clone()).or_default().merge(g);
-        }
-        for (name, h) in &other.histograms {
-            match self.histograms.get_mut(name) {
-                Some(mine) => mine.merge(h),
-                None => {
-                    self.histograms.insert(name.clone(), h.clone());
-                }
-            }
-        }
-    }
-
     /// Renders the registry as a `gcs-metrics/v1` JSON document: sorted
     /// maps of counters and gauges, and per-histogram summaries with the
     /// full bucket layout. Deterministic — same registry state,
     /// byte-identical output.
     pub fn to_json(&self) -> String {
-        fn num(out: &mut String, v: f64) {
-            // `f64::to_string` never emits exponents, infinities only by
-            // explicit "inf": guard non-finite values as null.
-            if v.is_finite() {
-                out.push_str(&v.to_string());
-            } else {
-                out.push_str("null");
-            }
-        }
         let mut out = String::from("{\"schema\":\"gcs-metrics/v1\",\"counters\":{");
         for (i, (name, c)) in self.counters.iter().enumerate() {
             if i > 0 {
@@ -358,7 +293,7 @@ impl MetricsRegistry {
                 out.push(',');
             }
             out.push_str(&format!("\"{name}\":"));
-            num(&mut out, g.get());
+            push_f64(&mut out, g.get());
         }
         out.push_str("},\"histograms\":{");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
@@ -366,7 +301,7 @@ impl MetricsRegistry {
                 out.push(',');
             }
             out.push_str(&format!("\"{name}\":{{\"count\":{},\"sum\":", h.count()));
-            num(&mut out, h.sum());
+            push_f64(&mut out, h.sum());
             for (key, v) in [
                 ("min", h.min()),
                 ("max", h.max()),
@@ -376,7 +311,7 @@ impl MetricsRegistry {
             ] {
                 out.push_str(&format!(",\"{key}\":"));
                 match v {
-                    Some(v) => num(&mut out, v),
+                    Some(v) => push_f64(&mut out, v),
                     None => out.push_str("null"),
                 }
             }
@@ -385,7 +320,7 @@ impl MetricsRegistry {
                 if j > 0 {
                     out.push(',');
                 }
-                num(&mut out, b);
+                push_f64(&mut out, b);
             }
             out.push_str("],\"buckets\":[");
             for (j, &c) in h.bucket_counts().iter().enumerate() {
@@ -409,7 +344,7 @@ impl MetricsRegistry {
 /// * a `queue_depth` histogram plus `queue_depth.last` gauge (event-queue
 ///   pressure),
 /// * an `events_per_time` histogram: events per unit of *simulated* time,
-///   windowed at a configurable width,
+///   windowed at one unit of simulated time,
 /// * a `global_skew` histogram sampling the clock spread after every event,
 /// * `time.last` — the real time of the latest observation.
 ///
@@ -431,12 +366,8 @@ impl MetricsRegistry {
 /// engine are gone from the recording path entirely.
 #[derive(Debug, Clone)]
 pub struct MetricsSink {
-    /// Synced view plus any custom metrics added via
-    /// [`MetricsSink::registry_mut`]. The standard metric names listed
-    /// above are owned by the sink: external writes to them are
-    /// overwritten at the next sync.
+    /// The hot-path state folded into named metrics (see `sync`).
     registry: MetricsRegistry,
-    window: f64,
     window_start: f64,
     window_events: u64,
     // Preresolved hot-path handles.
@@ -458,21 +389,10 @@ impl Default for MetricsSink {
 }
 
 impl MetricsSink {
-    /// Creates the sink with a rate window of 1 unit of simulated time.
+    /// Creates the sink.
     pub fn new() -> Self {
-        MetricsSink::with_rate_window(1.0)
-    }
-
-    /// Creates the sink with an explicit events-per-time window width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window <= 0`.
-    pub fn with_rate_window(window: f64) -> Self {
-        assert!(window > 0.0, "invalid rate window {window}");
         MetricsSink {
             registry: MetricsRegistry::new(),
-            window,
             window_start: 0.0,
             window_events: 0,
             events_total: 0,
@@ -524,12 +444,6 @@ impl MetricsSink {
         &self.registry
     }
 
-    /// Mutable registry access (to add custom metrics alongside).
-    pub fn registry_mut(&mut self) -> &mut MetricsRegistry {
-        self.sync();
-        &mut self.registry
-    }
-
     /// Renders the current snapshot (see [`MetricsRegistry::render`]).
     pub fn render(&mut self) -> String {
         self.sync();
@@ -564,14 +478,17 @@ impl MetricsSink {
     }
 
     fn roll_rate_window(&mut self, t: f64) {
-        while t >= self.window_start + self.window {
-            let rate = self.window_events as f64 / self.window;
+        while t >= self.window_start + RATE_WINDOW {
+            let rate = self.window_events as f64 / RATE_WINDOW;
             self.events_per_time.record(rate);
-            self.window_start += self.window;
+            self.window_start += RATE_WINDOW;
             self.window_events = 0;
         }
     }
 }
+
+/// Width of the `events_per_time` window, in units of simulated time.
+const RATE_WINDOW: f64 = 1.0;
 
 /// `events.*` counter names, indexed by [`EngineEvent::kind_index`] — the
 /// preresolved replacement for the old per-event `format!` lookups.
@@ -765,7 +682,7 @@ mod tests {
     #[test]
     fn rate_window_rolls_with_simulated_time() {
         use gcs_graph::NodeId;
-        let mut sink = MetricsSink::with_rate_window(1.0);
+        let mut sink = MetricsSink::new();
         for i in 0..10 {
             sink.record(&EngineEvent::Wake {
                 node: NodeId(0),

@@ -89,8 +89,8 @@ fn observer_overhead(c: &mut Criterion) {
         );
     });
 
-    // The always-armed flight recorder: fixed-width binary frames into a
-    // bounded ring. This is what every `gcs run` now pays by default.
+    // The always-armed flight recorder: raw events into bounded per-node
+    // rings. This is what every `gcs run` now pays by default.
     group.bench_function("recorder_sink", |b| {
         b.iter_batched(
             || make_engine(N, RecorderSink::new()),

@@ -22,7 +22,7 @@
 //! * [`run_scenario`] — one scenario, one verdict;
 //! * [`run_batch`] — thousands of seed-randomized scenarios
 //!   ([`random_spec`]) on the sweep worker pool, findings auto-shrunk;
-//! * [`shrink`] — delta-debugging minimization of a violating scenario to
+//! * [`shrink()`] — delta-debugging minimization of a violating scenario to
 //!   a locally-minimal, byte-identically-reproducible `.chaos` fixture.
 
 pub mod batch;

@@ -15,7 +15,7 @@ use gcs_adversary::{EdgeSel, FaultClause, FaultKind, NodeSel};
 use crate::spec::ChaosSpec;
 
 /// SplitMix64 — the same finalizer family as the fault layer's
-/// [`gcs_adversary::chaos_hash`], here run as a sequential stream for
+/// [`gcs_adversary::fault::chaos_hash`], here run as a sequential stream for
 /// scenario construction.
 #[derive(Debug, Clone)]
 pub struct SplitMix64(u64);

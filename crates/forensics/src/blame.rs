@@ -55,7 +55,7 @@ pub fn find_peaks(
     let mut times = clocks.kink_times();
     if let Some(end) = end {
         times.push(end);
-        times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+        times.sort_by(f64::total_cmp);
         times.dedup();
     }
 
@@ -446,6 +446,19 @@ mod tests {
         assert_eq!(peak.local_pair, (n(0), n(1)));
         assert!((peak.local - 1.5).abs() < 1e-12);
         assert!((peak.local_t - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_non_finite_end_does_not_panic() {
+        let events = wavefront_stream();
+        let clocks = ClockReconstruction::from_events(&events);
+        let dag = Dag::from_events(events);
+        let plain = find_peaks(&clocks, dag.edges(), None).unwrap();
+        for end in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let peak = find_peaks(&clocks, dag.edges(), Some(end)).unwrap();
+            assert_eq!(peak.global_pair, plain.global_pair, "end {end}");
+            assert_eq!(peak.local_pair, plain.local_pair, "end {end}");
+        }
     }
 
     #[test]

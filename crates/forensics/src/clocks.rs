@@ -53,7 +53,7 @@ pub struct NodeClock {
 
 impl NodeClock {
     fn segment_at(&self, t: f64) -> Option<&Segment> {
-        if t < self.wake_t {
+        if t.is_nan() || t < self.wake_t {
             return None;
         }
         let idx = match self
@@ -73,12 +73,12 @@ impl NodeClock {
         Some(&self.segments[idx])
     }
 
-    /// Hardware reading at real time `t`, or `None` before wake-up.
+    /// Hardware reading at real time `t`, or `None` before wake-up or at a NaN `t`.
     pub fn hardware(&self, t: f64) -> Option<f64> {
         self.segment_at(t).map(|s| s.hw + s.rate * (t - s.t))
     }
 
-    /// Logical reading at real time `t`, or `None` before wake-up.
+    /// Logical reading at real time `t`, or `None` before wake-up or at a NaN `t`.
     pub fn logical(&self, t: f64) -> Option<f64> {
         self.segment_at(t)
             .map(|s| s.l + s.multiplier * s.rate * (t - s.t))

@@ -9,7 +9,7 @@
 //!
 //! * [`TraceSummary`] — per-node / per-edge event, delay, and rate-change
 //!   statistics (`gcs trace summary`);
-//! * [`blame`] — locate the peak global/local skew instant and walk the
+//! * [`blame()`] — locate the peak global/local skew instant and walk the
 //!   causal chain of deliveries and multiplier steps that produced it
 //!   (`gcs trace blame`), the mechanism of the paper's Thm 5.10 made
 //!   visible;
@@ -42,7 +42,6 @@ pub mod blame;
 pub mod chrome;
 pub mod clocks;
 pub mod dag;
-pub mod frames;
 pub mod json;
 pub mod parse;
 pub mod summary;
@@ -51,7 +50,6 @@ pub use blame::{blame, causal_chain, find_peaks, BlameReport, Chain, Hop, PeakRe
 pub use chrome::export_chrome;
 pub use clocks::{ClockReconstruction, NodeClock, Segment};
 pub use dag::{event_node, Dag, EventId, Message};
-pub use frames::{decode_dump, is_recorder_dump, FrameError};
 pub use json::{parse as parse_json, Json, JsonError};
 pub use parse::{parse_line, parse_stream, ParseError};
 pub use summary::{EdgeStats, NodeStats, TraceSummary};

@@ -295,52 +295,6 @@ impl DelayModel for UniformDelay {
     }
 }
 
-/// Delays that are `0` with probability `p_fast` and `𝒯` otherwise.
-///
-/// A crude but effective stochastic adversary: extreme delays are what
-/// build worst-case skew.
-#[derive(Debug, Clone)]
-pub struct BimodalDelay {
-    t_max: f64,
-    p_fast: f64,
-    rng: ChaCha8Rng,
-}
-
-impl BimodalDelay {
-    /// Creates the model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t_max < 0` or `p_fast` is not a probability.
-    pub fn new(t_max: f64, p_fast: f64, seed: u64) -> Self {
-        assert!(t_max.is_finite() && t_max >= 0.0, "invalid 𝒯 {t_max}");
-        assert!(
-            (0.0..=1.0).contains(&p_fast),
-            "invalid probability {p_fast}"
-        );
-        use rand::SeedableRng;
-        BimodalDelay {
-            t_max,
-            p_fast,
-            rng: ChaCha8Rng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl DelayModel for BimodalDelay {
-    fn delivery(&mut self, _ctx: &DelayCtx<'_>) -> Delivery {
-        if self.rng.gen_bool(self.p_fast) {
-            Delivery::After(0.0)
-        } else {
-            Delivery::After(self.t_max)
-        }
-    }
-
-    fn uncertainty(&self) -> Option<f64> {
-        Some(self.t_max)
-    }
-}
-
 /// Direction-dependent delays relative to a reference node, the shape used
 /// by the paper's execution `E₁` (proof of Theorem 7.2): messages moving
 /// *toward* the reference node take `toward`, messages moving away (or
@@ -514,21 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn bimodal_delay_takes_extremes_only() {
-        let g = topology::path(2);
-        let mut m = BimodalDelay::new(0.5, 0.5, 3);
-        let (mut fast, mut slow) = (0, 0);
-        for _ in 0..200 {
-            match m.delivery(&ctx(&g, 0, 1)) {
-                Delivery::After(d) if d < 0.25 => fast += 1,
-                Delivery::After(_) => slow += 1,
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert!(fast > 0 && slow > 0);
-    }
-
-    #[test]
     fn directional_delay_distinguishes_direction() {
         let g = topology::path(3);
         let mut m = DirectionalDelay::new(&g, NodeId(0), 0.5, 0.0);
@@ -587,7 +526,6 @@ mod tests {
         );
         // Randomized and closure models make no promise.
         assert_eq!(UniformDelay::new(0.5, 9).min_delay(), None);
-        assert_eq!(BimodalDelay::new(0.5, 0.5, 3).min_delay(), None);
         assert_eq!(
             LossyDelay::new(ConstantDelay::new(0.2), 0.3, 5).min_delay(),
             None

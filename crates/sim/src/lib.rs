@@ -77,15 +77,14 @@ pub mod sink;
 mod ticked;
 
 pub use delay::{
-    BimodalDelay, ConstantDelay, DelayCtx, DelayModel, Delivery, DirectionalDelay, DropCause,
-    FnDelay, Lookahead, LossyDelay, UniformDelay,
+    ConstantDelay, DelayCtx, DelayModel, Delivery, DirectionalDelay, DropCause, FnDelay, Lookahead,
+    LossyDelay, UniformDelay,
 };
 pub use engine::{Engine, EngineBuilder, MessageStats};
 pub use profile::EngineProfile;
 pub use protocol::{Context, Protocol, TimerId};
 pub use sink::{
-    decode_frame, encode_frame, ClockView, EngineEvent, EventSink, NullSink, RecorderSink,
-    RingBufferSink, VecSink, DEFAULT_RECORDER_FRAMES, DEFAULT_RECORDER_PARTITIONS, FRAME_LEN,
-    KIND_COUNT, KIND_LABELS, RECORDER_MAGIC,
+    ClockView, EngineEvent, EventSink, NullSink, RecorderSink, RingBufferSink, VecSink,
+    DEFAULT_RECORDER_FRAMES, DEFAULT_RECORDER_PARTITIONS, KIND_COUNT, KIND_LABELS,
 };
 pub use ticked::Ticked;

@@ -182,9 +182,8 @@ impl EngineEvent {
     }
 
     /// A dense index for the event kind, `0..KIND_COUNT`, stable across
-    /// releases: it doubles as the kind byte of the recorder frame layout
-    /// (see [`encode_frame`]) and as the slot of preresolved per-kind
-    /// counters.
+    /// releases: the slot of preresolved per-kind counters and of
+    /// [`KIND_LABELS`].
     #[inline]
     pub fn kind_index(&self) -> usize {
         match self {
@@ -252,8 +251,7 @@ pub trait ClockView {
 /// snapshots).
 ///
 /// All methods have no-op defaults, so a sink implements only what it
-/// needs. The trait is object-safe: heterogeneous sinks can be composed
-/// behind `Box<dyn EventSink>` when static composition is inconvenient.
+/// needs.
 pub trait EventSink {
     /// Whether the engine should bother constructing and reporting events.
     ///
@@ -328,33 +326,6 @@ impl EventSink for NullSink {
     }
 }
 
-impl<S: EventSink + ?Sized> EventSink for Box<S> {
-    fn enabled(&self) -> bool {
-        (**self).enabled()
-    }
-    fn record(&mut self, event: &EngineEvent) {
-        (**self).record(event);
-    }
-    fn wants_snapshots(&self) -> bool {
-        (**self).wants_snapshots()
-    }
-    fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
-        (**self).snapshot(t, clocks, queue_depth);
-    }
-    fn wants_local_snapshots(&self) -> bool {
-        (**self).wants_local_snapshots()
-    }
-    fn local_snapshot(
-        &mut self,
-        t: f64,
-        touched: &[NodeId],
-        clocks: &dyn ClockView,
-        queue_depth: usize,
-    ) {
-        (**self).local_snapshot(t, touched, clocks, queue_depth);
-    }
-}
-
 impl<S: EventSink> EventSink for Option<S> {
     fn enabled(&self) -> bool {
         self.as_ref().is_some_and(|s| s.enabled())
@@ -386,43 +357,6 @@ impl<S: EventSink> EventSink for Option<S> {
             s.local_snapshot(t, touched, clocks, queue_depth);
         }
     }
-}
-
-macro_rules! tuple_sinks {
-    ($(($($name:ident : $idx:tt),+);)*) => {$(
-        impl<$($name: EventSink),+> EventSink for ($($name,)+) {
-            fn enabled(&self) -> bool {
-                $(self.$idx.enabled())||+
-            }
-            fn record(&mut self, event: &EngineEvent) {
-                $(self.$idx.record(event);)+
-            }
-            fn wants_snapshots(&self) -> bool {
-                $(self.$idx.wants_snapshots())||+
-            }
-            fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
-                $(self.$idx.snapshot(t, clocks, queue_depth);)+
-            }
-            fn wants_local_snapshots(&self) -> bool {
-                $(self.$idx.wants_local_snapshots())||+
-            }
-            fn local_snapshot(
-                &mut self,
-                t: f64,
-                touched: &[NodeId],
-                clocks: &dyn ClockView,
-                queue_depth: usize,
-            ) {
-                $(self.$idx.local_snapshot(t, touched, clocks, queue_depth);)+
-            }
-        }
-    )*};
-}
-
-tuple_sinks! {
-    (A: 0, B: 1);
-    (A: 0, B: 1, C: 2);
-    (A: 0, B: 1, C: 2, D: 3);
 }
 
 /// A growable, bounded-memory buffer of the most recent events — the
@@ -490,210 +424,8 @@ impl EventSink for VecSink {
 }
 
 // ---------------------------------------------------------------------------
-// Flight recorder: fixed-width binary frames in per-partition bounded rings.
+// Flight recorder: raw events in per-partition bounded rings.
 // ---------------------------------------------------------------------------
-
-/// Size in bytes of one encoded recorder frame.
-///
-/// The layout is little-endian and position-fixed:
-///
-/// | offset | width | field                                                |
-/// |--------|-------|------------------------------------------------------|
-/// | 0      | 1     | kind byte ([`EngineEvent::kind_index`])              |
-/// | 1      | 1     | flags (bit 0: transmit has a delay; bit 1: fault drop)|
-/// | 2      | 2     | reserved, must be zero                               |
-/// | 4      | 4     | `a`: node / src (u32)                                |
-/// | 8      | 4     | `b`: dst / timer slot (u32)                          |
-/// | 12     | 4     | reserved, must be zero                               |
-/// | 16     | 8     | global record sequence number (u64)                  |
-/// | 24     | 8     | event time `t` (f64 bits)                            |
-/// | 32     | 8     | `x`: hw / delay / dst_hw / target_hw / rate / mult   |
-pub const FRAME_LEN: usize = 40;
-
-/// Magic prefix of a raw binary recorder dump file.
-pub const RECORDER_MAGIC: &[u8; 8] = b"GCSREC01";
-
-const FLAG_HAS_DELAY: u8 = 0b0000_0001;
-const FLAG_FAULT_CAUSE: u8 = 0b0000_0010;
-
-/// The wire fields of one event, extracted by a single match: kind byte,
-/// flags byte, the two u32 payload slots, the time, and the f64 payload
-/// slot. Kind values mirror [`EngineEvent::kind_index`].
-#[inline]
-fn frame_fields(event: &EngineEvent) -> (u8, u8, u32, u32, f64, f64) {
-    match *event {
-        EngineEvent::Wake { node, t, hw } => (0, 0u8, node.0 as u32, 0u32, t, hw),
-        EngineEvent::Send { node, t, hw } => (1, 0, node.0 as u32, 0, t, hw),
-        EngineEvent::Transmit { src, dst, t, delay } => (
-            2,
-            if delay.is_some() { FLAG_HAS_DELAY } else { 0 },
-            src.0 as u32,
-            dst.0 as u32,
-            t,
-            delay.unwrap_or(0.0),
-        ),
-        EngineEvent::Drop { src, dst, t, cause } => (
-            3,
-            match cause {
-                DropCause::Model => 0,
-                DropCause::Fault => FLAG_FAULT_CAUSE,
-            },
-            src.0 as u32,
-            dst.0 as u32,
-            t,
-            0.0,
-        ),
-        EngineEvent::Deliver {
-            src,
-            dst,
-            t,
-            dst_hw,
-        } => (4, 0, src.0 as u32, dst.0 as u32, t, dst_hw),
-        EngineEvent::TimerSet {
-            node,
-            timer,
-            target_hw,
-            t,
-        } => (5, 0, node.0 as u32, timer.0, t, target_hw),
-        EngineEvent::TimerCancel { node, timer, t } => (6, 0, node.0 as u32, timer.0, t, 0.0),
-        EngineEvent::TimerFire { node, timer, t, hw } => (7, 0, node.0 as u32, timer.0, t, hw),
-        EngineEvent::RateStep { node, t, rate } => (8, 0, node.0 as u32, 0, t, rate),
-        EngineEvent::MultiplierChange {
-            node,
-            t,
-            multiplier,
-        } => (9, 0, node.0 as u32, 0, t, multiplier),
-    }
-}
-
-/// Writes one frame into a [`FRAME_LEN`]-byte slot as five aligned-width
-/// `u64` little-endian word stores (the layout packs kind/flags/reserved/a
-/// into word 0 and b/reserved into word 1). The slot may hold a stale
-/// frame (ring reuse): every byte, including the reserved ranges, is
-/// overwritten.
-#[inline]
-fn encode_frame_into(event: &EngineEvent, seq: u64, frame: &mut [u8; FRAME_LEN]) {
-    let (kind, flags, a, b, t, x) = frame_fields(event);
-    store_frame(frame, kind, flags, a, b, seq, t, x);
-}
-
-/// The five word stores shared by [`encode_frame_into`] and the recorder
-/// hot path.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn store_frame(
-    frame: &mut [u8; FRAME_LEN],
-    kind: u8,
-    flags: u8,
-    a: u32,
-    b: u32,
-    seq: u64,
-    t: f64,
-    x: f64,
-) {
-    let word0 = kind as u64 | (flags as u64) << 8 | (a as u64) << 32;
-    frame[0..8].copy_from_slice(&word0.to_le_bytes());
-    frame[8..16].copy_from_slice(&(b as u64).to_le_bytes());
-    frame[16..24].copy_from_slice(&seq.to_le_bytes());
-    frame[24..32].copy_from_slice(&t.to_bits().to_le_bytes());
-    frame[32..40].copy_from_slice(&x.to_bits().to_le_bytes());
-}
-
-/// Encodes one event (plus its global sequence number) as a recorder frame.
-///
-/// The encoding is total: every [`EngineEvent`] has exactly one frame, and
-/// [`decode_frame`] inverts it bit-exactly (`f64` payloads travel as raw
-/// bits, so `-0.0` and subnormals survive).
-#[inline]
-pub fn encode_frame(event: &EngineEvent, seq: u64) -> [u8; FRAME_LEN] {
-    let mut frame = [0u8; FRAME_LEN];
-    encode_frame_into(event, seq, &mut frame);
-    frame
-}
-
-/// Decodes one recorder frame back into its sequence number and event.
-///
-/// # Errors
-///
-/// Returns a human-readable reason when `bytes` is not exactly
-/// [`FRAME_LEN`] long, carries an unknown kind byte or flag bit, or has
-/// nonzero reserved bytes (the cheap misalignment detector).
-pub fn decode_frame(bytes: &[u8]) -> Result<(u64, EngineEvent), String> {
-    if bytes.len() != FRAME_LEN {
-        return Err(format!(
-            "frame is {} bytes, expected {FRAME_LEN}",
-            bytes.len()
-        ));
-    }
-    let u32_at = |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-    let u64_at = |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
-    let f64_at = |off: usize| f64::from_bits(u64_at(off));
-
-    let kind = bytes[0];
-    let flags = bytes[1];
-    if flags & !(FLAG_HAS_DELAY | FLAG_FAULT_CAUSE) != 0 {
-        return Err(format!("unknown flag bits 0x{flags:02x}"));
-    }
-    if bytes[2] != 0 || bytes[3] != 0 || u32_at(12) != 0 {
-        return Err("nonzero reserved bytes (misaligned or corrupt frame)".into());
-    }
-    let a = u32_at(4);
-    let b = u32_at(8);
-    let seq = u64_at(16);
-    let t = f64_at(24);
-    let x = f64_at(32);
-    let node = NodeId(a as usize);
-    let src = NodeId(a as usize);
-    let dst = NodeId(b as usize);
-    let timer = TimerId(b);
-    let event = match kind {
-        0 => EngineEvent::Wake { node, t, hw: x },
-        1 => EngineEvent::Send { node, t, hw: x },
-        2 => EngineEvent::Transmit {
-            src,
-            dst,
-            t,
-            delay: (flags & FLAG_HAS_DELAY != 0).then_some(x),
-        },
-        3 => EngineEvent::Drop {
-            src,
-            dst,
-            t,
-            cause: if flags & FLAG_FAULT_CAUSE != 0 {
-                DropCause::Fault
-            } else {
-                DropCause::Model
-            },
-        },
-        4 => EngineEvent::Deliver {
-            src,
-            dst,
-            t,
-            dst_hw: x,
-        },
-        5 => EngineEvent::TimerSet {
-            node,
-            timer,
-            target_hw: x,
-            t,
-        },
-        6 => EngineEvent::TimerCancel { node, timer, t },
-        7 => EngineEvent::TimerFire {
-            node,
-            timer,
-            t,
-            hw: x,
-        },
-        8 => EngineEvent::RateStep { node, t, rate: x },
-        9 => EngineEvent::MultiplierChange {
-            node,
-            t,
-            multiplier: x,
-        },
-        other => return Err(format!("unknown frame kind byte {other}")),
-    };
-    Ok((seq, event))
-}
 
 /// One partition's bounded ring of `(seq, event)` slots, overwritten
 /// oldest-first once full. Slots hold the event verbatim next to its full
@@ -759,9 +491,8 @@ impl EventRing {
 /// one of several bounded per-partition rings, with **zero allocation at
 /// steady state** — all buffers are preallocated at construction (the same
 /// bar `NullSink`-style hot paths meet, enforced by `tests/zero_alloc.rs`).
-/// The hot path is a plain `Copy` store plus a masked ring advance; the
-/// fixed-width binary frame encoding ([`encode_frame`]) is applied only
-/// when a window is dumped.
+/// The hot path is a plain `Copy` store plus a masked ring advance;
+/// serialization happens only when a window is dumped.
 ///
 /// Events are partitioned by their primary node (`node % partitions`), so
 /// one chatty node cannot evict the whole window; a per-slot global
@@ -841,7 +572,7 @@ impl RecorderSink {
     }
 
     /// Total events recorded over the recorder's lifetime (including
-    /// frames already evicted from the window).
+    /// events already evicted from the window).
     pub fn recorded(&self) -> u64 {
         self.seq
     }
@@ -870,20 +601,6 @@ impl RecorderSink {
     /// (ascending global sequence number). Allocates — dump path only.
     pub fn window_events(&self) -> Vec<EngineEvent> {
         self.window_tagged().into_iter().map(|(_, e)| e).collect()
-    }
-
-    /// The retained window serialized as [`encode_frame`] frames in
-    /// execution order, prefixed with [`RECORDER_MAGIC`] — the
-    /// `--dump-recorder <path>.gcsrec` byte format, decoded by
-    /// `gcs-forensics`.
-    pub fn window_frames(&self) -> Vec<u8> {
-        let tagged = self.window_tagged();
-        let mut out = Vec::with_capacity(RECORDER_MAGIC.len() + tagged.len() * FRAME_LEN);
-        out.extend_from_slice(RECORDER_MAGIC);
-        for (seq, event) in &tagged {
-            out.extend_from_slice(&encode_frame(event, *seq));
-        }
-        out
     }
 
     /// The primary node of an event — the partition key. Deliveries and
@@ -948,20 +665,6 @@ mod tests {
         assert!(!NullSink.enabled());
         assert!(!NullSink.wants_snapshots());
         assert!(!NullSink.wants_local_snapshots());
-    }
-
-    #[test]
-    fn tuple_sink_fans_out() {
-        let mut sink = (VecSink::default(), RingBufferSink::new(8));
-        assert!(sink.enabled());
-        sink.record(&EngineEvent::Drop {
-            src: NodeId(0),
-            dst: NodeId(1),
-            t: 1.0,
-            cause: DropCause::Model,
-        });
-        assert_eq!(sink.0.events.len(), 1);
-        assert_eq!(sink.1.recorded(), 1);
     }
 
     #[test]
@@ -1047,8 +750,8 @@ mod tests {
         assert_eq!(unique.len(), kinds.len());
     }
 
-    /// One event of every shape the codec must carry, including both
-    /// transmit-delay forms and both drop causes.
+    /// One event of every shape, including both transmit-delay forms and
+    /// both drop causes.
     fn all_events() -> Vec<EngineEvent> {
         vec![
             EngineEvent::Wake {
@@ -1122,53 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn frames_round_trip_every_event_shape() {
-        for (i, event) in all_events().iter().enumerate() {
-            let seq = i as u64 * 1_000_003;
-            let frame = encode_frame(event, seq);
-            let (got_seq, got) = decode_frame(&frame).unwrap();
-            assert_eq!(got_seq, seq);
-            assert_eq!(&got, event, "frame {i} did not round-trip");
-        }
-    }
-
-    #[test]
-    fn frames_preserve_f64_bit_patterns() {
-        let event = EngineEvent::Wake {
-            node: NodeId(0),
-            t: -0.0,
-            hw: f64::MIN_POSITIVE / 2.0, // subnormal
-        };
-        let (_, got) = decode_frame(&encode_frame(&event, 0)).unwrap();
-        let EngineEvent::Wake { t, hw, .. } = got else {
-            panic!("wrong kind");
-        };
-        assert_eq!(t.to_bits(), (-0.0f64).to_bits());
-        assert_eq!(hw.to_bits(), (f64::MIN_POSITIVE / 2.0).to_bits());
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert!(decode_frame(&[0u8; 12]).is_err(), "short frame");
-        let mut frame = encode_frame(
-            &EngineEvent::Wake {
-                node: NodeId(0),
-                t: 0.0,
-                hw: 0.0,
-            },
-            0,
-        );
-        frame[0] = 200;
-        assert!(decode_frame(&frame).is_err(), "unknown kind byte");
-        frame[0] = 0;
-        frame[1] = 0b1000_0000;
-        assert!(decode_frame(&frame).is_err(), "unknown flag bit");
-        frame[1] = 0;
-        frame[2] = 1;
-        assert!(decode_frame(&frame).is_err(), "nonzero reserved byte");
-    }
-
-    #[test]
     fn recorder_window_merges_partitions_in_execution_order() {
         let mut rec = RecorderSink::with_geometry(4, 64);
         let events = all_events();
@@ -1195,7 +851,7 @@ mod tests {
             fresh.record(event);
         }
         assert_eq!(reused.recorded(), fresh.recorded());
-        assert_eq!(reused.window_frames(), fresh.window_frames());
+        assert_eq!(reused.window_tagged(), fresh.window_tagged());
     }
 
     #[test]
@@ -1263,26 +919,5 @@ mod tests {
             "the wake survives the flood"
         );
         assert_eq!(window[1].time(), 97.0, "rings still evict oldest-first");
-    }
-
-    #[test]
-    fn recorder_raw_dump_has_magic_and_ordered_frames() {
-        let mut rec = RecorderSink::with_geometry(4, 64);
-        let events = all_events();
-        for event in &events {
-            rec.record(event);
-        }
-        let bytes = rec.window_frames();
-        assert_eq!(&bytes[..8], RECORDER_MAGIC);
-        assert_eq!((bytes.len() - 8) % FRAME_LEN, 0);
-        let mut decoded = Vec::new();
-        let mut last_seq = None;
-        for chunk in bytes[8..].chunks(FRAME_LEN) {
-            let (seq, event) = decode_frame(chunk).unwrap();
-            assert!(last_seq < Some(seq), "frames must be seq-ascending");
-            last_seq = Some(seq);
-            decoded.push(event);
-        }
-        assert_eq!(decoded, events);
     }
 }

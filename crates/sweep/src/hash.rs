@@ -5,7 +5,7 @@
 //! digest. Two specs serialize equal exactly when they describe the same
 //! execution (the job `index` is deliberately excluded: it names a grid
 //! position, not a computation). The digest's one user is the sweep
-//! dedupe ([`crate::dedupe`]): `gcs sweep` groups identical expanded grid
+//! dedupe ([`crate::DedupePlan`]): `gcs sweep` groups identical expanded grid
 //! points (duplicate axis values) by digest, guards collisions with the
 //! full bytes, and runs each distinct execution once.
 //!

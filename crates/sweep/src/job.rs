@@ -226,14 +226,14 @@ mod tests {
         let job = spec(20.0).expand().remove(0);
         let fresh = std::thread::spawn({
             let job = job.clone();
-            move || spare_after(&job).window_frames()
+            move || spare_after(&job).window_events()
         })
         .join()
         .unwrap();
         // A longer job first leaves this thread a spare recorder whose
         // rings are full of its events.
         run_job(&spec(60.0).expand()[0]).unwrap();
-        assert_eq!(spare_after(&job).window_frames(), fresh);
+        assert_eq!(spare_after(&job).window_events(), fresh);
     }
 
     #[test]

@@ -34,8 +34,7 @@ use clock_sync::chaos::{
 };
 use clock_sync::core::{AOpt, Params};
 use clock_sync::forensics::{
-    blame, decode_dump, export_chrome, is_recorder_dump, parse_stream, ClockReconstruction, Dag,
-    TraceSummary,
+    blame, export_chrome, parse_stream, ClockReconstruction, Dag, TraceSummary,
 };
 use clock_sync::sim::{Protocol, RecorderSink};
 use clock_sync::sweep::scenario::Heartbeat;
@@ -152,18 +151,15 @@ OBSERVABILITY:
                          invariant violation the paper predicts)
 
 FLIGHT RECORDER (always armed):
-    Every run records its recent events into a bounded in-memory ring of
-    compact binary frames (a few MiB, zero steady-state allocation). The
-    window is dumped automatically on a watchdog trip (to
-    dumps/recorder-trip.jsonl) or an engine panic
-    (dumps/recorder-panic.jsonl; the dumps/ directory is created on
-    demand and git-ignored), and on request:
+    Every run records its recent events into bounded in-memory rings
+    (under half a MiB, zero steady-state allocation). The window is
+    dumped automatically on a watchdog trip (to dumps/recorder-trip.jsonl)
+    or an engine panic (dumps/recorder-panic.jsonl; the dumps/ directory
+    is created on demand and git-ignored), and on request:
     --dump-recorder FILE dump the recorder window after the run (and use
-                         FILE for trip/panic dumps too). A .jsonl path
-                         gets the standard event-log format (works with
-                         `gcs trace` and replay-check); a .gcsrec or .bin
-                         path gets raw `GCSREC01` binary frames, which
-                         `gcs trace` also reads directly
+                         FILE for trip/panic dumps too), in the standard
+                         JSONL event-log format (works with `gcs trace`
+                         and replay-check)
     --skew-field FILE|-  stream windowed per-edge skew aggregates as
                          `gcs-skewfield/v1` JSONL (`-` = stdout); render
                          with `gcs top`
@@ -237,11 +233,10 @@ USAGE:
     gcs trace blame   FILE.jsonl [--global] [--end T] [--max-hops N]
     gcs trace export  FILE.jsonl --chrome [--out FILE.json]
 
-Reads a `gcs run --events` JSONL log — or a binary `GCSREC01` flight-
-recorder dump (`gcs run --dump-recorder FILE.gcsrec`), detected by its
-magic bytes — reconstructs every node's exact hardware and logical clock
-plus the happened-before DAG over all messages, and answers provenance
-queries offline — no re-simulation.
+Reads a JSONL event log (`gcs run --events` or `--dump-recorder`),
+reconstructs every node's exact hardware and logical clock plus the
+happened-before DAG over all messages, and answers provenance queries
+offline — no re-simulation.
 
 ACTIONS:
     summary    per-node / per-edge event, delivery, and latency statistics
@@ -667,20 +662,13 @@ fn default_dump_path(name: &str) -> String {
     format!("dumps/{name}")
 }
 
-/// Writes a flight-recorder window to `path`: raw `GCSREC01` frames when
-/// the extension says binary (`.gcsrec` / `.bin`), the standard JSONL
-/// event-log format (consumable by `gcs trace` and `gcs replay-check`)
-/// otherwise. Returns the number of events in the window.
+/// Writes a flight-recorder window to `path` in the JSONL event-log
+/// format (consumable by `gcs trace` and `gcs replay-check`). Returns the
+/// number of events in the window.
 fn write_recorder_dump(path: &str, recorder: &RecorderSink) -> Result<usize, String> {
-    let fail = |e: std::io::Error| format!("cannot write recorder dump {path}: {e}");
-    if path.ends_with(".gcsrec") || path.ends_with(".bin") {
-        std::fs::write(path, recorder.window_frames()).map_err(fail)?;
-        Ok(recorder.window_len())
-    } else {
-        let events = recorder.window_events();
-        write_jsonl(path, &events).map_err(fail)?;
-        Ok(events.len())
-    }
+    let events = recorder.window_events();
+    write_jsonl(path, &events).map_err(|e| format!("cannot write recorder dump {path}: {e}"))?;
+    Ok(events.len())
 }
 
 /// Builds the `gcs run` sink set: each observability flag switches on one
@@ -1196,16 +1184,8 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         );
     };
     let opts = Options::parse(rest, "trace", TRACE_USAGE)?;
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    // Binary flight-recorder dumps (`GCSREC01` magic) decode straight to
-    // events; everything else is the JSONL event-log format.
-    let events = if is_recorder_dump(&bytes) {
-        decode_dump(&bytes).map_err(|e| format!("{path}: {e}"))?
-    } else {
-        let text = String::from_utf8(bytes)
-            .map_err(|e| format!("{path}: stream is not UTF-8 (and not a recorder dump): {e}"))?;
-        parse_stream(&text).map_err(|e| format!("{path}: {e}"))?
-    };
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let events = parse_stream(&text).map_err(|e| format!("{path}: {e}"))?;
     if events.is_empty() {
         return Err(format!("{path}: stream contains no events"));
     }
@@ -1218,10 +1198,15 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         "blame" => {
             let clocks = ClockReconstruction::from_events(dag.events());
             let end = match opts.values.get("end") {
-                Some(v) => Some(
-                    v.parse()
-                        .map_err(|_| format!("option --end: `{v}` is not a number"))?,
-                ),
+                Some(v) => {
+                    let end: f64 = v
+                        .parse()
+                        .map_err(|_| format!("option --end: `{v}` is not a number"))?;
+                    if !end.is_finite() {
+                        return Err(format!("option --end: `{v}` must be finite"));
+                    }
+                    Some(end)
+                }
                 None => None,
             };
             let max_hops = opts.usize_or("max-hops", 64)?;

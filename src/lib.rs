@@ -17,7 +17,7 @@
 //!   provenance (blame), and Chrome trace-event export.
 //! * [`telemetry`] — streaming `gcs-heartbeat/v1` run progress and the
 //!   `gcs top` status rendering.
-//! * [`bench`] — the experiment harness and `gcs bench diff` artifact
+//! * [`bench`](mod@bench) — the experiment harness and `gcs bench diff` artifact
 //!   comparison.
 
 #![forbid(unsafe_code)]

@@ -7,6 +7,7 @@
 //! * on a fixed-seed wavefront run, `gcs trace blame` names the same peak
 //!   local-skew pair as the run's own online observer (the ISSUE-3
 //!   acceptance criterion);
+//! * `gcs trace blame --end` rejects a non-finite time;
 //! * `gcs trace export --chrome` emits valid Chrome trace-event JSON;
 //! * `gcs replay-check` exits 0 / 2 / 1 for identical / diverging /
 //!   unreadable streams;
@@ -167,6 +168,22 @@ fn trace_summary_reports_stable_counts() {
     assert!(out.contains("per edge:"), "{out}");
 
     let _ = std::fs::remove_file(&events);
+}
+
+#[test]
+fn non_finite_blame_end_is_an_error_not_a_panic() {
+    let events = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/f2_wavefront_events.jsonl"
+    );
+    for end in ["nan", "inf", "-inf"] {
+        let output = gcs(&["trace", "blame", events, "--end", end]);
+        let err = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "--end {end}: {err}");
+        assert!(err.starts_with("error:"), "--end {end}: {err}");
+        assert!(err.contains("must be finite"), "--end {end}: {err}");
+        assert!(!err.contains("panicked"), "--end {end}: {err}");
+    }
 }
 
 #[test]

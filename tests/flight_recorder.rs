@@ -4,9 +4,10 @@
 //!
 //! Covered contracts:
 //! * the recorder dump of the golden F2 wavefront fixture is byte-identical
-//!   to the recorded event stream and across repeated same-seed runs;
-//! * a binary `.gcsrec` dump round-trips through `gcs trace summary`
-//!   identically to the JSONL form;
+//!   to the recorded event stream and across repeated same-seed runs,
+//!   whatever the dump path's extension;
+//! * a file in the retired binary dump format is an error for every
+//!   `gcs trace` action;
 //! * a crafted watchdog violation (`--kappa-factor 0.05`) dumps a window
 //!   whose `gcs trace blame` chain names the same peak local-skew pair as
 //!   the run's own online observer;
@@ -90,43 +91,37 @@ fn recorder_dump_is_golden_and_reproducible() {
         first, FIXTURE,
         "the recorder window of the F2 run must reproduce the golden stream byte-for-byte"
     );
+    // A `.bin` path gets the same JSONL: the extension never picks a format.
     assert_eq!(
         first,
-        run_dump("golden-rerun.jsonl"),
+        run_dump("golden-rerun.bin"),
         "same-seed rerun diverged"
     );
 }
 
 #[test]
-fn binary_dump_round_trips_through_trace() {
-    let bin = tmp("window.gcsrec");
-    let bin_str = bin.to_str().unwrap().to_string();
-    let mut args: Vec<&str> = WAVEFRONT.to_vec();
-    args.extend(["--dump-recorder", &bin_str]);
-    assert!(gcs(&args).status.success());
-
-    let bytes = std::fs::read(&bin).unwrap();
-    assert!(
-        bytes.starts_with(b"GCSREC01"),
-        "binary dumps carry the magic"
-    );
-
-    // `gcs trace` must sniff the magic and produce the same summary as the
-    // JSONL form of the same window.
-    let jsonl = tmp("window.jsonl");
-    let jsonl_str = jsonl.to_str().unwrap().to_string();
-    std::fs::write(&jsonl, FIXTURE).unwrap();
-    let from_bin = gcs(&["trace", "summary", &bin_str]);
-    let from_jsonl = gcs(&["trace", "summary", &jsonl_str]);
-    assert!(from_bin.status.success(), "{}", stderr(&from_bin));
-    assert_eq!(
-        stdout(&from_bin),
-        stdout(&from_jsonl),
-        "binary and JSONL dumps must summarize identically"
-    );
-
+fn legacy_binary_dumps_are_errors_not_panics() {
+    // The retired binary dump format: an 8-byte magic, then 40-byte frames
+    // (here one wake frame at t = 1.5, whose f64 bytes are not UTF-8).
+    let mut bytes = b"GCSREC01".to_vec();
+    bytes.extend_from_slice(&[0u8; 30]);
+    bytes.extend_from_slice(&[0xf8, 0x3f]);
+    bytes.extend_from_slice(&[0u8; 8]);
+    let bin = tmp("legacy.bin");
+    std::fs::write(&bin, &bytes).unwrap();
+    let bin_str = bin.to_str().unwrap();
+    for args in [
+        &["trace", "summary", bin_str][..],
+        &["trace", "blame", bin_str],
+        &["trace", "export", bin_str, "--chrome"],
+    ] {
+        let output = gcs(args);
+        let err = stderr(&output);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.starts_with("error:"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
     let _ = std::fs::remove_file(&bin);
-    let _ = std::fs::remove_file(&jsonl);
 }
 
 /// Extracts `(ahead, behind)` from the run table's

@@ -86,8 +86,8 @@ fn steady_state_window_makes_no_heap_allocations() {
 
     // Same fixture with the flight recorder armed: recording every event
     // into the bounded rings must also be allocation-free — the rings are
-    // preallocated at construction and slots are fixed-width (frame
-    // encoding happens only at dump time).
+    // preallocated at construction and slots are fixed-width (serialization
+    // happens only at dump time).
     let graph = topology::path(n);
     let delay = WavefrontDelay::new(&graph, NodeId(0), t_max, flip, boundary);
     let schedules = build_rates("distsplit", &graph, drift, warmup_horizon, 0).unwrap();
