@@ -12,6 +12,15 @@
 //! (experiment F10). For a pair at distance `d`, the binding level is the
 //! *smallest* `s` with `C_s ≤ d` — larger levels only weaken the bound — so
 //! each pair carries one precomputed bound.
+//!
+//! Every level's bound is at least `d·κ/2` (`s ≥ 0`), so a clock vector
+//! whose neighbours all differ by at most `κ/2` is legal at every level by
+//! the triangle inequality. [`InvariantWatchdog`](crate::InvariantWatchdog)
+//! checks that O(|E|) certificate first, against
+//! `τ = (κ/2)(1 − 4·f64::EPSILON)` (the margin absorbs every rounding of
+//! the skews, the bounds and `τ` itself; the argument is in its module
+//! doc), and runs this checker's all-pairs scan only when an edge exceeds
+//! `τ`.
 
 use gcs_core::Params;
 use gcs_graph::Graph;
@@ -76,25 +85,18 @@ pub struct LegalStateChecker {
 
 impl LegalStateChecker {
     /// Builds the checker for a graph and parameter set (`𝒢` is computed
-    /// from the graph's diameter).
+    /// from the graph's diameter, read off the one all-pairs BFS table the
+    /// pair bounds need — graphs are connected by construction).
     pub fn new(graph: &Graph, params: Params) -> Self {
-        let diameter = graph.diameter();
-        let sigma = params.sigma() as f64;
+        let dist = graph.all_pairs_distances();
+        let diameter = table_diameter(&dist);
         let kappa = params.kappa();
         let c0 = 2.0 * params.global_skew_bound(diameter) / kappa;
-        let dist = graph.all_pairs_distances();
         let mut pairs = Vec::new();
         let mut max_level = 0u32;
         for (v, dist_v) in dist.iter().enumerate() {
             for (w, &d) in dist_v.iter().enumerate().skip(v + 1) {
-                // Smallest s with C_s = c0·σ^{−s} ≤ d, i.e.
-                // s ≥ log_σ(c0/d); no constraint binds pairs further than
-                // C_0 only via s = 0.
-                let s = if d as f64 >= c0 {
-                    0
-                } else {
-                    (c0 / d as f64).log(sigma).ceil().max(0.0) as u32
-                };
+                let s = binding_level(d, c0, params.sigma());
                 let bound = d as f64 * (s as f64 + 0.5) * kappa;
                 max_level = max_level.max(s);
                 pairs.push((v, w, d, s, bound));
@@ -165,6 +167,35 @@ impl LegalStateChecker {
     }
 }
 
+/// The diameter `D` of a connected graph: the largest entry of its
+/// all-pairs distance table.
+fn table_diameter(dist: &[Vec<u32>]) -> u32 {
+    dist.iter().flatten().copied().max().unwrap_or(0)
+}
+
+/// The binding level of a pair at distance `d`: the smallest `s ≥ 0` with
+/// `C_s = c0·σ^{−s} ≤ d`, i.e. `d·σ^s ≥ c0`.
+///
+/// Decided by direct comparison rather than `⌈log_σ(c0/d)⌉`, whose rounded
+/// logarithm lands on either side of an exact power `c0/d = σ^k`. The
+/// products `d·σ^s` are integers, exact in f64 below 2⁵³. A non-finite
+/// `c0` stops the loop too: `∞` once the product overflows, NaN at once.
+///
+/// # Panics
+///
+/// Panics unless `d ≥ 1` and `σ ≥ 2` (validated parameters give `σ ≥ 2`).
+fn binding_level(d: u32, c0: f64, sigma: u32) -> u32 {
+    assert!(d >= 1 && sigma >= 2, "binding level needs d ≥ 1, σ ≥ 2");
+    let sigma = f64::from(sigma);
+    let mut reach = f64::from(d);
+    let mut s = 0;
+    while reach < c0 && reach.is_finite() {
+        reach *= sigma;
+        s += 1;
+    }
+    s
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,6 +253,55 @@ mod tests {
         assert!(violated, "margins: {:?}", checker.margins());
         let v = checker.first_violation().unwrap();
         assert!(v.skew > v.bound);
+    }
+
+    #[test]
+    fn binding_level_is_exact_at_powers_of_sigma() {
+        // ⌈log₅(125)⌉ evaluates to 4; the binding level is 3.
+        assert_eq!(binding_level(1, 125.0, 5), 3);
+        assert_eq!(binding_level(2, 250.0, 5), 3);
+        for sigma in 2..=10u32 {
+            let mut power = 1.0f64;
+            for k in 0..30u32 {
+                for d in [1u32, 3, 7] {
+                    let c0 = f64::from(d) * power;
+                    if c0 >= 2f64.powi(53) {
+                        continue;
+                    }
+                    assert_eq!(binding_level(d, c0, sigma), k, "σ={sigma} k={k} d={d}");
+                    assert_eq!(
+                        binding_level(d, c0.next_up(), sigma),
+                        k + 1,
+                        "σ={sigma} k={k} d={d}, just above"
+                    );
+                    assert_eq!(
+                        binding_level(d, c0.next_down(), sigma),
+                        k,
+                        "σ={sigma} k={k} d={d}, just below"
+                    );
+                }
+                power *= f64::from(sigma);
+            }
+        }
+        // Pairs at or beyond C_0, and a degenerate threshold, bind level 0.
+        assert_eq!(binding_level(9, 4.5, 2), 0);
+        assert_eq!(binding_level(1, f64::NAN, 2), 0);
+        assert!(binding_level(1, f64::INFINITY, 2) > 1000);
+    }
+
+    #[test]
+    fn diameter_from_the_distance_table_matches_bfs() {
+        let graphs = [
+            topology::path(9),
+            topology::cycle(10),
+            topology::grid(4, 5),
+            topology::star(8),
+            topology::binary_tree(13),
+            topology::erdos_renyi(30, 0.15, 4),
+        ];
+        for g in &graphs {
+            assert_eq!(table_diameter(&g.all_pairs_distances()), g.diameter());
+        }
     }
 
     #[test]

@@ -15,6 +15,29 @@
 //!   `L_v − L_w ≤ d(v,w)(s + ½)κ` at every level, via
 //!   [`LegalStateChecker`].
 //!
+//! Definition 5.6 is checked in two steps. Every level bounds a pair at
+//! distance `d` by at least `d·κ/2`, so if every *edge* skew is at most
+//! `κ/2`, every pair is legal by the triangle inequality. Each snapshot
+//! first takes `E`, the largest computed `|L_a − L_b|` over the graph's
+//! edges (O(|E|)), and skips the all-pairs scan when
+//! `E ≤ τ = (κ/2)(1 − 4·f64::EPSILON)`. Only when an edge exceeds `τ` (or
+//! reads NaN) does it run [`LegalStateChecker::observe_clocks`], built at
+//! that first need, so the violation reported is exactly the scan's.
+//!
+//! The margin is stated in f64, with unit roundoff `u = 2⁻⁵³`
+//! (`4·f64::EPSILON = 8u`), and assumes `κ/2` is a normal float:
+//!
+//! * a computed edge skew is `≥ |L_a − L_b|(1 − u)`, so the real skew of a
+//!   pair at distance `d` is `≤ d·E/(1 − u)`, and the scan's computed skew
+//!   `≤ d·E(1 + u)/(1 − u)`;
+//! * the scan's computed bound `fl(fl(d(s + ½))·κ) ≥ d(κ/2)(1 − u)²`;
+//! * the computed `τ ≤ (κ/2)(1 − 8u)(1 + u)`;
+//! * `(1 − 8u)(1 + u)² ≤ (1 − u)³`, so `E ≤ τ` puts every computed skew at
+//!   or below its computed bound: no margin goes negative, without leaning
+//!   on the checker's 1e-9 tolerance.
+//!
+//! Unstarted nodes hold `L = 0` in both steps alike.
+//!
 //! On the first violation the watchdog *trips*: it freezes a
 //! [`WatchdogTrip`] carrying the violation and the last `N` engine events
 //! from its ring buffer, then stops checking (the first broken invariant is
@@ -166,10 +189,19 @@ pub struct InvariantWatchdog {
     envelopes: Vec<Option<EnvelopeChecker>>,
     /// Per-node Condition (2) checker (only fed once the node is started).
     progress: Vec<ProgressChecker>,
-    legal: LegalStateChecker,
+    params: Params,
+    /// The graph's edges: the certificate's domain, and what rebuilds the
+    /// graph for the legal-state checker.
+    edges: Vec<(usize, usize)>,
+    /// The certificate threshold `τ = (κ/2)(1 − 4·f64::EPSILON)`.
+    edge_skew_limit: f64,
+    /// The all-pairs checker, built at the first snapshot the certificate
+    /// does not cover.
+    legal: Option<LegalStateChecker>,
     ring: RingBufferSink,
     trip: Option<Box<WatchdogTrip>>,
     snapshots: u64,
+    exact_scans: u64,
 }
 
 impl InvariantWatchdog {
@@ -204,10 +236,14 @@ impl InvariantWatchdog {
             tolerance: 1e-9,
             envelopes: vec![None; n],
             progress: vec![ProgressChecker::new(envelope, 1e-9); n],
-            legal: LegalStateChecker::new(graph, params),
+            params,
+            edges: graph.edges().map(|(a, b)| (a.index(), b.index())).collect(),
+            edge_skew_limit: params.kappa() / 2.0 * (1.0 - 4.0 * f64::EPSILON),
+            legal: None,
             ring: RingBufferSink::new(ring_capacity),
             trip: None,
             snapshots: 0,
+            exact_scans: 0,
         }
     }
 
@@ -226,9 +262,11 @@ impl InvariantWatchdog {
         self.snapshots
     }
 
-    /// The legal-state checker (margins, first violation).
-    pub fn legal_state(&self) -> &LegalStateChecker {
-        &self.legal
+    /// Number of snapshots whose edge skews exceeded the `κ/2` certificate,
+    /// so the all-pairs Definition 5.6 scan ran. The scan's checker is
+    /// built at the first, so 0 means it was never built.
+    pub fn exact_scans(&self) -> u64 {
+        self.exact_scans
     }
 
     /// The Condition (2) progress envelope the watchdog enforces.
@@ -295,11 +333,22 @@ impl EventSink for InvariantWatchdog {
                 return;
             }
         }
-        if !self.legal.observe_clocks(t, clocks) {
-            let v = self
-                .legal
-                .first_violation()
-                .expect("observe returned false");
+        // `<=` fails on NaN, which falls through to the scan.
+        if self
+            .edges
+            .iter()
+            .all(|&(a, b)| (clocks[a] - clocks[b]).abs() <= self.edge_skew_limit)
+        {
+            return;
+        }
+        self.exact_scans += 1;
+        let (n, edges, params) = (self.envelopes.len(), &self.edges, self.params);
+        let legal = self.legal.get_or_insert_with(|| {
+            let graph = Graph::from_edges(n, edges).expect("the edges of a connected graph");
+            LegalStateChecker::new(&graph, params)
+        });
+        if !legal.observe_clocks(t, clocks) {
+            let v = legal.first_violation().expect("observe returned false");
             self.trip_with(WatchdogViolation::LegalState(v));
         }
     }
@@ -396,6 +445,28 @@ mod tests {
             watchdog.trip().unwrap().violation,
             WatchdogViolation::Envelope { .. } | WatchdogViolation::Progress { .. }
         ));
+    }
+
+    #[test]
+    fn certificate_edge_decides_whether_the_scan_runs() {
+        // Unstarted nodes skip Conditions (1)/(2), so only Def. 5.6 runs.
+        let params = Params::recommended(0.02, 0.2).unwrap();
+        let mut watchdog = InvariantWatchdog::new(&topology::path(3), params, drift());
+        let tau = watchdog.edge_skew_limit;
+        assert!(tau < params.kappa() / 2.0);
+        watchdog.snapshot(1.0, &[0.0, tau, 0.0], 0);
+        assert_eq!(watchdog.exact_scans(), 0);
+        assert!(watchdog.legal.is_none());
+        watchdog.snapshot(2.0, &[0.0, tau.next_up(), 0.0], 0);
+        assert_eq!(watchdog.exact_scans(), 1);
+        assert!(watchdog.legal.is_some());
+        // Just above τ is still legal: the scan runs and finds nothing.
+        assert!(!watchdog.tripped());
+        // A NaN edge fails the certificate; the scan ignores NaN pairs.
+        watchdog.snapshot(3.0, &[0.0, f64::NAN, 0.0], 0);
+        assert_eq!(watchdog.exact_scans(), 2);
+        assert!(!watchdog.tripped());
+        assert_eq!(watchdog.snapshots(), 3);
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //! runs the event-local path: its certificate heaps and scratch are sized
 //! on the first observation and only re-keyed afterwards. Adding the
 //! metrics sink (`gcs run --metrics`) keeps both properties: it is fed
-//! from the same event-local hook.
+//! from the same event-local hook. With the invariant watchdog attached
+//! (`gcs run --watchdog`), a healthy run's snapshots are all certified
+//! from the edge skews, so the all-pairs legal-state checker is never
+//! built and the window stays allocation-free too.
 //!
 //! This file holds a single `#[test]` on purpose: the allocator count is
 //! process-global, and a sibling test thread would pollute the window.
@@ -25,7 +28,7 @@ use gcs_analysis::MetricsSink;
 use gcs_core::{AOpt, Params};
 use gcs_graph::{topology, NodeId};
 use gcs_sim::{Engine, EventSink, RecorderSink};
-use gcs_sweep::{build_rates, SinkSet};
+use gcs_sweep::{build_rates, Scenario, ScenarioSpec, SinkSet};
 
 /// Counts every allocation (alloc + realloc) made by the process.
 struct CountingAlloc;
@@ -264,5 +267,55 @@ fn steady_state_window_makes_no_heap_allocations() {
     assert!(
         local > 9_000,
         "only {local} of 10 000 events were observed event-locally with metrics on"
+    );
+
+    // `gcs run --topology grid:12x12 --watchdog` with the other `gcs run`
+    // defaults: the watchdog reads the full clock vector every event, and
+    // its Def. 5.6 check must stay on the edge certificate.
+    let scenario = Scenario::build(ScenarioSpec {
+        topology: "grid:12x12",
+        eps: 0.01,
+        t: 0.1,
+        sigma: None,
+        delay: "uniform",
+        rates: "walk",
+        faults: Vec::new(),
+        seed: 42,
+        horizon: 30.0,
+        horizon_per_diameter: 0.0,
+    })
+    .unwrap();
+    let mut sinks = SinkSet::new(&scenario.graph);
+    sinks.watchdog = Some(scenario.watchdog());
+    let n = scenario.graph.len();
+    let mut engine = Engine::builder(scenario.graph)
+        .protocols(vec![AOpt::new(scenario.params); n])
+        .delay_model(scenario.delay)
+        .rate_schedules(scenario.schedules)
+        .event_sink(sinks)
+        .build();
+    engine.wake_all_at(0.0);
+    engine.run_until(5.0);
+
+    let watchdog = engine.sink().watchdog.as_ref().unwrap();
+    let snapshots_before = watchdog.snapshots();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..10_000 {
+        engine
+            .step()
+            .expect("the uniform-delay fixture never drains its queue");
+    }
+    let allocated = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        allocated, 0,
+        "gcs run --watchdog sinks allocated {allocated} times across a 10k-event window"
+    );
+    let watchdog = engine.sink().watchdog.as_ref().unwrap();
+    assert!(!watchdog.tripped(), "{:?}", watchdog.trip());
+    assert_eq!(watchdog.snapshots() - snapshots_before, 10_000);
+    assert_eq!(
+        watchdog.exact_scans(),
+        0,
+        "a healthy run must never leave the edge certificate"
     );
 }
