@@ -22,7 +22,7 @@
 //! doc), and runs this checker's all-pairs scan only when an edge exceeds
 //! `τ`.
 
-use gcs_core::Params;
+use gcs_core::{binding_level, Params};
 use gcs_graph::Graph;
 use gcs_sim::{DelayModel, Engine, EventSink, Protocol};
 
@@ -173,29 +173,6 @@ fn table_diameter(dist: &[Vec<u32>]) -> u32 {
     dist.iter().flatten().copied().max().unwrap_or(0)
 }
 
-/// The binding level of a pair at distance `d`: the smallest `s ≥ 0` with
-/// `C_s = c0·σ^{−s} ≤ d`, i.e. `d·σ^s ≥ c0`.
-///
-/// Decided by direct comparison rather than `⌈log_σ(c0/d)⌉`, whose rounded
-/// logarithm lands on either side of an exact power `c0/d = σ^k`. The
-/// products `d·σ^s` are integers, exact in f64 below 2⁵³. A non-finite
-/// `c0` stops the loop too: `∞` once the product overflows, NaN at once.
-///
-/// # Panics
-///
-/// Panics unless `d ≥ 1` and `σ ≥ 2` (validated parameters give `σ ≥ 2`).
-fn binding_level(d: u32, c0: f64, sigma: u32) -> u32 {
-    assert!(d >= 1 && sigma >= 2, "binding level needs d ≥ 1, σ ≥ 2");
-    let sigma = f64::from(sigma);
-    let mut reach = f64::from(d);
-    let mut s = 0;
-    while reach < c0 && reach.is_finite() {
-        reach *= sigma;
-        s += 1;
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,40 +230,6 @@ mod tests {
         assert!(violated, "margins: {:?}", checker.margins());
         let v = checker.first_violation().unwrap();
         assert!(v.skew > v.bound);
-    }
-
-    #[test]
-    fn binding_level_is_exact_at_powers_of_sigma() {
-        // ⌈log₅(125)⌉ evaluates to 4; the binding level is 3.
-        assert_eq!(binding_level(1, 125.0, 5), 3);
-        assert_eq!(binding_level(2, 250.0, 5), 3);
-        for sigma in 2..=10u32 {
-            let mut power = 1.0f64;
-            for k in 0..30u32 {
-                for d in [1u32, 3, 7] {
-                    let c0 = f64::from(d) * power;
-                    if c0 >= 2f64.powi(53) {
-                        continue;
-                    }
-                    assert_eq!(binding_level(d, c0, sigma), k, "σ={sigma} k={k} d={d}");
-                    assert_eq!(
-                        binding_level(d, c0.next_up(), sigma),
-                        k + 1,
-                        "σ={sigma} k={k} d={d}, just above"
-                    );
-                    assert_eq!(
-                        binding_level(d, c0.next_down(), sigma),
-                        k,
-                        "σ={sigma} k={k} d={d}, just below"
-                    );
-                }
-                power *= f64::from(sigma);
-            }
-        }
-        // Pairs at or beyond C_0, and a degenerate threshold, bind level 0.
-        assert_eq!(binding_level(9, 4.5, 2), 0);
-        assert_eq!(binding_level(1, f64::NAN, 2), 0);
-        assert!(binding_level(1, f64::INFINITY, 2) > 1000);
     }
 
     #[test]

@@ -30,5 +30,5 @@ pub use gradient::GradientProfile;
 pub use legal::{LegalStateChecker, LegalStateViolation};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSink};
 pub use table::Table;
-pub use trace::{SkewObserver, SkewSample};
+pub use trace::SkewObserver;
 pub use watchdog::{InvariantWatchdog, WatchdogTrip, WatchdogViolation};

@@ -21,19 +21,7 @@ const FIRST_STINT: u32 = 256;
 /// Cap on a full-scan stint.
 const MAX_STINT: u32 = 1 << 16;
 
-/// One decimated time-series point.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SkewSample {
-    /// Real time of the sample.
-    pub t: f64,
-    /// Largest pairwise logical skew at that instant.
-    pub global: f64,
-    /// Largest neighbour skew at that instant.
-    pub local: f64,
-}
-
-/// Tracks the worst-case global and local skew of an execution, plus an
-/// optional decimated time series.
+/// Tracks the worst-case global and local skew of an execution.
 ///
 /// Install it as the engine's event sink
 /// ([`EngineBuilder::event_sink`](gcs_sim::EngineBuilder::event_sink)):
@@ -82,9 +70,6 @@ pub struct SkewObserver {
     /// `max − min` at the latest observation (`None` before the first one
     /// and on an empty clock vector).
     current_global: Option<f64>,
-    series_interval: Option<f64>,
-    next_sample_at: f64,
-    series: Vec<SkewSample>,
     observations: u64,
     /// Reused clock vector of [`SkewObserver::observe`].
     scratch: Vec<f64>,
@@ -112,9 +97,6 @@ impl SkewObserver {
             worst_global_pair: (0, 0),
             worst_local_pair: (0, 0),
             current_global: None,
-            series_interval: None,
-            next_sample_at: 0.0,
-            series: Vec::new(),
             observations: 0,
             scratch: Vec::new(),
             kinetic: None,
@@ -123,18 +105,6 @@ impl SkewObserver {
             scan_left: 0,
             stint: FIRST_STINT,
         }
-    }
-
-    /// Additionally records a time series, at most one point per
-    /// `interval` of real time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval <= 0`.
-    pub fn with_series(mut self, interval: f64) -> Self {
-        assert!(interval > 0.0, "invalid series interval {interval}");
-        self.series_interval = Some(interval);
-        self
     }
 
     /// Records the engine's current state (the full-scan path, into a
@@ -194,12 +164,6 @@ impl SkewObserver {
             self.worst_local_at = t;
             self.worst_local_pair = local_pair;
         }
-        if let Some(interval) = self.series_interval {
-            if t >= self.next_sample_at {
-                self.series.push(SkewSample { t, global, local });
-                self.next_sample_at = t + interval;
-            }
-        }
     }
 
     /// Records the state after an event at time `t` that changed the clock
@@ -254,20 +218,6 @@ impl SkewObserver {
             self.worst_local = local;
             self.worst_local_at = t;
             self.worst_local_pair = (ahead, behind);
-        }
-        if let Some(interval) = self.series_interval {
-            if t >= self.next_sample_at {
-                // Decimated, so a full edge scan here is amortized.
-                let mut local: f64 = 0.0;
-                for &(a, b) in &self.edges {
-                    let skew = (clocks.value(NodeId(a)) - clocks.value(NodeId(b))).abs();
-                    if skew > local {
-                        local = skew;
-                    }
-                }
-                self.series.push(SkewSample { t, global, local });
-                self.next_sample_at = t + interval;
-            }
         }
     }
 
@@ -331,11 +281,6 @@ impl SkewObserver {
         self.worst_local_pair
     }
 
-    /// The decimated time series (empty unless enabled).
-    pub fn series(&self) -> &[SkewSample] {
-        &self.series
-    }
-
     /// Number of observations recorded.
     pub fn observations(&self) -> u64 {
         self.observations
@@ -392,7 +337,7 @@ mod tests {
             RateSchedule::constant(1.0).unwrap(),
             RateSchedule::constant(0.9).unwrap(),
         ];
-        let mut obs = SkewObserver::new(&g).with_series(1.0);
+        let mut obs = SkewObserver::new(&g);
         let mut engine = Engine::builder(g)
             .protocols(vec![NoSync; 3])
             .delay_model(ConstantDelay::new(0.0))
@@ -406,22 +351,6 @@ mod tests {
         assert_eq!(obs.worst_global_pair(), (0, 2), "fastest vs slowest");
         let (ahead, behind) = obs.worst_local_pair();
         assert!(ahead < behind, "earlier node drifts ahead on this path");
-        assert!(!obs.series().is_empty());
-        let last = obs.series().last().unwrap();
-        assert!(last.global <= obs.worst_global() + 1e-12);
-    }
-
-    #[test]
-    fn series_is_decimated() {
-        let g = topology::path(2);
-        let mut obs = SkewObserver::new(&g).with_series(5.0);
-        let mut engine = Engine::builder(g)
-            .protocols(vec![NoSync; 2])
-            .delay_model(ConstantDelay::new(0.0))
-            .build();
-        engine.wake_all_at(0.0);
-        engine.run_until_observed(20.0, |e| obs.observe(e));
-        assert!(obs.series().len() <= 6);
     }
 
     /// Piecewise-linear clocks under test control: node `v` reads
@@ -469,8 +398,8 @@ mod tests {
             slope: vec![0.0; n],
             now: 0.0,
         };
-        let mut full = SkewObserver::new(graph).with_series(0.75);
-        let mut local = SkewObserver::new(graph).with_series(0.75);
+        let mut full = SkewObserver::new(graph);
+        let mut local = SkewObserver::new(graph);
         let mut clocks = Vec::with_capacity(n);
         let mut touched = Vec::new();
         for _ in 0..400 {
@@ -518,7 +447,6 @@ mod tests {
                 "{ctx}"
             );
         }
-        assert_eq!(full.series(), local.series());
         assert_eq!(full.observations(), local.observations());
     }
 

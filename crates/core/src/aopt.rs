@@ -28,16 +28,19 @@
 //! its clocks at 0 and processes that message (forwarding a larger estimate
 //! immediately). Until a first message from a neighbour arrives, the node is
 //! oblivious to that neighbour.
+//!
+//! The clock, the neighbour-estimate table with its incremental `Λ↑`/`Λ↓`
+//! trackers and Algorithm 3 live in [`AOptCore`](crate::AOptCore), which
+//! the variants and the midpoint baseline share. This module adds what is
+//! specific to plain `A^opt`: Algorithm 1's `H₀`-multiple send trigger,
+//! `L_v^max` as a constant offset from `H_v`, Algorithm 2's flooding of
+//! larger estimates, and the jump mode of [`crate::AOptJump`].
 
 use gcs_graph::NodeId;
 use gcs_sim::{Context, Protocol, TimerId};
-use gcs_time::LogicalClock;
 
-use crate::rate_rule::clamped_increase;
+use crate::aopt_core::{self, adopts, next_multiple, AOptCore};
 use crate::Params;
-
-/// Sentinel for "no tracked entry" in the incremental Λ fold caches.
-const NO_ENTRY: u32 = u32::MAX;
 
 /// The synchronization message `⟨L_v, L_v^max⟩`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,17 +50,6 @@ pub struct AOptMsg {
     /// The sender's maximum-clock estimate at send time (an integer multiple
     /// of `H₀`).
     pub lmax: f64,
-}
-
-/// Per-neighbour bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct NeighborEstimate {
-    /// `L_v^w − H_v`: the estimate advances at the hardware rate, so its
-    /// offset from the hardware clock is constant between messages.
-    offset: f64,
-    /// `ℓ_v^w`: largest raw clock value received from `w` (monotone guard —
-    /// only more recent, larger values update the estimate).
-    ell: f64,
 }
 
 /// The `A^opt` protocol state of one node.
@@ -86,59 +78,35 @@ struct NeighborEstimate {
 #[derive(Debug, Clone)]
 pub struct AOpt {
     params: Params,
-    logical: LogicalClock,
+    /// `L_v`, the neighbour estimates and Algorithm 3.
+    core: AOptCore,
     /// `L_v^max − H_v` (constant between updates); `None` before start.
     lmax_offset: Option<f64>,
     /// Index of the next `H₀` multiple at which to send (Algorithm 1).
     next_multiple: u64,
-    /// Per-neighbour estimates, keyed by a linear scan: node degrees are
-    /// small, so this beats hashing on the engine's per-message hot path
-    /// (and the skew folds over it are order-insensitive `max`es).
-    estimates: Vec<(NodeId, NeighborEstimate)>,
-    /// Index into `estimates` of the entry with the **largest** fold key
-    /// (see [`AOpt::fold_key`]) — the argmax behind `Λ↑`. Incrementally
-    /// maintained: entries only mutate in `on_message`, and between
-    /// messages every estimate advances by the same hardware offset, so
-    /// the cached argmax stays the argmax and yields a `Λ↑` bit-identical
-    /// to the linear fold. [`NO_ENTRY`] until a neighbour is heard from.
-    arg_hi: u32,
-    /// Argmin twin of `arg_hi` (the entry behind `Λ↓`).
-    arg_lo: u32,
-    /// `H_v^R` while the fast mode is armed (diagnostics only; the timer is
-    /// authoritative).
-    h_r: Option<f64>,
     /// Count of messages this node broadcast (diagnostics).
     sends: u64,
     /// When set, apply positive `R_v` as an instantaneous jump instead of a
     /// bounded-rate boost (the `β = ∞` regime discussed after Theorem 5.10);
     /// used by [`crate::AOptJump`].
     pub(crate) jump_mode: bool,
-    /// Ablation switch: when set, neighbour estimates are *not* advanced at
-    /// the hardware rate between messages (they stay at the raw received
-    /// value `ℓ_v^w`). See [`AOpt::with_frozen_estimates`].
-    freeze_estimates: bool,
 }
 
 impl AOpt {
     /// Timer slot for the Algorithm 1 send trigger.
     pub const SEND_TIMER: TimerId = TimerId(0);
     /// Timer slot for the Algorithm 4 rate reset.
-    pub const RATE_TIMER: TimerId = TimerId(1);
+    pub const RATE_TIMER: TimerId = aopt_core::RATE_TIMER;
 
     /// Creates a node with the given parameters.
     pub fn new(params: Params) -> Self {
         AOpt {
             params,
-            logical: LogicalClock::new(),
+            core: AOptCore::new(),
             lmax_offset: None,
             next_multiple: 1,
-            estimates: Vec::new(),
-            arg_hi: NO_ENTRY,
-            arg_lo: NO_ENTRY,
-            h_r: None,
             sends: 0,
             jump_mode: false,
-            freeze_estimates: false,
         }
     }
 
@@ -150,7 +118,7 @@ impl AOpt {
     /// Never use this to *run* a deployment.
     pub fn with_frozen_estimates(params: Params) -> Self {
         AOpt {
-            freeze_estimates: true,
+            core: AOptCore::frozen(),
             ..Self::new(params)
         }
     }
@@ -163,28 +131,18 @@ impl AOpt {
     /// The maximum-clock estimate `L_v^max` when the hardware clock reads
     /// `hw` (0 before initialization).
     pub fn lmax_value(&self, hw: f64) -> f64 {
-        match self.lmax_offset {
-            Some(offset) => hw + offset,
-            None => 0.0,
-        }
+        self.lmax_offset.map_or(0.0, |offset| hw + offset)
     }
 
     /// The estimate `L_v^w` of neighbour `w`'s clock at hardware reading
     /// `hw`, if a message from `w` has been received.
     pub fn neighbor_estimate(&self, w: NodeId, hw: f64) -> Option<f64> {
-        self.estimates
-            .iter()
-            .find(|&&(v, _)| v == w)
-            .map(|(_, e)| hw + e.offset)
+        self.core.estimate(w, hw)
     }
 
     /// The current rate multiplier `ρ_v`.
     pub fn multiplier(&self) -> f64 {
-        if self.logical.is_started() {
-            self.logical.multiplier()
-        } else {
-            1.0
-        }
+        self.core.rate_multiplier()
     }
 
     /// Number of broadcasts this node performed.
@@ -192,147 +150,8 @@ impl AOpt {
         self.sends
     }
 
-    /// The estimate value for one neighbour entry (honours the ablation
-    /// switch: frozen estimates stay at the raw `ℓ_v^w`).
-    fn estimate_value(&self, e: &NeighborEstimate, hw: f64) -> f64 {
-        if self.freeze_estimates {
-            e.ell
-        } else {
-            hw + e.offset
-        }
-    }
-
-    /// The key the incremental Λ trackers order entries by: `offset`, or
-    /// the raw `ℓ_v^w` under [`AOpt::with_frozen_estimates`]. At any
-    /// hardware reading the estimate value is `hw + offset` (resp. `ell`
-    /// itself) — a weakly monotone function of this key — so the entry
-    /// with the largest (smallest) key realizes the maximal (minimal)
-    /// estimate, and `Λ↑`/`Λ↓` computed from the winners are **bit-for-bit**
-    /// the linear fold's values: the winning entry's contribution is the
-    /// exact expression the fold would have evaluated for it.
-    fn fold_key(&self, e: &NeighborEstimate) -> f64 {
-        if self.freeze_estimates {
-            e.ell
-        } else {
-            e.offset
-        }
-    }
-
-    /// Re-points the Λ tracker caches after `estimates[i]` moved away from
-    /// `old_key`. O(1) except when the updated entry owned a cache and
-    /// moved *against* it (its decrease-path), which rescans the neighbour
-    /// table — rare in steady state, making a wake O(1) amortized instead
-    /// of the old per-wake O(deg) fold.
-    fn note_estimate_update(&mut self, i: usize, old_key: f64) {
-        let new_key = self.fold_key(&self.estimates[i].1);
-        let i = i as u32;
-        if self.arg_hi == NO_ENTRY {
-            self.arg_hi = i;
-            self.arg_lo = i;
-            return;
-        }
-        if i == self.arg_hi {
-            if new_key < old_key {
-                self.rescan_trackers();
-                return;
-            }
-        } else if new_key > self.fold_key(&self.estimates[self.arg_hi as usize].1) {
-            self.arg_hi = i;
-        }
-        if i == self.arg_lo {
-            if new_key > old_key {
-                self.rescan_trackers();
-            }
-        } else if new_key < self.fold_key(&self.estimates[self.arg_lo as usize].1) {
-            self.arg_lo = i;
-        }
-    }
-
-    /// Full O(deg) rescan of both trackers (the owning entry's
-    /// decrease-path fallback).
-    fn rescan_trackers(&mut self) {
-        let (mut hi, mut lo) = (0u32, 0u32);
-        let (mut hi_key, mut lo_key) = (f64::NEG_INFINITY, f64::INFINITY);
-        for (idx, (_, e)) in self.estimates.iter().enumerate() {
-            let k = self.fold_key(e);
-            if k > hi_key {
-                hi_key = k;
-                hi = idx as u32;
-            }
-            if k < lo_key {
-                lo_key = k;
-                lo = idx as u32;
-            }
-        }
-        self.arg_hi = hi;
-        self.arg_lo = lo;
-    }
-
-    /// `Λ↑ = max_w (L_v^w − L_v)` over heard-from neighbours; `None` if none.
-    pub fn lambda_up(&self, hw: f64) -> Option<f64> {
-        let l = self.logical.value_at_hw(hw);
-        self.estimates
-            .iter()
-            .map(|(_, e)| self.estimate_value(e, hw) - l)
-            .fold(None, |acc, x| Some(acc.map_or(x, |a: f64| a.max(x))))
-    }
-
-    /// `Λ↓ = max_w (L_v − L_v^w)` over heard-from neighbours; `None` if none.
-    pub fn lambda_down(&self, hw: f64) -> Option<f64> {
-        let l = self.logical.value_at_hw(hw);
-        self.estimates
-            .iter()
-            .map(|(_, e)| l - self.estimate_value(e, hw))
-            .fold(None, |acc, x| Some(acc.map_or(x, |a: f64| a.max(x))))
-    }
-
-    /// `(Λ↑, Λ↓)` in O(1) from the incremental trackers — the hot-path
-    /// counterpart of [`AOpt::lambda_up`]/[`AOpt::lambda_down`], which
-    /// retain the linear scan and serve as the oracle the trackers are
-    /// property-tested against. `None` before any neighbour is heard from.
-    pub fn lambda_pair(&self, hw: f64) -> Option<(f64, f64)> {
-        if self.estimates.is_empty() {
-            return None;
-        }
-        let l = self.logical.value_at_hw(hw);
-        let hi = self.estimates[self.arg_hi as usize].1;
-        let lo = self.estimates[self.arg_lo as usize].1;
-        Some((
-            self.estimate_value(&hi, hw) - l,
-            l - self.estimate_value(&lo, hw),
-        ))
-    }
-
-    /// Algorithm 2, lines 5–7: adopt a larger (hence more recent) clock
-    /// value of `from` received when this node's hardware clock read `hw`,
-    /// and re-point the incremental Λ trackers. Factored out of
-    /// [`Protocol::on_message`] so tracker property tests can drive
-    /// randomized estimate-update/wake sequences without an engine.
-    pub fn record_estimate(&mut self, from: NodeId, logical: f64, hw: f64) {
-        let idx = match self.estimates.iter().position(|&(v, _)| v == from) {
-            Some(i) => i,
-            None => {
-                self.estimates.push((
-                    from,
-                    NeighborEstimate {
-                        offset: f64::NEG_INFINITY,
-                        ell: f64::NEG_INFINITY,
-                    },
-                ));
-                self.estimates.len() - 1
-            }
-        };
-        let old_key = self.fold_key(&self.estimates[idx].1);
-        let entry = &mut self.estimates[idx].1;
-        if logical > entry.ell {
-            entry.ell = logical;
-            entry.offset = logical - hw;
-            self.note_estimate_update(idx, old_key);
-        }
-    }
-
     fn broadcast(&mut self, ctx: &mut Context<'_, AOptMsg>, lmax: f64) {
-        let logical = self.logical.value_at_hw(ctx.hw());
+        let logical = self.core.logical_value(ctx.hw());
         self.sends += 1;
         ctx.send_all(AOptMsg { logical, lmax });
     }
@@ -340,53 +159,24 @@ impl AOpt {
     /// Re-arms the Algorithm 1 send trigger for the next multiple of `H₀`
     /// not yet reached by `L_v^max`.
     fn schedule_send(&mut self, ctx: &mut Context<'_, AOptMsg>) {
-        let h0 = self.params.h0();
-        let lmax = self.lmax_value(ctx.hw());
-        // Next strictly-future multiple (tolerating FP error at an exact hit).
-        let k = (lmax / h0 + 1e-9).floor() as u64 + 1;
-        self.next_multiple = k;
         let offset = self.lmax_offset.expect("scheduled only after start");
-        // L_v^max = H_v + offset reaches k·H₀ when H_v = k·H₀ − offset.
-        ctx.set_timer(Self::SEND_TIMER, k as f64 * h0 - offset);
+        let (k, at) = next_multiple(ctx.hw(), offset, self.params.h0());
+        self.next_multiple = k;
+        ctx.set_timer(Self::SEND_TIMER, at);
     }
 
-    /// Algorithm 3: `setClockRate`.
+    /// Algorithm 3: `setClockRate`, or its instantaneous jump in
+    /// [`crate::AOptJump`]'s mode.
     fn set_clock_rate(&mut self, ctx: &mut Context<'_, AOptMsg>) {
         let hw = ctx.hw();
-        let l = self.logical.value_at_hw(hw);
-        // Λ↑ and Λ↓ from the incrementally tracked arg-extremes instead of
-        // a per-wake O(deg) fold (this runs on every delivery). The
-        // arithmetic on the winning entries is exactly `lambda_up` /
-        // `lambda_down`'s — see `fold_key` for why the values are
-        // bit-identical; the linear folds stay as the oracle. No neighbour
-        // heard from yet means no skew information: stay nominal (but the
-        // κ-tolerance toward L_v^max still applies below via Λ↓ = 0,
-        // Λ↑ = 0 — the paper's line 2 uses max{κ − Λ↓, ·}).
-        let (lambda_up, lambda_down) = match self.lambda_pair(hw) {
-            Some((up, down)) => {
-                debug_assert_eq!(Some(up), self.lambda_up(hw));
-                debug_assert_eq!(Some(down), self.lambda_down(hw));
-                (up, down)
-            }
-            None => (0.0, 0.0),
-        };
-        let headroom = self.lmax_value(hw) - l;
-        let r = clamped_increase(lambda_up, lambda_down, self.params.kappa(), headroom);
-        if self.jump_mode {
-            if r > 0.0 {
-                self.logical.jump(hw, r);
-            }
+        let (kappa, lmax) = (self.params.kappa(), self.lmax_value(hw));
+        if !self.jump_mode {
+            self.core.set_clock_rate(ctx, kappa, self.params.mu(), lmax);
             return;
         }
+        let r = self.core.increase(hw, kappa, lmax);
         if r > 0.0 {
-            self.logical.set_multiplier(hw, 1.0 + self.params.mu());
-            let h_r = hw + r / self.params.mu();
-            self.h_r = Some(h_r);
-            ctx.set_timer(Self::RATE_TIMER, h_r);
-        } else {
-            self.logical.set_multiplier(hw, 1.0);
-            self.h_r = None;
-            ctx.cancel_timer(Self::RATE_TIMER);
+            self.core.logical.jump(hw, r);
         }
     }
 }
@@ -397,7 +187,7 @@ impl Protocol for AOpt {
     fn on_start(&mut self, ctx: &mut Context<'_, AOptMsg>) {
         let hw = ctx.hw();
         debug_assert_eq!(hw, 0.0, "hardware clocks start at zero");
-        self.logical.start(hw);
+        self.core.logical.start(hw);
         self.lmax_offset = Some(0.0 - hw);
         // A node waking up by itself sends ⟨0, 0⟩ (L_v^max = 0 is the 0-th
         // multiple of H₀); a message-initialized node sends the same before
@@ -410,16 +200,14 @@ impl Protocol for AOpt {
     fn on_message(&mut self, ctx: &mut Context<'_, AOptMsg>, from: NodeId, msg: AOptMsg) {
         let hw = ctx.hw();
         // Algorithm 2, lines 1–4: adopt and forward a strictly larger
-        // maximum-clock estimate. "Strictly larger" carries a 1e-9 slack so
-        // that equal estimates reconstructed through different floating-point
-        // routes are not treated as increases (which would duplicate sends).
-        if msg.lmax > self.lmax_value(hw) + 1e-9 {
+        // maximum-clock estimate.
+        if adopts(msg.lmax, self.lmax_value(hw)) {
             self.lmax_offset = Some(msg.lmax - hw);
             self.broadcast(ctx, msg.lmax);
             self.schedule_send(ctx);
         }
         // Lines 5–7: adopt a larger (hence more recent) clock value of `w`.
-        self.record_estimate(from, msg.logical, hw);
+        self.core.record_estimate(from, msg.logical, hw);
         // Lines 8–10: recompute skews and adjust the clock rate.
         self.set_clock_rate(ctx);
     }
@@ -433,21 +221,18 @@ impl Protocol for AOpt {
                 self.broadcast(ctx, lmax);
                 self.schedule_send(ctx);
             }
-            Self::RATE_TIMER => {
-                // Algorithm 4: H_v reached H_v^R.
-                self.logical.set_multiplier(ctx.hw(), 1.0);
-                self.h_r = None;
-            }
+            // Algorithm 4: H_v reached H_v^R.
+            Self::RATE_TIMER => self.core.logical.set_multiplier(ctx.hw(), 1.0),
             other => unreachable!("unknown timer slot {other:?}"),
         }
     }
 
     fn logical_value(&self, hw: f64) -> f64 {
-        self.logical.value_at_hw(hw)
+        self.core.logical_value(hw)
     }
 
     fn rate_multiplier(&self) -> f64 {
-        self.multiplier()
+        self.core.rate_multiplier()
     }
 }
 

@@ -12,11 +12,11 @@
 //!   skew.
 //! * [`NoSync`] — hardware passthrough; the control group.
 
-use std::collections::HashMap;
-
 use gcs_graph::NodeId;
 use gcs_sim::{Context, Protocol, TimerId};
 use gcs_time::LogicalClock;
+
+use crate::aopt_core::{self, arm_rate_timer, AOptCore};
 
 /// Message of [`MaxAlgorithm`]: the sender's logical clock value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -109,8 +109,9 @@ pub struct MidpointMsg {
 /// Bounded-rate midpoint averaging — the strategy the paper's Section 4.2
 /// shows is *not* enough for a sublinear local skew.
 ///
-/// Nodes keep `A^opt`-style estimates of their neighbours' clocks (advanced
-/// at the hardware rate between messages, monotone-guarded). Whenever
+/// Nodes keep `A^opt`'s estimates of their neighbours' clocks (an
+/// [`AOptCore`] table: advanced at the hardware rate between messages,
+/// monotone-guarded). Whenever
 /// `Λ↑ > Λ↓` the node runs at `(1 + μ)·h_v` until it has gained
 /// `(Λ↑ − Λ↓)/2` — steering toward the midpoint of the extremal neighbour
 /// estimates — and at `h_v` otherwise.
@@ -118,8 +119,7 @@ pub struct MidpointMsg {
 pub struct MidpointAlgorithm {
     h0: f64,
     mu: f64,
-    logical: LogicalClock,
-    estimates: HashMap<NodeId, (f64, f64)>, // (offset from H, ell guard)
+    core: AOptCore,
     sends: u64,
 }
 
@@ -127,7 +127,7 @@ impl MidpointAlgorithm {
     /// Timer slot for the periodic broadcast.
     pub const SEND_TIMER: TimerId = TimerId(0);
     /// Timer slot for the fast-mode reset.
-    pub const RATE_TIMER: TimerId = TimerId(1);
+    pub const RATE_TIMER: TimerId = aopt_core::RATE_TIMER;
 
     /// Creates a node broadcasting every `h0` hardware-time units with fast
     /// mode boost `mu`.
@@ -141,8 +141,7 @@ impl MidpointAlgorithm {
         MidpointAlgorithm {
             h0,
             mu,
-            logical: LogicalClock::new(),
-            estimates: HashMap::new(),
+            core: AOptCore::new(),
             sends: 0,
         }
     }
@@ -153,31 +152,18 @@ impl MidpointAlgorithm {
     }
 
     fn broadcast(&mut self, ctx: &mut Context<'_, MidpointMsg>) {
-        let logical = self.logical.value_at_hw(ctx.hw());
+        let logical = self.core.logical_value(ctx.hw());
         self.sends += 1;
         ctx.send_all(MidpointMsg { logical });
     }
 
+    /// Steers toward the midpoint `(Λ↑ − Λ↓)/2`; does nothing before a
+    /// neighbour is known.
     fn adjust_rate(&mut self, ctx: &mut Context<'_, MidpointMsg>) {
         let hw = ctx.hw();
-        let l = self.logical.value_at_hw(hw);
-        let mut up = f64::NEG_INFINITY;
-        let mut down = f64::NEG_INFINITY;
-        for (offset, _) in self.estimates.values() {
-            let est = hw + offset;
-            up = up.max(est - l);
-            down = down.max(l - est);
-        }
-        if up == f64::NEG_INFINITY {
-            return; // no neighbour known yet
-        }
-        let r = (up - down) / 2.0;
-        if r > 0.0 {
-            self.logical.set_multiplier(hw, 1.0 + self.mu);
-            ctx.set_timer(Self::RATE_TIMER, hw + r / self.mu);
-        } else {
-            self.logical.set_multiplier(hw, 1.0);
-            ctx.cancel_timer(Self::RATE_TIMER);
+        if let Some((up, down)) = self.core.lambda_pair(hw) {
+            let multiplier = arm_rate_timer(ctx, (up - down) / 2.0, self.mu);
+            self.core.logical.set_multiplier(hw, multiplier);
         }
     }
 }
@@ -186,21 +172,13 @@ impl Protocol for MidpointAlgorithm {
     type Msg = MidpointMsg;
 
     fn on_start(&mut self, ctx: &mut Context<'_, MidpointMsg>) {
-        self.logical.start(ctx.hw());
+        self.core.logical.start(ctx.hw());
         self.broadcast(ctx);
         ctx.set_timer(Self::SEND_TIMER, ctx.hw() + self.h0);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, MidpointMsg>, from: NodeId, msg: MidpointMsg) {
-        let hw = ctx.hw();
-        let entry = self
-            .estimates
-            .entry(from)
-            .or_insert((f64::NEG_INFINITY, f64::NEG_INFINITY));
-        if msg.logical > entry.1 {
-            entry.1 = msg.logical;
-            entry.0 = msg.logical - hw;
-        }
+        self.core.record_estimate(from, msg.logical, ctx.hw());
         self.adjust_rate(ctx);
     }
 
@@ -210,23 +188,17 @@ impl Protocol for MidpointAlgorithm {
                 self.broadcast(ctx);
                 ctx.set_timer(Self::SEND_TIMER, ctx.hw() + self.h0);
             }
-            Self::RATE_TIMER => {
-                self.logical.set_multiplier(ctx.hw(), 1.0);
-            }
+            Self::RATE_TIMER => self.core.logical.set_multiplier(ctx.hw(), 1.0),
             other => unreachable!("unknown timer slot {other:?}"),
         }
     }
 
     fn logical_value(&self, hw: f64) -> f64 {
-        self.logical.value_at_hw(hw)
+        self.core.logical_value(hw)
     }
 
     fn rate_multiplier(&self) -> f64 {
-        if self.logical.is_started() {
-            self.logical.multiplier()
-        } else {
-            1.0
-        }
+        self.core.rate_multiplier()
     }
 }
 

@@ -12,6 +12,9 @@
 //! ([`rate_rule`]). [`Params`] validates the constraints (Eqs. 4–6) and
 //! computes the proven bounds: global skew `𝒢 = (1+ε̂)D𝒯̂ + 2ε̂/(1+ε̂)H₀`
 //! (Theorem 5.5) and local skew `κ(⌈log_σ(2𝒢/κ)⌉ + ½)` (Theorem 5.10).
+//! The logical clock, the neighbour-estimate table and the `setClockRate`
+//! decision live in [`AOptCore`], which `AOpt`, every variant below and
+//! [`MidpointAlgorithm`] share.
 //!
 //! # Variants (paper Section 8 and remarks)
 //!
@@ -42,6 +45,7 @@
 #![warn(missing_docs)]
 
 mod aopt;
+mod aopt_core;
 mod baselines;
 mod params;
 pub mod rate_rule;
@@ -49,8 +53,9 @@ pub mod rtt;
 mod variants;
 
 pub use aopt::{AOpt, AOptMsg};
+pub use aopt_core::AOptCore;
 pub use baselines::{MaxAlgorithm, MaxMsg, MidpointAlgorithm, MidpointMsg, NoSync};
-pub use params::{ParamError, Params};
+pub use params::{binding_level, ParamError, Params};
 pub use variants::{
     AOptJump, AdaptiveAOpt, AdaptiveMsg, DiscreteAOpt, DiscreteMsg, EnvelopeAOpt, ExternalAOpt,
     ExternalMsg, MinGapAOpt, MsgKind, OffsetAOpt, PiggybackAOpt, PiggybackMsg,

@@ -18,7 +18,8 @@
 //! and yields (Theorems 5.5 and 5.10):
 //!
 //! * global skew ≤ `𝒢 = (1 + ε̂)·D·𝒯̂ + 2ε̂/(1 + ε̂)·H₀`
-//! * local skew ≤ `κ(⌈log_σ(2𝒢/κ)⌉ + ½)`
+//! * local skew ≤ `κ(⌈log_σ(2𝒢/κ)⌉ + ½)`, the level decided exactly by
+//!   [`binding_level`]
 
 use std::error::Error;
 use std::fmt;
@@ -276,14 +277,12 @@ impl Params {
             + 2.0 * self.epsilon_hat / (1.0 + self.epsilon_hat) * self.h0
     }
 
-    /// Theorem 5.10: the local-skew bound `κ(⌈log_σ(2𝒢/κ)⌉ + ½)`.
+    /// Theorem 5.10: the local-skew bound `κ(⌈log_σ(2𝒢/κ)⌉ + ½)`, with
+    /// the level `⌈log_σ(2𝒢/κ)⌉` (at least 0) decided exactly by
+    /// [`binding_level`].
     pub fn local_skew_bound(&self, diameter: u32) -> f64 {
-        let g = self.global_skew_bound(diameter);
-        let levels = (2.0 * g / self.kappa)
-            .log(self.sigma() as f64)
-            .ceil()
-            .max(0.0);
-        self.kappa * (levels + 0.5)
+        let c0 = 2.0 * self.global_skew_bound(diameter) / self.kappa;
+        self.kappa * (binding_level(1, c0, self.sigma()) as f64 + 0.5)
     }
 
     /// The legal-state distance threshold `C_s = (2𝒢/κ)·σ^{−s}`
@@ -323,9 +322,120 @@ impl Params {
     }
 }
 
+/// The smallest level `s ≥ 0` with `d·σ^s ≥ c0`, i.e. with
+/// `C_s = c0·σ^{−s} ≤ d`: for `c0 = 2𝒢/κ` the level of Definition 5.6 that
+/// binds a pair at distance `d`, and for `d = 1` the `⌈log_σ(2𝒢/κ)⌉` of
+/// Theorem 5.10.
+///
+/// Decided by direct comparison rather than `⌈log_σ(c0/d)⌉`, whose rounded
+/// logarithm lands on either side of an exact power `c0/d = σ^k`
+/// (`⌈log₅ 125⌉` evaluates to 4). The products `d·σ^s` are integers, exact
+/// in f64 below 2⁵³. A non-finite `c0` stops the loop too: `∞` once the
+/// product overflows, NaN at once.
+///
+/// # Panics
+///
+/// Panics unless `d ≥ 1` and `σ ≥ 2` (validated parameters give `σ ≥ 2`).
+pub fn binding_level(d: u32, c0: f64, sigma: u32) -> u32 {
+    assert!(d >= 1 && sigma >= 2, "binding level needs d ≥ 1, σ ≥ 2");
+    let sigma = f64::from(sigma);
+    let mut reach = f64::from(d);
+    let mut s = 0;
+    while reach < c0 && reach.is_finite() {
+        reach *= sigma;
+        s += 1;
+    }
+    s
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn binding_level_is_exact_at_powers_of_sigma() {
+        // ⌈log₅(125)⌉ evaluates to 4; the binding level is 3.
+        assert_eq!(binding_level(1, 125.0, 5), 3);
+        assert_eq!(binding_level(2, 250.0, 5), 3);
+        for sigma in 2..=10u32 {
+            let mut power = 1.0f64;
+            for k in 0..30u32 {
+                for d in [1u32, 3, 7] {
+                    let c0 = f64::from(d) * power;
+                    if c0 >= 2f64.powi(53) {
+                        continue;
+                    }
+                    assert_eq!(binding_level(d, c0, sigma), k, "σ={sigma} k={k} d={d}");
+                    assert_eq!(
+                        binding_level(d, c0.next_up(), sigma),
+                        k + 1,
+                        "σ={sigma} k={k} d={d}, just above"
+                    );
+                    assert_eq!(
+                        binding_level(d, c0.next_down(), sigma),
+                        k,
+                        "σ={sigma} k={k} d={d}, just below"
+                    );
+                }
+                power *= f64::from(sigma);
+            }
+        }
+        // Pairs at or beyond C_0, and a degenerate threshold, bind level 0.
+        assert_eq!(binding_level(9, 4.5, 2), 0);
+        assert_eq!(binding_level(1, f64::NAN, 2), 0);
+        assert!(binding_level(1, f64::INFINITY, 2) > 1000);
+    }
+
+    #[test]
+    fn local_skew_level_is_exact_at_powers_of_sigma() {
+        // κ runs over the floats around 2𝒢/σ^k; at each, the level must be
+        // the smallest s with σ^s ≥ 2𝒢/κ, decided on exact integer powers.
+        // At least one exact hit must be a case the rounded-logarithm
+        // formula got wrong (⌈log₅ 125⌉ and ⌈log₆ 216⌉ evaluate to 4).
+        let (eps, t_hat) = (0.01, 0.5);
+        let mut exact_hits = 0;
+        let mut log_overshoots = 0;
+        for sigma in 2..=10u32 {
+            let base = Params::with_sigma(eps, t_hat, sigma).unwrap();
+            for diameter in (100..=2000).step_by(100) {
+                let g = base.global_skew_bound(diameter);
+                for k in 1..=4u32 {
+                    let power = f64::from(sigma.pow(k));
+                    let mut kappa = 2.0 * g / power;
+                    for _ in 0..8 {
+                        kappa = kappa.next_down();
+                    }
+                    let around = std::iter::successors(Some(kappa), |k| Some(k.next_up()));
+                    for kappa in around.take(17) {
+                        let Ok(p) = Params::new(eps, t_hat, base.h0(), base.mu(), kappa) else {
+                            continue; // κ below Eq. (4)'s minimum
+                        };
+                        let c0 = 2.0 * p.global_skew_bound(diameter) / p.kappa();
+                        let level = (0..).find(|&s| f64::from(sigma.pow(s)) >= c0).unwrap();
+                        assert_eq!(
+                            p.local_skew_bound(diameter),
+                            p.kappa() * (f64::from(level) + 0.5),
+                            "σ={sigma} D={diameter} κ={kappa}"
+                        );
+                        if c0 == power {
+                            exact_hits += 1;
+                            if c0.log(f64::from(sigma)).ceil() != f64::from(level) {
+                                log_overshoots += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            exact_hits > 100,
+            "only {exact_hits} κ hit a power of σ exactly"
+        );
+        assert!(
+            log_overshoots > 0,
+            "no exact hit exercised the old rounding"
+        );
+    }
 
     #[test]
     fn recommended_is_valid_and_sigma_two() {

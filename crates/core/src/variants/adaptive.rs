@@ -23,9 +23,8 @@ use std::collections::HashMap;
 
 use gcs_graph::NodeId;
 use gcs_sim::{Context, Protocol, TimerId};
-use gcs_time::LogicalClock;
 
-use crate::rate_rule::clamped_increase;
+use crate::aopt_core::{self, adopts, AOptCore};
 use crate::Params;
 
 /// The role of an adaptive message in the round-trip measurement.
@@ -59,16 +58,14 @@ pub struct AdaptiveMsg {
     pub kind: MsgKind,
 }
 
+/// Per-neighbour probe state (the estimate itself lives in the
+/// [`AOptCore`] table).
 #[derive(Debug, Clone, Default)]
 struct LinkState {
     /// Next probe sequence number to use toward this neighbour.
     next_seq: u64,
     /// `(seq, hw at send)` of recent unacknowledged probes.
     in_flight: Vec<(u64, f64)>,
-    /// Estimate offset `L_v^w − H_v` and the monotone guard `ℓ_v^w`.
-    offset: f64,
-    ell: f64,
-    heard: bool,
 }
 
 /// `A^opt` with a fully adaptive delay bound (Section 8.1).
@@ -86,7 +83,7 @@ struct LinkState {
 pub struct AdaptiveAOpt {
     epsilon_hat: f64,
     params: Params,
-    logical: LogicalClock,
+    core: AOptCore,
     lmax_offset: Option<f64>,
     links: HashMap<NodeId, LinkState>,
     sends: u64,
@@ -98,7 +95,7 @@ impl AdaptiveAOpt {
     /// Timer slot for the periodic broadcast.
     pub const SEND_TIMER: TimerId = TimerId(0);
     /// Timer slot for the Algorithm 4 rate reset.
-    pub const RATE_TIMER: TimerId = TimerId(1);
+    pub const RATE_TIMER: TimerId = aopt_core::RATE_TIMER;
 
     /// Creates a node with drift bound `epsilon_hat` and an *initial* delay
     /// estimate `t_hat_initial` (any positive value; it will grow to fit).
@@ -112,7 +109,7 @@ impl AdaptiveAOpt {
         AdaptiveAOpt {
             epsilon_hat,
             params,
-            logical: LogicalClock::new(),
+            core: AOptCore::new(),
             lmax_offset: None,
             links: HashMap::new(),
             sends: 0,
@@ -170,7 +167,7 @@ impl AdaptiveAOpt {
     /// Sends per-neighbour probe messages (each carries that link's seq).
     fn broadcast_probes(&mut self, ctx: &mut Context<'_, AdaptiveMsg>) {
         let hw = ctx.hw();
-        let logical = self.logical.value_at_hw(hw);
+        let logical = self.core.logical_value(hw);
         let lmax = self.lmax_value(hw);
         let t_hat = self.params.t_hat();
         self.sends += 1;
@@ -204,7 +201,7 @@ impl AdaptiveAOpt {
         let hw = ctx.hw();
         self.sends += 1;
         ctx.send_all(AdaptiveMsg {
-            logical: self.logical.value_at_hw(hw),
+            logical: self.core.logical_value(hw),
             lmax: self.lmax_value(hw),
             t_hat: self.params.t_hat(),
             kind: MsgKind::Plain,
@@ -214,34 +211,6 @@ impl AdaptiveAOpt {
     fn schedule_send(&mut self, ctx: &mut Context<'_, AdaptiveMsg>) {
         ctx.set_timer(Self::SEND_TIMER, ctx.hw() + self.params.h0());
     }
-
-    fn set_clock_rate(&mut self, ctx: &mut Context<'_, AdaptiveMsg>) {
-        let hw = ctx.hw();
-        let l = self.logical.value_at_hw(hw);
-        let mut up = f64::NEG_INFINITY;
-        let mut down = f64::NEG_INFINITY;
-        for link in self.links.values() {
-            if !link.heard {
-                continue;
-            }
-            let est = hw + link.offset;
-            up = up.max(est - l);
-            down = down.max(l - est);
-        }
-        if up == f64::NEG_INFINITY {
-            up = 0.0;
-            down = 0.0;
-        }
-        let headroom = self.lmax_value(hw) - l;
-        let r = clamped_increase(up, down, self.params.kappa(), headroom);
-        if r > 0.0 {
-            self.logical.set_multiplier(hw, 1.0 + self.params.mu());
-            ctx.set_timer(Self::RATE_TIMER, hw + r / self.params.mu());
-        } else {
-            self.logical.set_multiplier(hw, 1.0);
-            ctx.cancel_timer(Self::RATE_TIMER);
-        }
-    }
 }
 
 impl Protocol for AdaptiveAOpt {
@@ -249,7 +218,7 @@ impl Protocol for AdaptiveAOpt {
 
     fn on_start(&mut self, ctx: &mut Context<'_, AdaptiveMsg>) {
         let hw = ctx.hw();
-        self.logical.start(hw);
+        self.core.logical.start(hw);
         self.lmax_offset = Some(0.0 - hw);
         self.broadcast_probes(ctx);
         self.schedule_send(ctx);
@@ -266,7 +235,7 @@ impl Protocol for AdaptiveAOpt {
                 ctx.send(
                     from,
                     AdaptiveMsg {
-                        logical: self.logical.value_at_hw(hw),
+                        logical: self.core.logical_value(hw),
                         lmax: self.lmax_value(hw),
                         t_hat: self.params.t_hat(),
                         kind: MsgKind::Ack { of: seq },
@@ -286,18 +255,15 @@ impl Protocol for AdaptiveAOpt {
             MsgKind::Plain => {}
         }
         // --- Plain A^opt from here on. ---
-        if msg.lmax > self.lmax_value(hw) + 1e-9 {
+        if adopts(msg.lmax, self.lmax_value(hw)) {
             self.lmax_offset = Some(msg.lmax - hw);
             self.broadcast_plain(ctx);
             self.schedule_send(ctx);
         }
-        let link = self.links.entry(from).or_default();
-        if msg.logical > link.ell || !link.heard {
-            link.ell = msg.logical;
-            link.offset = msg.logical - hw;
-            link.heard = true;
-        }
-        self.set_clock_rate(ctx);
+        self.core.record_estimate(from, msg.logical, hw);
+        let lmax = self.lmax_value(hw);
+        self.core
+            .set_clock_rate(ctx, self.params.kappa(), self.params.mu(), lmax);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, AdaptiveMsg>, timer: TimerId) {
@@ -306,23 +272,17 @@ impl Protocol for AdaptiveAOpt {
                 self.broadcast_probes(ctx);
                 self.schedule_send(ctx);
             }
-            Self::RATE_TIMER => {
-                self.logical.set_multiplier(ctx.hw(), 1.0);
-            }
+            Self::RATE_TIMER => self.core.logical.set_multiplier(ctx.hw(), 1.0),
             other => unreachable!("unknown timer slot {other:?}"),
         }
     }
 
     fn logical_value(&self, hw: f64) -> f64 {
-        self.logical.value_at_hw(hw)
+        self.core.logical_value(hw)
     }
 
     fn rate_multiplier(&self) -> f64 {
-        if self.logical.is_started() {
-            self.logical.multiplier()
-        } else {
-            1.0
-        }
+        self.core.rate_multiplier()
     }
 }
 

@@ -28,9 +28,8 @@ use std::collections::HashMap;
 
 use gcs_graph::NodeId;
 use gcs_sim::{Context, Protocol, TimerId};
-use gcs_time::LogicalClock;
 
-use crate::rate_rule::clamped_increase;
+use crate::aopt_core::{self, adopts, next_multiple, AOptCore};
 use crate::Params;
 
 /// The quantized differential message of [`DiscreteAOpt`].
@@ -46,8 +45,9 @@ pub struct DiscreteMsg {
     pub seq: u64,
 }
 
-/// Per-neighbour reconstruction state.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Per-neighbour decoding state (the estimate itself lives in the
+/// [`AOptCore`] table).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Reconstruction {
     /// Reconstructed cumulative logical value of the sender.
     cum_logical: f64,
@@ -55,10 +55,6 @@ struct Reconstruction {
     cum_units: u64,
     /// Next expected sequence number.
     next_seq: u64,
-    /// `L_v^w − H_v` estimate offset (as in `A^opt`).
-    offset: f64,
-    /// Whether at least one message has been integrated.
-    heard: bool,
 }
 
 /// `A^opt` with the paper's low-bit-complexity message encoding.
@@ -78,7 +74,7 @@ pub struct DiscreteAOpt {
     params: Params,
     /// Effective κ: the configured κ plus two quanta of rounding slack.
     kappa_eff: f64,
-    logical: LogicalClock,
+    core: AOptCore,
     lmax_offset: Option<f64>,
     /// `H₀` units already announced to neighbours.
     announced_units: u64,
@@ -93,7 +89,7 @@ impl DiscreteAOpt {
     /// Timer slot for the periodic broadcast.
     pub const SEND_TIMER: TimerId = TimerId(0);
     /// Timer slot for the Algorithm 4 rate reset.
-    pub const RATE_TIMER: TimerId = TimerId(1);
+    pub const RATE_TIMER: TimerId = aopt_core::RATE_TIMER;
 
     /// Creates a node. `κ` is internally enlarged by `2q = 2μH₀` to absorb
     /// the quantization, per the paper's remark.
@@ -101,7 +97,7 @@ impl DiscreteAOpt {
         DiscreteAOpt {
             params,
             kappa_eff: params.kappa() + 2.0 * params.mu() * params.h0(),
-            logical: LogicalClock::new(),
+            core: AOptCore::new(),
             lmax_offset: None,
             announced_units: 0,
             sent_logical: 0.0,
@@ -147,17 +143,15 @@ impl DiscreteAOpt {
     /// Re-arms the Algorithm 1 send trigger for the next multiple of `H₀`
     /// not yet reached by `L_v^max` (same trigger as base `A^opt`).
     fn schedule_send(&mut self, ctx: &mut Context<'_, DiscreteMsg>) {
-        let h0 = self.params.h0();
-        let lmax = self.lmax_value(ctx.hw());
-        let k = (lmax / h0 + 1e-9).floor() + 1.0;
         let offset = self.lmax_offset.expect("scheduled only after start");
-        ctx.set_timer(Self::SEND_TIMER, k * h0 - offset);
+        let (_, at) = next_multiple(ctx.hw(), offset, self.params.h0());
+        ctx.set_timer(Self::SEND_TIMER, at);
     }
 
     fn broadcast(&mut self, ctx: &mut Context<'_, DiscreteMsg>) {
         let hw = ctx.hw();
         let q = self.quantum();
-        let logical = self.logical.value_at_hw(hw);
+        let logical = self.core.logical_value(hw);
         let dl_raw = ((logical - self.sent_logical) / q).floor().max(0.0) as u32;
         let dl = dl_raw.min(Self::dl_cap(&self.params));
         self.sent_logical += dl as f64 * q;
@@ -173,34 +167,6 @@ impl DiscreteAOpt {
         self.sends += 1;
         ctx.send_all(DiscreteMsg { dl, dmax, seq });
     }
-
-    fn set_clock_rate(&mut self, ctx: &mut Context<'_, DiscreteMsg>) {
-        let hw = ctx.hw();
-        let l = self.logical.value_at_hw(hw);
-        let mut up = f64::NEG_INFINITY;
-        let mut down = f64::NEG_INFINITY;
-        for rec in self.neighbors.values() {
-            if !rec.heard {
-                continue;
-            }
-            let est = hw + rec.offset;
-            up = up.max(est - l);
-            down = down.max(l - est);
-        }
-        if up == f64::NEG_INFINITY {
-            up = 0.0;
-            down = 0.0;
-        }
-        let headroom = self.lmax_value(hw) - l;
-        let r = clamped_increase(up, down, self.kappa_eff, headroom);
-        if r > 0.0 {
-            self.logical.set_multiplier(hw, 1.0 + self.params.mu());
-            ctx.set_timer(Self::RATE_TIMER, hw + r / self.params.mu());
-        } else {
-            self.logical.set_multiplier(hw, 1.0);
-            ctx.cancel_timer(Self::RATE_TIMER);
-        }
-    }
 }
 
 impl Protocol for DiscreteAOpt {
@@ -208,7 +174,7 @@ impl Protocol for DiscreteAOpt {
 
     fn on_start(&mut self, ctx: &mut Context<'_, DiscreteMsg>) {
         let hw = ctx.hw();
-        self.logical.start(hw);
+        self.core.logical.start(hw);
         self.lmax_offset = Some(0.0 - hw);
         self.broadcast(ctx);
         self.schedule_send(ctx);
@@ -218,13 +184,7 @@ impl Protocol for DiscreteAOpt {
         let hw = ctx.hw();
         let q = self.quantum();
         let h0 = self.params.h0();
-        let rec = self.neighbors.entry(from).or_insert(Reconstruction {
-            cum_logical: 0.0,
-            cum_units: 0,
-            next_seq: 0,
-            offset: f64::NEG_INFINITY,
-            heard: false,
-        });
+        let rec = self.neighbors.entry(from).or_default();
         assert_eq!(
             msg.seq, rec.next_seq,
             "DiscreteAOpt requires FIFO links (got seq {} from {from}, expected {})",
@@ -233,12 +193,11 @@ impl Protocol for DiscreteAOpt {
         rec.next_seq += 1;
         rec.cum_logical += msg.dl as f64 * q;
         rec.cum_units += msg.dmax as u64;
+        let candidate_lmax = rec.cum_units as f64 * h0;
         // The reconstructed value is monotone, so it always refreshes the
         // estimate (it plays the role of both L_w and the ℓ_v^w guard).
-        rec.offset = rec.cum_logical - hw;
-        rec.heard = true;
-        let candidate_lmax = rec.cum_units as f64 * h0;
-        if candidate_lmax > self.lmax_value(hw) + 1e-9 {
+        self.core.refresh_estimate(from, rec.cum_logical, hw);
+        if adopts(candidate_lmax, self.lmax_value(hw)) {
             self.lmax_offset = Some(candidate_lmax - hw);
             // Forward immediately, as in base A^opt — but the *encoded*
             // increment per message stays capped; any excess is carried to
@@ -246,7 +205,9 @@ impl Protocol for DiscreteAOpt {
             self.broadcast(ctx);
             self.schedule_send(ctx);
         }
-        self.set_clock_rate(ctx);
+        let lmax = self.lmax_value(hw);
+        self.core
+            .set_clock_rate(ctx, self.kappa_eff, self.params.mu(), lmax);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, DiscreteMsg>, timer: TimerId) {
@@ -255,23 +216,17 @@ impl Protocol for DiscreteAOpt {
                 self.broadcast(ctx);
                 self.schedule_send(ctx);
             }
-            Self::RATE_TIMER => {
-                self.logical.set_multiplier(ctx.hw(), 1.0);
-            }
+            Self::RATE_TIMER => self.core.logical.set_multiplier(ctx.hw(), 1.0),
             other => unreachable!("unknown timer slot {other:?}"),
         }
     }
 
     fn logical_value(&self, hw: f64) -> f64 {
-        self.logical.value_at_hw(hw)
+        self.core.logical_value(hw)
     }
 
     fn rate_multiplier(&self) -> f64 {
-        if self.logical.is_started() {
-            self.logical.multiplier()
-        } else {
-            1.0
-        }
+        self.core.rate_multiplier()
     }
 }
 
@@ -352,17 +307,13 @@ mod tests {
         engine.run_until_observed(100.0, |e| {
             let hw0 = e.hardware_value(NodeId(0));
             let node0 = e.protocol(NodeId(0));
-            if let Some(rec) = node0.neighbors.get(&NodeId(1)) {
-                if rec.heard {
-                    let est = hw0 + rec.offset;
-                    let actual = e.logical_value(NodeId(1));
-                    // Conservative: estimate never overtakes the truth…
-                    assert!(est <= actual + 1e-9);
-                    // …and is fresh to within delay + send period + quanta.
-                    let staleness_allowance =
-                        (1.0 + p.mu()) * (0.02 + p.h0() / 0.99) + 2.0 * q + 0.1;
-                    assert!(actual - est <= staleness_allowance);
-                }
+            if let Some(est) = node0.core.estimate(NodeId(1), hw0) {
+                let actual = e.logical_value(NodeId(1));
+                // Conservative: estimate never overtakes the truth…
+                assert!(est <= actual + 1e-9);
+                // …and is fresh to within delay + send period + quanta.
+                let staleness_allowance = (1.0 + p.mu()) * (0.02 + p.h0() / 0.99) + 2.0 * q + 0.1;
+                assert!(actual - est <= staleness_allowance);
             }
         });
     }

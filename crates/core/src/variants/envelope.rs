@@ -17,13 +17,10 @@
 //! multiplier never drops below 1 except while riding the (larger)
 //! estimate, so `L_v ≥ H_v ≥ min_w H_w`.
 
-use std::collections::HashMap;
-
 use gcs_graph::NodeId;
 use gcs_sim::{Context, Protocol, TimerId};
-use gcs_time::LogicalClock;
 
-use crate::rate_rule::clamped_increase;
+use crate::aopt_core::{self, adopts, arm_rate_timer, AOptCore};
 use crate::{AOptMsg, Params};
 
 /// `A^opt` under the sharpened hardware-envelope condition of Section 8.6.
@@ -53,30 +50,60 @@ use crate::{AOptMsg, Params};
 #[derive(Debug, Clone)]
 pub struct EnvelopeAOpt {
     params: Params,
-    logical: LogicalClock,
+    core: AOptCore,
     /// `L_v^max` anchored on the hardware clock with a time-varying scale.
     lmax: Option<Scaled>,
-    estimates: HashMap<NodeId, (f64, f64)>, // (offset from H, ell guard)
     sends: u64,
 }
 
-/// A value `anchor + (hw − anchor_hw)·scale`.
+/// A value `anchor + (hw − anchor_hw)·scale`: an `L_v^max` advancing at
+/// `scale · h_v` (also [`ExternalAOpt`](super::ExternalAOpt)'s).
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct Scaled {
-    anchor: f64,
-    anchor_hw: f64,
-    scale: f64,
+pub(super) struct Scaled {
+    pub(super) anchor: f64,
+    pub(super) anchor_hw: f64,
+    pub(super) scale: f64,
 }
 
 impl Scaled {
-    fn value(&self, hw: f64) -> f64 {
+    pub(super) fn value(&self, hw: f64) -> f64 {
         self.anchor + (hw - self.anchor_hw) * self.scale
     }
 
-    fn rebase(&mut self, hw: f64, value: f64, scale: f64) {
+    pub(super) fn rebase(&mut self, hw: f64, value: f64, scale: f64) {
         self.anchor = value;
         self.anchor_hw = hw;
         self.scale = scale;
+    }
+
+    /// Sets `core`'s multiplier to `desired` without letting `L_v` overtake
+    /// this `L_v^max`: when `L_v` has (within floating-point slack) caught
+    /// it, `L_v` rides it at its scale; otherwise the `cross` timer is armed
+    /// for the moment it would. This is the single place the invariant
+    /// `L_v ≤ L_v^max` is enforced between events.
+    pub(super) fn cap_multiplier<M>(
+        &self,
+        core: &mut AOptCore,
+        ctx: &mut Context<'_, M>,
+        desired: f64,
+        cross: TimerId,
+    ) {
+        let hw = ctx.hw();
+        let scale = self.scale;
+        let headroom = self.value(hw) - core.logical_value(hw);
+        if desired > scale && headroom <= 1e-12 {
+            // Riding the estimate: any faster rate would overtake it.
+            core.logical.set_multiplier(hw, scale);
+            ctx.cancel_timer(cross);
+            ctx.cancel_timer(aopt_core::RATE_TIMER);
+        } else {
+            core.logical.set_multiplier(hw, desired);
+            if desired > scale {
+                ctx.set_timer(cross, hw + headroom / (desired - scale));
+            } else {
+                ctx.cancel_timer(cross);
+            }
+        }
     }
 }
 
@@ -84,7 +111,7 @@ impl EnvelopeAOpt {
     /// Timer slot for the periodic broadcast.
     pub const SEND_TIMER: TimerId = TimerId(0);
     /// Timer slot for the Algorithm 4 rate reset.
-    pub const RATE_TIMER: TimerId = TimerId(1);
+    pub const RATE_TIMER: TimerId = aopt_core::RATE_TIMER;
     /// Timer slot for the `L_v = L_v^max` crossing.
     pub const CROSS_TIMER: TimerId = TimerId(2);
     /// Timer slot for the `L_v^max = H_v` crossing (switch the estimate
@@ -95,9 +122,8 @@ impl EnvelopeAOpt {
     pub fn new(params: Params) -> Self {
         EnvelopeAOpt {
             params,
-            logical: LogicalClock::new(),
+            core: AOptCore::new(),
             lmax: None,
-            estimates: HashMap::new(),
             sends: 0,
         }
     }
@@ -121,7 +147,7 @@ impl EnvelopeAOpt {
         let hw = ctx.hw();
         self.sends += 1;
         ctx.send_all(AOptMsg {
-            logical: self.logical.value_at_hw(hw),
+            logical: self.core.logical_value(hw),
             lmax: self.lmax_value(hw),
         });
     }
@@ -149,49 +175,21 @@ impl EnvelopeAOpt {
         }
     }
 
-    /// Sets the logical multiplier, never letting `L_v` overtake `L_v^max`
-    /// (same device as the external variant).
+    /// Sets the logical multiplier, never letting `L_v` overtake `L_v^max`.
     fn apply_multiplier(&mut self, ctx: &mut Context<'_, AOptMsg>, desired: f64) {
-        let hw = ctx.hw();
-        let scale = self.lmax.expect("initialized at start").scale;
-        let headroom = self.lmax_value(hw) - self.logical.value_at_hw(hw);
-        if desired > scale && headroom <= 1e-12 {
-            self.logical.set_multiplier(hw, scale);
-            ctx.cancel_timer(Self::CROSS_TIMER);
-            ctx.cancel_timer(Self::RATE_TIMER);
-        } else {
-            self.logical.set_multiplier(hw, desired);
-            if desired > scale {
-                ctx.set_timer(Self::CROSS_TIMER, hw + headroom / (desired - scale));
-            } else {
-                ctx.cancel_timer(Self::CROSS_TIMER);
-            }
-        }
+        let lmax = self.lmax.expect("initialized at start");
+        lmax.cap_multiplier(&mut self.core, ctx, desired, Self::CROSS_TIMER);
     }
 
+    /// Algorithm 3, arming the rate timer *before* the multiplier is
+    /// applied (the order the event stream records).
     fn set_clock_rate(&mut self, ctx: &mut Context<'_, AOptMsg>) {
         let hw = ctx.hw();
-        let l = self.logical.value_at_hw(hw);
-        let mut up = f64::NEG_INFINITY;
-        let mut down = f64::NEG_INFINITY;
-        for (offset, _) in self.estimates.values() {
-            let est = hw + offset;
-            up = up.max(est - l);
-            down = down.max(l - est);
-        }
-        if up == f64::NEG_INFINITY {
-            up = 0.0;
-            down = 0.0;
-        }
-        let headroom = self.lmax_value(hw) - l;
-        let r = clamped_increase(up, down, self.params.kappa(), headroom);
-        if r > 0.0 {
-            ctx.set_timer(Self::RATE_TIMER, hw + r / self.params.mu());
-            self.apply_multiplier(ctx, 1.0 + self.params.mu());
-        } else {
-            ctx.cancel_timer(Self::RATE_TIMER);
-            self.apply_multiplier(ctx, 1.0);
-        }
+        let r = self
+            .core
+            .increase(hw, self.params.kappa(), self.lmax_value(hw));
+        let desired = arm_rate_timer(ctx, r, self.params.mu());
+        self.apply_multiplier(ctx, desired);
     }
 }
 
@@ -200,7 +198,7 @@ impl Protocol for EnvelopeAOpt {
 
     fn on_start(&mut self, ctx: &mut Context<'_, AOptMsg>) {
         let hw = ctx.hw();
-        self.logical.start(hw);
+        self.core.logical.start(hw);
         self.lmax = Some(Scaled {
             anchor: 0.0,
             anchor_hw: hw,
@@ -212,8 +210,7 @@ impl Protocol for EnvelopeAOpt {
 
     fn on_message(&mut self, ctx: &mut Context<'_, AOptMsg>, from: NodeId, msg: AOptMsg) {
         let hw = ctx.hw();
-        // 1e-9 slack: see the same guard in `AOpt::on_message`.
-        if msg.lmax > self.lmax_value(hw) + 1e-9 {
+        if adopts(msg.lmax, self.lmax_value(hw)) {
             self.lmax
                 .as_mut()
                 .expect("initialized at start")
@@ -221,14 +218,7 @@ impl Protocol for EnvelopeAOpt {
             self.retune_lmax(ctx);
             self.broadcast(ctx);
         }
-        let entry = self
-            .estimates
-            .entry(from)
-            .or_insert((f64::NEG_INFINITY, f64::NEG_INFINITY));
-        if msg.logical > entry.1 {
-            entry.1 = msg.logical;
-            entry.0 = msg.logical - hw;
-        }
+        self.core.record_estimate(from, msg.logical, hw);
         self.set_clock_rate(ctx);
     }
 
@@ -244,7 +234,7 @@ impl Protocol for EnvelopeAOpt {
             Self::CROSS_TIMER => {
                 // L caught L^max: ride it at the estimate's own scale.
                 let scale = self.lmax.expect("initialized at start").scale;
-                self.logical.set_multiplier(ctx.hw(), scale);
+                self.core.logical.set_multiplier(ctx.hw(), scale);
                 ctx.cancel_timer(Self::RATE_TIMER);
             }
             Self::MAX_CROSS_TIMER => {
@@ -252,9 +242,10 @@ impl Protocol for EnvelopeAOpt {
                 self.retune_lmax(ctx);
                 // If L was riding L^max, it must pick up the new scale.
                 let hw = ctx.hw();
-                let headroom = self.lmax_value(hw) - self.logical.value_at_hw(hw);
+                let headroom = self.lmax_value(hw) - self.core.logical_value(hw);
                 if headroom <= 1e-12 {
-                    self.logical
+                    self.core
+                        .logical
                         .set_multiplier(hw, self.lmax.expect("initialized").scale);
                 }
             }
@@ -263,15 +254,11 @@ impl Protocol for EnvelopeAOpt {
     }
 
     fn logical_value(&self, hw: f64) -> f64 {
-        self.logical.value_at_hw(hw)
+        self.core.logical_value(hw)
     }
 
     fn rate_multiplier(&self) -> f64 {
-        if self.logical.is_started() {
-            self.logical.multiplier()
-        } else {
-            1.0
-        }
+        self.core.rate_multiplier()
     }
 }
 

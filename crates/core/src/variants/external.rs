@@ -12,13 +12,11 @@
 //! rate whenever `L_v = L_v^max`. Larger received estimates are still
 //! adopted and flooded, so nodes catch up quickly.
 
-use std::collections::HashMap;
-
 use gcs_graph::NodeId;
 use gcs_sim::{Context, Protocol, TimerId};
-use gcs_time::LogicalClock;
 
-use crate::rate_rule::clamped_increase;
+use super::envelope::Scaled;
+use crate::aopt_core::{self, adopts, arm_rate_timer, AOptCore};
 use crate::Params;
 
 /// The synchronization message `⟨L_v, L_v^max⟩` of the external variant.
@@ -28,26 +26,6 @@ pub struct ExternalMsg {
     pub logical: f64,
     /// Sender's maximum-clock (here: real-time) estimate at send time.
     pub lmax: f64,
-}
-
-/// A value advancing at `scale · h_v` — represented by an anchor so it can
-/// be evaluated lazily against the hardware clock.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct ScaledValue {
-    anchor: f64,
-    anchor_hw: f64,
-    scale: f64,
-}
-
-impl ScaledValue {
-    fn value(&self, hw: f64) -> f64 {
-        self.anchor + (hw - self.anchor_hw) * self.scale
-    }
-
-    fn set(&mut self, hw: f64, value: f64) {
-        self.anchor = value;
-        self.anchor_hw = hw;
-    }
 }
 
 /// `A^opt` adapted for external synchronization against a reference node.
@@ -82,9 +60,9 @@ impl ScaledValue {
 pub struct ExternalAOpt {
     params: Params,
     is_reference: bool,
-    logical: LogicalClock,
-    lmax: Option<ScaledValue>,
-    estimates: HashMap<NodeId, (f64, f64)>, // (offset from H, ell guard)
+    core: AOptCore,
+    /// `L_v^max`, advancing at the damped scale; `None` at the reference.
+    lmax: Option<Scaled>,
     sends: u64,
 }
 
@@ -92,7 +70,7 @@ impl ExternalAOpt {
     /// Timer slot for the periodic broadcast.
     pub const SEND_TIMER: TimerId = TimerId(0);
     /// Timer slot for the Algorithm 4 rate reset.
-    pub const RATE_TIMER: TimerId = TimerId(1);
+    pub const RATE_TIMER: TimerId = aopt_core::RATE_TIMER;
     /// Timer slot for the `L_v = L_v^max` crossing (fall back to the damped
     /// rate so the estimate is never overtaken).
     pub const CROSS_TIMER: TimerId = TimerId(2);
@@ -102,9 +80,8 @@ impl ExternalAOpt {
         ExternalAOpt {
             params,
             is_reference: false,
-            logical: LogicalClock::new(),
+            core: AOptCore::new(),
             lmax: None,
-            estimates: HashMap::new(),
             sends: 0,
         }
     }
@@ -139,7 +116,7 @@ impl ExternalAOpt {
 
     fn broadcast(&mut self, ctx: &mut Context<'_, ExternalMsg>) {
         let hw = ctx.hw();
-        let logical = self.logical.value_at_hw(hw);
+        let logical = self.core.logical_value(hw);
         let lmax = if self.is_reference {
             logical
         } else {
@@ -154,51 +131,21 @@ impl ExternalAOpt {
     }
 
     /// Sets the logical multiplier, damping to the estimate's own rate when
-    /// `L_v` has (within floating-point slack) caught `L_v^max`, and arming
-    /// the crossing timer otherwise. This is the single place the invariant
-    /// `L_v ≤ L_v^max` is enforced between events.
+    /// `L_v` has caught `L_v^max` (non-reference nodes only).
     fn apply_multiplier(&mut self, ctx: &mut Context<'_, ExternalMsg>, desired: f64) {
-        let hw = ctx.hw();
-        let scale = self.scale();
-        let headroom = self.lmax_value(hw) - self.logical.value_at_hw(hw);
-        if desired > scale && headroom <= 1e-12 {
-            // Riding the estimate: any faster rate would overtake it.
-            self.logical.set_multiplier(hw, scale);
-            ctx.cancel_timer(Self::CROSS_TIMER);
-            ctx.cancel_timer(Self::RATE_TIMER);
-        } else {
-            self.logical.set_multiplier(hw, desired);
-            if desired > scale {
-                ctx.set_timer(Self::CROSS_TIMER, hw + headroom / (desired - scale));
-            } else {
-                ctx.cancel_timer(Self::CROSS_TIMER);
-            }
-        }
+        let lmax = self.lmax.expect("initialized at start");
+        lmax.cap_multiplier(&mut self.core, ctx, desired, Self::CROSS_TIMER);
     }
 
+    /// Algorithm 3, arming the rate timer *before* the multiplier is
+    /// applied (the order the event stream records).
     fn set_clock_rate(&mut self, ctx: &mut Context<'_, ExternalMsg>) {
         let hw = ctx.hw();
-        let l = self.logical.value_at_hw(hw);
-        let mut up = f64::NEG_INFINITY;
-        let mut down = f64::NEG_INFINITY;
-        for (offset, _) in self.estimates.values() {
-            let est = hw + offset;
-            up = up.max(est - l);
-            down = down.max(l - est);
-        }
-        if up == f64::NEG_INFINITY {
-            up = 0.0;
-            down = 0.0;
-        }
-        let headroom = self.lmax_value(hw) - l;
-        let r = clamped_increase(up, down, self.params.kappa(), headroom);
-        if r > 0.0 {
-            ctx.set_timer(Self::RATE_TIMER, hw + r / self.params.mu());
-            self.apply_multiplier(ctx, 1.0 + self.params.mu());
-        } else {
-            ctx.cancel_timer(Self::RATE_TIMER);
-            self.apply_multiplier(ctx, 1.0);
-        }
+        let r = self
+            .core
+            .increase(hw, self.params.kappa(), self.lmax_value(hw));
+        let desired = arm_rate_timer(ctx, r, self.params.mu());
+        self.apply_multiplier(ctx, desired);
     }
 }
 
@@ -207,15 +154,15 @@ impl Protocol for ExternalAOpt {
 
     fn on_start(&mut self, ctx: &mut Context<'_, ExternalMsg>) {
         let hw = ctx.hw();
-        self.logical.start(hw);
+        self.core.logical.start(hw);
         if !self.is_reference {
-            self.lmax = Some(ScaledValue {
+            self.lmax = Some(Scaled {
                 anchor: 0.0,
                 anchor_hw: hw,
                 scale: self.scale(),
             });
             // Start damped: L = L^max = 0 and the estimate must lead.
-            self.logical.set_multiplier(hw, self.scale());
+            self.core.logical.set_multiplier(hw, self.scale());
         }
         self.broadcast(ctx);
         self.schedule_send(ctx);
@@ -226,22 +173,15 @@ impl Protocol for ExternalAOpt {
             return; // the reference never adjusts
         }
         let hw = ctx.hw();
-        // 1e-9 slack: see the same guard in `AOpt::on_message`.
-        if msg.lmax > self.lmax_value(hw) + 1e-9 {
+        if adopts(msg.lmax, self.lmax_value(hw)) {
+            let scale = self.scale();
             self.lmax
                 .as_mut()
                 .expect("initialized at start")
-                .set(hw, msg.lmax);
+                .rebase(hw, msg.lmax, scale);
             self.broadcast(ctx);
         }
-        let entry = self
-            .estimates
-            .entry(from)
-            .or_insert((f64::NEG_INFINITY, f64::NEG_INFINITY));
-        if msg.logical > entry.1 {
-            entry.1 = msg.logical;
-            entry.0 = msg.logical - hw;
-        }
+        self.core.record_estimate(from, msg.logical, hw);
         self.set_clock_rate(ctx);
     }
 
@@ -256,7 +196,7 @@ impl Protocol for ExternalAOpt {
             }
             Self::CROSS_TIMER => {
                 // L reached L^max: ride it at the damped rate.
-                self.logical.set_multiplier(ctx.hw(), self.scale());
+                self.core.logical.set_multiplier(ctx.hw(), self.scale());
                 ctx.cancel_timer(Self::RATE_TIMER);
             }
             other => unreachable!("unknown timer slot {other:?}"),
@@ -264,15 +204,11 @@ impl Protocol for ExternalAOpt {
     }
 
     fn logical_value(&self, hw: f64) -> f64 {
-        self.logical.value_at_hw(hw)
+        self.core.logical_value(hw)
     }
 
     fn rate_multiplier(&self) -> f64 {
-        if self.logical.is_started() {
-            self.logical.multiplier()
-        } else {
-            1.0
-        }
+        self.core.rate_multiplier()
     }
 }
 

@@ -9,13 +9,10 @@
 //! calls optimal up to constants (a pair at distance `D` deprived of
 //! updates for `Θ(D·H₀)` time can always be driven `Θ(ε·D·H₀)` apart).
 
-use std::collections::HashMap;
-
 use gcs_graph::NodeId;
 use gcs_sim::{Context, Protocol, TimerId};
-use gcs_time::LogicalClock;
 
-use crate::rate_rule::clamped_increase;
+use crate::aopt_core::{self, adopts, AOptCore};
 use crate::{AOptMsg, Params};
 
 /// `A^opt` with a hard minimum gap of `H₀` local time between sends.
@@ -33,9 +30,8 @@ use crate::{AOptMsg, Params};
 #[derive(Debug, Clone)]
 pub struct MinGapAOpt {
     params: Params,
-    logical: LogicalClock,
+    core: AOptCore,
     lmax_offset: Option<f64>,
-    estimates: HashMap<NodeId, (f64, f64)>, // (offset from H, ell guard)
     last_send_hw: f64,
     sends: u64,
 }
@@ -44,15 +40,14 @@ impl MinGapAOpt {
     /// Timer slot for the (gap-respecting) send trigger.
     pub const SEND_TIMER: TimerId = TimerId(0);
     /// Timer slot for the Algorithm 4 rate reset.
-    pub const RATE_TIMER: TimerId = TimerId(1);
+    pub const RATE_TIMER: TimerId = aopt_core::RATE_TIMER;
 
     /// Creates a node.
     pub fn new(params: Params) -> Self {
         MinGapAOpt {
             params,
-            logical: LogicalClock::new(),
+            core: AOptCore::new(),
             lmax_offset: None,
-            estimates: HashMap::new(),
             last_send_hw: f64::NEG_INFINITY,
             sends: 0,
         }
@@ -86,36 +81,11 @@ impl MinGapAOpt {
         self.last_send_hw = hw;
         self.sends += 1;
         ctx.send_all(AOptMsg {
-            logical: self.logical.value_at_hw(hw),
+            logical: self.core.logical_value(hw),
             lmax: self.lmax_value(hw),
         });
         // Keep the heartbeat: at most H₀ of silence.
         ctx.set_timer(Self::SEND_TIMER, hw + self.params.h0());
-    }
-
-    fn set_clock_rate(&mut self, ctx: &mut Context<'_, AOptMsg>) {
-        let hw = ctx.hw();
-        let l = self.logical.value_at_hw(hw);
-        let mut up = f64::NEG_INFINITY;
-        let mut down = f64::NEG_INFINITY;
-        for (offset, _) in self.estimates.values() {
-            let est = hw + offset;
-            up = up.max(est - l);
-            down = down.max(l - est);
-        }
-        if up == f64::NEG_INFINITY {
-            up = 0.0;
-            down = 0.0;
-        }
-        let headroom = self.lmax_value(hw) - l;
-        let r = clamped_increase(up, down, self.params.kappa(), headroom);
-        if r > 0.0 {
-            self.logical.set_multiplier(hw, 1.0 + self.params.mu());
-            ctx.set_timer(Self::RATE_TIMER, hw + r / self.params.mu());
-        } else {
-            self.logical.set_multiplier(hw, 1.0);
-            ctx.cancel_timer(Self::RATE_TIMER);
-        }
     }
 }
 
@@ -124,49 +94,37 @@ impl Protocol for MinGapAOpt {
 
     fn on_start(&mut self, ctx: &mut Context<'_, AOptMsg>) {
         let hw = ctx.hw();
-        self.logical.start(hw);
+        self.core.logical.start(hw);
         self.lmax_offset = Some(0.0 - hw);
         self.send_now(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, AOptMsg>, from: NodeId, msg: AOptMsg) {
         let hw = ctx.hw();
-        // 1e-9 slack: see the same guard in `AOpt::on_message`.
-        if msg.lmax > self.lmax_value(hw) + 1e-9 {
+        if adopts(msg.lmax, self.lmax_value(hw)) {
             self.lmax_offset = Some(msg.lmax - hw);
             self.request_send(ctx);
         }
-        let entry = self
-            .estimates
-            .entry(from)
-            .or_insert((f64::NEG_INFINITY, f64::NEG_INFINITY));
-        if msg.logical > entry.1 {
-            entry.1 = msg.logical;
-            entry.0 = msg.logical - hw;
-        }
-        self.set_clock_rate(ctx);
+        self.core.record_estimate(from, msg.logical, hw);
+        let lmax = self.lmax_value(hw);
+        self.core
+            .set_clock_rate(ctx, self.params.kappa(), self.params.mu(), lmax);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, AOptMsg>, timer: TimerId) {
         match timer {
             Self::SEND_TIMER => self.send_now(ctx),
-            Self::RATE_TIMER => {
-                self.logical.set_multiplier(ctx.hw(), 1.0);
-            }
+            Self::RATE_TIMER => self.core.logical.set_multiplier(ctx.hw(), 1.0),
             other => unreachable!("unknown timer slot {other:?}"),
         }
     }
 
     fn logical_value(&self, hw: f64) -> f64 {
-        self.logical.value_at_hw(hw)
+        self.core.logical_value(hw)
     }
 
     fn rate_multiplier(&self) -> f64 {
-        if self.logical.is_started() {
-            self.logical.multiplier()
-        } else {
-            1.0
-        }
+        self.core.rate_multiplier()
     }
 }
 

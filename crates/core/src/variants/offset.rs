@@ -8,13 +8,10 @@
 //! time), as the paper suggests; strictly larger maximum estimates are still
 //! flooded immediately.
 
-use std::collections::HashMap;
-
 use gcs_graph::NodeId;
 use gcs_sim::{Context, Protocol, TimerId};
-use gcs_time::LogicalClock;
 
-use crate::rate_rule::clamped_increase;
+use crate::aopt_core::{self, adopts, AOptCore};
 use crate::{AOptMsg, Params};
 
 /// `A^opt` adapted for delays in `[𝒯₁, 𝒯₂]`.
@@ -37,9 +34,8 @@ use crate::{AOptMsg, Params};
 pub struct OffsetAOpt {
     params: Params,
     t1: f64,
-    logical: LogicalClock,
+    core: AOptCore,
     lmax_offset: Option<f64>,
-    estimates: HashMap<NodeId, (f64, f64)>, // (offset from H, ell guard)
     sends: u64,
 }
 
@@ -47,7 +43,7 @@ impl OffsetAOpt {
     /// Timer slot for the periodic broadcast.
     pub const SEND_TIMER: TimerId = TimerId(0);
     /// Timer slot for the Algorithm 4 rate reset.
-    pub const RATE_TIMER: TimerId = TimerId(1);
+    pub const RATE_TIMER: TimerId = aopt_core::RATE_TIMER;
 
     /// Creates a node that assumes every delay is at least `t1`.
     ///
@@ -59,9 +55,8 @@ impl OffsetAOpt {
         OffsetAOpt {
             params,
             t1,
-            logical: LogicalClock::new(),
+            core: AOptCore::new(),
             lmax_offset: None,
-            estimates: HashMap::new(),
             sends: 0,
         }
     }
@@ -90,34 +85,9 @@ impl OffsetAOpt {
         let hw = ctx.hw();
         self.sends += 1;
         ctx.send_all(AOptMsg {
-            logical: self.logical.value_at_hw(hw),
+            logical: self.core.logical_value(hw),
             lmax: self.lmax_value(hw),
         });
-    }
-
-    fn set_clock_rate(&mut self, ctx: &mut Context<'_, AOptMsg>) {
-        let hw = ctx.hw();
-        let l = self.logical.value_at_hw(hw);
-        let mut up = f64::NEG_INFINITY;
-        let mut down = f64::NEG_INFINITY;
-        for (offset, _) in self.estimates.values() {
-            let est = hw + offset;
-            up = up.max(est - l);
-            down = down.max(l - est);
-        }
-        if up == f64::NEG_INFINITY {
-            up = 0.0;
-            down = 0.0;
-        }
-        let headroom = self.lmax_value(hw) - l;
-        let r = clamped_increase(up, down, self.params.kappa(), headroom);
-        if r > 0.0 {
-            self.logical.set_multiplier(hw, 1.0 + self.params.mu());
-            ctx.set_timer(Self::RATE_TIMER, hw + r / self.params.mu());
-        } else {
-            self.logical.set_multiplier(hw, 1.0);
-            ctx.cancel_timer(Self::RATE_TIMER);
-        }
     }
 }
 
@@ -126,7 +96,7 @@ impl Protocol for OffsetAOpt {
 
     fn on_start(&mut self, ctx: &mut Context<'_, AOptMsg>) {
         let hw = ctx.hw();
-        self.logical.start(hw);
+        self.core.logical.start(hw);
         self.lmax_offset = Some(0.0 - hw);
         self.broadcast(ctx);
         ctx.set_timer(Self::SEND_TIMER, hw + self.params.h0());
@@ -136,20 +106,14 @@ impl Protocol for OffsetAOpt {
         let hw = ctx.hw();
         let adjusted_logical = msg.logical + self.compensation();
         let adjusted_lmax = msg.lmax + self.compensation();
-        // 1e-9 slack: see the same guard in `AOpt::on_message`.
-        if adjusted_lmax > self.lmax_value(hw) + 1e-9 {
+        if adopts(adjusted_lmax, self.lmax_value(hw)) {
             self.lmax_offset = Some(adjusted_lmax - hw);
             self.broadcast(ctx);
         }
-        let entry = self
-            .estimates
-            .entry(from)
-            .or_insert((f64::NEG_INFINITY, f64::NEG_INFINITY));
-        if adjusted_logical > entry.1 {
-            entry.1 = adjusted_logical;
-            entry.0 = adjusted_logical - hw;
-        }
-        self.set_clock_rate(ctx);
+        self.core.record_estimate(from, adjusted_logical, hw);
+        let lmax = self.lmax_value(hw);
+        self.core
+            .set_clock_rate(ctx, self.params.kappa(), self.params.mu(), lmax);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, AOptMsg>, timer: TimerId) {
@@ -158,23 +122,17 @@ impl Protocol for OffsetAOpt {
                 self.broadcast(ctx);
                 ctx.set_timer(Self::SEND_TIMER, ctx.hw() + self.params.h0());
             }
-            Self::RATE_TIMER => {
-                self.logical.set_multiplier(ctx.hw(), 1.0);
-            }
+            Self::RATE_TIMER => self.core.logical.set_multiplier(ctx.hw(), 1.0),
             other => unreachable!("unknown timer slot {other:?}"),
         }
     }
 
     fn logical_value(&self, hw: f64) -> f64 {
-        self.logical.value_at_hw(hw)
+        self.core.logical_value(hw)
     }
 
     fn rate_multiplier(&self) -> f64 {
-        if self.logical.is_started() {
-            self.logical.multiplier()
-        } else {
-            1.0
-        }
+        self.core.rate_multiplier()
     }
 }
 
@@ -247,8 +205,7 @@ mod tests {
             for (v, w) in [(0usize, 1usize), (1, 0)] {
                 let hw = e.hardware_value(NodeId(v));
                 let node = e.protocol(NodeId(v));
-                if let Some((offset, _)) = node.estimates.get(&NodeId(w)) {
-                    let est = hw + offset;
+                if let Some(est) = node.core.estimate(NodeId(w), hw) {
                     let actual = e.logical_value(NodeId(w));
                     assert!(
                         est <= actual + 1e-9,

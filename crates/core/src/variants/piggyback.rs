@@ -12,13 +12,10 @@
 //! falls toward zero once the application chatter is denser than `1/H₀`
 //! (experiment T3).
 
-use std::collections::HashMap;
-
 use gcs_graph::NodeId;
 use gcs_sim::{Context, Protocol, TimerId};
-use gcs_time::LogicalClock;
 
-use crate::rate_rule::clamped_increase;
+use crate::aopt_core::{self, adopts, next_multiple, AOptCore};
 use crate::Params;
 
 /// A message of the piggybacking variant: the application payload slot plus
@@ -50,10 +47,9 @@ pub struct PiggybackMsg {
 #[derive(Debug, Clone)]
 pub struct PiggybackAOpt {
     params: Params,
-    logical: LogicalClock,
+    core: AOptCore,
     lmax_offset: Option<f64>,
     next_multiple: u64,
-    estimates: HashMap<NodeId, (f64, f64)>, // (offset from H, ell guard)
     /// Mean application inter-send gap in hardware units.
     app_mean_gap: f64,
     /// xorshift64 state for the application jitter (deterministic per seed).
@@ -69,7 +65,7 @@ impl PiggybackAOpt {
     /// Timer slot for the Algorithm 1 send trigger.
     pub const SEND_TIMER: TimerId = TimerId(0);
     /// Timer slot for the Algorithm 4 rate reset.
-    pub const RATE_TIMER: TimerId = TimerId(1);
+    pub const RATE_TIMER: TimerId = aopt_core::RATE_TIMER;
     /// Timer slot for the application's own traffic.
     pub const APP_TIMER: TimerId = TimerId(2);
 
@@ -86,10 +82,9 @@ impl PiggybackAOpt {
         );
         PiggybackAOpt {
             params,
-            logical: LogicalClock::new(),
+            core: AOptCore::new(),
             lmax_offset: None,
             next_multiple: 1,
-            estimates: HashMap::new(),
             app_mean_gap,
             rng: seed | 1,
             last_outgoing_hw: f64::NEG_INFINITY,
@@ -134,44 +129,17 @@ impl PiggybackAOpt {
             self.dedicated += 1;
         }
         ctx.send_all(PiggybackMsg {
-            logical: self.logical.value_at_hw(hw),
+            logical: self.core.logical_value(hw),
             lmax,
             is_app,
         });
     }
 
     fn schedule_send(&mut self, ctx: &mut Context<'_, PiggybackMsg>) {
-        let h0 = self.params.h0();
-        let lmax = self.lmax_value(ctx.hw());
-        let k = (lmax / h0 + 1e-9).floor() as u64 + 1;
-        self.next_multiple = k;
         let offset = self.lmax_offset.expect("scheduled only after start");
-        ctx.set_timer(Self::SEND_TIMER, k as f64 * h0 - offset);
-    }
-
-    fn set_clock_rate(&mut self, ctx: &mut Context<'_, PiggybackMsg>) {
-        let hw = ctx.hw();
-        let l = self.logical.value_at_hw(hw);
-        let mut up = f64::NEG_INFINITY;
-        let mut down = f64::NEG_INFINITY;
-        for (offset, _) in self.estimates.values() {
-            let est = hw + offset;
-            up = up.max(est - l);
-            down = down.max(l - est);
-        }
-        if up == f64::NEG_INFINITY {
-            up = 0.0;
-            down = 0.0;
-        }
-        let headroom = self.lmax_value(hw) - l;
-        let r = clamped_increase(up, down, self.params.kappa(), headroom);
-        if r > 0.0 {
-            self.logical.set_multiplier(hw, 1.0 + self.params.mu());
-            ctx.set_timer(Self::RATE_TIMER, hw + r / self.params.mu());
-        } else {
-            self.logical.set_multiplier(hw, 1.0);
-            ctx.cancel_timer(Self::RATE_TIMER);
-        }
+        let (k, at) = next_multiple(ctx.hw(), offset, self.params.h0());
+        self.next_multiple = k;
+        ctx.set_timer(Self::SEND_TIMER, at);
     }
 }
 
@@ -180,7 +148,7 @@ impl Protocol for PiggybackAOpt {
 
     fn on_start(&mut self, ctx: &mut Context<'_, PiggybackMsg>) {
         let hw = ctx.hw();
-        self.logical.start(hw);
+        self.core.logical.start(hw);
         self.lmax_offset = Some(0.0 - hw);
         self.send(ctx, false, 0.0);
         self.schedule_send(ctx);
@@ -191,8 +159,7 @@ impl Protocol for PiggybackAOpt {
 
     fn on_message(&mut self, ctx: &mut Context<'_, PiggybackMsg>, from: NodeId, msg: PiggybackMsg) {
         let hw = ctx.hw();
-        // 1e-9 slack: see the same guard in `AOpt::on_message`.
-        if msg.lmax > self.lmax_value(hw) + 1e-9 {
+        if adopts(msg.lmax, self.lmax_value(hw)) {
             self.lmax_offset = Some(msg.lmax - hw);
             // Unlike plain A^opt, incoming estimates are not confined to the
             // H₀ grid (application messages carry continuous values), so
@@ -209,15 +176,10 @@ impl Protocol for PiggybackAOpt {
             }
             self.schedule_send(ctx);
         }
-        let entry = self
-            .estimates
-            .entry(from)
-            .or_insert((f64::NEG_INFINITY, f64::NEG_INFINITY));
-        if msg.logical > entry.1 {
-            entry.1 = msg.logical;
-            entry.0 = msg.logical - hw;
-        }
-        self.set_clock_rate(ctx);
+        self.core.record_estimate(from, msg.logical, hw);
+        let lmax = self.lmax_value(hw);
+        self.core
+            .set_clock_rate(ctx, self.params.kappa(), self.params.mu(), lmax);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, PiggybackMsg>, timer: TimerId) {
@@ -234,9 +196,7 @@ impl Protocol for PiggybackAOpt {
                 }
                 self.schedule_send(ctx);
             }
-            Self::RATE_TIMER => {
-                self.logical.set_multiplier(ctx.hw(), 1.0);
-            }
+            Self::RATE_TIMER => self.core.logical.set_multiplier(ctx.hw(), 1.0),
             Self::APP_TIMER => {
                 let hw = ctx.hw();
                 let lmax = self.lmax_value(hw);
@@ -250,15 +210,11 @@ impl Protocol for PiggybackAOpt {
     }
 
     fn logical_value(&self, hw: f64) -> f64 {
-        self.logical.value_at_hw(hw)
+        self.core.logical_value(hw)
     }
 
     fn rate_multiplier(&self) -> f64 {
-        if self.logical.is_started() {
-            self.logical.multiplier()
-        } else {
-            1.0
-        }
+        self.core.rate_multiplier()
     }
 }
 

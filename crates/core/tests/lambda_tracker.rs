@@ -1,8 +1,9 @@
 //! Property tests of the incremental Λ↑/Λ↓ trackers against the retained
 //! linear-scan fold.
 //!
-//! `AOpt` no longer folds over its whole neighbour table on every wake:
-//! `lambda_pair` reads two incrementally maintained arg-extremes instead.
+//! `AOptCore` (the estimate table `AOpt`, its variants and the midpoint
+//! baseline share) does not fold over its whole neighbour table on every
+//! wake: `lambda_pair` reads two incrementally maintained arg-extremes instead.
 //! The claim is not "approximately equal" but **bit-identical** — the
 //! tracked entry's contribution is computed by the exact expression the
 //! fold would have evaluated for it, and the fold key is a weakly monotone
@@ -12,7 +13,7 @@
 //! hardware clock outruns its reported logical value) through
 //! `record_estimate` and check the equality at every step.
 
-use gcs_core::{AOpt, Params};
+use gcs_core::AOptCore;
 use gcs_graph::NodeId;
 use proptest::prelude::*;
 
@@ -23,14 +24,14 @@ fn update_schedule() -> impl Strategy<Value = Vec<(usize, f64, f64)>> {
     prop::collection::vec((0usize..6, 0.0f64..100.0, 0.0f64..3.0), 1..120)
 }
 
-fn oracle(node: &AOpt, hw: f64) -> Option<(u64, u64)> {
+fn oracle(node: &AOptCore, hw: f64) -> Option<(u64, u64)> {
     match (node.lambda_up(hw), node.lambda_down(hw)) {
         (Some(up), Some(down)) => Some((up.to_bits(), down.to_bits())),
         _ => None,
     }
 }
 
-fn tracked(node: &AOpt, hw: f64) -> Option<(u64, u64)> {
+fn tracked(node: &AOptCore, hw: f64) -> Option<(u64, u64)> {
     node.lambda_pair(hw)
         .map(|(up, down)| (up.to_bits(), down.to_bits()))
 }
@@ -38,8 +39,7 @@ fn tracked(node: &AOpt, hw: f64) -> Option<(u64, u64)> {
 proptest! {
     #[test]
     fn tracker_matches_fold_bit_for_bit(ops in update_schedule()) {
-        let params = Params::recommended(0.01, 0.1).unwrap();
-        let mut node = AOpt::new(params);
+        let mut node = AOptCore::new();
         let mut hw = 0.0;
         for (w, logical, dhw) in ops {
             hw += dhw;
@@ -56,8 +56,7 @@ proptest! {
         // The ablated variant tracks the raw `ℓ_v^w` instead of the
         // hardware-relative offset; the monotone-image argument holds for
         // the identity map too.
-        let params = Params::recommended(0.01, 0.1).unwrap();
-        let mut node = AOpt::with_frozen_estimates(params);
+        let mut node = AOptCore::frozen();
         let mut hw = 0.0;
         for (w, logical, dhw) in ops {
             hw += dhw;

@@ -48,21 +48,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Adversarial-ish environment: drift random walks + uniform delays.
     let horizon = 60.0;
     let schedules = rates::random_walk(n, drift, 3.0, horizon, 5);
-    let mut observer = SkewObserver::new(&graph).with_series(5.0);
+    let mut observer = SkewObserver::new(&graph);
+    let edges: Vec<_> = graph.edges().collect();
+    // (t, global skew, local skew), at most one sample per 5 s.
+    let mut samples = Vec::new();
+    let mut next_sample_at = 0.0;
     let mut engine = Engine::builder(graph.clone())
         .protocols(vec![AOpt::new(params); n])
         .delay_model(UniformDelay::new(t_max, 99))
         .rate_schedules(schedules)
         .build();
     engine.wake(clock_sync::graph::NodeId(0), 0.0);
-    engine.run_until_observed(horizon, |e| observer.observe(e));
+    engine.run_until_observed(horizon, |e| {
+        observer.observe(e);
+        if e.now() >= next_sample_at {
+            let clocks = e.logical_values();
+            let max = clocks.iter().cloned().fold(f64::MIN, f64::max);
+            let min = clocks.iter().cloned().fold(f64::MAX, f64::min);
+            let local = edges
+                .iter()
+                .map(|&(a, b)| (clocks[a.index()] - clocks[b.index()]).abs())
+                .fold(0.0, f64::max);
+            samples.push((e.now(), max - min, local));
+            next_sample_at = e.now() + 5.0;
+        }
+    });
 
     let mut table = Table::new(vec!["t (s)", "global skew (ms)", "local skew (ms)"]);
-    for s in observer.series() {
+    for (t, global, local) in samples {
         table.row(vec![
-            format!("{:.0}", s.t),
-            format!("{:.4}", s.global * 1e3),
-            format!("{:.4}", s.local * 1e3),
+            format!("{t:.0}"),
+            format!("{:.4}", global * 1e3),
+            format!("{:.4}", local * 1e3),
         ]);
     }
     println!("\n{table}");

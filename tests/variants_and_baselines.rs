@@ -218,7 +218,7 @@ fn determinism_across_full_stack() {
         let g = topology::erdos_renyi(10, 0.25, 3);
         let drift = DriftBounds::new(eps).unwrap();
         let schedules = rates::random_walk(10, drift, 2.0, 50.0, 4);
-        let mut obs = SkewObserver::new(&g).with_series(1.0);
+        let mut obs = SkewObserver::new(&g);
         let mut engine = Engine::builder(g)
             .protocols(vec![AOpt::new(params); 10])
             .delay_model(UniformDelay::new(0.1, 5))
