@@ -105,12 +105,12 @@ impl AOptCore {
 
     /// The logical clock value `L_v` when the hardware clock reads `hw`
     /// (0 before start).
-    pub fn logical_value(&self, hw: f64) -> f64 {
+    pub(crate) fn logical_value(&self, hw: f64) -> f64 {
         self.logical.value_at_hw(hw)
     }
 
     /// The current rate multiplier `ρ_v`; `1` before start.
-    pub fn rate_multiplier(&self) -> f64 {
+    pub(crate) fn rate_multiplier(&self) -> f64 {
         if self.logical.is_started() {
             self.logical.multiplier()
         } else {
@@ -120,7 +120,7 @@ impl AOptCore {
 
     /// The estimate `L_v^w` of neighbour `w`'s clock at hardware reading
     /// `hw`, if a message from `w` has been recorded.
-    pub fn estimate(&self, w: NodeId, hw: f64) -> Option<f64> {
+    pub(crate) fn estimate(&self, w: NodeId, hw: f64) -> Option<f64> {
         self.estimates
             .iter()
             .find(|&&(v, _)| v == w)
@@ -270,7 +270,7 @@ impl AOptCore {
     /// Sets `from`'s estimate to `logical` at hardware reading `hw` without
     /// the `ℓ_v^w` guard — for a sender whose reconstructed clock value is
     /// monotone by construction but re-anchors on every message.
-    pub fn refresh_estimate(&mut self, from: NodeId, logical: f64, hw: f64) {
+    pub(crate) fn refresh_estimate(&mut self, from: NodeId, logical: f64, hw: f64) {
         let idx = self.entry(from);
         self.refresh(idx, logical, hw);
     }
@@ -288,7 +288,7 @@ impl AOptCore {
     /// reading `hw`, where `lmax` is `L_v^max` at that reading. With no
     /// neighbour heard from, `Λ↑ = Λ↓ = 0`: the `κ` tolerance toward
     /// `L_v^max` still applies (line 2 uses `max{κ − Λ↓, ·}`).
-    pub fn increase(&self, hw: f64, kappa: f64, lmax: f64) -> f64 {
+    pub(crate) fn increase(&self, hw: f64, kappa: f64, lmax: f64) -> f64 {
         let (up, down) = match self.lambda_pair(hw) {
             Some((up, down)) => {
                 debug_assert_eq!(Some(up), self.lambda_up(hw));
@@ -379,6 +379,21 @@ mod tests {
             assert_eq!(Some(up.to_bits()), core.lambda_up(hw).map(f64::to_bits));
             assert_eq!(Some(down.to_bits()), core.lambda_down(hw).map(f64::to_bits));
         }
+    }
+
+    #[test]
+    fn refresh_re_anchors_where_record_keeps_the_estimate() {
+        // A repeated value two hardware units later: the ℓ-guarded record
+        // keeps advancing the old estimate, the unguarded refresh (the
+        // discrete variant's reconstruction) re-anchors it at the value.
+        let (w, mut guarded, mut unguarded) = (NodeId(1), AOptCore::new(), AOptCore::new());
+        for hw in [1.0, 3.0] {
+            guarded.record_estimate(w, 2.0, hw);
+            unguarded.refresh_estimate(w, 2.0, hw);
+        }
+        assert_eq!(guarded.estimate(w, 3.0), Some(4.0));
+        assert_eq!(unguarded.estimate(w, 3.0), Some(2.0));
+        assert_eq!(unguarded.estimate(NodeId(2), 3.0), None);
     }
 
     #[test]
