@@ -4,20 +4,66 @@
 //! `L_v(t) = logical_value(hw.value_at(t))` is a chain of correctly rounded
 //! operations, each monotone for positive rates and multipliers, so it is
 //! non-decreasing in `t` (the [`gcs_sim::Protocol::logical_value`]
-//! contract). That makes three kinds of *certificate* exact in `f64`, with
-//! no error margin. Each holds until an event touches one of its nodes, and
-//! the time-bounded ones until their expiry:
+//! contract). The observer keeps three kinds of *certificate*. Each holds
+//! until an event touches one of its nodes, and the time-bounded ones
+//! until their expiry:
 //!
-//! * **below the leader** — `value_at(v, T) < C`, where `C` is the maximum
-//!   clock at issue time, proves `L_v(t) < C` on `[now, T]`; while the
-//!   current maximum is still at least `C`, `v` is not the argmax;
-//! * **above the trailer** — `L_v(now)` is a lower bound on `L_v` from now
-//!   on, so `v` cannot be the argmin until the minimum clock catches up
-//!   with it;
-//! * **edge** — `fl(value_at(a, T) − value(b, now)) ≤ W` and its mirror
-//!   prove `fl(|L_a(t) − L_b(t)|) ≤ W` on `[now, T]` (correctly rounded
-//!   subtraction is monotone in both arguments), so the edge cannot beat
-//!   the local record `W` before `T`.
+//! * **below the leader** — `v`'s clock stays under a line of slope `α̃`
+//!   through the maximum `C` at issue time `t₀`, `C + α̃(t − t₀)`; while the
+//!   current maximum is still on or above that line, `v` is not the argmax;
+//! * **above the trailer** — `L_v(t) − α̃·t` stays at or above a key, so `v`
+//!   cannot be the argmin until `min − α̃·now`, the minimum clock in the
+//!   same shifted frame, catches up with the key;
+//! * **edge** — `|L_a − L_b|` stays within the local record `W`, so the edge
+//!   cannot beat it before the certificate's expiry.
+//!
+//! `α̃` is the view's [`ClockView::rate_floor`] `α` (Condition 2's lower
+//! rate) less one part in 2²⁰, so a clock running exactly at the floor
+//! still gains on the line faster than rounding can hide. With `α = 0`
+//! (the default) the lines are constants, every margin below is zero, and
+//! the certificates are exact in `f64` by monotonicity alone: `value_at(v,
+//! T) < C` proves `L_v < C` on `[t₀, T]`; `L_v(now)` is a lower bound from
+//! now on; `fl(value_at(a, T) − value(b, now)) ≤ W` and its mirror bound the
+//! edge (correctly rounded subtraction is monotone in both arguments).
+//!
+//! With `α > 0` the view also promises that each clock is affine in `t`
+//! between its events up to a relative error `δ = 2⁻⁴⁴`. Then a certificate
+//! checked at both ends of its window holds inside it (an affine function
+//! attains its extremes at the ends), and the edge certificate follows
+//! `d₀ + (s_a − s_b)(t − now)` from the two slopes, without `α`. Every check
+//! carries the margin `ρ·Λ`, `ρ = 2⁻⁴⁰`, where `Λ` sums the magnitudes the
+//! check reads (clock readings, `α̃·|t|` at both ends, and the threshold
+//! it compares with). With unit roundoff `u = 2⁻⁵³`, so `δ = 512u` and
+//! `ρ = 16δ`:
+//!
+//! * a shifted reading `y = fl(L − fl(α̃·t))` is within `2.01u(|L| + α̃|t|)`
+//!   of `L − α̃·t`, and a check's final add or compare costs at most
+//!   `u·Λ`;
+//! * the affine `f_v` is within `δ|L_v|` of each reading, and `|L_v|` on the
+//!   window is at most its value at one end (monotonicity), so what the
+//!   two end checks prove about `f_v` carries to every instant in between
+//!   with a further `2δ·Λ`;
+//! * so each check needs at most `(2δ + 5u)Λ < ρΛ(1 − 4u)` of margin
+//!   (the computed margin's own rounding): a certificate may lapse early,
+//!   never late. `ρ` is not a tolerance on the results — worst values,
+//!   times and pairs still come from exact reads of the clocks.
+//!
+//! The leader certificates need the maximum to stay on its line: each
+//! observation checks that `y − ρ(|max| + α̃·now)` has not fallen below the
+//! highest issued intercept and rescans every node if it has. A new
+//! intercept is issued at `y − 2ρ(…)`, which leaves a clock climbing at
+//! `α` room for the next observation's rounding. A clock that runs
+//! backwards across an event, or slower than the view's α, trips the
+//! rescan; neither can make a certificate wrong.
+//!
+//! A trailer key needs `v`'s slope to be at least `α̃`: the observer reads
+//! `v` once far ahead (`2⁴⁰` time units, which also gives the slope for
+//! expiry estimates) and credits the shifted frame only if `v` gains at
+//! least `ρ·Λ` on it by then. That proves `s_v − α̃ ≥ 13δ·s_v`, enough for
+//! the key `y − ρ(|L_v| + α̃|now|)` to stay below `L_v(t) − α̃·t` for as long
+//! as `v` is untouched. A node without the credit — not started, or slower
+//! than the view claims — keeps the constant key `L_v(now)` instead, in a
+//! second heap gathered against the minimum itself, as without a floor.
 //!
 //! Each node is certified against the current extreme itself rather than
 //! against a tournament neighbour, so a certificate lasts as long as the
@@ -26,24 +72,67 @@
 //! node's slope; the estimate only decides how long a certificate lasts,
 //! never whether it holds — every issued certificate is verified by
 //! evaluation. A certificate that cannot be extended past `now` (ties:
-//! equal slopes, nominal rates) stays *hot*: it is re-checked at the next
-//! later observation.
-//!
-//! The leader certificates additionally need the maximum not to fall below
-//! the `C` they were issued against. Under the model's Condition 2 (clocks
-//! never run backwards, also across a node's own events) it never does;
-//! the observer checks it at every observation anyway and rescans all
-//! nodes if a protocol breaks it.
+//! equal clocks) stays *hot*: it is re-checked at the next later
+//! observation.
 
 use gcs_graph::NodeId;
 use gcs_sim::ClockView;
 
-/// The slope probe's step in real time.
-const PROBE: f64 = 1.0;
+/// How far ahead a node's clock is read once per state: its slope for
+/// expiry estimates, and the far end of a trailer key's slope check.
+const FAR: f64 = 1_099_511_627_776.0; // 2⁴⁰
 
 /// How much of the estimated certificate window is claimed: a little under
 /// all of it, so rounding in the verifying evaluation rarely rejects it.
 const CLAIM: f64 = 0.999;
+
+/// `α̃ = α·SHAVE`: the rate floor less one part in 2²⁰.
+const SHAVE: f64 = 1.0 - 1.0 / 1_048_576.0;
+
+/// The closing rate an expiry estimate assumes is at least this fraction
+/// of the clocks' own rates, so a clock that runs parallel to its line
+/// (or to its neighbour) still gets a finite, long certificate to verify.
+const CREEP: f64 = 1.0 / 1_048_576.0;
+
+/// The certificates' margin factor `ρ = 2⁻⁴⁰` when `α > 0` (see the
+/// module doc).
+const SLACK: f64 = 1.0 / FAR;
+
+/// The rate floor as the certificates use it: the line slope `α̃` and the
+/// margin factor, both zero when the view claims no floor.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Floor {
+    alpha: f64,
+    slack: f64,
+}
+
+impl Floor {
+    fn new(rate_floor: f64) -> Self {
+        if rate_floor > 0.0 && rate_floor.is_finite() {
+            Floor {
+                alpha: rate_floor * SHAVE,
+                slack: SLACK,
+            }
+        } else {
+            Floor {
+                alpha: 0.0,
+                slack: 0.0,
+            }
+        }
+    }
+
+    /// A reading `value` at time `t` in the shifted frame, `L − α̃·t`, and
+    /// its margin `ρ(|L| + α̃|t|)`. With `α = 0`: `(value, 0)` exactly.
+    fn frame(self, value: f64, t: f64) -> (f64, f64) {
+        let shift = self.alpha * t;
+        (value - shift, self.slack * (value.abs() + shift.abs()))
+    }
+
+    /// `ρ·Λ` for a check reading the magnitudes in `parts`.
+    fn margin(self, parts: &[f64]) -> f64 {
+        self.slack * parts.iter().map(|x| x.abs()).sum::<f64>()
+    }
+}
 
 /// The certificate's expiry: `guess` if `check(guess)` verifies it, else
 /// `now`, which every caller's certificate satisfies by construction (a
@@ -56,10 +145,10 @@ fn certify(now: f64, guess: f64, check: impl FnOnce(f64) -> bool) -> f64 {
     }
 }
 
-/// When a clock of slope `slope` climbs `gap` above where it is `now`.
-fn window(now: f64, gap: f64, slope: f64) -> f64 {
-    if slope > 0.0 {
-        now + gap * CLAIM / slope
+/// When a quantity closing at `rate` covers `gap` from `now`.
+fn window(now: f64, gap: f64, rate: f64) -> f64 {
+    if rate > 0.0 {
+        now + gap * CLAIM / rate
     } else {
         f64::INFINITY
     }
@@ -96,11 +185,19 @@ struct AlarmHeap {
 }
 
 impl AlarmHeap {
-    /// Every item keyed at `-∞`.
-    fn new(len: usize) -> Self {
+    /// Every item keyed at `key`.
+    fn new(len: usize, key: f64) -> Self {
         AlarmHeap {
-            heap: (0..len as u32).map(|i| (f64::NEG_INFINITY, i)).collect(),
+            heap: (0..len as u32).map(|i| (key, i)).collect(),
             pos: (0..len as u32).collect(),
+        }
+    }
+
+    /// Re-keys every item at `key`, in place.
+    fn fill(&mut self, key: f64) {
+        for (i, entry) in self.heap.iter_mut().enumerate() {
+            *entry = (key, i as u32);
+            self.pos[i] = i as u32;
         }
     }
 
@@ -178,15 +275,14 @@ impl AlarmHeap {
 }
 
 /// Collects into `hot`, once each, the `touched` nodes and the items of
-/// `heap` ordered before `bound`; `queued` remembers which node was last
-/// collected under which `stamp`.
+/// each heap ordered before its bound; `queued` remembers which node was
+/// last collected under which `stamp`.
 fn gather(
     hot: &mut Vec<u32>,
     queued: &mut [u64],
     stamp: u64,
     touched: &[NodeId],
-    heap: &AlarmHeap,
-    bound: Entry,
+    heaps: &[(&AlarmHeap, Entry)],
 ) {
     hot.clear();
     let mut push = |v: u32| {
@@ -198,12 +294,65 @@ fn gather(
     for &v in touched {
         push(v.index() as u32);
     }
-    heap.for_each_before(bound, &mut push);
+    for &(heap, bound) in heaps {
+        heap.for_each_before(bound, &mut push);
+    }
+}
+
+/// The trailer side's keys. A node with the slope credit (every node when
+/// `α = 0`) sits in `shifted`, keyed by a lower bound on `L_v(t) − α̃·t`; a
+/// node without it sits in `flat`, keyed by a lower bound on `L_v` itself,
+/// exactly as when `α = 0`. Its entry in the other heap is `+∞`, and so
+/// are both of the trailer's. Keys carry their node's index for
+/// first-index ties.
+#[derive(Debug, Clone)]
+struct LowerBounds {
+    shifted: AlarmHeap,
+    flat: AlarmHeap,
+    in_flat: Vec<bool>,
+}
+
+impl LowerBounds {
+    /// Every node hot in `shifted`.
+    fn new(n: usize) -> Self {
+        LowerBounds {
+            shifted: AlarmHeap::new(n, f64::NEG_INFINITY),
+            flat: AlarmHeap::new(n, f64::INFINITY),
+            in_flat: vec![false; n],
+        }
+    }
+
+    fn reset(&mut self) {
+        self.shifted.fill(f64::NEG_INFINITY);
+        self.flat.fill(f64::INFINITY);
+        self.in_flat.fill(false);
+    }
+
+    /// Keys `v` in the shifted frame (`Ok`) or flat (`Err`).
+    fn set(&mut self, v: u32, key: Result<f64, f64>) {
+        let i = v as usize;
+        match key {
+            Ok(key) => {
+                self.shifted.set(v, key);
+                if self.in_flat[i] {
+                    self.flat.set(v, f64::INFINITY);
+                    self.in_flat[i] = false;
+                }
+            }
+            Err(key) => {
+                self.flat.set(v, key);
+                if !self.in_flat[i] {
+                    self.shifted.set(v, f64::INFINITY);
+                    self.in_flat[i] = true;
+                }
+            }
+        }
+    }
 }
 
 /// Clock reads at one observation, memoized per node (a node is usually
-/// read by several certificates at once), plus the per-node slope cache. A
-/// node's slope is fixed between its events, so a slope entry is dropped
+/// read by several certificates at once), plus the per-node far reads. A
+/// node's trajectory is fixed between its events, so a far read is dropped
 /// only when the node is touched.
 struct Reads<'a> {
     clocks: &'a dyn ClockView,
@@ -211,7 +360,26 @@ struct Reads<'a> {
     stamp: u64,
     values: &'a mut [f64],
     read_at: &'a mut [u64],
-    slopes: &'a mut [f64],
+    far: &'a mut [Far],
+}
+
+/// One far read of a node's clock: `value` at time `at`, [`FAR`] after the
+/// observation that took it, and the slope from that observation's reading
+/// to it.
+#[derive(Debug, Clone, Copy)]
+struct Far {
+    at: f64,
+    value: f64,
+    slope: f64,
+}
+
+impl Far {
+    /// Not read yet (under the node's current state).
+    const NONE: Far = Far {
+        at: f64::NAN,
+        value: f64::NAN,
+        slope: f64::NAN,
+    };
 }
 
 impl Reads<'_> {
@@ -232,15 +400,27 @@ impl Reads<'_> {
         self.clocks.value_at(NodeId(v as usize), t)
     }
 
-    /// `L_v`'s rate under its current state (probed once per state).
-    fn slope(&mut self, v: u32) -> f64 {
-        let cached = self.slopes[v as usize];
-        if !cached.is_nan() {
+    /// `v`'s clock read [`FAR`] ahead of the first observation that asks
+    /// under its current state.
+    fn far(&mut self, v: u32) -> Far {
+        let cached = self.far[v as usize];
+        if !cached.at.is_nan() {
             return cached;
         }
-        let s = (self.value_at(v, self.now + PROBE) - self.value(v)) / PROBE;
-        self.slopes[v as usize] = s;
-        s
+        let at = self.now + FAR;
+        let value = self.value_at(v, at);
+        let read = Far {
+            at,
+            value,
+            slope: (value - self.value(v)) / FAR,
+        };
+        self.far[v as usize] = read;
+        read
+    }
+
+    /// `L_v`'s rate under its current state.
+    fn slope(&mut self, v: u32) -> f64 {
+        self.far(v).slope
     }
 }
 
@@ -265,20 +445,21 @@ pub(crate) struct Reading {
 /// allocate nothing.
 #[derive(Debug, Clone)]
 pub(crate) struct Kinetic {
+    /// The rate floor the live certificates were issued under.
+    floor: Floor,
     /// The current argmax; holds no certificate of its own.
     leader: u32,
-    /// Per node: until when it provably stays below the leader's clock
+    /// Per node: until when it provably stays below the leader's line
     /// (`+∞` for the leader, `-∞` when touched).
     below: AlarmHeap,
-    /// The highest `(clock, node)` rank a live below-the-leader
-    /// certificate was issued against.
+    /// The highest `(intercept, node)` rank a live below-the-leader
+    /// certificate was issued against: the line `intercept + α̃·t`.
     issued: Option<(f64, u32)>,
     /// The current argmin.
     trailer: u32,
-    /// Per node: a lower bound on its clock (its value when last read;
-    /// `-∞` when touched, `+∞` for the trailer), keyed with its index for
-    /// first-index ties.
-    above: AlarmHeap,
+    /// Per node: a lower bound on its clock while it is untouched (`-∞`
+    /// when touched, `+∞` for the trailer).
+    above: LowerBounds,
     /// Per edge: until when it provably stays within the local record.
     edges: AlarmHeap,
     /// Node → incident edge ids (CSR).
@@ -286,8 +467,8 @@ pub(crate) struct Kinetic {
     incident: Vec<u32>,
     values: Vec<f64>,
     read_at: Vec<u64>,
-    /// Slope per node under its current state; `NaN` = not yet probed.
-    slopes: Vec<f64>,
+    /// Per node: its far read under its current state, if taken.
+    far: Vec<Far>,
     /// Scratch: the nodes and edges to re-examine at this observation,
     /// with per-node and per-edge stamps for deduplication.
     hot_nodes: Vec<u32>,
@@ -319,17 +500,18 @@ impl Kinetic {
             }
         }
         Kinetic {
+            floor: Floor::new(0.0),
             leader: 0,
-            below: AlarmHeap::new(n),
+            below: AlarmHeap::new(n, f64::NEG_INFINITY),
             issued: None,
             trailer: 0,
-            above: AlarmHeap::new(n),
-            edges: AlarmHeap::new(edges.len()),
+            above: LowerBounds::new(n),
+            edges: AlarmHeap::new(edges.len(), f64::NEG_INFINITY),
             incident_start,
             incident,
             values: vec![0.0; n],
             read_at: vec![0; n],
-            slopes: vec![f64::NAN; n],
+            far: vec![Far::NONE; n],
             hot_nodes: Vec::with_capacity(n),
             hot_edges: Vec::with_capacity(edges.len()),
             node_queued: vec![0; n],
@@ -341,14 +523,10 @@ impl Kinetic {
 
     /// Forgets every certificate: the next observation re-reads everything.
     fn reset(&mut self) {
-        for v in 0..self.slopes.len() as u32 {
-            self.below.set(v, f64::NEG_INFINITY);
-            self.above.set(v, f64::NEG_INFINITY);
-        }
-        for e in 0..self.queued.len() as u32 {
-            self.edges.set(e, f64::NEG_INFINITY);
-        }
-        self.slopes.fill(f64::NAN);
+        self.below.fill(f64::NEG_INFINITY);
+        self.above.reset();
+        self.edges.fill(f64::NEG_INFINITY);
+        self.far.fill(Far::NONE);
         self.issued = None;
     }
 
@@ -363,8 +541,10 @@ impl Kinetic {
         edges: &[(usize, usize)],
         worst_local: f64,
     ) -> Reading {
-        if std::mem::take(&mut self.stale) {
+        let floor = Floor::new(clocks.rate_floor());
+        if std::mem::take(&mut self.stale) || floor != self.floor {
             self.reset();
+            self.floor = floor;
         }
         // Touched nodes join both sides' hot lists directly (their stale
         // keys are overwritten before this observation ends), so a touch
@@ -374,7 +554,7 @@ impl Kinetic {
         self.hot_edges.clear();
         for &v in touched {
             let i = v.index();
-            self.slopes[i] = f64::NAN;
+            self.far[i] = Far::NONE;
             let span = self.incident_start[i] as usize..self.incident_start[i + 1] as usize;
             for &e in &self.incident[span] {
                 if self.queued[e as usize] != self.stamp {
@@ -389,7 +569,7 @@ impl Kinetic {
             stamp: self.stamp,
             values: &mut self.values,
             read_at: &mut self.read_at,
-            slopes: &mut self.slopes,
+            far: &mut self.far,
         };
 
         // Argmax: the leader, a touched node, or a node whose certificate
@@ -401,8 +581,7 @@ impl Kinetic {
             node_queued,
             2 * self.stamp,
             touched,
-            &self.below,
-            (t, 0),
+            &[(&self.below, (t, 0))],
         );
         let (mut max, mut argmax) = (r.value(self.leader), self.leader);
         for &v in hot.iter() {
@@ -411,14 +590,16 @@ impl Kinetic {
                 (max, argmax) = (x, v);
             }
         }
+        let (y, m) = floor.frame(max, t);
         if self
             .issued
-            .is_some_and(|(c, j)| ranks_above(c, j, max, argmax))
+            .is_some_and(|(c, j)| ranks_above(c, j, y - m, argmax))
         {
-            // The maximum fell below a certificate's premise: a clock ran
-            // backwards across an event. Re-read every node.
+            // The maximum fell below a certificate's line: a clock ran
+            // backwards across an event, or slower than the rate floor.
+            // Re-read every node.
             hot.clear();
-            hot.extend(0..r.slopes.len() as u32);
+            hot.extend(0..r.far.len() as u32);
             node_queued.fill(2 * self.stamp);
             for &v in hot.iter() {
                 let x = r.value(v);
@@ -433,40 +614,58 @@ impl Kinetic {
         }
         self.leader = argmax;
         self.below.set(argmax, f64::INFINITY);
+        let (y, m) = floor.frame(max, t);
+        let (c, _) = *self.issued.insert(match self.issued {
+            Some((c, j)) if ranks_above(c, j, y - 2.0 * m, argmax) => (c, j),
+            _ => (y - 2.0 * m, argmax),
+        });
         for &v in hot.iter() {
             if v == argmax {
                 continue;
             }
             let x = r.value(v);
-            let guess = window(t, max - x, r.slope(v));
-            let until = certify(t, guess, |at| r.value_at(v, at) < max);
+            let (yx, _) = floor.frame(x, t);
+            let s = r.slope(v);
+            let closing = (s - floor.alpha).max(s * CREEP);
+            // Claim the gap less what the check at the expiry will charge.
+            let gap = c - yx - floor.margin(&[2.0 * x, c, 2.0 * floor.alpha * t]);
+            let guess = window(t, gap, closing);
+            let until = certify(t, guess, |at| {
+                let l = r.value_at(v, at);
+                let (yl, _) = floor.frame(l, at);
+                let m = floor.margin(&[x, l, floor.alpha * t, floor.alpha * at, c]);
+                yx + m < c && yl + m < c
+            });
             self.below.set(v, until);
         }
-        self.issued = Some(match self.issued {
-            Some((c, j)) if ranks_above(c, j, max, argmax) => (c, j),
-            _ => (max, argmax),
-        });
         let mut work = hot.len();
 
-        // Argmin: the trailer or a node whose lower bound the trailer's
-        // clock has reached.
+        // Argmin: the trailer or a node whose key the trailer's clock has
+        // reached, in the key's frame.
         let (mut min, mut argmin) = (r.value(self.trailer), self.trailer);
+        let (y, m) = floor.frame(min, t);
         let stamp = 2 * self.stamp + 1;
-        gather(hot, node_queued, stamp, touched, &self.above, (min, argmin));
+        let above = &mut self.above;
+        let heaps = [
+            (&above.shifted, (y + m, argmin)),
+            (&above.flat, (min, argmin)),
+        ];
+        gather(hot, node_queued, stamp, touched, &heaps);
         for &v in hot.iter() {
             let x = r.value(v);
-            self.above.set(v, x);
+            above.set(v, trailer_key(floor, &mut r, v, x));
             if (x, v) < (min, argmin) {
                 (min, argmin) = (x, v);
             }
         }
         if argmin != self.trailer {
             let old = self.trailer;
-            self.above.set(old, r.value(old));
+            let x = r.value(old);
+            above.set(old, trailer_key(floor, &mut r, old, x));
             self.trailer = argmin;
         }
         // Like the leader, the trailer is read at every observation anyway.
-        self.above.set(argmin, f64::INFINITY);
+        above.set(argmin, Ok(f64::INFINITY));
         work += hot.len();
 
         // Edges: only a hot edge's skew may exceed the record, since every
@@ -498,16 +697,7 @@ impl Kinetic {
         let bound = local_record.map_or(worst_local, |(skew, _, _)| skew);
         for &e in hot_edges.iter() {
             let (a, b) = edges[e as usize];
-            let (a, b) = (a as u32, b as u32);
-            let (va, vb) = (r.value(a), r.value(b));
-            let guess = window(t, bound - (va - vb), r.slope(a)).min(window(
-                t,
-                bound - (vb - va),
-                r.slope(b),
-            ));
-            let until = certify(t, guess, |at| {
-                r.value_at(a, at) - vb <= bound && r.value_at(b, at) - va <= bound
-            });
+            let until = edge_expiry(floor, &mut r, (a as u32, b as u32), bound);
             self.edges.set(e, until);
         }
         work += hot_edges.len();
@@ -522,9 +712,206 @@ impl Kinetic {
     }
 }
 
+/// `v`'s trailer-side key after reading `L_v(now) = x`, valid while `v`
+/// stays untouched: `Ok` a lower bound on `L_v(t) − α̃·t`, credited only if
+/// `v`'s far read shows it climbing on that frame (see the module doc), or
+/// else `Err(x)`, a lower bound on `L_v(t)` itself. With `α = 0` every
+/// monotone clock gets `Ok(x)`.
+fn trailer_key(floor: Floor, r: &mut Reads<'_>, v: u32, x: f64) -> Result<f64, f64> {
+    let (y, m) = floor.frame(x, r.now);
+    let far = r.far(v);
+    let (y_far, _) = floor.frame(far.value, far.at);
+    let gain = floor.margin(&[x, far.value, floor.alpha * r.now, floor.alpha * far.at]);
+    if y_far - y >= gain {
+        Ok(y - m)
+    } else {
+        Err(x)
+    }
+}
+
+/// Until when edge `(a, b)` provably stays within the local record
+/// `bound`. With `α = 0` each endpoint is bounded by monotonicity alone
+/// (`a` at most its value at the expiry, `b` at least its value now, and
+/// the mirror); otherwise the skew follows the line `d₀ + (s_a − s_b)(t −
+/// now)` and is checked at both ends of the window.
+fn edge_expiry(floor: Floor, r: &mut Reads<'_>, (a, b): (u32, u32), bound: f64) -> f64 {
+    let t = r.now;
+    let (va, vb) = (r.value(a), r.value(b));
+    let (sa, sb) = (r.slope(a), r.slope(b));
+    if floor.alpha == 0.0 {
+        let guess = window(t, bound - (va - vb), sa).min(window(t, bound - (vb - va), sb));
+        return certify(t, guess, |at| {
+            r.value_at(a, at) - vb <= bound && r.value_at(b, at) - va <= bound
+        });
+    }
+    let d = va - vb;
+    let ds = sa - sb;
+    let gap = if ds >= 0.0 { bound - d } else { bound + d };
+    let gap = gap - floor.margin(&[2.0 * va, 2.0 * vb, bound]);
+    let guess = window(t, gap, ds.abs().max((sa.abs() + sb.abs()) * CREEP));
+    certify(t, guess, |at| {
+        let (la, lb) = (r.value_at(a, at), r.value_at(b, at));
+        let m = floor.margin(&[va, vb, la, lb, bound]);
+        d.abs() + m <= bound && (la - lb).abs() + m <= bound
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Clocks `l0[v] + slope[v]·t` under a declared rate floor.
+    struct Affine {
+        l0: Vec<f64>,
+        slope: Vec<f64>,
+        now: f64,
+        floor: f64,
+    }
+
+    impl ClockView for Affine {
+        fn len(&self) -> usize {
+            self.l0.len()
+        }
+
+        fn value(&self, v: NodeId) -> f64 {
+            self.value_at(v, self.now)
+        }
+
+        fn value_at(&self, v: NodeId, t: f64) -> f64 {
+            self.l0[v.index()] + self.slope[v.index()] * t
+        }
+
+        fn rate_floor(&self) -> f64 {
+            self.floor
+        }
+    }
+
+    fn key(heap: &AlarmHeap, item: u32) -> f64 {
+        heap.heap[heap.pos[item as usize] as usize].0
+    }
+
+    /// One observation of `view` at its `now` with every node touched.
+    fn observe_all(view: &Affine, edges: &[(usize, usize)]) -> Kinetic {
+        let n = view.len();
+        let mut kinetic = Kinetic::new(n, edges);
+        let all: Vec<NodeId> = (0..n).map(NodeId).collect();
+        kinetic.observe(view.now, &all, view, edges, 0.0);
+        kinetic
+    }
+
+    #[test]
+    fn without_a_floor_the_certificates_are_the_constant_ones() {
+        // Leader 0 at 10, node 1 at 8 (slope 1.5), trailer 2 at 5.
+        let mut view = Affine {
+            l0: vec![9.0, 6.5, 4.5],
+            slope: vec![1.0, 1.5, 0.5],
+            now: 1.0,
+            floor: 0.0,
+        };
+        let kinetic = observe_all(&view, &[(0, 1), (1, 2)]);
+        assert_eq!((kinetic.leader, kinetic.trailer), (0, 2));
+        // Below the leader: the window to the constant maximum C = 10 at
+        // node 1's own slope, and the trailer side keys its value.
+        let below = 1.0 + (10.0 - 8.0) * CLAIM / 1.5;
+        assert_eq!(key(&kinetic.below, 1).to_bits(), below.to_bits());
+        assert!(view.value_at(NodeId(1), below) < 10.0);
+        assert_eq!(kinetic.issued, Some((10.0, 0)));
+        let above = &kinetic.above;
+        assert_eq!(key(&above.shifted, 0).to_bits(), 10.0f64.to_bits());
+        assert_eq!(key(&above.shifted, 1).to_bits(), 8.0f64.to_bits());
+        assert_eq!(key(&above.shifted, 2), f64::INFINITY);
+        assert_eq!(above.in_flat, [false; 3]);
+
+        // Under a floor the line climbs with the clocks: node 1 closes on
+        // it at 1.5 − α̃ instead of 1.5, and the keys move to the frame.
+        view.floor = 0.5;
+        let kinetic = observe_all(&view, &[(0, 1), (1, 2)]);
+        let alpha = 0.5 * SHAVE;
+        assert!(key(&kinetic.below, 1) > 1.0 + 2.0 * CLAIM / (1.5 - alpha) * 0.99);
+        let (c, j) = kinetic.issued.expect("issued");
+        assert_eq!(j, 0);
+        assert!(c < 10.0 - alpha && c > 10.0 - alpha - 1e-9);
+        let shifted = key(&kinetic.above.shifted, 1);
+        assert!(shifted < 8.0 - alpha && shifted > 8.0 - alpha - 1e-9);
+    }
+
+    #[test]
+    fn a_rate_floor_makes_certificates_outlast_the_constant_ones() {
+        // 64 clocks on a path fan out from a common start at rates in
+        // [0.99, 1.01]; each observation re-rates one of them. Against
+        // lines of slope α̃ the certificates close at s − α̃ instead of s,
+        // so far fewer lapse.
+        let n = 64;
+        let edges: Vec<(usize, usize)> = (1..n).map(|v| (v - 1, v)).collect();
+        let rates = [0.99, 1.0, 1.01, 0.995, 1.005];
+        let work = |floor: f64| {
+            let mut view = Affine {
+                l0: vec![0.0; n],
+                slope: (0..n).map(|v| rates[v % rates.len()]).collect(),
+                now: 0.0,
+                floor,
+            };
+            let mut kinetic = Kinetic::new(n, &edges);
+            let all: Vec<NodeId> = (0..n).map(NodeId).collect();
+            let (mut worst_local, mut work) = (0.0, 0);
+            for step in 0..2_000usize {
+                view.now = step as f64 * 0.01;
+                let v = (step * 37) % n;
+                let value = view.value(NodeId(v));
+                view.slope[v] = rates[step % rates.len()];
+                view.l0[v] = value - view.slope[v] * view.now;
+                let touched = if step == 0 { &all[..] } else { &all[v..=v] };
+                let reading = kinetic.observe(view.now, touched, &view, &edges, worst_local);
+                if let Some((skew, _, _)) = reading.local_record {
+                    worst_local = skew;
+                }
+                work += reading.work;
+            }
+            work
+        };
+        let (flat, lines) = (work(0.0), work(0.99));
+        assert!(
+            8 * lines < flat,
+            "work {lines} under the floor vs {flat} without"
+        );
+    }
+
+    #[test]
+    fn leader_certificates_begin_at_the_margins_edge() {
+        // The leader climbs exactly at the floor from C = 2²⁰; node 1
+        // starts `gap` below it and climbs faster. Whatever the gap, a
+        // certificate must hold over its whole window. The line is issued
+        // 2ρC under C and a check charges about 3ρC more, so node 1 must
+        // stay hot up to a gap of 4ρC and be certified from 6ρC on.
+        let c = 1_048_576.0;
+        let rho_c = SLACK * c;
+        for k in 0..=64 {
+            let gap = k as f64 * rho_c / 4.0;
+            let view = Affine {
+                l0: vec![c, c - gap],
+                slope: vec![0.75, 1.25],
+                now: 0.0,
+                floor: 0.75,
+            };
+            let kinetic = observe_all(&view, &[]);
+            assert_eq!(kinetic.leader, 0, "gap {k}/4 ρC");
+            let until = key(&kinetic.below, 1);
+            // A hot certificate (`until` = now) claims nothing.
+            for step in (until > 0.0).then_some(0..=256).into_iter().flatten() {
+                let t = until * step as f64 / 256.0;
+                assert!(
+                    view.value_at(NodeId(1), t) < view.value_at(NodeId(0), t),
+                    "gap {k}/4 ρC: node 1 reaches the leader at {t} < {until}"
+                );
+            }
+            if k <= 16 {
+                assert_eq!(until, 0.0, "gap {k}/4 ρC: certified inside the margin");
+            }
+            if k >= 24 {
+                assert!(until > 0.0, "gap {k}/4 ρC: not certified");
+            }
+        }
+    }
 
     #[test]
     fn alarm_heap_walk_matches_a_linear_scan_after_random_rekeys() {
@@ -536,7 +923,7 @@ mod tests {
             state % k
         };
         for len in [1usize, 2, 3, 5, 17, 64, 257] {
-            let mut heap = AlarmHeap::new(len);
+            let mut heap = AlarmHeap::new(len, f64::NEG_INFINITY);
             let mut keys = vec![f64::NEG_INFINITY; len];
             for _ in 0..2_000 {
                 let item = next(len as u64) as u32;

@@ -27,10 +27,11 @@ const MAX_STINT: u32 = 1 << 16;
 /// ([`EngineBuilder::event_sink`](gcs_sim::EngineBuilder::event_sink)):
 /// because logical clocks are piecewise linear between events, per-event
 /// observation captures exact worst cases. As a sink it observes
-/// *event-locally* ([`SkewObserver::observe_local`]): certificates, exact
-/// in `f64`, that each node stays below the current maximum or above the
-/// current minimum and that each edge stays within the local record sit in
-/// alarm heaps, and an event re-examines only the nodes it touched and the
+/// *event-locally* ([`SkewObserver::observe_local`]): certificates, checked
+/// in `f64` with a stated margin, that each node stays below a line under
+/// the current maximum or above one under the current minimum (lines of the
+/// view's [`ClockView::rate_floor`] slope) and that each edge stays within
+/// the local record sit in alarm heaps, and an event re-examines only the nodes it touched and the
 /// certificates that expired — not all `n` clocks and `m` edges.
 /// [`SkewObserver::observe_clocks`] is the full-scan path for a clock
 /// vector that already exists; both paths report bit-identical worst
@@ -354,12 +355,27 @@ mod tests {
     }
 
     /// Piecewise-linear clocks under test control: node `v` reads
-    /// `l0[v] + slope[v] · (t − t0[v])`.
+    /// `l0[v] + slope[v] · (t − t0[v])`, and the view reports `floor` as
+    /// its rate floor (honestly or not).
     struct Lines {
         l0: Vec<f64>,
         t0: Vec<f64>,
         slope: Vec<f64>,
         now: f64,
+        floor: f64,
+    }
+
+    impl Lines {
+        /// `n` clocks at `offset`, all with `slope`, under `floor`.
+        fn new(n: usize, offset: f64, slope: f64, floor: f64) -> Self {
+            Lines {
+                l0: vec![offset; n],
+                t0: vec![0.0; n],
+                slope: vec![slope; n],
+                now: 0.0,
+                floor,
+            }
+        }
     }
 
     impl ClockView for Lines {
@@ -375,15 +391,58 @@ mod tests {
             let i = v.index();
             self.l0[i] + self.slope[i] * (t - self.t0[i])
         }
+
+        fn rate_floor(&self) -> f64 {
+            self.floor
+        }
     }
+
+    /// How [`random_lines_agree`] draws its clocks.
+    #[derive(Debug, Clone, Copy)]
+    struct Draw {
+        /// Every clock's value at time 0.
+        offset: f64,
+        /// The slopes a touched clock draws from.
+        slopes: [f64; 4],
+        /// The rate floor the view reports.
+        floor: f64,
+        /// Whether touched clocks may jump back (breaking Condition 2).
+        backward: bool,
+    }
+
+    /// Coarse slopes from a standing start, no floor: today's exact
+    /// certificates.
+    const COARSE: Draw = Draw {
+        offset: 0.0,
+        slopes: [0.0, 0.5, 1.0, 1.5],
+        floor: 0.0,
+        backward: false,
+    };
+
+    /// Slopes at or above the declared floor, one exactly at it, and
+    /// slopes that round when multiplied out.
+    const HONEST: Draw = Draw {
+        offset: 0.0,
+        slopes: [0.5, 0.7, 1.0, 1.3],
+        floor: 0.5,
+        backward: false,
+    };
+
+    /// A view whose floor is a lie: half the slopes are below it.
+    const LYING: Draw = Draw {
+        offset: 0.0,
+        slopes: [0.0, 0.4, 1.0, 1.3],
+        floor: 1.0,
+        backward: false,
+    };
 
     /// Drives a twin pair of observers through random piecewise-linear
     /// clocks — coarse slopes, values and time steps, so ties and
     /// same-instant observations are frequent — and checks that the
     /// event-local path reports the full scan's results bit for bit.
-    /// `backward` lets touched clocks jump back (breaking Condition 2), which
-    /// forces the leader-certificate rescan.
-    fn random_lines_agree(graph: &Graph, seed: u64, backward: bool) {
+    /// `draw.backward` lets touched clocks jump back (breaking Condition 2),
+    /// which forces the leader-certificate rescan.
+    fn random_lines_agree(graph: &Graph, seed: u64, draw: Draw) {
         let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
         let mut next = |k: u64| {
             state ^= state << 13;
@@ -392,12 +451,7 @@ mod tests {
             state % k
         };
         let n = graph.len();
-        let mut lines = Lines {
-            l0: vec![0.0; n],
-            t0: vec![0.0; n],
-            slope: vec![0.0; n],
-            now: 0.0,
-        };
+        let mut lines = Lines::new(n, draw.offset, draw.slopes[0], draw.floor);
         let mut full = SkewObserver::new(graph);
         let mut local = SkewObserver::new(graph);
         let mut clocks = Vec::with_capacity(n);
@@ -411,12 +465,12 @@ mod tests {
                 let mut l = lines.value(NodeId(v));
                 l += match next(6) {
                     0 => 0.5,
-                    1 if backward => -0.5,
+                    1 if draw.backward => -0.5,
                     _ => 0.0,
                 };
                 lines.l0[v] = l;
                 lines.t0[v] = at;
-                lines.slope[v] = [0.0, 0.5, 1.0, 1.5][next(4) as usize];
+                lines.slope[v] = draw.slopes[next(4) as usize];
                 touched.push(NodeId(v));
             }
             clocks.clear();
@@ -426,7 +480,7 @@ mod tests {
             // that its cost check would hand most observations to a scan.
             local.scan_left = 0;
             local.observe_local(lines.now, &touched, &lines);
-            let ctx = format!("seed {seed}, t = {}", lines.now);
+            let ctx = format!("{draw:?}, seed {seed}, t = {}", lines.now);
             assert_eq!(
                 full.worst_global().to_bits(),
                 local.worst_global().to_bits(),
@@ -450,18 +504,22 @@ mod tests {
         assert_eq!(full.observations(), local.observations());
     }
 
+    fn random_graphs() -> [Graph; 6] {
+        [
+            topology::path(1),
+            topology::path(2),
+            topology::path(7),
+            topology::cycle(6),
+            topology::star(9),
+            topology::grid(4, 3),
+        ]
+    }
+
     #[test]
     fn event_local_path_matches_full_scan_on_random_lines() {
         for seed in 0..40 {
-            for graph in [
-                topology::path(1),
-                topology::path(2),
-                topology::path(7),
-                topology::cycle(6),
-                topology::star(9),
-                topology::grid(4, 3),
-            ] {
-                random_lines_agree(&graph, seed, false);
+            for graph in random_graphs() {
+                random_lines_agree(&graph, seed, COARSE);
             }
         }
     }
@@ -469,8 +527,45 @@ mod tests {
     #[test]
     fn event_local_path_rescans_when_clocks_run_backwards() {
         for seed in 0..40 {
-            random_lines_agree(&topology::path(6), seed, true);
-            random_lines_agree(&topology::cycle(5), seed, true);
+            for draw in [
+                COARSE,
+                Draw {
+                    offset: 64.0,
+                    ..HONEST
+                },
+            ] {
+                let draw = Draw {
+                    backward: true,
+                    ..draw
+                };
+                random_lines_agree(&topology::path(6), seed, draw);
+                random_lines_agree(&topology::cycle(5), seed, draw);
+            }
+        }
+    }
+
+    #[test]
+    fn line_certificates_match_full_scan_under_honest_and_lying_floors() {
+        for seed in 0..40 {
+            for graph in random_graphs() {
+                random_lines_agree(&graph, seed, HONEST);
+                random_lines_agree(&graph, seed, LYING);
+            }
+        }
+    }
+
+    #[test]
+    fn line_certificates_hold_at_large_clock_offsets() {
+        // Near 2⁴⁰ one ulp of a clock is 2⁻¹², far above any fixed
+        // absolute slack; the margin scales with the clocks instead.
+        for offset in [8_388_608.0, 4_294_967_296.0, 1_099_511_627_776.0] {
+            for seed in 0..12 {
+                for graph in random_graphs() {
+                    for draw in [HONEST, LYING] {
+                        random_lines_agree(&graph, seed, Draw { offset, ..draw });
+                    }
+                }
+            }
         }
     }
 
@@ -479,12 +574,7 @@ mod tests {
         // Alternating paths: the vector observations skip touches the
         // local path never hears about, so it must start over afterwards.
         let g = topology::path(4);
-        let mut lines = Lines {
-            l0: vec![0.0; 4],
-            t0: vec![0.0; 4],
-            slope: vec![1.0, 1.0, 1.0, 1.0],
-            now: 0.0,
-        };
+        let mut lines = Lines::new(4, 0.0, 1.0, 0.0);
         let mut mixed = SkewObserver::new(&g);
         let mut full = SkewObserver::new(&g);
         for step in 1..=12 {
@@ -519,12 +609,8 @@ mod tests {
         // results matching the full scan throughout.
         let g = topology::star(16);
         let n = g.len();
-        let mut lines = Lines {
-            l0: vec![0.0; n],
-            t0: vec![0.0; n],
-            slope: (0..n).map(|v| 1.0 + 0.01 * v as f64).collect(),
-            now: 0.0,
-        };
+        let mut lines = Lines::new(n, 0.0, 1.0, 0.0);
+        lines.slope = (0..n).map(|v| 1.0 + 0.01 * v as f64).collect();
         let all: Vec<NodeId> = (0..n).map(NodeId).collect();
         let mut full = SkewObserver::new(&g);
         let mut local = SkewObserver::new(&g);

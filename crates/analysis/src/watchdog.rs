@@ -10,7 +10,9 @@
 //!   [`EnvelopeChecker`];
 //! * **Condition (2)** — bounded progress
 //!   `α(t' − t) ≤ L_v(t') − L_v(t) ≤ β(t' − t)`, per node, via
-//!   [`ProgressChecker`] with `A^opt`'s Corollary 5.3 envelope;
+//!   [`ProgressChecker`] with `A^opt`'s Corollary 5.3 envelope, its `α`
+//!   scaled by the protocol's multiplier floor
+//!   ([`InvariantWatchdog::with_multiplier_floor`]);
 //! * **Definition 5.6** — the legal-state invariant
 //!   `L_v − L_w ≤ d(v,w)(s + ½)κ` at every level, via
 //!   [`LegalStateChecker`].
@@ -245,6 +247,25 @@ impl InvariantWatchdog {
             snapshots: 0,
             exact_scans: 0,
         }
+    }
+
+    /// Scales Condition (2)'s lower rate to `α = (1 − ε)·floor`, for a
+    /// protocol whose logical multiplier may drop to `floor` (its
+    /// [`Protocol::min_rate_multiplier`]). The envelope variant rides at
+    /// `(1 − ε̂)/(1 + ε̂)`, below `A^opt`'s floor of `1`; a floor of `1`
+    /// leaves the envelope bit for bit as it was.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < floor` and the scaled `α` stays at most `β`.
+    ///
+    /// [`Protocol::min_rate_multiplier`]: gcs_sim::Protocol::min_rate_multiplier
+    pub fn with_multiplier_floor(mut self, floor: f64) -> Self {
+        let envelope = RateEnvelope::new(self.drift.min_rate() * floor, self.envelope.beta());
+        self.envelope = envelope;
+        self.progress
+            .fill(ProgressChecker::new(envelope, self.tolerance));
+        self
     }
 
     /// Whether a violation has been detected.

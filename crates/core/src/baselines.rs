@@ -97,6 +97,11 @@ impl Protocol for MaxAlgorithm {
     fn logical_value(&self, hw: f64) -> f64 {
         self.logical.value_at_hw(hw)
     }
+
+    /// Jumps happen at events only; in between `L` runs at `H`'s rate.
+    fn min_rate_multiplier(&self) -> f64 {
+        1.0
+    }
 }
 
 /// Message of [`MidpointAlgorithm`]: the sender's logical clock value.
@@ -200,6 +205,10 @@ impl Protocol for MidpointAlgorithm {
     fn rate_multiplier(&self) -> f64 {
         self.core.rate_multiplier()
     }
+
+    fn min_rate_multiplier(&self) -> f64 {
+        1.0
+    }
 }
 
 /// The do-nothing control: `L_v = H_v`.
@@ -215,6 +224,10 @@ impl Protocol for NoSync {
 
     fn logical_value(&self, hw: f64) -> f64 {
         hw
+    }
+
+    fn min_rate_multiplier(&self) -> f64 {
+        1.0
     }
 }
 

@@ -284,6 +284,10 @@ impl Protocol for AdaptiveAOpt {
     fn rate_multiplier(&self) -> f64 {
         self.core.rate_multiplier()
     }
+
+    fn min_rate_multiplier(&self) -> f64 {
+        1.0
+    }
 }
 
 #[cfg(test)]

@@ -260,6 +260,11 @@ impl Protocol for EnvelopeAOpt {
     fn rate_multiplier(&self) -> f64 {
         self.core.rate_multiplier()
     }
+
+    /// The damped scale `L_v` rides its estimate at.
+    fn min_rate_multiplier(&self) -> f64 {
+        self.damped()
+    }
 }
 
 #[cfg(test)]

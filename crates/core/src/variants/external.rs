@@ -210,6 +210,11 @@ impl Protocol for ExternalAOpt {
     fn rate_multiplier(&self) -> f64 {
         self.core.rate_multiplier()
     }
+
+    /// The damped scale `L_v` rides its estimate at.
+    fn min_rate_multiplier(&self) -> f64 {
+        self.scale()
+    }
 }
 
 #[cfg(test)]

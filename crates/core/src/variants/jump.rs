@@ -66,6 +66,10 @@ impl Protocol for AOptJump {
     fn rate_multiplier(&self) -> f64 {
         self.inner.rate_multiplier()
     }
+
+    fn min_rate_multiplier(&self) -> f64 {
+        self.inner.min_rate_multiplier()
+    }
 }
 
 #[cfg(test)]

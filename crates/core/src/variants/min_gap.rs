@@ -126,6 +126,10 @@ impl Protocol for MinGapAOpt {
     fn rate_multiplier(&self) -> f64 {
         self.core.rate_multiplier()
     }
+
+    fn min_rate_multiplier(&self) -> f64 {
+        1.0
+    }
 }
 
 #[cfg(test)]

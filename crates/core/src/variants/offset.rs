@@ -134,6 +134,10 @@ impl Protocol for OffsetAOpt {
     fn rate_multiplier(&self) -> f64 {
         self.core.rate_multiplier()
     }
+
+    fn min_rate_multiplier(&self) -> f64 {
+        1.0
+    }
 }
 
 #[cfg(test)]

@@ -216,6 +216,10 @@ impl Protocol for PiggybackAOpt {
     fn rate_multiplier(&self) -> f64 {
         self.core.rate_multiplier()
     }
+
+    fn min_rate_multiplier(&self) -> f64 {
+        1.0
+    }
 }
 
 #[cfg(test)]

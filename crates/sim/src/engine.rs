@@ -106,10 +106,18 @@ struct Nodes<P: Protocol> {
 /// node's clock on demand with the same `proto.logical_value(hw.value_at(t))`
 /// expression the snapshot vector uses, so `value(v)` matches the vector
 /// entry bit for bit.
+///
+/// Its rate floor is [`Engine::rate_floor`]. The affinity it then promises
+/// ([`ClockView::rate_floor`]) follows from the clock's form: with unit
+/// roundoff `u`, `l + m·(hw − h)` over `hw = h₀ + r·(t − t₀)` evaluated in
+/// `f64` is within `3.1u·(L + m·H)` of the exact affine function, and the
+/// [`Protocol::min_rate_multiplier`] contract (`L ≥ f·H`, `m < 128·f`)
+/// bounds that by `400u·L < 2⁻⁴⁴·L`.
 struct NodeClocks<'a, P> {
     protos: &'a [P],
     hot: &'a [HotNode],
     now: f64,
+    rate_floor: f64,
 }
 
 impl<P: Protocol> ClockView for NodeClocks<'_, P> {
@@ -126,6 +134,10 @@ impl<P: Protocol> ClockView for NodeClocks<'_, P> {
     fn value_at(&self, v: NodeId, t: f64) -> f64 {
         let i = v.index();
         self.protos[i].logical_value(self.hot[i].hw.value_at(t))
+    }
+
+    fn rate_floor(&self) -> f64 {
+        self.rate_floor
     }
 }
 
@@ -216,6 +228,14 @@ impl<P: Protocol, D: DelayModel, S: EventSink> EngineBuilder<P, D, S> {
             .unwrap_or_else(|| vec![RateSchedule::default(); n]);
         assert_eq!(schedules.len(), n, "need one rate schedule per node");
         let delay = self.delay.expect("delay model not set");
+        let multiplier_floor = protocols
+            .iter()
+            .map(P::min_rate_multiplier)
+            .fold(f64::INFINITY, f64::min);
+        let min_rate = schedules
+            .iter()
+            .map(RateSchedule::min_rate)
+            .fold(f64::INFINITY, f64::min);
         // Every plane (and each node's slab/timer index) is pre-reserved
         // here so a steady-state run never grows node storage mid-run —
         // `tests/zero_alloc.rs` pins this at both small and large n.
@@ -265,6 +285,8 @@ impl<P: Protocol, D: DelayModel, S: EventSink> EngineBuilder<P, D, S> {
             sink: self.sink,
             clock_buf: Vec::with_capacity(n),
             touched: Vec::with_capacity(8),
+            multiplier_floor,
+            min_rate,
             action_buf: Vec::with_capacity(8),
             profile: self.profiling.then(Box::default),
         }
@@ -298,6 +320,12 @@ pub struct Engine<P: Protocol, D: DelayModel, S: EventSink = NullSink> {
     /// Nodes whose clock trajectory changed since the last local snapshot
     /// (filled only while the sink wants local snapshots).
     touched: Vec<NodeId>,
+    /// The smallest [`Protocol::min_rate_multiplier`] over the nodes, and
+    /// the smallest hardware rate any node runs at (its schedules and
+    /// [`Engine::set_hardware_rate`] overrides); their product is the rate
+    /// floor local snapshots report.
+    multiplier_floor: f64,
+    min_rate: f64,
     /// Reusable action buffer lent to each protocol handler's [`Context`]
     /// and drained by `apply_actions` — no per-event `Vec` allocation.
     action_buf: Vec<Action<P::Msg>>,
@@ -445,6 +473,7 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
     pub fn set_hardware_rate(&mut self, v: NodeId, rate: f64) {
         let now = self.now;
         self.nodes.hot[v.index()].hw.set_rate(now, rate);
+        self.min_rate = self.min_rate.min(rate);
         self.touch(v);
         if self.sink.enabled() {
             self.sink.record(&EngineEvent::RateStep {
@@ -454,6 +483,19 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
             });
         }
         self.reschedule_pending(v);
+    }
+
+    /// The lower bound on every running logical clock's rate that local
+    /// snapshots report ([`ClockView::rate_floor`]): the smallest declared
+    /// [`Protocol::min_rate_multiplier`] times the smallest hardware rate
+    /// so far, `0` on an empty graph.
+    pub fn rate_floor(&self) -> f64 {
+        let floor = self.multiplier_floor * self.min_rate;
+        if floor.is_finite() {
+            floor
+        } else {
+            0.0
+        }
     }
 
     /// Time of the next queued event, if any.
@@ -545,6 +587,7 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
                 protos: &self.nodes.proto,
                 hot: &self.nodes.hot,
                 now,
+                rate_floor: self.rate_floor(),
             };
             self.sink
                 .local_snapshot(now, &self.touched, &clocks, self.queue.len());

@@ -52,8 +52,32 @@ pub trait Protocol: Clone {
     /// under this contract, and it also expects the value never to drop
     /// across the node's own events (the model's Condition 2; it re-checks
     /// that and falls back to a full rescan if a protocol breaks it).
-    /// `tests/protocol_contract.rs` checks every registry protocol.
+    ///
+    /// **Rate floor.** Between two events the logical clock advances at
+    /// least [`Protocol::min_rate_multiplier`] times as fast as the
+    /// hardware clock. The engine multiplies the floor by the smallest
+    /// hardware rate to get the rate floor α its [`ClockView`] reports, and
+    /// the observer then certifies against lines of slope α rather than
+    /// constants. `tests/protocol_contract.rs` checks both clauses for every
+    /// registry protocol.
+    ///
+    /// [`ClockView`]: crate::ClockView
     fn logical_value(&self, hw: f64) -> f64;
+
+    /// A lower bound on this protocol's logical-rate multiplier `dL/dH`
+    /// between events, for the whole execution; `0` (the default) claims
+    /// nothing.
+    ///
+    /// A nonzero floor `f` promises what the observer's f64 margin is
+    /// derived from (the `gcs-analysis` `kinetic` module): `logical_value`
+    /// has the form `l + m·(hw − h)` with `m ≥ f`, the clock starts at `0`
+    /// when the hardware clock does and never jumps back, so `L ≥ f·H`, and
+    /// the multiplier stays below `128·f`. `A^opt` and its variants run at
+    /// `1` or `1 + μ` (floor `1`); the envelope variant rides its damped
+    /// estimate at `(1 − ε̂)/(1 + ε̂)`.
+    fn min_rate_multiplier(&self) -> f64 {
+        0.0
+    }
 
     /// The current logical-rate multiplier relative to the hardware clock
     /// (`A^opt` runs in fast mode at `1 + μ`, normal mode at `1`).

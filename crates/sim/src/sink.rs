@@ -245,6 +245,21 @@ pub trait ClockView {
 
     /// `L_v(t)` for `t ≥ now`, extrapolated under `v`'s current state.
     fn value_at(&self, v: NodeId, t: f64) -> f64;
+
+    /// A lower bound α on the rate of every running clock; `0` (the
+    /// default) claims nothing beyond monotonicity.
+    ///
+    /// A view that reports α > 0 also promises that between two events of
+    /// `v`, `value_at(v, ·)` is an affine function of `t` up to a relative
+    /// error of `2⁻⁴⁴·|value|` (the engine's clocks meet this under the
+    /// [`Protocol::min_rate_multiplier`] contract). A clock that has not
+    /// started reads a constant. A view whose clocks run slower than its α
+    /// costs the event-local observer time, never correctness.
+    ///
+    /// [`Protocol::min_rate_multiplier`]: crate::Protocol::min_rate_multiplier
+    fn rate_floor(&self) -> f64 {
+        0.0
+    }
 }
 
 /// Receiver of engine transitions (and, optionally, post-event state

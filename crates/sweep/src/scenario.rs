@@ -203,10 +203,16 @@ impl ProtocolVisitor for Executor {
     fn visit<P: Protocol>(self, protocols: Vec<P>) -> Outcome {
         let Executor {
             scenario: sc,
-            sinks,
+            mut sinks,
             profiling,
         } = self;
         let (nodes, horizon) = (sc.graph.len(), sc.horizon);
+        // Condition (2) holds at the protocol's own multiplier floor; one
+        // that declares none keeps `A^opt`'s.
+        let floor = protocols.first().map_or(0.0, P::min_rate_multiplier);
+        if floor > 0.0 {
+            sinks.watchdog = sinks.watchdog.map(|w| w.with_multiplier_floor(floor));
+        }
         let mut engine = Engine::builder(sc.graph)
             .protocols(protocols)
             .delay_model(sc.delay)
@@ -545,6 +551,41 @@ mod tests {
             horizon,
             horizon_per_diameter: 0.0,
         }
+    }
+
+    #[test]
+    fn the_watchdog_holds_the_envelope_variant_to_its_own_floor() {
+        // `EnvelopeAOpt` rides its damped estimate at (1 − ε̂)/(1 + ε̂)·h,
+        // below `A^opt`'s α = 1 − ε: under `A^opt`'s envelope this run
+        // tripped Condition (2) at t ≈ 0.72.
+        for topology in ["path:16", "ring:12"] {
+            let scenario = Scenario::build(ScenarioSpec {
+                topology,
+                eps: 0.01,
+                seed: 42,
+                horizon: 120.0,
+                ..spec(0.0)
+            })
+            .unwrap();
+            let mut sinks = SinkSet::new(&scenario.graph);
+            sinks.watchdog = Some(scenario.watchdog());
+            let out = scenario.run("envelope", sinks, false).unwrap();
+            let watchdog = out.sinks.watchdog.as_ref().unwrap();
+            assert!(
+                watchdog.trip().is_none(),
+                "{topology}: {:?}",
+                watchdog.trip()
+            );
+            let damped = (1.0 - 0.01) / (1.0 + 0.01);
+            assert_eq!(watchdog.rate_envelope().alpha(), (1.0 - 0.01) * damped);
+        }
+        // A floor of 1 leaves `A^opt`'s envelope bit for bit.
+        let scenario = Scenario::build(spec(1.0)).unwrap();
+        let mut sinks = SinkSet::new(&scenario.graph);
+        sinks.watchdog = Some(scenario.watchdog());
+        let expected = scenario.watchdog().rate_envelope();
+        let out = scenario.run("aopt", sinks, false).unwrap();
+        assert_eq!(out.sinks.watchdog.unwrap().rate_envelope(), expected);
     }
 
     #[test]

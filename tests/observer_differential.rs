@@ -142,6 +142,9 @@ enum Drive {
     /// clocks keep overtaking each other while most certificates run to
     /// their expiry instead of being cut short by the node's own events.
     Crossings,
+    /// Halfway through, slow one node below every scheduled rate: the
+    /// engine's rate floor drops under live certificates.
+    SlowOverride,
 }
 
 struct Case {
@@ -207,6 +210,14 @@ impl ProtocolVisitor for Case {
                         }
                     }
                 }
+            }
+            Drive::SlowOverride => {
+                engine.run_until(horizon / 2.0);
+                let floor = engine.rate_floor();
+                assert!(floor > 0.0, "registry protocols declare a floor");
+                engine.set_hardware_rate(NodeId(n / 2), 0.5);
+                assert!(engine.rate_floor() < floor * 0.6, "the floor follows");
+                engine.run_until(horizon);
             }
         }
         let twin = engine.into_sink();
@@ -326,6 +337,23 @@ fn event_local_observation_matches_under_rate_overrides() {
                 seed,
                 6.0,
                 Drive::RateOverrides,
+            );
+        }
+    }
+}
+
+#[test]
+fn event_local_observation_matches_when_an_override_lowers_the_rate_floor() {
+    for algo in ALGOS {
+        for (topology, seed) in [("path:24", 5), ("grid:5x5", 6)] {
+            run_case(
+                algo,
+                topology,
+                "uniform",
+                "split",
+                seed,
+                8.0,
+                Drive::SlowOverride,
             );
         }
     }
