@@ -15,7 +15,8 @@
 //! `every_protocol_stream_digest_is_pinned` extends the pin to every
 //! protocol: each registry algorithm and each `A^opt` variant runs one
 //! fixed small scenario, and the 64-bit digest of its stream must match the
-//! recorded constant. Timer set/cancel order within an event is part of the
+//! recorded constant. The registry algorithms run a second, constant-delay
+//! scenario too (the `/const` rows). Timer set/cancel order within an event is part of the
 //! stream, so a refactor of the shared `A^opt` core that reorders them, or
 //! changes any rate decision, shows up here.
 
@@ -61,80 +62,121 @@ fn wavefront_event_stream_is_byte_identical_to_fixture() {
     );
 }
 
-/// The fixed scenario every protocol's stream digest is taken on: a
-/// 7-node ring, drift random walks, uniform delays in `[0, 𝒯]` (constant
-/// `𝒯/2` for the FIFO-only discrete variant), 30 time units. It is a
-/// regression pin, not a model-faithful setting for every variant.
-const EPS: f64 = 0.05;
-const T: f64 = 0.5;
-const SEED: u64 = 7;
-const HORIZON: f64 = 30.0;
-
-/// Runs `protocols` on the fixed scenario and returns the 64-bit digest
-/// of the produced `--events` JSONL stream.
-fn stream_digest<P: Protocol>(protocols: Vec<P>, delay_spec: &str, reference_root: bool) -> u64 {
-    let graph = parse_topology("ring:7", SEED).expect("valid topology");
-    let drift = DriftBounds::new(EPS).expect("valid drift");
-    let (delay, _) = build_delay(delay_spec, &graph, T, EPS, SEED).expect("valid delay");
-    let mut schedules = build_rates("walk", &graph, drift, HORIZON, SEED).expect("valid rates");
-    if reference_root {
-        // The external-time reference runs at real-time rate.
-        schedules[0] = RateSchedule::constant(1.0).expect("valid rate");
-    }
-    let mut engine = Engine::builder(graph)
-        .protocols(protocols)
-        .delay_model(delay)
-        .rate_schedules(schedules)
-        .event_sink(JsonlWriter::new(Vec::<u8>::new()))
-        .build();
-    engine.wake_all_at(0.0);
-    engine.run_until(HORIZON);
-    let bytes = engine.into_sink().finish().expect("Vec sink cannot fail");
-    assert!(!bytes.is_empty());
-    digest(&bytes)
+/// A fixed scenario a protocol's stream digest is taken on: a 7-node
+/// ring under drift random walks. It is a regression pin, not a
+/// model-faithful setting for every variant.
+struct Scenario {
+    eps: f64,
+    t: f64,
+    delay: &'static str,
+    horizon: f64,
 }
 
-/// Hands a registry protocol vector to [`stream_digest`].
-struct RegistryDigest;
+const SEED: u64 = 7;
+
+/// Uniform delays in `[0, 𝒯]` (constant `𝒯/2` for the FIFO-only discrete
+/// variant) for 30 time units.
+const UNIFORM: Scenario = Scenario {
+    eps: 0.05,
+    t: 0.5,
+    delay: "uniform",
+    horizon: 30.0,
+};
+
+/// Constant delays `𝒯/2` with 𝒯 = 0.02. Messages land one delay ahead,
+/// resends H₀ = 𝒯/μ ≈ 2.7 delays ahead, and the random walk's rate steps
+/// (every 5 units) 500 delays ahead, so the queue holds events at three
+/// horizons at once. Twelve units drain two rounds of rate steps.
+const CONST: Scenario = Scenario {
+    eps: 0.05,
+    t: 0.02,
+    delay: "const",
+    horizon: 12.0,
+};
+
+impl Scenario {
+    fn params(&self) -> Params {
+        Params::recommended(self.eps, self.t).expect("valid params")
+    }
+
+    /// Runs `protocols` on this scenario and returns the 64-bit digest of
+    /// the produced `--events` JSONL stream.
+    fn digest<P: Protocol>(&self, protocols: Vec<P>, reference_root: bool) -> u64 {
+        let graph = parse_topology("ring:7", SEED).expect("valid topology");
+        let drift = DriftBounds::new(self.eps).expect("valid drift");
+        let (delay, _) =
+            build_delay(self.delay, &graph, self.t, self.eps, SEED).expect("valid delay");
+        let mut schedules =
+            build_rates("walk", &graph, drift, self.horizon, SEED).expect("valid rates");
+        if reference_root {
+            // The external-time reference runs at real-time rate.
+            schedules[0] = RateSchedule::constant(1.0).expect("valid rate");
+        }
+        let mut engine = Engine::builder(graph)
+            .protocols(protocols)
+            .delay_model(delay)
+            .rate_schedules(schedules)
+            .event_sink(JsonlWriter::new(Vec::<u8>::new()))
+            .build();
+        engine.wake_all_at(0.0);
+        engine.run_until(self.horizon);
+        let bytes = engine.into_sink().finish().expect("Vec sink cannot fail");
+        assert!(!bytes.is_empty());
+        digest(&bytes)
+    }
+}
+
+/// Hands a registry protocol vector to [`Scenario::digest`].
+struct RegistryDigest(&'static Scenario);
 
 impl ProtocolVisitor for RegistryDigest {
     type Output = u64;
 
     fn visit<P: Protocol>(self, protocols: Vec<P>) -> u64 {
-        stream_digest(protocols, "uniform", false)
+        self.0.digest(protocols, false)
     }
 }
 
 #[test]
 fn every_protocol_stream_digest_is_pinned() {
-    let params = Params::recommended(EPS, T).expect("valid params");
+    let params = UNIFORM.params();
     let n = 7;
-    let mut produced: Vec<(&str, u64)> = ALGOS
-        .iter()
-        .map(|&algo| {
-            let d = with_protocols(algo, params, n, RegistryDigest).expect("registered");
-            (algo, d)
-        })
-        .collect();
-    produced.push((
-        "offset",
-        stream_digest(vec![OffsetAOpt::new(params, 0.1); n], "uniform", false),
-    ));
-    produced.push((
-        "discrete",
-        stream_digest(vec![DiscreteAOpt::new(params); n], "const", false),
-    ));
+    let registry = |scenario: &'static Scenario, suffix: &str| {
+        ALGOS
+            .iter()
+            .map(|&algo| {
+                let d = with_protocols(algo, scenario.params(), n, RegistryDigest(scenario))
+                    .expect("registered");
+                (format!("{algo}{suffix}"), d)
+            })
+            .collect::<Vec<_>>()
+    };
+    let discrete = Scenario {
+        delay: "const",
+        ..UNIFORM
+    };
     let piggyback = (0..n)
         .map(|v| PiggybackAOpt::new(params, params.h0() / 2.0, v as u64 + 1))
         .collect();
-    produced.push(("piggyback", stream_digest(piggyback, "uniform", false)));
-    produced.push((
-        "adaptive",
-        stream_digest(vec![AdaptiveAOpt::new(EPS, 0.05); n], "uniform", false),
-    ));
     let mut external = vec![ExternalAOpt::reference(params)];
     external.extend(vec![ExternalAOpt::new(params); n - 1]);
-    produced.push(("external", stream_digest(external, "uniform", true)));
+    let mut produced = registry(&UNIFORM, "");
+    let mut push = |name: &str, d| produced.push((name.to_string(), d));
+    push(
+        "offset",
+        UNIFORM.digest(vec![OffsetAOpt::new(params, 0.1); n], false),
+    );
+    push(
+        "discrete",
+        discrete.digest(vec![DiscreteAOpt::new(params); n], false),
+    );
+    push("piggyback", UNIFORM.digest(piggyback, false));
+    push(
+        "adaptive",
+        UNIFORM.digest(vec![AdaptiveAOpt::new(UNIFORM.eps, 0.05); n], false),
+    );
+    push("external", UNIFORM.digest(external, true));
+    produced.extend(registry(&CONST, "/const"));
 
     let expected: &[(&str, u64)] = &[
         ("aopt", 0x724170ae241abc25),
@@ -149,10 +191,21 @@ fn every_protocol_stream_digest_is_pinned() {
         ("piggyback", 0xc971003e9ed5a91d),
         ("adaptive", 0xcf1dddd2884b49da),
         ("external", 0x7b4d33c40d876174),
+        ("aopt/const", 0x32ae9555d5e7c605),
+        ("jump/const", 0x5c0cb67b3c13fd52),
+        ("mingap/const", 0xaee2c2d2933c542c),
+        ("envelope/const", 0xf40d655463b59c75),
+        ("max/const", 0x81599600ee481565),
+        ("midpoint/const", 0x86e395499e1cff37),
+        ("nosync/const", 0x0bf72a101b40a800),
     ];
     let table: String = produced
         .iter()
         .map(|(name, d)| format!("        (\"{name}\", {d:#018x}),\n"))
+        .collect();
+    let produced: Vec<(&str, u64)> = produced
+        .iter()
+        .map(|(name, d)| (name.as_str(), *d))
         .collect();
     assert_eq!(produced, expected, "stream digests changed:\n{table}");
 }
