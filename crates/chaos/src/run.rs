@@ -3,30 +3,16 @@
 //! observed by the invariant watchdog as the online oracle.
 
 use gcs_analysis::WatchdogViolation;
-use gcs_sim::{EngineEvent, MessageStats};
-use gcs_sweep::{Scenario, ScenarioSpec, SinkSet};
+use gcs_sim::EngineEvent;
+use gcs_sweep::{JobResult, Scenario, ScenarioSpec, SinkSet};
 
 use crate::spec::ChaosSpec;
 
 /// Everything one scenario execution produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioOutcome {
-    /// Nodes of the instantiated topology.
-    pub nodes: usize,
-    /// Diameter of the instantiated topology.
-    pub diameter: u32,
-    /// Effective horizon the execution ran to.
-    pub horizon: f64,
-    /// Worst pairwise logical skew observed.
-    pub global_skew: f64,
-    /// Worst neighbour logical skew observed.
-    pub local_skew: f64,
-    /// Theorem 5.5 global bound for these parameters.
-    pub global_bound: f64,
-    /// Theorem 5.10 local bound for these parameters.
-    pub local_bound: f64,
-    /// Engine message counters (per-cause drop attribution included).
-    pub stats: MessageStats,
+    /// The execution's measurements, as a sweep job reports them.
+    pub result: JobResult,
     /// The first invariant violation, if the watchdog tripped.
     pub violation: Option<WatchdogViolation>,
     /// Whether the schedule contains at least one clause that is *allowed*
@@ -88,14 +74,7 @@ pub fn run_scenario(spec: &ChaosSpec) -> Result<ScenarioOutcome, String> {
         .is_some()
         .then(|| out.sinks.recorder.window_events());
     Ok(ScenarioOutcome {
-        nodes: out.nodes,
-        diameter: out.diameter,
-        horizon: out.horizon,
-        global_skew: out.sinks.observer.worst_global(),
-        local_skew: out.sinks.observer.worst_local(),
-        global_bound: out.global_bound,
-        local_bound: out.local_bound,
-        stats: out.stats,
+        result: out.result(),
         violation,
         violation_expected,
         recorder_window,
@@ -128,7 +107,7 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.violation.is_none());
         assert!(!a.violation_expected);
-        assert!(a.global_skew <= a.global_bound + 1e-9);
+        assert!(a.result.global_skew <= a.result.global_bound + 1e-9);
     }
 
     #[test]
@@ -147,8 +126,8 @@ mod tests {
             "unexpected violation: {:?}",
             out.violation
         );
-        assert!(out.stats.dropped_faults > 0);
-        assert!(out.stats.duplicated > 0);
+        assert!(out.result.dropped_faults > 0);
+        assert!(out.result.duplicated > 0);
     }
 
     #[test]
@@ -207,6 +186,6 @@ mod tests {
         }
         let mut spec = spec_with(&[]);
         spec.horizon = 0.0;
-        assert_eq!(run_scenario(&spec).unwrap().horizon, 0.0);
+        assert_eq!(run_scenario(&spec).unwrap().result.horizon, 0.0);
     }
 }

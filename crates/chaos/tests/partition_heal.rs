@@ -74,7 +74,7 @@ fn short_partition_that_heals_early_never_trips() {
         "short heal must stay legal: {:?}",
         out.violation
     );
-    assert!(out.global_skew <= out.global_bound + 1e-9);
+    assert!(out.result.global_skew <= out.result.global_bound + 1e-9);
 }
 
 #[test]
@@ -83,12 +83,12 @@ fn messages_resume_after_the_heal() {
     // resumed: the cut edge drops messages only inside the window.
     let spec = partition_spec(5.0, 80.0, 100.0);
     let out = run_scenario(&spec).unwrap();
-    assert!(out.stats.dropped_faults > 0, "the cut must drop messages");
-    assert_eq!(out.stats.dropped_model, 0);
+    assert!(out.result.dropped_faults > 0, "the cut must drop messages");
+    assert_eq!(out.result.dropped_model, 0);
     let healed = partition_spec(5.0, 10.0, 100.0);
     let healed_out = run_scenario(&healed).unwrap();
     assert!(
-        healed_out.stats.dropped_faults < out.stats.dropped_faults,
+        healed_out.result.dropped_faults < out.result.dropped_faults,
         "a shorter cut must drop fewer messages"
     );
 }

@@ -199,9 +199,8 @@ pub trait DelayModel {
     /// [`Delivery::AtReceiverHw`]).
     ///
     /// `Some(0.0)` is a valid answer ("delays are bounded below by zero").
-    /// A *strictly positive* floor turns on the event queue's calendar
-    /// layer of floor-wide buckets; the pop order is the same either way.
-    /// The default is `None`.
+    /// The engine does not read it; it only feeds
+    /// [`DelayModel::lookahead_at`]. The default is `None`.
     fn min_delay(&self) -> Option<f64> {
         None
     }

@@ -262,10 +262,6 @@ impl<P: Protocol, D: DelayModel, S: EventSink> EngineBuilder<P, D, S> {
             pending,
             cold,
         };
-        // A strictly positive static delay floor turns on the queue's
-        // calendar layer (`w`-wide buckets); otherwise the queue is the
-        // plain 4-ary heap. Same pop order either way (see `queue.rs`).
-        let floor = delay.min_delay();
         Engine {
             graph: self.graph,
             delay,
@@ -274,7 +270,7 @@ impl<P: Protocol, D: DelayModel, S: EventSink> EngineBuilder<P, D, S> {
             // Pre-sized so the heap reaches its steady-state high-water
             // mark without reallocating mid-run for typical workloads; it
             // grows (and is then reused) beyond that.
-            queue: EventQueue::with_capacity_and_floor(4 * n + 16, floor),
+            queue: EventQueue::with_capacity(4 * n + 16),
             nodes,
             stats: MessageStats {
                 per_node_sends: vec![0; n],

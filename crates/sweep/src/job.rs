@@ -67,24 +67,7 @@ pub fn run_job(job: &JobSpec) -> Result<JobResult, String> {
     let out = scenario.run(&job.algo, sinks, false)?;
     let outcome = match &out.panic {
         Some(payload) => Err(crate::pool::panic_message(payload.as_ref())),
-        None => Ok(JobResult {
-            nodes: out.nodes,
-            diameter: out.diameter,
-            horizon: out.horizon,
-            global_skew: out.sinks.observer.worst_global(),
-            local_skew: out.sinks.observer.worst_local(),
-            global_bound: out.global_bound,
-            local_bound: out.local_bound,
-            send_events: out.stats.send_events,
-            transmissions: out.stats.transmissions,
-            deliveries: out.stats.deliveries,
-            dropped: out.stats.dropped,
-            dropped_model: out.stats.dropped_model,
-            dropped_faults: out.stats.dropped_faults,
-            duplicated: out.stats.duplicated,
-            events_recorded: out.sinks.recorded(),
-            watchdog_tripped: out.sinks.tripped(),
-        }),
+        None => Ok(out.result()),
     };
     SPARE_RECORDER.set(Some(out.sinks.recorder));
     outcome

@@ -219,8 +219,7 @@ impl DelayModel for SweepDelay {
     }
 
     // Forwarded explicitly: the trait default would answer `None` for every
-    // variant and keep the event queue's calendar layer off even under
-    // `const` delays.
+    // variant, and with it `lookahead_at`, even under `const` delays.
     fn min_delay(&self) -> Option<f64> {
         match self {
             SweepDelay::Uniform(m) => m.min_delay(),

@@ -2,9 +2,9 @@
 //! scenarios: [`Scenario::build`] turns spec fields into a substrate, the
 //! registry ([`with_protocols`]) picks the protocol, a [`SinkSet`] observes,
 //! and [`Scenario::run`] returns one [`Outcome`]. The verbs only project
-//! the outcome: [`crate::run_job`] into a [`crate::JobResult`],
-//! `gcs_chaos::run_scenario` into an oracle verdict, and `gcs run` into its
-//! report table.
+//! the outcome: [`crate::run_job`] and `gcs_chaos::run_scenario` through
+//! [`Outcome::result`] (the latter adding an oracle verdict), and `gcs run`
+//! into its report table.
 
 use std::any::Any;
 use std::fs::File;
@@ -24,6 +24,7 @@ use gcs_sim::{
 use gcs_telemetry::{BeatInput, HeartbeatEmitter, SkewFieldWriter, WatchdogStatus};
 use gcs_time::{DriftBounds, RateSchedule};
 
+use crate::job::JobResult;
 use crate::parse::{build_delay, build_rates, parse_topology, SweepDelay};
 
 /// Receives the protocol vector the registry built for a name. Static
@@ -264,6 +265,31 @@ pub struct Outcome {
     pub profile: Option<EngineProfile>,
     /// The payload of an engine panic, if the run panicked.
     pub panic: Option<Box<dyn Any + Send>>,
+}
+
+impl Outcome {
+    /// The execution's measurements: the one projection that sweep jobs
+    /// and chaos scenarios report.
+    pub fn result(&self) -> JobResult {
+        JobResult {
+            nodes: self.nodes,
+            diameter: self.diameter,
+            horizon: self.horizon,
+            global_skew: self.sinks.observer.worst_global(),
+            local_skew: self.sinks.observer.worst_local(),
+            global_bound: self.global_bound,
+            local_bound: self.local_bound,
+            send_events: self.stats.send_events,
+            transmissions: self.stats.transmissions,
+            deliveries: self.stats.deliveries,
+            dropped: self.stats.dropped,
+            dropped_model: self.stats.dropped_model,
+            dropped_faults: self.stats.dropped_faults,
+            duplicated: self.stats.duplicated,
+            events_recorded: self.sinks.recorded(),
+            watchdog_tripped: self.sinks.tripped(),
+        }
+    }
 }
 
 /// Live `--heartbeat` state: the emitter plus the counters a beat

@@ -16,9 +16,9 @@
 //! protocol: each registry algorithm and each `A^opt` variant runs one
 //! fixed small scenario, and the 64-bit digest of its stream must match the
 //! recorded constant. The registry algorithms run a second, constant-delay
-//! scenario too (the `/const` rows). Timer set/cancel order within an event is part of the
-//! stream, so a refactor of the shared `A^opt` core that reorders them, or
-//! changes any rate decision, shows up here.
+//! scenario too (the `/const` rows). Timer set/cancel order within an
+//! event is part of the stream, so a refactor of the shared `A^opt` core
+//! that reorders them, or changes any rate decision, shows up here.
 
 use gcs_analysis::JsonlWriter;
 use gcs_core::{AOpt, AdaptiveAOpt, DiscreteAOpt, ExternalAOpt, OffsetAOpt, Params, PiggybackAOpt};

@@ -162,3 +162,40 @@ fn lemma_7_10_shifts_one_node_only() {
     assert!((report.modified_at_t - report.base_at_shifted_time).abs() < 1e-6);
     assert!(report.max_other_deviation < 1e-6);
 }
+
+/// `gcs lb-local` states Thm 7.7's threshold b* = ⌈2(β − α)/(αε)⌉ for the
+/// attacked algorithm and calls the targets guaranteed only from b* on. At
+/// the default ε = 0.2, A^opt runs in [α, β] = [0.8, 5.4], so b* = 58.
+#[test]
+fn lb_local_cli_states_the_theorem_7_7_threshold() {
+    let lb_local = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_gcs"))
+            .arg("lb-local")
+            .args(args)
+            .output()
+            .expect("failed to spawn gcs");
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        String::from_utf8(out.stdout).expect("UTF-8 report")
+    };
+    let below = lb_local(&["--b", "3", "--stages", "3", "--algo", "aopt"]);
+    assert!(below.contains("b* = ⌈2(β − α)/(αε)⌉ = 58 (α = 0.8000, β = 5.4000)"));
+    assert!(below.contains("final neighbour target (not guaranteed): 1.6000"));
+    assert!(!below.contains("guaranteed final"), "{below}");
+
+    // From b = b* on, every stage meets its target (else exit 1).
+    let at = lb_local(&["--b", "58", "--stages", "1", "--algo", "aopt"]);
+    assert!(
+        at.contains("guaranteed final neighbour skew (b ≥ b*): 0.8000"),
+        "{at}"
+    );
+    let nosync = lb_local(&["--b", "5", "--stages", "2"]);
+    assert!(nosync.contains("b* = ⌈2(β − α)/(αε)⌉ = 5 (α = 0.8000, β = 1.2000)"));
+    assert!(
+        nosync.contains("guaranteed final neighbour skew"),
+        "{nosync}"
+    );
+
+    let jump = lb_local(&["--b", "3", "--stages", "2", "--algo", "jump"]);
+    assert!(jump.contains("no finite b* exists"), "{jump}");
+    assert!(jump.contains("(not guaranteed)"), "{jump}");
+}

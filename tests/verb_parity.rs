@@ -123,63 +123,17 @@ fn assert_verbs_agree(watchdog: bool) {
     let job = via_job("aopt", watchdog).unwrap();
     let chaos = via_chaos("aopt").unwrap();
 
-    assert_eq!(run.stats, chaos.stats, "run vs chaos message stats");
-    let counters = |r: &JobResult| {
-        [
-            r.send_events,
-            r.transmissions,
-            r.deliveries,
-            r.dropped,
-            r.dropped_model,
-            r.dropped_faults,
-            r.duplicated,
-        ]
-    };
-    let s = &run.stats;
-    assert_eq!(
-        counters(&job),
-        [
-            s.send_events,
-            s.transmissions,
-            s.deliveries,
-            s.dropped,
-            s.dropped_model,
-            s.dropped_faults,
-            s.duplicated,
-        ],
-        "run vs sweep message stats"
-    );
-    assert!(s.deliveries > 0);
-
-    let observer = &run.sinks.observer;
-    let skews = [observer.worst_global(), observer.worst_local()];
-    for (verb, other) in [
-        ("sweep", [job.global_skew, job.local_skew]),
-        ("chaos", [chaos.global_skew, chaos.local_skew]),
-    ] {
-        assert_eq!(
-            skews.map(f64::to_bits),
-            other.map(f64::to_bits),
-            "run vs {verb} worst skews"
-        );
-    }
-    let bounds = [run.global_bound, run.local_bound];
-    assert_eq!(bounds, [job.global_bound, job.local_bound]);
-    assert_eq!(bounds, [chaos.global_bound, chaos.local_bound]);
-    assert_eq!(
-        (run.nodes, run.diameter, run.horizon),
-        (job.nodes, job.diameter, job.horizon)
-    );
-    assert_eq!(
-        (run.nodes, run.diameter, run.horizon),
-        (chaos.nodes, chaos.diameter, chaos.horizon)
-    );
-
-    // The watchdog verdict agrees wherever one is attached.
-    if watchdog {
-        assert_eq!(run.sinks.tripped(), job.watchdog_tripped);
-    }
-    assert_eq!(job.watchdog_tripped, watchdog && chaos.violation.is_some());
+    // Every verb reports the same projection of its outcome: message
+    // counters, bit-identical worst skews, bounds, size and event count.
+    // The fixed spec runs clean, so the watchdog flags agree too.
+    assert!(chaos.violation.is_none());
+    let run = run.result();
+    assert_eq!(run, job, "run vs sweep");
+    assert_eq!(chaos.result, job, "chaos vs sweep");
+    assert!(job.deliveries > 0);
+    let skew_bits = |r: &JobResult| [r.global_skew.to_bits(), r.local_skew.to_bits()];
+    assert_eq!(skew_bits(&run), skew_bits(&job));
+    assert_eq!(skew_bits(&chaos.result), skew_bits(&job));
 
     // The binary prints what the library path measured.
     let mut args = run_args("aopt");

@@ -153,14 +153,11 @@ fn steady_state_window_makes_no_heap_allocations() {
         "large-n hot path allocated {allocated} times across a 10k-event window at n = {n}"
     );
 
-    // Calendar-queue case: a constant delay advertises a positive floor,
-    // so the queue runs in timing-wheel mode (ring buckets + overflow heap
-    // instead of the plain near heap). Bucket vectors keep their capacity
-    // across wheel revolutions, so this path must reach a hard
-    // allocation-free steady state too — but its high water is per ring
-    // slot and bucket occupancy fluctuates run-long, so the warmup is much
-    // longer than the heap cases' (the run is deterministic: the measured
-    // window allocates zero reproducibly).
+    // Constant-delay case: every delivery lands exactly one delay ahead,
+    // so sends of one instant tie in time and break by seq. The queue's
+    // heap and slab must reach a hard allocation-free steady state here
+    // too. The warm-up is ten times the wavefront cases' (the run is
+    // deterministic: the measured window allocates zero reproducibly).
     let n = 256;
     let graph = topology::path(n);
     let delay = gcs_sim::ConstantDelay::new(0.1);
@@ -182,7 +179,7 @@ fn steady_state_window_makes_no_heap_allocations() {
     let allocated = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(
         allocated, 0,
-        "calendar-queue hot path allocated {allocated} times across a 10k-event window"
+        "constant-delay hot path allocated {allocated} times across a 10k-event window"
     );
 
     // The default `gcs run` sinks (`gcs run --topology path:1024` with its
