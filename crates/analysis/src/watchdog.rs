@@ -7,10 +7,10 @@
 //!
 //! * **Condition (1)** — the affine envelope
 //!   `(1 − ε)(t − t_v) ≤ L_v(t) ≤ (1 + ε)t`, per node, via
-//!   [`EnvelopeChecker`];
+//!   [`EnvelopeChecker::margins`];
 //! * **Condition (2)** — bounded progress
-//!   `α(t' − t) ≤ L_v(t') − L_v(t) ≤ β(t' − t)`, per node, via
-//!   [`ProgressChecker`] with `A^opt`'s Corollary 5.3 envelope, its `α`
+//!   `α(t' − t) ≤ L_v(t') − L_v(t) ≤ β(t' − t)`, per node and pair of
+//!   consecutive samples, via [`RateEnvelope::progress_margins`] with `A^opt`'s Corollary 5.3 envelope, its `α`
 //!   scaled by the protocol's multiplier floor
 //!   ([`InvariantWatchdog::with_multiplier_floor`]);
 //! * **Definition 5.6** — the legal-state invariant
@@ -48,7 +48,7 @@
 use gcs_core::Params;
 use gcs_graph::Graph;
 use gcs_sim::{EngineEvent, EventSink, RingBufferSink};
-use gcs_time::{DriftBounds, EnvelopeChecker, ProgressChecker, RateEnvelope};
+use gcs_time::{DriftBounds, EnvelopeChecker, RateEnvelope};
 
 use crate::legal::{LegalStateChecker, LegalStateViolation};
 
@@ -63,9 +63,11 @@ pub enum WatchdogViolation {
         t: f64,
         /// The logical value observed.
         logical: f64,
-        /// Slack against the lower envelope (negative = too slow).
+        /// Slack against the lower envelope at this sample (negative = too
+        /// slow).
         low_margin: f64,
-        /// Slack against the upper envelope (negative = too fast).
+        /// Slack against the upper envelope at this sample (negative = too
+        /// fast).
         high_margin: f64,
     },
     /// Condition (2): a logical clock's increment left `[α, β]` per unit
@@ -75,9 +77,11 @@ pub enum WatchdogViolation {
         node: usize,
         /// Real time of the violating sample.
         t: f64,
-        /// Slack against the minimum rate `α` (negative = stalled).
+        /// Slack of the increment from the previous sample against the
+        /// minimum rate `α` (negative = stalled).
         min_margin: f64,
-        /// Slack against the maximum rate `β` (negative = jumped).
+        /// Slack of the same increment against the maximum rate `β`
+        /// (negative = jumped).
         max_margin: f64,
     },
     /// Definition 5.6: a pair exceeded its legal-state bound.
@@ -177,6 +181,17 @@ impl WatchdogTrip {
     }
 }
 
+/// One node's Condition (1)/(2) state.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeCheck {
+    /// Condition (1)'s envelope, created when the node wakes (it needs the
+    /// initialization time `t_v`).
+    envelope: Option<EnvelopeChecker>,
+    /// The previous sample `(t, L)` that Condition (2) pairs the next one
+    /// with; none until the first sample after the wake.
+    last: Option<(f64, f64)>,
+}
+
 /// The online invariant watchdog sink. See the module docs.
 #[derive(Debug, Clone)]
 pub struct InvariantWatchdog {
@@ -186,11 +201,8 @@ pub struct InvariantWatchdog {
     /// the legal-state checker's, and with the same limit — from clock
     /// values L ≥ 2²³ ≈ 8.4·10⁶ one ulp (1.9·10⁻⁹) exceeds it.
     tolerance: f64,
-    /// Per-node Condition (1) checker, created when the node wakes (the
-    /// envelope needs the initialization time `t_v`).
-    envelopes: Vec<Option<EnvelopeChecker>>,
-    /// Per-node Condition (2) checker (only fed once the node is started).
-    progress: Vec<ProgressChecker>,
+    /// Per-node Condition (1)/(2) state.
+    nodes: Vec<NodeCheck>,
     params: Params,
     /// The graph's edges: the certificate's domain, and what rebuilds the
     /// graph for the legal-state checker.
@@ -236,8 +248,7 @@ impl InvariantWatchdog {
             drift,
             envelope,
             tolerance: 1e-9,
-            envelopes: vec![None; n],
-            progress: vec![ProgressChecker::new(envelope, 1e-9); n],
+            nodes: vec![NodeCheck::default(); n],
             params,
             edges: graph.edges().map(|(a, b)| (a.index(), b.index())).collect(),
             edge_skew_limit: params.kappa() / 2.0 * (1.0 - 4.0 * f64::EPSILON),
@@ -261,10 +272,7 @@ impl InvariantWatchdog {
     ///
     /// [`Protocol::min_rate_multiplier`]: gcs_sim::Protocol::min_rate_multiplier
     pub fn with_multiplier_floor(mut self, floor: f64) -> Self {
-        let envelope = RateEnvelope::new(self.drift.min_rate() * floor, self.envelope.beta());
-        self.envelope = envelope;
-        self.progress
-            .fill(ProgressChecker::new(envelope, self.tolerance));
+        self.envelope = RateEnvelope::new(self.drift.min_rate() * floor, self.envelope.beta());
         self
     }
 
@@ -295,6 +303,39 @@ impl InvariantWatchdog {
         self.envelope
     }
 
+    /// Conditions (1)/(2) at sample `(t, logical)` of `node`, which woke
+    /// under `envelope`, paired with its previous sample `prev` (none at
+    /// the first sample after the wake): the violation, with both sides'
+    /// margins at this sample, if either condition fails. Condition (1) is
+    /// checked first.
+    fn check_node(
+        &self,
+        node: usize,
+        envelope: &EnvelopeChecker,
+        prev: Option<(f64, f64)>,
+        t: f64,
+        logical: f64,
+    ) -> Option<WatchdogViolation> {
+        let tol = self.tolerance;
+        let (low_margin, high_margin) = envelope.margins(t, logical);
+        if !(low_margin >= -tol && high_margin >= -tol) {
+            return Some(WatchdogViolation::Envelope {
+                node,
+                t,
+                logical,
+                low_margin,
+                high_margin,
+            });
+        }
+        let (min_margin, max_margin) = self.envelope.progress_margins(prev?, (t, logical));
+        (!(min_margin >= -tol && max_margin >= -tol)).then_some(WatchdogViolation::Progress {
+            node,
+            t,
+            min_margin,
+            max_margin,
+        })
+    }
+
     fn trip_with(&mut self, violation: WatchdogViolation) {
         self.trip = Some(Box::new(WatchdogTrip {
             violation,
@@ -311,7 +352,7 @@ impl EventSink for InvariantWatchdog {
         }
         self.ring.record(event);
         if let EngineEvent::Wake { node, t, .. } = event {
-            self.envelopes[node.index()] =
+            self.nodes[node.index()].envelope =
                 Some(EnvelopeChecker::new(self.drift, *t, self.tolerance));
         }
     }
@@ -327,30 +368,13 @@ impl EventSink for InvariantWatchdog {
         self.snapshots += 1;
         for (node, &logical) in clocks.iter().enumerate() {
             // Unstarted nodes hold L = 0 and are exempt from every
-            // condition until their wake event creates their checker.
-            let Some(env) = self.envelopes[node].as_mut() else {
+            // condition until their wake event creates their envelope.
+            let Some(envelope) = self.nodes[node].envelope else {
                 continue;
             };
-            if !env.observe(t, logical) {
-                let (low, high) = (env.worst_low_margin(), env.worst_high_margin());
-                self.trip_with(WatchdogViolation::Envelope {
-                    node,
-                    t,
-                    logical,
-                    low_margin: low,
-                    high_margin: high,
-                });
-                return;
-            }
-            let prog = &mut self.progress[node];
-            if !prog.observe(t, logical) {
-                let (min, max) = (prog.worst_min_margin(), prog.worst_max_margin());
-                self.trip_with(WatchdogViolation::Progress {
-                    node,
-                    t,
-                    min_margin: min,
-                    max_margin: max,
-                });
+            let prev = self.nodes[node].last.replace((t, logical));
+            if let Some(violation) = self.check_node(node, &envelope, prev, t, logical) {
+                self.trip_with(violation);
                 return;
             }
         }
@@ -363,7 +387,7 @@ impl EventSink for InvariantWatchdog {
             return;
         }
         self.exact_scans += 1;
-        let (n, edges, params) = (self.envelopes.len(), &self.edges, self.params);
+        let (n, edges, params) = (self.nodes.len(), &self.edges, self.params);
         let legal = self.legal.get_or_insert_with(|| {
             let graph = Graph::from_edges(n, edges).expect("the edges of a connected graph");
             LegalStateChecker::new(&graph, params)

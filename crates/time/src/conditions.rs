@@ -74,6 +74,21 @@ impl RateEnvelope {
     pub fn lower_bound_base(&self, drift: DriftBounds) -> f64 {
         ((2.0 * (self.beta - self.alpha)) / (self.alpha * drift.epsilon())).ceil()
     }
+
+    /// Condition (2)'s slack on the increment from sample `from` to sample
+    /// `to`, each `(t, L(t))`: `(ΔL − αΔt, βΔt − ΔL)`, the second `+∞` for
+    /// an unbounded `β`. Negative means too slow or too fast.
+    pub fn progress_margins(&self, from: (f64, f64), to: (f64, f64)) -> (f64, f64) {
+        let dt = to.0 - from.0;
+        let dl = to.1 - from.1;
+        let min_margin = dl - self.alpha * dt;
+        let max_margin = if self.beta.is_finite() {
+            self.beta * dt - dl
+        } else {
+            f64::INFINITY
+        };
+        (min_margin, max_margin)
+    }
 }
 
 /// Streaming checker for the envelope Condition (1).
@@ -105,13 +120,18 @@ impl EnvelopeChecker {
         }
     }
 
+    /// The slack of sample `(t, logical)` against the lower and the upper
+    /// envelope (negative means a violation), without recording it.
+    pub fn margins(&self, t: f64, logical: f64) -> (f64, f64) {
+        let low = self.drift.min_rate() * (t - self.start_time).max(0.0);
+        let high = self.drift.max_rate() * t;
+        (logical - low, high - logical)
+    }
+
     /// Records a sample; returns `false` if it violates the envelope.
     pub fn observe(&mut self, t: f64, logical: f64) -> bool {
         self.samples += 1;
-        let low = self.drift.min_rate() * (t - self.start_time).max(0.0);
-        let high = self.drift.max_rate() * t;
-        let low_margin = logical - low;
-        let high_margin = high - logical;
+        let (low_margin, high_margin) = self.margins(t, logical);
         self.worst_low_margin = self.worst_low_margin.min(low_margin);
         self.worst_high_margin = self.worst_high_margin.min(high_margin);
         low_margin >= -self.tolerance && high_margin >= -self.tolerance
@@ -179,14 +199,7 @@ impl ProgressChecker {
     pub fn observe(&mut self, t: f64, logical: f64) -> bool {
         let ok = if let Some((t0, l0)) = self.last {
             assert!(t >= t0, "progress samples must be time-ordered");
-            let dt = t - t0;
-            let dl = logical - l0;
-            let min_margin = dl - self.envelope.alpha() * dt;
-            let max_margin = if self.envelope.beta().is_finite() {
-                self.envelope.beta() * dt - dl
-            } else {
-                f64::INFINITY
-            };
+            let (min_margin, max_margin) = self.envelope.progress_margins((t0, l0), (t, logical));
             self.worst_min_margin = self.worst_min_margin.min(min_margin);
             self.worst_max_margin = self.worst_max_margin.min(max_margin);
             let ok = min_margin >= -self.tolerance && max_margin >= -self.tolerance;
