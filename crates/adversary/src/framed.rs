@@ -186,12 +186,6 @@ impl LocalLowerBound {
         })
     }
 
-    /// The branching factor Theorem 7.7 requires for an algorithm with the
-    /// given rate envelope.
-    pub fn required_branching(alpha: f64, beta: f64, epsilon: f64) -> usize {
-        (2.0 * (beta - alpha) / (alpha * epsilon)).ceil() as usize
-    }
-
     /// The path length `D' = b^S` (number of edges).
     pub fn d_prime(&self) -> usize {
         self.d_prime
@@ -344,12 +338,14 @@ impl LocalLowerBound {
 mod tests {
     use super::*;
     use gcs_core::{AOpt, NoSync, Params};
+    use gcs_time::{DriftBounds, RateEnvelope};
 
     #[test]
     fn construction_meets_targets_against_nosync() {
         // NoSync: α = 1 − ε = 0.8, β = 1 + ε ⇒ required b = ⌈2·0.4/(0.8·0.2)⌉ = 5.
         let eps = 0.2;
-        let b = LocalLowerBound::required_branching(0.8, 1.2, eps);
+        let drift = DriftBounds::new(eps).unwrap();
+        let b = RateEnvelope::new(0.8, 1.2).lower_bound_base(drift) as usize;
         assert_eq!(b, 5);
         let lb = LocalLowerBound::new(b, 2, eps, 1.0, 0.8).expect("valid construction");
         let reports = lb.run(|n| vec![NoSync; n]);

@@ -7,6 +7,7 @@ use gcs_adversary::framed::LocalLowerBound;
 use gcs_analysis::Table;
 use gcs_bench::{banner, f4};
 use gcs_core::{AOpt, AOptJump, NoSync, Params};
+use gcs_time::{DriftBounds, RateEnvelope};
 
 fn main() {
     banner(
@@ -20,7 +21,8 @@ fn main() {
     println!("--- vs NoSync (b meets Thm 7.7's threshold: guarantee applies) ---");
     let eps = 0.2;
     let alpha = 1.0 - eps;
-    let b = LocalLowerBound::required_branching(alpha, 1.0 + eps, eps);
+    let drift = DriftBounds::new(eps).expect("valid drift");
+    let b = RateEnvelope::new(alpha, 1.0 + eps).lower_bound_base(drift) as usize;
     let mut table = Table::new(vec![
         "stages S",
         "D' = b^S",

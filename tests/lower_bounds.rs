@@ -6,6 +6,7 @@ use clock_sync::adversary::shift::{GlobalLowerBound, ShiftExecution};
 use clock_sync::adversary::slowdown::slow_node_demo;
 use clock_sync::core::{AOpt, AOptJump, MaxAlgorithm, NoSync, Params};
 use clock_sync::graph::{topology, NodeId};
+use clock_sync::time::{DriftBounds, RateEnvelope};
 
 #[test]
 fn theorem_7_2_floor_scales_linearly_with_d() {
@@ -76,7 +77,8 @@ fn indistinguishability_verified_for_multiple_algorithms() {
 fn theorem_7_7_meets_stage_targets_against_nosync() {
     let eps = 0.2;
     let alpha = 1.0 - eps;
-    let b = LocalLowerBound::required_branching(alpha, 1.0 + eps, eps);
+    let drift = DriftBounds::new(eps).expect("valid drift");
+    let b = RateEnvelope::new(alpha, 1.0 + eps).lower_bound_base(drift) as usize;
     let lb = LocalLowerBound::new(b, 2, eps, 1.0, alpha).expect("valid construction");
     let reports = lb.run(|n| vec![NoSync; n]);
     for r in &reports {
