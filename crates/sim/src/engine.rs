@@ -118,6 +118,8 @@ struct NodeClocks<'a, P> {
     hot: &'a [HotNode],
     now: f64,
     rate_floor: f64,
+    /// The previous sample's instant and the touched nodes' clocks then.
+    previous: (f64, &'a [f64]),
 }
 
 impl<P: Protocol> ClockView for NodeClocks<'_, P> {
@@ -138,6 +140,10 @@ impl<P: Protocol> ClockView for NodeClocks<'_, P> {
 
     fn rate_floor(&self) -> f64 {
         self.rate_floor
+    }
+
+    fn previous_sample(&self) -> Option<(f64, &[f64])> {
+        Some(self.previous)
     }
 }
 
@@ -281,6 +287,8 @@ impl<P: Protocol, D: DelayModel, S: EventSink> EngineBuilder<P, D, S> {
             sink: self.sink,
             clock_buf: Vec::with_capacity(n),
             touched: Vec::with_capacity(8),
+            touched_before: Vec::with_capacity(8),
+            last_sample: 0.0,
             multiplier_floor,
             min_rate,
             action_buf: Vec::with_capacity(8),
@@ -314,8 +322,13 @@ pub struct Engine<P: Protocol, D: DelayModel, S: EventSink = NullSink> {
     /// Scratch buffer for per-event logical-clock snapshots.
     clock_buf: Vec<f64>,
     /// Nodes whose clock trajectory changed since the last local snapshot
-    /// (filled only while the sink wants local snapshots).
+    /// (filled only while the sink wants local snapshots), and each one's
+    /// clock at `last_sample`, read before the touching event changed it.
     touched: Vec<NodeId>,
+    touched_before: Vec<f64>,
+    /// The instant of the last snapshot point (every processed event and
+    /// horizon), whether or not the sink took a snapshot there.
+    last_sample: f64,
     /// The smallest [`Protocol::min_rate_multiplier`] over the nodes, and
     /// the smallest hardware rate any node runs at (its schedules and
     /// [`Engine::set_hardware_rate`] overrides); their product is the rate
@@ -468,9 +481,9 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
     /// Panics if `v` is not initialized or `rate <= 0`.
     pub fn set_hardware_rate(&mut self, v: NodeId, rate: f64) {
         let now = self.now;
+        self.touch(v);
         self.nodes.hot[v.index()].hw.set_rate(now, rate);
         self.min_rate = self.min_rate.min(rate);
-        self.touch(v);
         if self.sink.enabled() {
             self.sink.record(&EngineEvent::RateStep {
                 node: v,
@@ -565,6 +578,7 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
     /// full clock vector, the touched nodes with a lazy [`ClockView`], or
     /// both.
     fn maybe_snapshot(&mut self) {
+        let previous = std::mem::replace(&mut self.last_sample, self.now);
         let full = self.sink.wants_snapshots();
         let local = self.sink.wants_local_snapshots();
         if !full && !local {
@@ -584,10 +598,12 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
                 hot: &self.nodes.hot,
                 now,
                 rate_floor: self.rate_floor(),
+                previous: (previous, &self.touched_before),
             };
             self.sink
                 .local_snapshot(now, &self.touched, &clocks, self.queue.len());
             self.touched.clear();
+            self.touched_before.clear();
         }
         if let (Some(profile), Some(started)) = (self.profile.as_deref_mut(), started) {
             profile.snapshot += started.elapsed();
@@ -595,12 +611,17 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
         }
     }
 
-    /// Notes that `v`'s clock trajectory changed, for the next local
-    /// snapshot.
+    /// Notes that `v`'s clock trajectory is about to change, for the next
+    /// local snapshot: call it before the change, so it can read `v`'s
+    /// clock at the last sample under the state that sample saw.
     #[inline]
     fn touch(&mut self, v: NodeId) {
         if self.sink.wants_local_snapshots() {
+            let i = v.index();
+            let before =
+                self.nodes.proto[i].logical_value(self.nodes.hot[i].hw.value_at(self.last_sample));
             self.touched.push(v);
+            self.touched_before.push(before);
         }
     }
 
@@ -641,8 +662,8 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
         if self.nodes.hot[v.index()].hw.is_started() {
             return;
         }
-        self.start_node(v);
         self.touch(v);
+        self.start_node(v);
         let hw = self.hardware_value(v);
         if self.sink.enabled() {
             self.sink.record(&EngineEvent::Wake {
@@ -701,8 +722,8 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
             return;
         }
         let rate = self.nodes.cold[i].schedule.rate_at(at);
-        self.nodes.hot[i].hw.set_rate(self.now, rate);
         self.touch(v);
+        self.nodes.hot[i].hw.set_rate(self.now, rate);
         if self.sink.enabled() {
             self.sink.record(&EngineEvent::RateStep {
                 node: v,

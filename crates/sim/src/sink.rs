@@ -243,7 +243,9 @@ pub trait ClockView {
     /// [`EventSink::snapshot`] would have received at this instant.
     fn value(&self, v: NodeId) -> f64;
 
-    /// `L_v(t)` for `t ≥ now`, extrapolated under `v`'s current state.
+    /// `L_v(t)` for `t ≥ now`, extrapolated under `v`'s current state. A
+    /// node no event touched since the previous sample may also be read
+    /// back to that sample's instant, bit-identical to what it showed then.
     fn value_at(&self, v: NodeId, t: f64) -> f64;
 
     /// A lower bound α on the rate of every running clock; `0` (the
@@ -259,6 +261,17 @@ pub trait ClockView {
     /// [`Protocol::min_rate_multiplier`]: crate::Protocol::min_rate_multiplier
     fn rate_floor(&self) -> f64 {
         0.0
+    }
+
+    /// The previous sample's instant `t₀` (the engine's last snapshot
+    /// point) and, for each entry of the `touched` list passed with this
+    /// view, that node's clock at `t₀`: read before the touching event
+    /// changed it, so bit-identical to its entry in a clock vector taken at
+    /// `t₀`. Only the first entry of a repeated node is that; later ones
+    /// read its state after the earlier touches. `None` (the default) for
+    /// a view that does not record them.
+    fn previous_sample(&self) -> Option<(f64, &[f64])> {
+        None
     }
 }
 

@@ -445,3 +445,125 @@ fn past_timer_target_fires_immediately() {
     assert_eq!(fires.len(), 1);
     assert_eq!(fires[0], 0.0);
 }
+
+/// Jumps its logical clock by 1 on every message and re-broadcasts from a
+/// periodic timer, so touches change both slope (rate steps) and offset.
+#[derive(Debug, Clone, Default)]
+struct Jumper {
+    offset: f64,
+}
+
+impl Protocol for Jumper {
+    type Msg = u32;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+        ctx.send_all(0);
+        ctx.set_timer(TimerId(0), ctx.hw() + 0.3);
+    }
+
+    fn on_message(&mut self, _ctx: &mut Context<'_, u32>, _from: NodeId, _msg: u32) {
+        self.offset += 1.0;
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_, u32>, _timer: TimerId) {
+        ctx.send_all(0);
+        ctx.set_timer(TimerId(0), ctx.hw() + 0.3);
+    }
+
+    fn logical_value(&self, hw: f64) -> f64 {
+        hw + self.offset
+    }
+}
+
+/// Takes every clock vector and every local snapshot, and checks that a
+/// local snapshot's previous-sample readings are the previous vector's.
+struct PreviousCheck {
+    last: Option<(f64, Vec<f64>)>,
+    current: Option<(f64, Vec<f64>)>,
+    checked: usize,
+}
+
+impl gcs_sim::EventSink for PreviousCheck {
+    fn wants_snapshots(&self) -> bool {
+        true
+    }
+
+    fn snapshot(&mut self, t: f64, clocks: &[f64], _queue_depth: usize) {
+        self.last = self.current.replace((t, clocks.to_vec()));
+    }
+
+    fn wants_local_snapshots(&self) -> bool {
+        true
+    }
+
+    fn local_snapshot(
+        &mut self,
+        _t: f64,
+        touched: &[NodeId],
+        clocks: &dyn gcs_sim::ClockView,
+        _queue_depth: usize,
+    ) {
+        let (t0, before) = clocks.previous_sample().expect("the engine records them");
+        assert_eq!(before.len(), touched.len());
+        let Some((t_last, vector)) = &self.last else {
+            return;
+        };
+        assert_eq!(t0.to_bits(), t_last.to_bits());
+        let mut seen = Vec::new();
+        for (&v, &value) in touched.iter().zip(before) {
+            if !seen.contains(&v) {
+                seen.push(v);
+                assert_eq!(
+                    value.to_bits(),
+                    vector[v.index()].to_bits(),
+                    "{v:?} at {t0}"
+                );
+                self.checked += 1;
+            }
+        }
+        // Untouched nodes read back to t₀ under their current state.
+        for v in (0..vector.len()).map(NodeId) {
+            if !seen.contains(&v) {
+                assert_eq!(
+                    clocks.value_at(v, t0).to_bits(),
+                    vector[v.index()].to_bits()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn local_snapshots_carry_each_touched_clock_at_the_previous_sample() {
+    let n = 6;
+    let schedules = (0..n)
+        .map(|v| {
+            RateSchedule::from_steps(vec![(0.0, 1.0), (0.7 + 0.1 * v as f64, 0.98), (2.5, 1.03)])
+                .unwrap()
+        })
+        .collect();
+    let mut engine = Engine::builder(topology::cycle(n))
+        .protocols(vec![Jumper::default(); n])
+        .delay_model(UniformDelay::new(0.2, 5))
+        .rate_schedules(schedules)
+        .event_sink(PreviousCheck {
+            last: None,
+            current: None,
+            checked: 0,
+        })
+        .build();
+    engine.wake(NodeId(0), 0.0);
+    engine.wake(NodeId(3), 0.4);
+    let mut k = 0;
+    while engine.next_event_time().is_some_and(|t| t <= 4.0) {
+        engine.step();
+        k += 1;
+        if k % 5 == 0 && engine.is_started(NodeId(k % n)) {
+            // Twice between steps: the second touch repeats the node.
+            engine.set_hardware_rate(NodeId(k % n), 1.01);
+            engine.set_hardware_rate(NodeId(k % n), 0.99);
+        }
+    }
+    engine.run_until(4.0);
+    assert!(engine.sink().checked > 100, "{}", engine.sink().checked);
+}
