@@ -80,11 +80,11 @@ use gcs_sim::ClockView;
 
 /// How far ahead a node's clock is read once per state: its slope for
 /// expiry estimates, and the far end of a trailer key's slope check.
-const FAR: f64 = 1_099_511_627_776.0; // 2⁴⁰
+pub(crate) const FAR: f64 = 1_099_511_627_776.0; // 2⁴⁰
 
 /// How much of the estimated certificate window is claimed: a little under
 /// all of it, so rounding in the verifying evaluation rarely rejects it.
-const CLAIM: f64 = 0.999;
+pub(crate) const CLAIM: f64 = 0.999;
 
 /// `α̃ = α·SHAVE`: the rate floor less one part in 2²⁰.
 const SHAVE: f64 = 1.0 - 1.0 / 1_048_576.0;
@@ -179,14 +179,14 @@ fn before(a: Entry, b: Entry) -> bool {
 /// only re-keyed. Entries carry their keys inline, so a sift reads
 /// contiguous memory.
 #[derive(Debug, Clone)]
-struct AlarmHeap {
+pub(crate) struct AlarmHeap {
     heap: Vec<Entry>,
     pos: Vec<u32>,
 }
 
 impl AlarmHeap {
     /// Every item keyed at `key`.
-    fn new(len: usize, key: f64) -> Self {
+    pub(crate) fn new(len: usize, key: f64) -> Self {
         AlarmHeap {
             heap: (0..len as u32).map(|i| (key, i)).collect(),
             pos: (0..len as u32).collect(),
@@ -204,7 +204,7 @@ impl AlarmHeap {
     /// Calls `f` on every item whose `(key, item)` orders before `bound`,
     /// without re-keying any (heap order prunes the walk to those entries
     /// and their children). `(t, 0)` selects the keys below `t`.
-    fn for_each_before(&self, bound: Entry, f: &mut impl FnMut(u32)) {
+    pub(crate) fn for_each_before(&self, bound: Entry, f: &mut impl FnMut(u32)) {
         self.walk(0, bound, f);
     }
 
@@ -220,7 +220,7 @@ impl AlarmHeap {
     }
 
     /// Re-keys `item`.
-    fn set(&mut self, item: u32, key: f64) {
+    pub(crate) fn set(&mut self, item: u32, key: f64) {
         let i = self.pos[item as usize] as usize;
         let old = self.heap[i];
         let entry = (key, item);

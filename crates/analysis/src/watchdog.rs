@@ -2,29 +2,37 @@
 //! *while the execution runs* and keeps a flight recorder of the events
 //! leading up to the first violation.
 //!
-//! Three invariants are monitored, all on the per-event snapshot cadence
-//! (exact, because logical clocks are piecewise linear between events):
+//! Three invariants are decided at every sample — after every processed
+//! event and at the horizon, which is exact, because logical clocks are
+//! piecewise linear between events:
 //!
 //! * **Condition (1)** — the affine envelope
 //!   `(1 − ε)(t − t_v) ≤ L_v(t) ≤ (1 + ε)t`, per node, via
 //!   [`EnvelopeChecker::margins`];
 //! * **Condition (2)** — bounded progress
 //!   `α(t' − t) ≤ L_v(t') − L_v(t) ≤ β(t' − t)`, per node and pair of
-//!   consecutive samples, via [`RateEnvelope::progress_margins`] with `A^opt`'s Corollary 5.3 envelope, its `α`
-//!   scaled by the protocol's multiplier floor
-//!   ([`InvariantWatchdog::with_multiplier_floor`]);
+//!   consecutive samples, via [`RateEnvelope::progress_margins`] with
+//!   `A^opt`'s Corollary 5.3 envelope, its `α` scaled by the protocol's
+//!   multiplier floor ([`InvariantWatchdog::with_multiplier_floor`]);
 //! * **Definition 5.6** — the legal-state invariant
 //!   `L_v − L_w ≤ d(v,w)(s + ½)κ` at every level, via
 //!   [`LegalStateChecker`].
 //!
-//! Definition 5.6 is checked in two steps. Every level bounds a pair at
-//! distance `d` by at least `d·κ/2`, so if every *edge* skew is at most
-//! `κ/2`, every pair is legal by the triangle inequality. Each snapshot
-//! first takes `E`, the largest computed `|L_a − L_b|` over the graph's
-//! edges (O(|E|)), and skips the all-pairs scan when
-//! `E ≤ τ = (κ/2)(1 − 4·f64::EPSILON)`. Only when an edge exceeds `τ` (or
-//! reads NaN) does it run [`LegalStateChecker::observe_clocks`], built at
-//! that first need, so the violation reported is exactly the scan's.
+//! Each condition holds within an absolute `f64` tolerance of 1e-9. A
+//! sample comes either as the full clock vector ([`EventSink::snapshot`])
+//! or event-locally ([`InvariantWatchdog::observe_local`]); both decide
+//! the same trip at the same sample, with the same fields.
+//!
+//! # Definition 5.6 from the edge skews
+//!
+//! Every level bounds a pair at distance `d` by at least `d·κ/2`, so if
+//! every *edge* skew is at most `κ/2`, every pair is legal by the triangle
+//! inequality. The vector path first takes `E`, the largest computed
+//! `|L_a − L_b|` over the graph's edges (O(|E|)), and skips the all-pairs
+//! scan when `E ≤ τ = (κ/2)(1 − 4·f64::EPSILON)`. Only when an edge
+//! exceeds `τ` (or reads NaN) does it run
+//! [`LegalStateChecker::observe_clocks`], built at that first need, so the
+//! violation reported is exactly the scan's.
 //!
 //! The margin is stated in f64, with unit roundoff `u = 2⁻⁵³`
 //! (`4·f64::EPSILON = 8u`), and assumes `κ/2` is a normal float:
@@ -38,7 +46,56 @@
 //!   or below its computed bound: no margin goes negative, without leaning
 //!   on the checker's 1e-9 tolerance.
 //!
-//! Unstarted nodes hold `L = 0` in both steps alike.
+//! The event-local path takes `E` from the skew observer instead: its
+//! local record is the largest `|L_a − L_b|` over every sampled edge so
+//! far, the same expression on both of the observer's paths, so while it
+//! stays `≤ τ` every sample so far passed the vector path's test.
+//!
+//! Unstarted nodes hold `L = 0` and are exempt from Conditions (1)/(2)
+//! until their wake, on both paths alike.
+//!
+//! # The event-local path
+//!
+//! A node the event touched is checked exactly: its clock now, paired for
+//! Condition (2) with its clock at the previous sample, which the engine
+//! read before the event changed it ([`ClockView::previous_sample`]).
+//! Between touches a node's clock is affine up to a relative error
+//! `δ = 2⁻⁴⁴` (the [`ClockView::rate_floor`] promise) and non-decreasing,
+//! so after each exact check the node is *certified* until a time `T`: one
+//! far read gives its slope, each Condition (1) margin and the Condition (2)
+//! band close at their rates against half the tolerance, and the window's
+//! end is read and verified. A certificate claims every sample in
+//! `(t_c, T]` passes both conditions; it sits in an alarm heap, and a node
+//! whose alarm has passed is read, checked exactly (its previous sample is
+//! read back through [`ClockView::value_at`]) and certified again. A node
+//! that cannot be certified past `t_c` — its slope out of band, a margin
+//! about to close, or no rate floor — is watched: checked exactly at every
+//! later sample until a touch or a check certifies it. The first violating
+//! node in index order trips, as in the vector scan.
+//!
+//! The verification is stated in f64, with `A = max(|L_c|, |L_T|)` the
+//! largest clock on the window (by monotonicity), ρ = `VALUE_SLACK` =
+//! `2⁻⁴¹` and σ = `TIME_SLACK` = `2⁻⁴⁹ = 16u`:
+//!
+//! * Condition (1): each margin is within `(δ + u)A + 3.02u·R₁` of an
+//!   affine function, `R₁ = (m + M)(|t_c| + |T|) + m|t_v|` bounding the
+//!   rate-times-time terms. Both computed margins at `t_c` and at `T` must
+//!   reach `−tol + ρA + σ(R₁ + tol)`, which leaves the interior `2(δ + u)A
+//!   + 6.04u·R₁ + u·tol` to spare, less than the charge.
+//! * Condition (2): over `W = T − t_c`, the computed window increment's
+//!   margins `(X, Y)` bound the slope's: `(s − α)D ≥ min(0, X) − 2δA` for
+//!   every pair `D ≤ W` inside, and a sample pair's own rounding costs at
+//!   most `(2δ + 4.02u)A + 3.03u(α + β)W`. `X` and `Y` must reach
+//!   `−tol + ρA + σ((α + β)W + tol)`, and that floor must be at most `0`;
+//!   `ρ ≥ 4δ + 8.04u` covers the sum.
+//!
+//! So a certificate may lapse early, never late: every decision still
+//! comes from exact reads. The floor `ρA ≤ tol` caps the certificates'
+//! reach at clocks of about `tol/(2ρ) ≈ 1100`; a node read past that sends
+//! the watchdog back to vectors for the rest of the run, as does the first
+//! edge record past `τ`. Either switch checks the current sample's
+//! Definition 5.6 on the vector read through the view, and seeds every
+//! node's previous sample with it.
 //!
 //! On the first violation the watchdog *trips*: it freezes a
 //! [`WatchdogTrip`] carrying the violation and the last `N` engine events
@@ -46,10 +103,11 @@
 //! the diagnostic signal; everything after it is noise).
 
 use gcs_core::Params;
-use gcs_graph::Graph;
-use gcs_sim::{EngineEvent, EventSink, RingBufferSink};
+use gcs_graph::{Graph, NodeId};
+use gcs_sim::{ClockView, EngineEvent, EventSink, RingBufferSink};
 use gcs_time::{DriftBounds, EnvelopeChecker, RateEnvelope};
 
+use crate::kinetic::{AlarmHeap, CLAIM, FAR};
 use crate::legal::{LegalStateChecker, LegalStateViolation};
 
 /// Which invariant broke, with the observations that broke it.
@@ -188,8 +246,31 @@ struct NodeCheck {
     /// initialization time `t_v`).
     envelope: Option<EnvelopeChecker>,
     /// The previous sample `(t, L)` that Condition (2) pairs the next one
-    /// with; none until the first sample after the wake.
+    /// with; none until the first sample after the wake. The event-local
+    /// path keeps only whether there is one.
     last: Option<(f64, f64)>,
+}
+
+/// The certificates' margin per unit of clock magnitude, `2⁻⁴¹` (see the
+/// module doc).
+const VALUE_SLACK: f64 = 1.0 / 2_199_023_255_552.0;
+
+/// The certificates' margin per unit of rate times time, `2⁻⁴⁹`.
+const TIME_SLACK: f64 = 1.0 / 562_949_953_421_312.0;
+
+/// The event-local path's state, built at its first sample.
+#[derive(Debug, Clone)]
+struct Local {
+    /// Per node: the last sample its certificate covers (`+∞` before the
+    /// wake; the issuing sample itself when it could not be certified, so
+    /// the next later sample checks it again).
+    alarms: AlarmHeap,
+    /// Scratch: the nodes to check exactly at this sample, each with its
+    /// clock at the previous sample (then at this one); per-node stamps
+    /// keep the first entry of a node.
+    hot: Vec<(u32, f64)>,
+    queued: Vec<u64>,
+    stamp: u64,
 }
 
 /// The online invariant watchdog sink. See the module docs.
@@ -212,6 +293,14 @@ pub struct InvariantWatchdog {
     /// The all-pairs checker, built at the first snapshot the certificate
     /// does not cover.
     legal: Option<LegalStateChecker>,
+    /// The event-local path's certificates, once it has run.
+    local: Option<Box<Local>>,
+    /// Set once the watchdog reads clock vectors: a vector snapshot, or the
+    /// event-local path's fallback. It never goes back.
+    vectors: bool,
+    /// The clock vector the event-local path reads through a view when it
+    /// falls back.
+    scratch: Vec<f64>,
     ring: RingBufferSink,
     trip: Option<Box<WatchdogTrip>>,
     snapshots: u64,
@@ -253,6 +342,9 @@ impl InvariantWatchdog {
             edges: graph.edges().map(|(a, b)| (a.index(), b.index())).collect(),
             edge_skew_limit: params.kappa() / 2.0 * (1.0 - 4.0 * f64::EPSILON),
             legal: None,
+            local: None,
+            vectors: false,
+            scratch: Vec::new(),
             ring: RingBufferSink::new(ring_capacity),
             trip: None,
             snapshots: 0,
@@ -303,6 +395,219 @@ impl InvariantWatchdog {
         self.envelope
     }
 
+    /// Whether the next sample should come as a clock vector
+    /// ([`EventSink::snapshot`]) rather than through
+    /// [`InvariantWatchdog::observe_local`]: once the watchdog has read a
+    /// vector or fallen back to reading them, until it trips.
+    pub fn wants_vectors(&self) -> bool {
+        self.vectors && self.trip.is_none()
+    }
+
+    /// Checks the state after an event at time `t` that changed the clock
+    /// trajectories of `touched` (see [`EventSink::local_snapshot`]),
+    /// reading clocks lazily from `clocks`, where `worst_local` is the
+    /// largest edge skew `|L_a − L_b|` any sample so far showed, this one
+    /// included ([`SkewObserver::worst_local`] of an observer fed the same
+    /// samples). Decides exactly what [`EventSink::snapshot`] would on the
+    /// full clock vector — the same trip, at the same sample, with the
+    /// same fields — in `O(log n)` per touched node and lapsed certificate
+    /// (see the module doc).
+    ///
+    /// Every event since the previous sample must be accounted for in
+    /// `touched`, and every sample must come through here until
+    /// [`InvariantWatchdog::wants_vectors`]; after that this reads the
+    /// vector through `clocks`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `clocks` does not record [`ClockView::previous_sample`]
+    /// (the engine's view does).
+    ///
+    /// [`SkewObserver::worst_local`]: crate::SkewObserver::worst_local
+    pub fn observe_local(
+        &mut self,
+        t: f64,
+        touched: &[NodeId],
+        clocks: &dyn ClockView,
+        worst_local: f64,
+    ) {
+        if self.trip.is_some() {
+            return;
+        }
+        if self.vectors {
+            let mut values = std::mem::take(&mut self.scratch);
+            values.clear();
+            values.extend((0..clocks.len()).map(|v| clocks.value(NodeId(v))));
+            self.snapshot(t, &values, 0);
+            self.scratch = values;
+            return;
+        }
+        self.snapshots += 1;
+        let (t0, before) = clocks
+            .previous_sample()
+            .expect("the event-local watchdog reads touched clocks at the previous sample");
+        let n = self.nodes.len();
+        let nodes = &self.nodes;
+        let mut local = self.local.take().unwrap_or_else(|| {
+            // Nodes awake already are checked at this first sample.
+            let mut alarms = AlarmHeap::new(n, f64::INFINITY);
+            for (v, node) in nodes.iter().enumerate() {
+                if node.envelope.is_some() {
+                    alarms.set(v as u32, f64::NEG_INFINITY);
+                }
+            }
+            Box::new(Local {
+                alarms,
+                hot: Vec::with_capacity(n),
+                queued: vec![0; n],
+                stamp: 0,
+            })
+        });
+        local.stamp += 1;
+        let Local {
+            alarms,
+            hot,
+            queued,
+            stamp,
+        } = &mut *local;
+        hot.clear();
+        for (&v, &value) in touched.iter().zip(before) {
+            let i = v.index();
+            if queued[i] != *stamp {
+                queued[i] = *stamp;
+                hot.push((i as u32, value));
+            }
+        }
+        alarms.for_each_before((t, 0), &mut |v| {
+            if queued[v as usize] != *stamp {
+                queued[v as usize] = *stamp;
+                hot.push((v, clocks.value_at(NodeId(v as usize), t0)));
+            }
+        });
+
+        // Conditions (1)/(2), exactly, wherever no certificate covers this
+        // sample; the first violating node in index order trips, as in the
+        // vector scan.
+        let mut first: Option<WatchdogViolation> = None;
+        for entry in hot.iter_mut() {
+            let node = entry.0 as usize;
+            let Some(envelope) = self.nodes[node].envelope else {
+                continue;
+            };
+            let logical = clocks.value(NodeId(node));
+            let prev = self.nodes[node].last.map(|_| (t0, entry.1));
+            entry.1 = logical;
+            if let Some(violation) = self.check_node(node, &envelope, prev, t, logical) {
+                if first.as_ref().is_none_or(|f| node < f.node()) {
+                    first = Some(violation);
+                }
+            }
+        }
+        if let Some(violation) = first {
+            self.trip_with(violation);
+            return;
+        }
+        let mut out_of_reach = false;
+        for &(v, logical) in hot.iter() {
+            let node = v as usize;
+            let Some(envelope) = self.nodes[node].envelope else {
+                continue;
+            };
+            self.nodes[node].last = Some((t, logical));
+            let until = self.certify(&envelope, t, logical, NodeId(node), clocks);
+            out_of_reach |= until.is_none();
+            alarms.set(v, until.unwrap_or(t));
+        }
+        self.local = Some(local);
+        // While no sampled edge went past τ, Def. 5.6 holds at this sample
+        // exactly as the vector path's certificate decides it.
+        if worst_local <= self.edge_skew_limit && !out_of_reach {
+            return;
+        }
+        // Fall back to vectors for the rest of the run, from this sample.
+        self.vectors = true;
+        let mut values = std::mem::take(&mut self.scratch);
+        values.clear();
+        values.extend((0..clocks.len()).map(|v| clocks.value(NodeId(v))));
+        for (node, &logical) in self.nodes.iter_mut().zip(&values) {
+            if node.envelope.is_some() {
+                node.last = Some((t, logical));
+            }
+        }
+        self.check_legal(t, &values);
+        self.scratch = values;
+    }
+
+    /// The last sample time through which `node`, read at `L = logical`
+    /// at sample `t` and untouched from then on, provably passes
+    /// Conditions (1)/(2) at every sample (`t` itself when that cannot be
+    /// shown for any later one), or `None` once its clock is too large for
+    /// the tolerance to cover the certificates' rounding. See the module
+    /// doc for the margins.
+    fn certify(
+        &self,
+        envelope: &EnvelopeChecker,
+        t: f64,
+        logical: f64,
+        node: NodeId,
+        clocks: &dyn ClockView,
+    ) -> Option<f64> {
+        let tol = self.tolerance;
+        if VALUE_SLACK * logical.abs() > tol / 2.0 {
+            return None;
+        }
+        let rate_floor = clocks.rate_floor();
+        if rate_floor.is_nan() || rate_floor <= 0.0 {
+            // No affinity promise: nothing to certify with.
+            return Some(t);
+        }
+        let (m, big_m) = (self.drift.min_rate(), self.drift.max_rate());
+        let (alpha, beta) = (self.envelope.alpha(), self.envelope.beta());
+        let beta_f = if beta.is_finite() { beta } else { 0.0 };
+        let start = envelope.start_time();
+        // The window estimate: the slope from one far read, each margin
+        // closing at its rate against half the tolerance, and the
+        // certificates' own margin held to the other half.
+        let slope = (clocks.value_at(node, t + FAR) - logical) / FAR;
+        let (low, high) = envelope.margins(t, logical);
+        let half = tol / 2.0;
+        let fixed = VALUE_SLACK * logical.abs()
+            + TIME_SLACK * ((m + big_m) * 2.0 * t.abs() + m * start.abs() + tol);
+        let growth = VALUE_SLACK * slope.abs() + TIME_SLACK * (alpha + beta_f + 2.0 * (m + big_m));
+        let mut width = (half - fixed) / growth;
+        let mut close = |gap: f64, rate: f64| {
+            if rate > 0.0 {
+                width = width.min(gap / rate);
+            }
+        };
+        close(low + half, m - slope);
+        close(high + half, slope - big_m);
+        close(half, alpha - slope);
+        close(half, slope - beta);
+        let until = t + width * CLAIM;
+        if until.is_nan() || until <= t {
+            return Some(t);
+        }
+        let at_end = clocks.value_at(node, until);
+        let value_slack = VALUE_SLACK * logical.abs().max(at_end.abs());
+        // Condition (1) at both ends of the window.
+        let times = (m + big_m) * (t.abs() + until.abs()) + m * start.abs();
+        let floor = -tol + (value_slack + TIME_SLACK * (times + tol));
+        let (low_end, high_end) = envelope.margins(until, at_end);
+        let envelope_holds = low >= floor && high >= floor && low_end >= floor && high_end >= floor;
+        // Condition (2) over the window, which bounds every pair inside it.
+        let floor = -tol + (value_slack + TIME_SLACK * ((alpha + beta_f) * (until - t) + tol));
+        let (min_margin, max_margin) = self
+            .envelope
+            .progress_margins((t, logical), (until, at_end));
+        let progress_holds = floor <= 0.0 && min_margin >= floor && max_margin >= floor;
+        Some(if envelope_holds && progress_holds {
+            until
+        } else {
+            t
+        })
+    }
+
     /// Conditions (1)/(2) at sample `(t, logical)` of `node`, which woke
     /// under `envelope`, paired with its previous sample `prev` (none at
     /// the first sample after the wake): the violation, with both sides'
@@ -336,6 +641,29 @@ impl InvariantWatchdog {
         })
     }
 
+    /// Definition 5.6 at the sampled vector `clocks`: the edge
+    /// certificate, then the all-pairs scan where it fails.
+    fn check_legal(&mut self, t: f64, clocks: &[f64]) {
+        // `<=` fails on NaN, which falls through to the scan.
+        if self
+            .edges
+            .iter()
+            .all(|&(a, b)| (clocks[a] - clocks[b]).abs() <= self.edge_skew_limit)
+        {
+            return;
+        }
+        self.exact_scans += 1;
+        let (n, edges, params) = (self.nodes.len(), &self.edges, self.params);
+        let legal = self.legal.get_or_insert_with(|| {
+            let graph = Graph::from_edges(n, edges).expect("the edges of a connected graph");
+            LegalStateChecker::new(&graph, params)
+        });
+        if !legal.observe_clocks(t, clocks) {
+            let v = legal.first_violation().expect("observe returned false");
+            self.trip_with(WatchdogViolation::LegalState(v));
+        }
+    }
+
     fn trip_with(&mut self, violation: WatchdogViolation) {
         self.trip = Some(Box::new(WatchdogTrip {
             violation,
@@ -345,6 +673,9 @@ impl InvariantWatchdog {
     }
 }
 
+/// As a sink on its own, the watchdog reads the full clock vector after
+/// every event; [`InvariantWatchdog::observe_local`] is its event-local
+/// path, for a caller that also observes edge skews.
 impl EventSink for InvariantWatchdog {
     fn record(&mut self, event: &EngineEvent) {
         if self.trip.is_some() {
@@ -365,6 +696,8 @@ impl EventSink for InvariantWatchdog {
         if self.trip.is_some() {
             return;
         }
+        // Certificates of the event-local path did not see this sample.
+        self.vectors = true;
         self.snapshots += 1;
         for (node, &logical) in clocks.iter().enumerate() {
             // Unstarted nodes hold L = 0 and are exempt from every
@@ -378,24 +711,7 @@ impl EventSink for InvariantWatchdog {
                 return;
             }
         }
-        // `<=` fails on NaN, which falls through to the scan.
-        if self
-            .edges
-            .iter()
-            .all(|&(a, b)| (clocks[a] - clocks[b]).abs() <= self.edge_skew_limit)
-        {
-            return;
-        }
-        self.exact_scans += 1;
-        let (n, edges, params) = (self.nodes.len(), &self.edges, self.params);
-        let legal = self.legal.get_or_insert_with(|| {
-            let graph = Graph::from_edges(n, edges).expect("the edges of a connected graph");
-            LegalStateChecker::new(&graph, params)
-        });
-        if !legal.observe_clocks(t, clocks) {
-            let v = legal.first_violation().expect("observe returned false");
-            self.trip_with(WatchdogViolation::LegalState(v));
-        }
+        self.check_legal(t, clocks);
     }
 }
 
@@ -512,6 +828,116 @@ mod tests {
         assert_eq!(watchdog.exact_scans(), 2);
         assert!(!watchdog.tripped());
         assert_eq!(watchdog.snapshots(), 3);
+    }
+
+    /// One clock `l0 + slope·t` under a declared rate floor.
+    struct Line {
+        l0: f64,
+        slope: f64,
+        now: f64,
+    }
+
+    impl ClockView for Line {
+        fn len(&self) -> usize {
+            1
+        }
+
+        fn value(&self, v: NodeId) -> f64 {
+            self.value_at(v, self.now)
+        }
+
+        fn value_at(&self, _v: NodeId, t: f64) -> f64 {
+            self.l0 + self.slope * t
+        }
+
+        fn rate_floor(&self) -> f64 {
+            0.9
+        }
+    }
+
+    #[test]
+    fn certificates_hold_at_every_sample_they_cover() {
+        // Clocks near both envelopes, with slopes inside and outside the
+        // progress band: wherever a certificate claims a window, every
+        // chain of samples through it must pass both conditions exactly.
+        let params = Params::recommended(0.02, 0.2).unwrap();
+        let watchdog = InvariantWatchdog::new(&topology::path(1), params, drift());
+        let (m, big_m) = (drift().min_rate(), drift().max_rate());
+        let band = watchdog.rate_envelope();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut unit = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let (mut certified, mut short) = (0, 0);
+        for case in 0..4_000 {
+            let t_v = 3.0 * unit();
+            let t = t_v + 50.0 * unit();
+            let envelope = EnvelopeChecker::new(drift(), t_v, watchdog.tolerance);
+            // Start a hair inside one envelope or the other.
+            let gap = [0.0, 1e-10, 1e-7, 1e-3][case % 4] * unit();
+            let logical = if case % 2 == 0 {
+                m * (t - t_v) + gap
+            } else {
+                big_m * t - gap
+            };
+            let slope = [
+                m * (1.0 - 1e-3 * unit()),
+                m,
+                band.alpha() - 1e-9 * unit(),
+                1.0,
+                big_m,
+                big_m * (1.0 + 1e-3 * unit()),
+                band.beta() * (1.0 + 1e-6 * unit()),
+            ][case % 7];
+            let view = Line {
+                l0: logical - slope * t,
+                slope,
+                now: t,
+            };
+            let logical = view.value(NodeId(0));
+            if watchdog
+                .check_node(0, &envelope, None, t, logical)
+                .is_some()
+            {
+                continue;
+            }
+            let until = watchdog
+                .certify(&envelope, t, logical, NodeId(0), &view)
+                .expect("small clocks are in reach");
+            assert!(until >= t);
+            if until == t {
+                continue;
+            }
+            certified += 1;
+            short += usize::from(until - t < 1.0);
+            let mut prev = (t, logical);
+            for k in 1..=64 {
+                let at = if k == 64 {
+                    until
+                } else {
+                    t + (until - t) * (k as f64 / 64.0) * unit()
+                };
+                let at = at.max(prev.0);
+                let l = view.value_at(NodeId(0), at);
+                let violation = watchdog.check_node(0, &envelope, Some(prev), at, l);
+                assert!(
+                    violation.is_none(),
+                    "case {case}: certified to {until} from {t}, {violation:?}"
+                );
+                prev = (at, l);
+            }
+            // The one pair spanning the whole window.
+            let l = view.value_at(NodeId(0), until);
+            let violation = watchdog.check_node(0, &envelope, Some((t, logical)), until, l);
+            assert!(violation.is_none(), "case {case}: {violation:?}");
+        }
+        assert!(
+            certified > 1_000 && short > 100,
+            "{certified} certified, {short} short"
+        );
     }
 
     #[test]

@@ -406,13 +406,16 @@ impl Heartbeat {
 /// event stream and one per-event snapshot pass feed every consumer.
 ///
 /// The snapshot pass asks the engine for full clock vectors only when a
-/// consumer reads every clock (trace, watchdog, skew field) or the skew
-/// observer is in one of its full-scan stints. Otherwise — the default
-/// `gcs run` composition of observer, recorder and optional event log,
-/// heartbeat or metrics, and every sweep job without `watchdog` — it takes
-/// the event-local hook: the observer updates its certificates from the
-/// touched nodes, and the metrics and heartbeat are fed from the same call,
-/// the metrics' global skew from the observer's current extremes.
+/// consumer reads every clock (trace, skew field), the skew observer is in
+/// one of its full-scan stints, or the watchdog has fallen back to vectors.
+/// Otherwise — the default `gcs run` composition of observer, recorder and
+/// optional event log, heartbeat, metrics or watchdog, and every sweep and
+/// chaos job — it takes the event-local hook: the observer updates its
+/// certificates from the touched nodes, the watchdog checks them and its
+/// lapsed certificates and takes Def. 5.6 from the observer's edge record,
+/// and the metrics and heartbeat are fed from the same call, the metrics'
+/// global skew from the observer's current extremes. When the engine calls
+/// both hooks at one instant, each consumer is fed by exactly one of them.
 pub struct SinkSet {
     /// Exact global/local skew observation (always on).
     pub observer: SkewObserver,
@@ -435,6 +438,9 @@ pub struct SinkSet {
     pub skew_field: Option<SkewFieldWriter<Box<dyn Write + Send>>>,
     /// Engine events recorded so far.
     recorded: u64,
+    /// Set when the observer took this sample's clock vector and the
+    /// event-local hook follows at the same instant.
+    observed: bool,
 }
 
 impl SinkSet {
@@ -455,6 +461,7 @@ impl SinkSet {
             heartbeat: None,
             skew_field: None,
             recorded: 0,
+            observed: false,
         }
     }
 
@@ -470,14 +477,27 @@ impl SinkSet {
 
     /// Whether some consumer reads the whole clock vector every event.
     fn needs_vectors(&self) -> bool {
-        self.trace.is_some() || self.watchdog.is_some() || self.skew_field.is_some()
+        self.trace.is_some() || self.skew_field.is_some()
     }
 
-    /// Feeds the metrics the state after an event, once the observer has
-    /// seen it.
-    fn observe_metrics(&mut self, t: f64, queue_depth: usize) {
+    /// Whether the watchdog takes its next sample as a clock vector.
+    fn watchdog_wants_vectors(&self) -> bool {
+        self.watchdog
+            .as_ref()
+            .is_some_and(InvariantWatchdog::wants_vectors)
+    }
+
+    /// Feeds the metrics and the heartbeat the state after an event, once
+    /// the observer and the watchdog have seen it.
+    fn after_observation(&mut self, t: f64, queue_depth: usize) {
         if let Some(m) = self.metrics.as_mut() {
             m.observe(t, self.observer.current_global(), queue_depth);
+        }
+        // Last: a beat reports the observer's and watchdog's state after
+        // this sample.
+        if let Some(hb) = self.heartbeat.as_mut() {
+            let watchdog = self.watchdog.as_ref();
+            hb.snapshot(t, queue_depth, self.recorded, &self.observer, watchdog);
         }
     }
 }
@@ -500,27 +520,35 @@ impl EventSink for SinkSet {
     }
 
     fn wants_snapshots(&self) -> bool {
-        self.needs_vectors() || self.observer.wants_snapshots()
+        self.needs_vectors() || self.observer.wants_snapshots() || self.watchdog_wants_vectors()
     }
 
+    // The engine asks for both hooks before calling either, and calls
+    // `snapshot` first. When the event-local hook follows, each sink is fed
+    // by exactly one of the two: the observer and the watchdog by the
+    // vector only while they ask for it, metrics and heartbeat last.
     fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
-        self.observer.snapshot(t, clocks, queue_depth);
+        let local_follows = self.wants_local_snapshots();
+        if !local_follows || self.observer.wants_snapshots() {
+            self.observer.snapshot(t, clocks, queue_depth);
+            self.observed = local_follows;
+        }
         self.trace.snapshot(t, clocks, queue_depth);
-        self.observe_metrics(t, queue_depth);
-        self.watchdog.snapshot(t, clocks, queue_depth);
+        if !local_follows || self.watchdog_wants_vectors() {
+            self.watchdog.snapshot(t, clocks, queue_depth);
+        }
         if let Some(sf) = self.skew_field.as_mut() {
             sf.observe(t, clocks);
         }
-        // Last: a beat reports the observer's and watchdog's state after
-        // this snapshot.
-        if let Some(hb) = self.heartbeat.as_mut() {
-            let watchdog = self.watchdog.as_ref();
-            hb.snapshot(t, queue_depth, self.recorded, &self.observer, watchdog);
+        if !local_follows {
+            self.after_observation(t, queue_depth);
         }
     }
 
     fn wants_local_snapshots(&self) -> bool {
-        !self.needs_vectors() && self.observer.wants_local_snapshots()
+        !self.needs_vectors()
+            && (self.observer.wants_local_snapshots()
+                || self.watchdog.as_ref().is_some_and(|w| !w.wants_vectors()))
     }
 
     fn local_snapshot(
@@ -530,11 +558,13 @@ impl EventSink for SinkSet {
         clocks: &dyn ClockView,
         queue_depth: usize,
     ) {
-        self.observer.observe_local(t, touched, clocks);
-        self.observe_metrics(t, queue_depth);
-        if let Some(hb) = self.heartbeat.as_mut() {
-            hb.snapshot(t, queue_depth, self.recorded, &self.observer, None);
+        if !std::mem::take(&mut self.observed) {
+            self.observer.observe_local(t, touched, clocks);
         }
+        if let Some(w) = self.watchdog.as_mut().filter(|w| !w.wants_vectors()) {
+            w.observe_local(t, touched, clocks, self.observer.worst_local());
+        }
+        self.after_observation(t, queue_depth);
     }
 }
 
@@ -612,6 +642,62 @@ mod tests {
         let expected = scenario.watchdog().rate_envelope();
         let out = scenario.run("aopt", sinks, false).unwrap();
         assert_eq!(out.sinks.watchdog.unwrap().rate_envelope(), expected);
+    }
+
+    /// A heartbeat sink the test can read back.
+    #[derive(Clone, Default)]
+    struct Shared(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl Write for Shared {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn the_watchdog_leaves_every_other_sink_fed_once_per_sample() {
+        // On grid:3x3 the observer serves many samples by full-scan stints,
+        // so the engine calls both hooks at those instants while the
+        // watchdog stays event-local.
+        let run = |watchdog: bool| {
+            let scenario = Scenario::build(ScenarioSpec {
+                topology: "grid:3x3",
+                ..spec(20.0)
+            })
+            .unwrap();
+            let mut sinks = SinkSet::new(&scenario.graph);
+            sinks.metrics = Some(MetricsSink::new());
+            let beats = Shared::default();
+            sinks.heartbeat = Some(Heartbeat::new(Box::new(beats.clone()), 0.5, true));
+            if watchdog {
+                sinks.watchdog = Some(scenario.watchdog());
+            }
+            let out = scenario.run("aopt", sinks, false).unwrap();
+            let mut sinks = out.sinks;
+            let beats = String::from_utf8(beats.0.lock().unwrap().clone()).unwrap();
+            (
+                sinks.observer.observations(),
+                sinks.watchdog.map(|w| (w.snapshots(), w.wants_vectors())),
+                sinks.metrics.as_mut().unwrap().registry().to_json(),
+                beats,
+            )
+        };
+        let (observations, _, metrics, beats) = run(false);
+        let (observations_on, watchdog, metrics_on, beats_on) = run(true);
+        assert_eq!(observations_on, observations);
+        assert_eq!(watchdog, Some((observations, false)));
+        assert_eq!(metrics_on, metrics);
+        // Beats on the event-local path report the watchdog.
+        assert!(beats_on.contains("\"watchdog\":\"ok\""), "{beats_on}");
+        assert_eq!(
+            beats_on,
+            beats.replace("\"watchdog\":\"off\"", "\"watchdog\":\"ok\"")
+        );
     }
 
     #[test]

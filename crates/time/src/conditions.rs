@@ -120,6 +120,11 @@ impl EnvelopeChecker {
         }
     }
 
+    /// The node's initialization time `t_v`.
+    pub fn start_time(&self) -> f64 {
+        self.start_time
+    }
+
     /// The slack of sample `(t, logical)` against the lower and the upper
     /// envelope (negative means a violation), without recording it.
     pub fn margins(&self, t: f64, logical: f64) -> (f64, f64) {

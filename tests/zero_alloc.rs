@@ -13,9 +13,11 @@
 //! on the first observation and only re-keyed afterwards. Adding the
 //! metrics sink (`gcs run --metrics`) keeps both properties: it is fed
 //! from the same event-local hook. With the invariant watchdog attached
-//! (`gcs run --watchdog`), a healthy run's snapshots are all certified
-//! from the edge skews, so the all-pairs legal-state checker is never
-//! built and the window stays allocation-free too.
+//! (`gcs run --watchdog`), the watchdog runs event-locally too: Conditions
+//! (1)/(2) are checked at the touched nodes and re-certified in an alarm
+//! heap sized at its first sample, and Def. 5.6 holds from the observer's
+//! edge record, so the all-pairs legal-state checker is never built and
+//! the window stays allocation-free too.
 //!
 //! This file holds a single `#[test]` on purpose: the allocator count is
 //! process-global, and a sibling test thread would pollute the window.
@@ -267,8 +269,8 @@ fn steady_state_window_makes_no_heap_allocations() {
     );
 
     // `gcs run --topology grid:12x12 --watchdog` with the other `gcs run`
-    // defaults: the watchdog reads the full clock vector every event, and
-    // its Def. 5.6 check must stay on the edge certificate.
+    // defaults: the watchdog checks every event without a clock vector,
+    // and its Def. 5.6 check must stay on the edge certificate.
     let scenario = Scenario::build(ScenarioSpec {
         topology: "grid:12x12",
         eps: 0.01,
@@ -296,8 +298,10 @@ fn steady_state_window_makes_no_heap_allocations() {
 
     let watchdog = engine.sink().watchdog.as_ref().unwrap();
     let snapshots_before = watchdog.snapshots();
+    let mut vectors = 0usize;
     let before = ALLOCS.load(Ordering::Relaxed);
     for _ in 0..10_000 {
+        vectors += usize::from(engine.sink().wants_snapshots());
         engine
             .step()
             .expect("the uniform-delay fixture never drains its queue");
@@ -310,6 +314,15 @@ fn steady_state_window_makes_no_heap_allocations() {
     let watchdog = engine.sink().watchdog.as_ref().unwrap();
     assert!(!watchdog.tripped(), "{:?}", watchdog.trip());
     assert_eq!(watchdog.snapshots() - snapshots_before, 10_000);
+    assert!(
+        !watchdog.wants_vectors(),
+        "the watchdog fell back to vectors"
+    );
+    // Only the observer's full-scan stints (if any) ask for a vector.
+    assert!(
+        vectors < 1_000,
+        "{vectors} of 10 000 events built a clock vector with the watchdog on"
+    );
     assert_eq!(
         watchdog.exact_scans(),
         0,
