@@ -421,7 +421,8 @@ impl InvariantWatchdog {
     /// # Panics
     ///
     /// Panics if `clocks` does not record [`ClockView::previous_sample`]
-    /// (the engine's view does).
+    /// (the engine's view does for a sink that asks,
+    /// [`EventSink::wants_previous_sample`]).
     ///
     /// [`SkewObserver::worst_local`]: crate::SkewObserver::worst_local
     pub fn observe_local(

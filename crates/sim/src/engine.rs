@@ -118,8 +118,9 @@ struct NodeClocks<'a, P> {
     hot: &'a [HotNode],
     now: f64,
     rate_floor: f64,
-    /// The previous sample's instant and the touched nodes' clocks then.
-    previous: (f64, &'a [f64]),
+    /// The previous sample's instant and the touched nodes' clocks then,
+    /// if the sink asked for them.
+    previous: Option<(f64, &'a [f64])>,
 }
 
 impl<P: Protocol> ClockView for NodeClocks<'_, P> {
@@ -143,7 +144,7 @@ impl<P: Protocol> ClockView for NodeClocks<'_, P> {
     }
 
     fn previous_sample(&self) -> Option<(f64, &[f64])> {
-        Some(self.previous)
+        self.previous
     }
 }
 
@@ -323,7 +324,8 @@ pub struct Engine<P: Protocol, D: DelayModel, S: EventSink = NullSink> {
     clock_buf: Vec<f64>,
     /// Nodes whose clock trajectory changed since the last local snapshot
     /// (filled only while the sink wants local snapshots), and each one's
-    /// clock at `last_sample`, read before the touching event changed it.
+    /// clock at `last_sample`, read before the touching event changed it
+    /// (only while the sink also wants those).
     touched: Vec<NodeId>,
     touched_before: Vec<f64>,
     /// The instant of the last snapshot point (every processed event and
@@ -598,7 +600,8 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
                 hot: &self.nodes.hot,
                 now,
                 rate_floor: self.rate_floor(),
-                previous: (previous, &self.touched_before),
+                previous: (self.touched_before.len() == self.touched.len())
+                    .then_some((previous, &self.touched_before[..])),
             };
             self.sink
                 .local_snapshot(now, &self.touched, &clocks, self.queue.len());
@@ -617,11 +620,13 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
     #[inline]
     fn touch(&mut self, v: NodeId) {
         if self.sink.wants_local_snapshots() {
-            let i = v.index();
-            let before =
-                self.nodes.proto[i].logical_value(self.nodes.hot[i].hw.value_at(self.last_sample));
             self.touched.push(v);
-            self.touched_before.push(before);
+            if self.sink.wants_previous_sample() {
+                let i = v.index();
+                let hw = self.nodes.hot[i].hw.value_at(self.last_sample);
+                self.touched_before
+                    .push(self.nodes.proto[i].logical_value(hw));
+            }
         }
     }
 

@@ -269,7 +269,8 @@ pub trait ClockView {
     /// changed it, so bit-identical to its entry in a clock vector taken at
     /// `t₀`. Only the first entry of a repeated node is that; later ones
     /// read its state after the earlier touches. `None` (the default) for
-    /// a view that does not record them.
+    /// a view that does not record them; the engine's records them for a
+    /// sink that asks ([`EventSink::wants_previous_sample`]).
     fn previous_sample(&self) -> Option<(f64, &[f64])> {
         None
     }
@@ -323,6 +324,14 @@ pub trait EventSink {
         false
     }
 
+    /// Whether local snapshots should also carry each touched node's clock
+    /// at the previous sample ([`ClockView::previous_sample`]), at the cost
+    /// of one clock read per touch. Asked at every touch.
+    #[inline]
+    fn wants_previous_sample(&self) -> bool {
+        false
+    }
+
     /// Called at the same points as [`EventSink::snapshot`], without the
     /// `O(n)` clock vector: `touched` lists the nodes whose clock
     /// trajectory changed since the previous local snapshot (the event's
@@ -373,6 +382,9 @@ impl<S: EventSink> EventSink for Option<S> {
     }
     fn wants_local_snapshots(&self) -> bool {
         self.as_ref().is_some_and(|s| s.wants_local_snapshots())
+    }
+    fn wants_previous_sample(&self) -> bool {
+        self.as_ref().is_some_and(|s| s.wants_previous_sample())
     }
     fn local_snapshot(
         &mut self,

@@ -496,6 +496,10 @@ impl gcs_sim::EventSink for PreviousCheck {
         true
     }
 
+    fn wants_previous_sample(&self) -> bool {
+        true
+    }
+
     fn local_snapshot(
         &mut self,
         _t: f64,

@@ -406,8 +406,9 @@ impl Heartbeat {
 /// event stream and one per-event snapshot pass feed every consumer.
 ///
 /// The snapshot pass asks the engine for full clock vectors only when a
-/// consumer reads every clock (trace, skew field), the skew observer is in
-/// one of its full-scan stints, or the watchdog has fallen back to vectors.
+/// consumer reads every clock (trace, skew field, a watchdog on a graph of
+/// at most `SMALL_GRAPH` nodes plus edges or one that has fallen back to
+/// vectors) or the skew observer is in one of its full-scan stints.
 /// Otherwise — the default `gcs run` composition of observer, recorder and
 /// optional event log, heartbeat, metrics or watchdog, and every sweep and
 /// chaos job — it takes the event-local hook: the observer updates its
@@ -415,7 +416,8 @@ impl Heartbeat {
 /// lapsed certificates and takes Def. 5.6 from the observer's edge record,
 /// and the metrics and heartbeat are fed from the same call, the metrics'
 /// global skew from the observer's current extremes. When the engine calls
-/// both hooks at one instant, each consumer is fed by exactly one of them.
+/// both hooks at one instant (an observer stint beside the event-local
+/// watchdog), each consumer is fed by exactly one of them.
 pub struct SinkSet {
     /// Exact global/local skew observation (always on).
     pub observer: SkewObserver,
@@ -438,10 +440,22 @@ pub struct SinkSet {
     pub skew_field: Option<SkewFieldWriter<Box<dyn Write + Send>>>,
     /// Engine events recorded so far.
     recorded: u64,
+    /// Whether the graph is small enough (`n + m ≤` `SMALL_GRAPH`) that
+    /// the watchdog reads vectors.
+    small: bool,
     /// Set when the observer took this sample's clock vector and the
     /// event-local hook follows at the same instant.
     observed: bool,
 }
+
+/// On graphs with at most this many nodes plus edges, a scan of the clock
+/// vector costs less than the event-local certificates, and the watchdog
+/// reads vectors. Running the default `gcs run` scenario to h = 40 with
+/// the watchdog both ways in one process (minimum of 60 runs each, 2-core
+/// host), the event-local path took 1.32× as long on path:6, 1.41× on
+/// ring:12 and 1.10× on path:24 (n + m = 47), and 0.91× on path:32
+/// (n + m = 63) and 0.69× on grid:6x6.
+const SMALL_GRAPH: usize = 48;
 
 impl SinkSet {
     /// Observer and recorder only.
@@ -461,6 +475,7 @@ impl SinkSet {
             heartbeat: None,
             skew_field: None,
             recorded: 0,
+            small: graph.len() + graph.edge_count() <= SMALL_GRAPH,
             observed: false,
         }
     }
@@ -475,16 +490,21 @@ impl SinkSet {
         self.watchdog.as_ref().is_some_and(|w| w.tripped())
     }
 
-    /// Whether some consumer reads the whole clock vector every event.
+    /// Whether a trace or a skew field reads the whole clock vector every
+    /// event.
     fn needs_vectors(&self) -> bool {
         self.trace.is_some() || self.skew_field.is_some()
     }
 
-    /// Whether the watchdog takes its next sample as a clock vector.
-    fn watchdog_wants_vectors(&self) -> bool {
-        self.watchdog
-            .as_ref()
-            .is_some_and(InvariantWatchdog::wants_vectors)
+    /// Whether every sample comes as a clock vector: some consumer needs
+    /// it, or the watchdog reads vectors — on a small graph, or once it has
+    /// fallen back to them.
+    fn vectors_only(&self) -> bool {
+        self.needs_vectors()
+            || self
+                .watchdog
+                .as_ref()
+                .is_some_and(|w| self.small || w.wants_vectors())
     }
 
     /// Feeds the metrics and the heartbeat the state after an event, once
@@ -520,35 +540,37 @@ impl EventSink for SinkSet {
     }
 
     fn wants_snapshots(&self) -> bool {
-        self.needs_vectors() || self.observer.wants_snapshots() || self.watchdog_wants_vectors()
+        self.vectors_only() || self.observer.wants_snapshots()
     }
 
     // The engine asks for both hooks before calling either, and calls
-    // `snapshot` first. When the event-local hook follows, each sink is fed
-    // by exactly one of the two: the observer and the watchdog by the
-    // vector only while they ask for it, metrics and heartbeat last.
+    // `snapshot` first. Both come at one instant only while the observer
+    // is in a full-scan stint beside the event-local watchdog: the
+    // observer then takes the vector, the watchdog the local hook, and the
+    // metrics and heartbeat wait for the second call.
     fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
         let local_follows = self.wants_local_snapshots();
-        if !local_follows || self.observer.wants_snapshots() {
-            self.observer.snapshot(t, clocks, queue_depth);
-            self.observed = local_follows;
-        }
+        self.observer.snapshot(t, clocks, queue_depth);
         self.trace.snapshot(t, clocks, queue_depth);
-        if !local_follows || self.watchdog_wants_vectors() {
+        if !local_follows {
             self.watchdog.snapshot(t, clocks, queue_depth);
         }
         if let Some(sf) = self.skew_field.as_mut() {
             sf.observe(t, clocks);
         }
-        if !local_follows {
+        if local_follows {
+            self.observed = true;
+        } else {
             self.after_observation(t, queue_depth);
         }
     }
 
     fn wants_local_snapshots(&self) -> bool {
-        !self.needs_vectors()
-            && (self.observer.wants_local_snapshots()
-                || self.watchdog.as_ref().is_some_and(|w| !w.wants_vectors()))
+        !self.vectors_only() && (self.observer.wants_local_snapshots() || self.watchdog.is_some())
+    }
+
+    fn wants_previous_sample(&self) -> bool {
+        self.watchdog.is_some()
     }
 
     fn local_snapshot(
@@ -561,7 +583,7 @@ impl EventSink for SinkSet {
         if !std::mem::take(&mut self.observed) {
             self.observer.observe_local(t, touched, clocks);
         }
-        if let Some(w) = self.watchdog.as_mut().filter(|w| !w.wants_vectors()) {
+        if let Some(w) = self.watchdog.as_mut() {
             w.observe_local(t, touched, clocks, self.observer.worst_local());
         }
         self.after_observation(t, queue_depth);
@@ -661,12 +683,12 @@ mod tests {
 
     #[test]
     fn the_watchdog_leaves_every_other_sink_fed_once_per_sample() {
-        // On grid:3x3 the observer serves many samples by full-scan stints,
-        // so the engine calls both hooks at those instants while the
-        // watchdog stays event-local.
+        // The observer serves some samples by full-scan stints, so the
+        // engine calls both hooks at those instants while the watchdog
+        // stays event-local.
         let run = |watchdog: bool| {
             let scenario = Scenario::build(ScenarioSpec {
-                topology: "grid:3x3",
+                topology: "grid:6x6",
                 ..spec(20.0)
             })
             .unwrap();

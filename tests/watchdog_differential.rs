@@ -112,6 +112,10 @@ impl EventSink for Twin {
         true
     }
 
+    fn wants_previous_sample(&self) -> bool {
+        true
+    }
+
     // The engine calls `snapshot` first, then this, at the same instant.
     fn local_snapshot(
         &mut self,
