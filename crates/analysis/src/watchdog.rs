@@ -436,9 +436,7 @@ impl InvariantWatchdog {
             return;
         }
         if self.vectors {
-            let mut values = std::mem::take(&mut self.scratch);
-            values.clear();
-            values.extend((0..clocks.len()).map(|v| clocks.value(NodeId(v))));
+            let values = self.read_all(clocks);
             self.snapshot(t, &values, 0);
             self.scratch = values;
             return;
@@ -527,9 +525,7 @@ impl InvariantWatchdog {
         }
         // Fall back to vectors for the rest of the run, from this sample.
         self.vectors = true;
-        let mut values = std::mem::take(&mut self.scratch);
-        values.clear();
-        values.extend((0..clocks.len()).map(|v| clocks.value(NodeId(v))));
+        let values = self.read_all(clocks);
         for (node, &logical) in self.nodes.iter_mut().zip(&values) {
             if node.envelope.is_some() {
                 node.last = Some((t, logical));
@@ -537,6 +533,15 @@ impl InvariantWatchdog {
         }
         self.check_legal(t, &values);
         self.scratch = values;
+    }
+
+    /// Every clock, read through `clocks` into the reused vector, which the
+    /// caller puts back.
+    fn read_all(&mut self, clocks: &dyn ClockView) -> Vec<f64> {
+        let mut values = std::mem::take(&mut self.scratch);
+        values.clear();
+        values.extend((0..clocks.len()).map(|v| clocks.value(NodeId(v))));
+        values
     }
 
     /// The last sample time through which `node`, read at `L = logical`
