@@ -21,11 +21,14 @@
 //! n = 4096 ratio. The `gcs_run_sinks_metrics_n4096` row adds the metrics
 //! sink (`gcs run --metrics`), which the set feeds from the same
 //! event-local hook; CI gates it at the same bound, so metrics cannot
-//! quietly go back to a per-event clock vector.
+//! quietly go back to a per-event clock vector. The
+//! `gcs_run_sinks_watchdog` rows at n = 1024 and n = 4096 add the
+//! invariant watchdog (`gcs run --watchdog`), which the set also feeds
+//! event-locally: its cost per event must not grow with n either.
 
 use criterion::{BatchSize, Criterion};
 use gcs_adversary::WavefrontDelay;
-use gcs_analysis::{JsonlWriter, MetricsSink};
+use gcs_analysis::{InvariantWatchdog, JsonlWriter, MetricsSink};
 use gcs_bench::BenchReport;
 use gcs_core::{AOpt, Params};
 use gcs_graph::{topology, NodeId};
@@ -255,27 +258,36 @@ fn recorder_steady_ratio(n: usize, window: u64, reps: usize) -> f64 {
 /// the recorder's, with the default `gcs run` sink set on the default
 /// `gcs run` scenario.
 fn gcs_run_sinks_steady_ratio(n: usize, window: u64, reps: usize) -> f64 {
-    sink_set_steady_ratio(n, window, reps, false)
+    let set = SinkSet::new(&topology::path(n));
+    sink_set_steady_ratio(n, window, reps, set, "gcs run sinks")
 }
 
 /// The `gcs_run_sinks_metrics` row: the `gcs_run_sinks` measurement with
 /// the metrics sink added (`gcs run --metrics`), which the set feeds
 /// event-locally.
 fn gcs_run_sinks_metrics_steady_ratio(n: usize, window: u64, reps: usize) -> f64 {
-    sink_set_steady_ratio(n, window, reps, true)
+    let mut set = SinkSet::new(&topology::path(n));
+    set.metrics = Some(MetricsSink::new());
+    sink_set_steady_ratio(n, window, reps, set, "gcs run sinks + metrics")
 }
 
-fn sink_set_steady_ratio(n: usize, window: u64, reps: usize, metrics: bool) -> f64 {
-    let mut set = SinkSet::new(&topology::path(n));
-    set.metrics = metrics.then(MetricsSink::new);
-    let what = if metrics {
-        "gcs run sinks + metrics"
-    } else {
-        "gcs run sinks"
-    };
+/// The `gcs_run_sinks_watchdog` rows: the `gcs_run_sinks` measurement with
+/// the invariant watchdog added (`gcs run --watchdog`), which the set
+/// feeds event-locally.
+fn gcs_run_sinks_watchdog_steady_ratio(n: usize, window: u64, reps: usize) -> f64 {
+    let graph = topology::path(n);
+    let mut set = SinkSet::new(&graph);
+    let params = Params::recommended(0.01, 0.1).unwrap();
+    let drift = gcs_time::DriftBounds::new(0.01).unwrap();
+    set.watchdog = Some(InvariantWatchdog::new(&graph, params, drift));
+    sink_set_steady_ratio(n, window, reps, set, "gcs run sinks + watchdog")
+}
+
+fn sink_set_steady_ratio(n: usize, window: u64, reps: usize, set: SinkSet, what: &str) -> f64 {
     let mut base = gcs_run_engine(n, NullSink);
     let mut sinks = gcs_run_engine(n, set);
     let ratio = paired_steady_ratio(&mut base, &mut sinks, window, reps, what, n);
+    assert!(!sinks.sink().tripped(), "{what}: the watchdog tripped");
     criterion::black_box(sinks.sink().observer.worst_global());
     ratio
 }
@@ -418,6 +430,14 @@ fn main() {
     report.metric(
         "overhead_ratio/gcs_run_sinks_metrics_n4096",
         best_of(gcs_run_sinks_metrics_steady_ratio, N_LARGE, 5_000, 75),
+    );
+    report.metric(
+        "overhead_ratio/gcs_run_sinks_watchdog",
+        best_of(gcs_run_sinks_watchdog_steady_ratio, 1024, 5_000, 75),
+    );
+    report.metric(
+        "overhead_ratio/gcs_run_sinks_watchdog_n4096",
+        best_of(gcs_run_sinks_watchdog_steady_ratio, N_LARGE, 5_000, 75),
     );
     match report.write() {
         Ok(path) => println!("machine-readable results written to {path}"),
