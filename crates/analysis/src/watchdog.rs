@@ -80,8 +80,9 @@
 //! * Condition (1): each margin is within `(δ + u)A + 3.02u·R₁` of an
 //!   affine function, `R₁ = (m + M)(|t_c| + |T|) + m|t_v|` bounding the
 //!   rate-times-time terms. Both computed margins at `t_c` and at `T` must
-//!   reach `−tol + ρA + σ(R₁ + tol)`, which leaves the interior `2(δ + u)A
-//!   + 6.04u·R₁ + u·tol` to spare, less than the charge.
+//!   reach the floor `−tol + ρA + σ(R₁ + tol)`. A sample inside can read
+//!   at most `2(δ + u)A + 6.04u·R₁ + u·tol` below the ends (rounding at an
+//!   end, at the sample and of the floor), less than the floor's charge.
 //! * Condition (2): over `W = T − t_c`, the computed window increment's
 //!   margins `(X, Y)` bound the slope's: `(s − α)D ≥ min(0, X) − 2δA` for
 //!   every pair `D ≤ W` inside, and a sample pair's own rounding costs at
@@ -95,7 +96,8 @@
 //! the watchdog back to vectors for the rest of the run, as does the first
 //! edge record past `τ`. Either switch checks the current sample's
 //! Definition 5.6 on the vector read through the view, and seeds every
-//! node's previous sample with it.
+//! node's previous sample with it. A vector sample, which the certificates
+//! do not see, switches the watchdog to vectors as well.
 //!
 //! On the first violation the watchdog *trips*: it freezes a
 //! [`WatchdogTrip`] carrying the violation and the last `N` engine events
