@@ -241,12 +241,6 @@ impl FaultClause {
         self.start <= now && now < self.end
     }
 
-    /// Whether the clause acts on message delivery (everything except
-    /// `rate`, which acts on hardware clocks).
-    pub fn is_delay_layer(&self) -> bool {
-        !matches!(self.kind, FaultKind::Rate { .. })
-    }
-
     /// Whether a watchdog violation under this clause is *expected* — i.e.
     /// the clause breaks an assumption the paper's guarantees rest on
     /// (delays within `[0, 𝒯]`, rates within `[1−ε, 1+ε]`, connectivity),

@@ -3,7 +3,8 @@
 use std::io::Write as _;
 use std::path::Path;
 
-use gcs_sim::{DelayModel, Engine, EngineEvent, EventSink, Protocol};
+use gcs_graph::NodeId;
+use gcs_sim::{ClockView, DelayModel, Engine, EngineEvent, EventSink, Protocol};
 
 /// Records every node's logical clock (and its offset from real time) on a
 /// fixed sampling grid, for CSV export.
@@ -66,15 +67,20 @@ impl ClockTrace {
         self.observe_clocks(engine.now(), &engine.logical_values());
     }
 
-    /// Records a clock vector sampled at time `t` (e.g. from an
-    /// [`EventSink::snapshot`] callback) if the sampling grid is due.
+    /// Records a clock vector sampled at time `t` if the sampling grid is
+    /// due.
     pub fn observe_clocks(&mut self, t: f64, clocks: &[f64]) {
-        if t + 1e-12 < self.next_sample {
+        if !self.due(t) {
             return;
         }
         debug_assert_eq!(clocks.len(), self.n);
         self.rows.push((t, clocks.to_vec()));
         self.next_sample = t + self.interval;
+    }
+
+    /// Whether a sample at `t` records a row.
+    fn due(&self, t: f64) -> bool {
+        t + 1e-12 >= self.next_sample
     }
 
     /// Number of recorded rows.
@@ -120,8 +126,8 @@ impl ClockTrace {
     }
 }
 
-/// As a sink, the trace ignores the event stream and samples rows from the
-/// per-event snapshots (decimated to its grid).
+/// As a sink, the trace ignores the event stream and samples rows on its
+/// grid, reading the clock vector only at the samples that record one.
 impl EventSink for ClockTrace {
     fn enabled(&self) -> bool {
         false
@@ -133,8 +139,10 @@ impl EventSink for ClockTrace {
         true
     }
 
-    fn snapshot(&mut self, t: f64, clocks: &[f64], _queue_depth: usize) {
-        self.observe_clocks(t, clocks);
+    fn sample(&mut self, t: f64, _touched: &[NodeId], clocks: &dyn ClockView, _queue_depth: usize) {
+        if self.due(t) {
+            self.observe_clocks(t, clocks.values());
+        }
     }
 }
 

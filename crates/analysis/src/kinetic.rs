@@ -777,6 +777,10 @@ mod tests {
             self.value_at(v, self.now)
         }
 
+        fn values(&self) -> &[f64] {
+            unreachable!("the certificates read clocks one at a time")
+        }
+
         fn value_at(&self, v: NodeId, t: f64) -> f64 {
             self.l0[v.index()] + self.slope[v.index()] * t
         }

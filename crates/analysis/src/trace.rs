@@ -117,8 +117,8 @@ impl SkewObserver {
         self.scratch = clocks;
     }
 
-    /// Records a clock vector sampled at time `t` (e.g. from an
-    /// [`EventSink::snapshot`] callback): a full `O(n + m)` scan.
+    /// Records a clock vector sampled at time `t` (e.g. a sample's
+    /// [`ClockView::values`]): a full `O(n + m)` scan.
     pub fn observe_clocks(&mut self, t: f64, clocks: &[f64]) {
         if let Some(kinetic) = self.kinetic.as_mut() {
             // The event-local state did not see the events behind this
@@ -168,7 +168,7 @@ impl SkewObserver {
     }
 
     /// Records the state after an event at time `t` that changed the clock
-    /// trajectories of `touched` (see [`EventSink::local_snapshot`]),
+    /// trajectories of `touched` (see [`EventSink::sample`]),
     /// reading clocks lazily from `clocks`. Costs `O(log n)` per touched
     /// node, incident edge and expired certificate instead of a scan, and
     /// reports exactly what [`SkewObserver::observe_clocks`] would on the
@@ -179,9 +179,9 @@ impl SkewObserver {
     /// graphs, high-degree hubs, clocks still fanning out from a common
     /// start — the observer notices (over each window of 64 observations
     /// it re-examined more than `(n + m) / 12` certificates per
-    /// observation) and serves the following observations by reading
-    /// every clock and scanning, for a stint that doubles while the
-    /// event-local path keeps losing. Both ways give the same results;
+    /// observation) and serves the following observations by scanning the
+    /// clock vector ([`ClockView::values`]), for a stint that doubles while
+    /// the event-local path keeps losing. Both ways give the same results;
     /// only the cost differs.
     ///
     /// Every event since the previous observation must be accounted for in
@@ -190,11 +190,7 @@ impl SkewObserver {
         let n = clocks.len();
         if n == 0 || self.scan_left > 0 {
             self.scan_left = self.scan_left.saturating_sub(1);
-            let mut values = std::mem::take(&mut self.scratch);
-            values.clear();
-            values.extend((0..n).map(|v| clocks.value(NodeId(v))));
-            self.observe_clocks(t, &values);
-            self.scratch = values;
+            self.observe_clocks(t, clocks.values());
             return;
         }
         self.observations += 1;
@@ -289,35 +285,17 @@ impl SkewObserver {
 }
 
 /// As a sink, the observer ignores the event stream and observes exact
-/// skew after every event: event-locally, except during a full-scan stint
-/// (see [`SkewObserver::observe_local`]), when it asks the engine for the
-/// clock vector instead — the engine builds it more cheaply than a scan
-/// through a [`ClockView`] reads it.
+/// skew after every event ([`SkewObserver::observe_local`]).
 impl EventSink for SkewObserver {
     fn enabled(&self) -> bool {
         false
     }
 
     fn wants_snapshots(&self) -> bool {
-        self.scan_left > 0
+        true
     }
 
-    fn snapshot(&mut self, t: f64, clocks: &[f64], _queue_depth: usize) {
-        self.scan_left = self.scan_left.saturating_sub(1);
-        self.observe_clocks(t, clocks);
-    }
-
-    fn wants_local_snapshots(&self) -> bool {
-        self.scan_left == 0
-    }
-
-    fn local_snapshot(
-        &mut self,
-        t: f64,
-        touched: &[NodeId],
-        clocks: &dyn ClockView,
-        _queue_depth: usize,
-    ) {
+    fn sample(&mut self, t: f64, touched: &[NodeId], clocks: &dyn ClockView, _queue_depth: usize) {
         self.observe_local(t, touched, clocks);
     }
 }
@@ -363,6 +341,9 @@ mod tests {
         slope: Vec<f64>,
         now: f64,
         floor: f64,
+        /// The clock vector, built at its first read; reset it when the
+        /// clocks change.
+        vector: std::cell::OnceCell<Vec<f64>>,
     }
 
     impl Lines {
@@ -374,6 +355,7 @@ mod tests {
                 slope: vec![slope; n],
                 now: 0.0,
                 floor,
+                vector: std::cell::OnceCell::new(),
             }
         }
     }
@@ -385,6 +367,11 @@ mod tests {
 
         fn value(&self, v: NodeId) -> f64 {
             self.value_at(v, self.now)
+        }
+
+        fn values(&self) -> &[f64] {
+            self.vector
+                .get_or_init(|| (0..self.len()).map(|v| self.value(NodeId(v))).collect())
         }
 
         fn value_at(&self, v: NodeId, t: f64) -> f64 {
@@ -617,6 +604,7 @@ mod tests {
         let mut stints = 0;
         for step in 1..=2000 {
             lines.now = step as f64 * 0.01;
+            lines.vector.take();
             let clocks: Vec<f64> = (0..n).map(|v| lines.value(NodeId(v))).collect();
             full.observe_clocks(lines.now, &clocks);
             let scanning = local.scan_left > 0;

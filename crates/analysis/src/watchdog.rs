@@ -95,9 +95,9 @@
 //! reach at clocks of about `tol/(2ρ) ≈ 1100`; a node read past that sends
 //! the watchdog back to vectors for the rest of the run, as does the first
 //! edge record past `τ`. Either switch checks the current sample's
-//! Definition 5.6 on the vector read through the view, and seeds every
-//! node's previous sample with it. A vector sample, which the certificates
-//! do not see, switches the watchdog to vectors as well.
+//! Definition 5.6 on the view's clock vector ([`ClockView::values`]), and
+//! seeds every node's previous sample with it. A vector sample, which the
+//! certificates do not see, switches the watchdog to vectors as well.
 //!
 //! On the first violation the watchdog *trips*: it freezes a
 //! [`WatchdogTrip`] carrying the violation and the last `N` engine events
@@ -300,9 +300,6 @@ pub struct InvariantWatchdog {
     /// Set once the watchdog reads clock vectors: a vector snapshot, or the
     /// event-local path's fallback. It never goes back.
     vectors: bool,
-    /// The clock vector the event-local path reads through a view when it
-    /// falls back.
-    scratch: Vec<f64>,
     ring: RingBufferSink,
     trip: Option<Box<WatchdogTrip>>,
     snapshots: u64,
@@ -346,7 +343,6 @@ impl InvariantWatchdog {
             legal: None,
             local: None,
             vectors: false,
-            scratch: Vec::new(),
             ring: RingBufferSink::new(ring_capacity),
             trip: None,
             snapshots: 0,
@@ -406,7 +402,7 @@ impl InvariantWatchdog {
     }
 
     /// Checks the state after an event at time `t` that changed the clock
-    /// trajectories of `touched` (see [`EventSink::local_snapshot`]),
+    /// trajectories of `touched` (see [`EventSink::sample`]),
     /// reading clocks lazily from `clocks`, where `worst_local` is the
     /// largest edge skew `|L_a − L_b|` any sample so far showed, this one
     /// included ([`SkewObserver::worst_local`] of an observer fed the same
@@ -417,8 +413,8 @@ impl InvariantWatchdog {
     ///
     /// Every event since the previous sample must be accounted for in
     /// `touched`, and every sample must come through here until
-    /// [`InvariantWatchdog::wants_vectors`]; after that this reads the
-    /// vector through `clocks`.
+    /// [`InvariantWatchdog::wants_vectors`]; after that this reads
+    /// [`ClockView::values`].
     ///
     /// # Panics
     ///
@@ -438,9 +434,7 @@ impl InvariantWatchdog {
             return;
         }
         if self.vectors {
-            let values = self.read_all(clocks);
-            self.snapshot(t, &values, 0);
-            self.scratch = values;
+            self.snapshot(t, clocks.values(), 0);
             return;
         }
         self.snapshots += 1;
@@ -527,23 +521,13 @@ impl InvariantWatchdog {
         }
         // Fall back to vectors for the rest of the run, from this sample.
         self.vectors = true;
-        let values = self.read_all(clocks);
-        for (node, &logical) in self.nodes.iter_mut().zip(&values) {
+        let values = clocks.values();
+        for (node, &logical) in self.nodes.iter_mut().zip(values) {
             if node.envelope.is_some() {
                 node.last = Some((t, logical));
             }
         }
-        self.check_legal(t, &values);
-        self.scratch = values;
-    }
-
-    /// Every clock, read through `clocks` into the reused vector, which the
-    /// caller puts back.
-    fn read_all(&mut self, clocks: &dyn ClockView) -> Vec<f64> {
-        let mut values = std::mem::take(&mut self.scratch);
-        values.clear();
-        values.extend((0..clocks.len()).map(|v| clocks.value(NodeId(v))));
-        values
+        self.check_legal(t, values);
     }
 
     /// The last sample time through which `node`, read at `L = logical`
@@ -852,6 +836,10 @@ mod tests {
 
         fn value(&self, v: NodeId) -> f64 {
             self.value_at(v, self.now)
+        }
+
+        fn values(&self) -> &[f64] {
+            unreachable!("a certificate reads its one clock")
         }
 
         fn value_at(&self, _v: NodeId, t: f64) -> f64 {

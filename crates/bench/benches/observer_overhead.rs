@@ -20,7 +20,7 @@
 //! not grow with n the way a per-event `O(n)` clock scan does; CI gates the
 //! n = 4096 ratio. The `gcs_run_sinks_metrics_n4096` row adds the metrics
 //! sink (`gcs run --metrics`), which the set feeds from the same
-//! event-local hook; CI gates it at the same bound, so metrics cannot
+//! event-local sample; CI gates it at the same bound, so metrics cannot
 //! quietly go back to a per-event clock vector. The
 //! `gcs_run_sinks_watchdog` rows at n = 1024 and n = 4096 add the
 //! invariant watchdog (`gcs run --watchdog`), which the set also feeds

@@ -9,6 +9,7 @@ use crate::profile::EngineProfile;
 use crate::protocol::{Action, Context, Protocol, TimerId};
 use crate::queue::EventQueue;
 use crate::sink::{ClockView, EngineEvent, EventSink, NullSink};
+use std::cell::{Cell, OnceCell};
 use std::time::Instant;
 
 /// Counters over the messages exchanged in an execution.
@@ -102,10 +103,12 @@ struct Nodes<P: Protocol> {
     cold: Vec<ColdNode<P::Msg>>,
 }
 
-/// The [`ClockView`] lent to [`EventSink::local_snapshot`]: evaluates a
-/// node's clock on demand with the same `proto.logical_value(hw.value_at(t))`
-/// expression the snapshot vector uses, so `value(v)` matches the vector
-/// entry bit for bit.
+/// The [`ClockView`] lent to [`EventSink::sample`]: evaluates a node's
+/// clock on demand with the same `proto.logical_value(hw.value_at(t))`
+/// expression [`Engine::logical_values_into`] uses, so `value(v)` matches
+/// the vector entry bit for bit. The vector itself is built at the first
+/// [`ClockView::values`] call of the sample, into the engine's reused
+/// buffer.
 ///
 /// Its rate floor is [`Engine::rate_floor`]. The affinity it then promises
 /// ([`ClockView::rate_floor`]) follows from the clock's form: with unit
@@ -121,6 +124,18 @@ struct NodeClocks<'a, P> {
     /// The previous sample's instant and the touched nodes' clocks then,
     /// if the sink asked for them.
     previous: Option<(f64, &'a [f64])>,
+    /// The engine's clock buffer until [`ClockView::values`] fills it.
+    buf: Cell<Vec<f64>>,
+    values: OnceCell<Vec<f64>>,
+}
+
+impl<P: Protocol> NodeClocks<'_, P> {
+    /// The clock buffer, to hand back to the engine.
+    fn into_buf(self) -> Vec<f64> {
+        self.values
+            .into_inner()
+            .unwrap_or_else(|| self.buf.into_inner())
+    }
 }
 
 impl<P: Protocol> ClockView for NodeClocks<'_, P> {
@@ -131,6 +146,14 @@ impl<P: Protocol> ClockView for NodeClocks<'_, P> {
     #[inline]
     fn value(&self, v: NodeId) -> f64 {
         self.value_at(v, self.now)
+    }
+
+    fn values(&self) -> &[f64] {
+        self.values.get_or_init(|| {
+            let mut buf = self.buf.take();
+            logical_values_into(self.protos, self.hot, self.now, &mut buf);
+            buf
+        })
     }
 
     #[inline]
@@ -146,6 +169,17 @@ impl<P: Protocol> ClockView for NodeClocks<'_, P> {
     fn previous_sample(&self) -> Option<(f64, &[f64])> {
         self.previous
     }
+}
+
+/// Overwrites `out` with every node's logical clock at `now`.
+fn logical_values_into<P: Protocol>(protos: &[P], hot: &[HotNode], now: f64, out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(
+        protos
+            .iter()
+            .zip(hot)
+            .map(|(p, h)| p.logical_value(h.hw.value_at(now))),
+    );
 }
 
 impl<P: Protocol> Nodes<P> {
@@ -198,7 +232,7 @@ impl<P: Protocol, D: DelayModel, S: EventSink> EngineBuilder<P, D, S> {
     }
 
     /// Installs an [`EventSink`] that receives every engine transition (and
-    /// per-event state snapshots if it asks for them). Defaults to
+    /// per-event state samples if it asks for them). Defaults to
     /// [`NullSink`], which compiles to the uninstrumented engine.
     pub fn event_sink<S2: EventSink>(self, sink: S2) -> EngineBuilder<P, D, S2> {
         EngineBuilder {
@@ -320,21 +354,21 @@ pub struct Engine<P: Protocol, D: DelayModel, S: EventSink = NullSink> {
     nodes: Nodes<P>,
     stats: MessageStats,
     sink: S,
-    /// Scratch buffer for per-event logical-clock snapshots.
+    /// Reused buffer of the clock vector a sample builds on demand.
     clock_buf: Vec<f64>,
-    /// Nodes whose clock trajectory changed since the last local snapshot
-    /// (filled only while the sink wants local snapshots), and each one's
+    /// Nodes whose clock trajectory changed since the last sample (filled
+    /// only while the sink wants samples), and each one's
     /// clock at `last_sample`, read before the touching event changed it
     /// (only while the sink also wants those).
     touched: Vec<NodeId>,
     touched_before: Vec<f64>,
-    /// The instant of the last snapshot point (every processed event and
-    /// horizon), whether or not the sink took a snapshot there.
+    /// The instant of the last sampling point (every processed event and
+    /// horizon), whether or not the sink took a sample there.
     last_sample: f64,
     /// The smallest [`Protocol::min_rate_multiplier`] over the nodes, and
     /// the smallest hardware rate any node runs at (its schedules and
     /// [`Engine::set_hardware_rate`] overrides); their product is the rate
-    /// floor local snapshots report.
+    /// floor samples report.
     multiplier_floor: f64,
     min_rate: f64,
     /// Reusable action buffer lent to each protocol handler's [`Context`]
@@ -412,15 +446,6 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
         self.nodes.hot[v.index()].hw.value_at(self.now)
     }
 
-    /// The current hardware rate of `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not yet initialized.
-    pub fn hardware_rate(&self, v: NodeId) -> f64 {
-        self.nodes.hot[v.index()].hw.rate()
-    }
-
     /// The logical-clock reading `L_v(now)`.
     pub fn logical_value(&self, v: NodeId) -> f64 {
         let hw = self.hardware_value(v);
@@ -438,15 +463,7 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
     /// [`Engine::logical_values`] without the allocation once `out` has
     /// grown to the node count.
     pub fn logical_values_into(&self, out: &mut Vec<f64>) {
-        let now = self.now;
-        out.clear();
-        out.extend(
-            self.nodes
-                .proto
-                .iter()
-                .zip(&self.nodes.hot)
-                .map(|(p, h)| p.logical_value(h.hw.value_at(now))),
-        );
+        logical_values_into(&self.nodes.proto, &self.nodes.hot, self.now, out);
     }
 
     /// Whether node `v` has been initialized.
@@ -496,8 +513,8 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
         self.reschedule_pending(v);
     }
 
-    /// The lower bound on every running logical clock's rate that local
-    /// snapshots report ([`ClockView::rate_floor`]): the smallest declared
+    /// The lower bound on every running logical clock's rate that samples
+    /// report ([`ClockView::rate_floor`]): the smallest declared
     /// [`Protocol::min_rate_multiplier`] times the smallest hardware rate
     /// so far, `0` on an empty graph.
     pub fn rate_floor(&self) -> f64 {
@@ -512,11 +529,6 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
     /// Time of the next queued event, if any.
     pub fn next_event_time(&self) -> Option<f64> {
         self.queue.peek_time()
-    }
-
-    /// Number of events currently queued (live and superseded entries).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
     }
 
     /// Processes the single next event (regardless of horizon); returns its
@@ -555,9 +567,8 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
     ///
     /// New code should prefer installing an [`EventSink`] with
     /// [`EngineBuilder::event_sink`] — sinks see the same per-event cadence
-    /// through [`EventSink::snapshot`] or [`EventSink::local_snapshot`]
-    /// without borrowing the engine, and a local sink is not handed an
-    /// `O(n)` clock vector it may not need.
+    /// through [`EventSink::sample`] without borrowing the engine, and
+    /// build the `O(n)` clock vector only when they read it.
     pub fn run_until_observed(&mut self, t: f64, mut observer: impl FnMut(&Self)) {
         assert!(t >= self.now, "cannot run backwards");
         while let Some(next) = self.next_event_time() {
@@ -577,37 +588,28 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
     // ------------------------------------------------------------------
 
     /// Reports the post-event state to the sink, if it wants state: the
-    /// full clock vector, the touched nodes with a lazy [`ClockView`], or
-    /// both.
+    /// touched nodes and a lazy [`ClockView`].
     fn maybe_snapshot(&mut self) {
         let previous = std::mem::replace(&mut self.last_sample, self.now);
-        let full = self.sink.wants_snapshots();
-        let local = self.sink.wants_local_snapshots();
-        if !full && !local {
+        if !self.sink.wants_snapshots() {
             return;
         }
         let started = self.profile.as_ref().map(|_| Instant::now());
-        let now = self.now;
-        if full {
-            let mut buf = std::mem::take(&mut self.clock_buf);
-            self.logical_values_into(&mut buf);
-            self.sink.snapshot(now, &buf, self.queue.len());
-            self.clock_buf = buf;
-        }
-        if local {
-            let clocks = NodeClocks {
-                protos: &self.nodes.proto,
-                hot: &self.nodes.hot,
-                now,
-                rate_floor: self.rate_floor(),
-                previous: (self.touched_before.len() == self.touched.len())
-                    .then_some((previous, &self.touched_before[..])),
-            };
-            self.sink
-                .local_snapshot(now, &self.touched, &clocks, self.queue.len());
-            self.touched.clear();
-            self.touched_before.clear();
-        }
+        let clocks = NodeClocks {
+            protos: &self.nodes.proto,
+            hot: &self.nodes.hot,
+            now: self.now,
+            rate_floor: self.rate_floor(),
+            previous: (self.touched_before.len() == self.touched.len())
+                .then_some((previous, &self.touched_before[..])),
+            buf: Cell::new(std::mem::take(&mut self.clock_buf)),
+            values: OnceCell::new(),
+        };
+        self.sink
+            .sample(self.now, &self.touched, &clocks, self.queue.len());
+        self.clock_buf = clocks.into_buf();
+        self.touched.clear();
+        self.touched_before.clear();
         if let (Some(profile), Some(started)) = (self.profile.as_deref_mut(), started) {
             profile.snapshot += started.elapsed();
             profile.snapshots += 1;
@@ -615,11 +617,11 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
     }
 
     /// Notes that `v`'s clock trajectory is about to change, for the next
-    /// local snapshot: call it before the change, so it can read `v`'s
-    /// clock at the last sample under the state that sample saw.
+    /// sample: call it before the change, so it can read `v`'s clock at the
+    /// last sample under the state that sample saw.
     #[inline]
     fn touch(&mut self, v: NodeId) {
-        if self.sink.wants_local_snapshots() {
+        if self.sink.wants_snapshots() {
             self.touched.push(v);
             if self.sink.wants_previous_sample() {
                 let i = v.index();

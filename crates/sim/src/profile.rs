@@ -7,10 +7,9 @@
 //!   `on_message`, `on_timer`);
 //! * **delay** — time inside the delay model's `delivery` sampling;
 //! * **snapshot** — time spent on per-event state observation by the
-//!   installed event sink: building the clock vector and running
-//!   [`EventSink::snapshot`](crate::EventSink::snapshot), and/or running
-//!   the event-local [`EventSink::local_snapshot`](crate::EventSink::local_snapshot)
-//!   (for the default `gcs run` sinks, the skew observer's certificate
+//!   installed event sink: running [`EventSink::sample`](crate::EventSink::sample),
+//!   including the clock vector it builds if it reads one (for the
+//!   default `gcs run` sinks, mostly the skew observer's certificate
 //!   upkeep);
 //! * everything else (queue operations, clock arithmetic, sink records)
 //!   is the residual of the total dispatch time.
@@ -38,11 +37,11 @@ pub struct EngineProfile {
     pub delay: Duration,
     /// Delay-model samples taken.
     pub delay_calls: u64,
-    /// Wall-time in per-event sink observation: full snapshots (vector
-    /// build plus the sink's call) and event-local snapshots.
+    /// Wall-time in per-event sink observation: the sink's
+    /// [`EventSink::sample`](crate::EventSink::sample) call, with any clock
+    /// vector it builds.
     pub snapshot: Duration,
-    /// Observation points delivered to the sink (one per event plus one
-    /// per horizon, whichever snapshot kinds it takes).
+    /// Samples delivered to the sink (one per event plus one per horizon).
     pub snapshots: u64,
     /// Stale `HwDue` queue entries skipped (superseded by a later insert or
     /// a rate-change re-stamp) — included in `events`.

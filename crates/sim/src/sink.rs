@@ -17,18 +17,14 @@
 //! `observer_overhead` micro-benchmark).
 //!
 //! Sinks that need *state* rather than *transitions* (skew observers,
-//! invariant watchdogs) additionally implement
-//! [`EventSink::snapshot`], which the engine calls after each processed
-//! event with the exact logical clock values — but only when
-//! [`EventSink::wants_snapshots`] returns `true`, because computing the
-//! clock vector costs `O(n)` per event.
-//!
-//! Sinks whose state can be maintained incrementally implement
-//! [`EventSink::local_snapshot`] instead (opted into by
-//! [`EventSink::wants_local_snapshots`]): after each processed event the
-//! engine names the nodes whose clock trajectory the event changed and
-//! lends a lazy [`ClockView`], so the per-event cost is whatever the sink
-//! chooses to read rather than `O(n)`.
+//! invariant watchdogs, clock traces) also implement [`EventSink::sample`],
+//! which the engine calls after each processed event while
+//! [`EventSink::wants_snapshots`] returns `true`. It names the nodes whose
+//! clock trajectory the event changed and lends a lazy [`ClockView`], so a
+//! sample costs whatever the sink reads: `O(deg)` for an event-local sink,
+//! `O(n)` only for one that asks for the whole clock vector
+//! ([`ClockView::values`]). A sink that always wants the vector implements
+//! [`EventSink::snapshot`] instead, which the default `sample` feeds.
 
 use gcs_graph::NodeId;
 
@@ -218,8 +214,8 @@ pub const KIND_LABELS: [&str; KIND_COUNT] = [
     "multiplier",
 ];
 
-/// Lazy access to every node's logical clock at the instant of a
-/// [`EventSink::local_snapshot`].
+/// Lazy access to every node's logical clock at the instant of an
+/// [`EventSink::sample`].
 ///
 /// Between two events of node `v`, `L_v` is a fixed function of real time
 /// (its hardware clock runs at a fixed rate and its protocol state does not
@@ -239,9 +235,13 @@ pub trait ClockView {
         self.len() == 0
     }
 
-    /// `L_v(now)` — bit-identical to entry `v` of the clock vector
-    /// [`EventSink::snapshot`] would have received at this instant.
+    /// `L_v(now)` — bit-identical to entry `v` of [`ClockView::values`].
     fn value(&self, v: NodeId) -> f64;
+
+    /// Every node's clock at this instant, indexed by node. The engine's
+    /// view builds the vector at the first call of a sample, `O(n)`, and
+    /// hands the same one to every later call of that sample.
+    fn values(&self) -> &[f64];
 
     /// `L_v(t)` for `t ≥ now`, extrapolated under `v`'s current state. A
     /// node no event touched since the previous sample may also be read
@@ -263,7 +263,7 @@ pub trait ClockView {
         0.0
     }
 
-    /// The previous sample's instant `t₀` (the engine's last snapshot
+    /// The previous sample's instant `t₀` (the engine's last sampling
     /// point) and, for each entry of the `touched` list passed with this
     /// view, that node's clock at `t₀`: read before the touching event
     /// changed it, so bit-identical to its entry in a clock vector taken at
@@ -277,7 +277,7 @@ pub trait ClockView {
 }
 
 /// Receiver of engine transitions (and, optionally, post-event state
-/// snapshots).
+/// samples).
 ///
 /// All methods have no-op defaults, so a sink implements only what it
 /// needs.
@@ -297,58 +297,46 @@ pub trait EventSink {
         let _ = event;
     }
 
-    /// Whether the sink wants [`EventSink::snapshot`] calls (they cost an
-    /// `O(n)` clock evaluation per processed event).
+    /// Whether the sink wants [`EventSink::sample`] calls.
+    ///
+    /// The engine asks before every sample. Touches are recorded only while
+    /// this is `true`: a sink that turns it back on has missed the touches
+    /// in between and must not trust state it built before.
     #[inline]
     fn wants_snapshots(&self) -> bool {
         false
     }
 
-    /// Called after each processed event — and once at the end of every
-    /// [`Engine::run_until`](crate::Engine::run_until) horizon — with the
-    /// exact logical clock values of all nodes and the current event-queue
-    /// depth.
-    #[inline]
-    fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
-        let _ = (t, clocks, queue_depth);
-    }
-
-    /// Whether the sink wants [`EventSink::local_snapshot`] calls.
-    ///
-    /// The engine asks before every observation, so a sink may switch
-    /// between the two snapshot kinds mid-run. Touches are recorded only
-    /// while this is `true`: a sink that turns it back on has missed the
-    /// touches in between and must not trust state it built before.
-    #[inline]
-    fn wants_local_snapshots(&self) -> bool {
-        false
-    }
-
-    /// Whether local snapshots should also carry each touched node's clock
-    /// at the previous sample ([`ClockView::previous_sample`]), at the cost
-    /// of one clock read per touch. Asked at every touch.
+    /// Whether samples should also carry each touched node's clock at the
+    /// previous sample ([`ClockView::previous_sample`]), at the cost of one
+    /// clock read per touch. Asked at every touch.
     #[inline]
     fn wants_previous_sample(&self) -> bool {
         false
     }
 
-    /// Called at the same points as [`EventSink::snapshot`], without the
-    /// `O(n)` clock vector: `touched` lists the nodes whose clock
-    /// trajectory changed since the previous local snapshot (the event's
-    /// home node, plus any [`Engine::set_hardware_rate`] target; possibly
-    /// with repeats, and empty for stale queue entries and the horizon
-    /// pass), and `clocks` reads any node's clock on demand.
+    /// Called after each processed event — and once at the end of every
+    /// [`Engine::run_until`](crate::Engine::run_until) horizon — with the
+    /// current event-queue depth: `touched` lists the nodes whose clock
+    /// trajectory changed since the previous sample (the event's home
+    /// node, plus any [`Engine::set_hardware_rate`] target; possibly with
+    /// repeats, and empty for stale queue entries and the horizon pass),
+    /// and `clocks` reads any node's clock, or all of them, on demand.
+    ///
+    /// The default hands the whole clock vector to [`EventSink::snapshot`].
     ///
     /// [`Engine::set_hardware_rate`]: crate::Engine::set_hardware_rate
     #[inline]
-    fn local_snapshot(
-        &mut self,
-        t: f64,
-        touched: &[NodeId],
-        clocks: &dyn ClockView,
-        queue_depth: usize,
-    ) {
-        let _ = (t, touched, clocks, queue_depth);
+    fn sample(&mut self, t: f64, touched: &[NodeId], clocks: &dyn ClockView, queue_depth: usize) {
+        let _ = touched;
+        self.snapshot(t, clocks.values(), queue_depth);
+    }
+
+    /// The default [`EventSink::sample`]'s callee: the exact logical clock
+    /// values of all nodes, and the current event-queue depth.
+    #[inline]
+    fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
+        let _ = (t, clocks, queue_depth);
     }
 }
 
@@ -375,26 +363,17 @@ impl<S: EventSink> EventSink for Option<S> {
     fn wants_snapshots(&self) -> bool {
         self.as_ref().is_some_and(|s| s.wants_snapshots())
     }
-    fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
-        if let Some(s) = self {
-            s.snapshot(t, clocks, queue_depth);
-        }
-    }
-    fn wants_local_snapshots(&self) -> bool {
-        self.as_ref().is_some_and(|s| s.wants_local_snapshots())
-    }
     fn wants_previous_sample(&self) -> bool {
         self.as_ref().is_some_and(|s| s.wants_previous_sample())
     }
-    fn local_snapshot(
-        &mut self,
-        t: f64,
-        touched: &[NodeId],
-        clocks: &dyn ClockView,
-        queue_depth: usize,
-    ) {
+    fn sample(&mut self, t: f64, touched: &[NodeId], clocks: &dyn ClockView, queue_depth: usize) {
         if let Some(s) = self {
-            s.local_snapshot(t, touched, clocks, queue_depth);
+            s.sample(t, touched, clocks, queue_depth);
+        }
+    }
+    fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
+        if let Some(s) = self {
+            s.snapshot(t, clocks, queue_depth);
         }
     }
 }
@@ -432,11 +411,6 @@ impl RingBufferSink {
     /// Total number of events recorded (including evicted ones).
     pub fn recorded(&self) -> u64 {
         self.recorded
-    }
-
-    /// Drains the buffer, oldest first.
-    pub fn drain(&mut self) -> Vec<EngineEvent> {
-        self.events.drain(..).collect()
     }
 }
 
@@ -704,7 +678,6 @@ mod tests {
     fn null_sink_is_disabled() {
         assert!(!NullSink.enabled());
         assert!(!NullSink.wants_snapshots());
-        assert!(!NullSink.wants_local_snapshots());
     }
 
     #[test]

@@ -453,6 +453,11 @@ struct Jumper {
     offset: f64,
 }
 
+thread_local! {
+    /// `Jumper::logical_value` evaluations on this thread.
+    static CLOCK_READS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl Protocol for Jumper {
     type Msg = u32;
 
@@ -471,15 +476,15 @@ impl Protocol for Jumper {
     }
 
     fn logical_value(&self, hw: f64) -> f64 {
+        CLOCK_READS.set(CLOCK_READS.get() + 1);
         hw + self.offset
     }
 }
 
-/// Takes every clock vector and every local snapshot, and checks that a
-/// local snapshot's previous-sample readings are the previous vector's.
+/// Checks each sample's previous-sample readings against the previous
+/// sample's clock vector.
 struct PreviousCheck {
     last: Option<(f64, Vec<f64>)>,
-    current: Option<(f64, Vec<f64>)>,
     checked: usize,
 }
 
@@ -488,28 +493,21 @@ impl gcs_sim::EventSink for PreviousCheck {
         true
     }
 
-    fn snapshot(&mut self, t: f64, clocks: &[f64], _queue_depth: usize) {
-        self.last = self.current.replace((t, clocks.to_vec()));
-    }
-
-    fn wants_local_snapshots(&self) -> bool {
-        true
-    }
-
     fn wants_previous_sample(&self) -> bool {
         true
     }
 
-    fn local_snapshot(
+    fn sample(
         &mut self,
-        _t: f64,
+        t: f64,
         touched: &[NodeId],
         clocks: &dyn gcs_sim::ClockView,
         _queue_depth: usize,
     ) {
         let (t0, before) = clocks.previous_sample().expect("the engine records them");
         assert_eq!(before.len(), touched.len());
-        let Some((t_last, vector)) = &self.last else {
+        let last = self.last.replace((t, clocks.values().to_vec()));
+        let Some((t_last, vector)) = &last else {
             return;
         };
         assert_eq!(t0.to_bits(), t_last.to_bits());
@@ -538,7 +536,7 @@ impl gcs_sim::EventSink for PreviousCheck {
 }
 
 #[test]
-fn local_snapshots_carry_each_touched_clock_at_the_previous_sample() {
+fn samples_carry_each_touched_clock_at_the_previous_sample() {
     let n = 6;
     let schedules = (0..n)
         .map(|v| {
@@ -552,7 +550,6 @@ fn local_snapshots_carry_each_touched_clock_at_the_previous_sample() {
         .rate_schedules(schedules)
         .event_sink(PreviousCheck {
             last: None,
-            current: None,
             checked: 0,
         })
         .build();
@@ -570,4 +567,101 @@ fn local_snapshots_carry_each_touched_clock_at_the_previous_sample() {
     }
     engine.run_until(4.0);
     assert!(engine.sink().checked > 100, "{}", engine.sink().checked);
+}
+
+/// Shaped like a sink that only wants vectors: `wants_snapshots` and
+/// `snapshot`, fed through the default `sample`.
+#[derive(Default)]
+struct VectorSink {
+    last: Option<(f64, Vec<f64>)>,
+    samples: usize,
+}
+
+impl gcs_sim::EventSink for VectorSink {
+    fn wants_snapshots(&self) -> bool {
+        true
+    }
+
+    fn snapshot(&mut self, t: f64, clocks: &[f64], _queue_depth: usize) {
+        self.last = Some((t, clocks.to_vec()));
+        self.samples += 1;
+    }
+}
+
+#[test]
+fn a_vector_sink_gets_the_exact_clock_vector_at_every_sample() {
+    let n = 5;
+    let mut engine = Engine::builder(topology::path(n))
+        .protocols(vec![Jumper::default(); n])
+        .delay_model(UniformDelay::new(0.2, 3))
+        .rate_schedules(
+            (0..n)
+                .map(|v| RateSchedule::from_steps(vec![(0.0, 1.0), (0.5 + 0.2 * v as f64, 0.98)]))
+                .collect::<Result<_, _>>()
+                .unwrap(),
+        )
+        .event_sink(VectorSink::default())
+        .build();
+    engine.wake_all_at(0.0);
+    let mut expected = Vec::new();
+    let mut check = |engine: &Engine<Jumper, UniformDelay, VectorSink>| {
+        engine.logical_values_into(&mut expected);
+        let (t, got) = engine.sink().last.as_ref().expect("sampled");
+        assert_eq!(t.to_bits(), engine.now().to_bits());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(&expected), "at {t}");
+    };
+    let mut events = 0;
+    while engine.next_event_time().is_some_and(|t| t <= 3.0) {
+        engine.step();
+        check(&engine);
+        events += 1;
+    }
+    // The horizon pass samples once more.
+    engine.run_until(3.0);
+    check(&engine);
+    assert_eq!(engine.sink().samples, events + 1);
+    assert!(events > 50, "{events}");
+}
+
+/// Reads the clock vector twice per sample, noting whether the second read
+/// evaluated any clock and handed back the first read's buffer.
+#[derive(Default)]
+struct TwiceReader {
+    samples: usize,
+}
+
+impl gcs_sim::EventSink for TwiceReader {
+    fn wants_snapshots(&self) -> bool {
+        true
+    }
+
+    fn sample(
+        &mut self,
+        _t: f64,
+        _touched: &[NodeId],
+        clocks: &dyn gcs_sim::ClockView,
+        _queue_depth: usize,
+    ) {
+        let before = CLOCK_READS.get();
+        let first = clocks.values();
+        assert_eq!(CLOCK_READS.get() - before, clocks.len(), "built once, O(n)");
+        let second = clocks.values();
+        assert_eq!(CLOCK_READS.get() - before, clocks.len(), "not rebuilt");
+        assert!(std::ptr::eq(first, second), "the same buffer");
+        self.samples += 1;
+    }
+}
+
+#[test]
+fn a_sample_builds_the_clock_vector_at_most_once() {
+    let n = 6;
+    let mut engine = Engine::builder(topology::cycle(n))
+        .protocols(vec![Jumper::default(); n])
+        .delay_model(UniformDelay::new(0.2, 5))
+        .event_sink(TwiceReader::default())
+        .build();
+    engine.wake_all_at(0.0);
+    engine.run_until(2.0);
+    assert!(engine.sink().samples > 50, "{}", engine.sink().samples);
 }

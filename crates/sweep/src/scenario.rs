@@ -403,21 +403,20 @@ impl Heartbeat {
 }
 
 /// The observability stack of one execution, composed statically: one
-/// event stream and one per-event snapshot pass feed every consumer.
+/// event stream and one per-event sample feed every consumer.
 ///
-/// The snapshot pass asks the engine for full clock vectors only when a
-/// consumer reads every clock (trace, skew field, a watchdog on a graph of
-/// at most `SMALL_GRAPH` nodes plus edges or one that has fallen back to
-/// vectors) or the skew observer is in one of its full-scan stints.
-/// Otherwise — the default `gcs run` composition of observer, recorder and
-/// optional event log, heartbeat, metrics or watchdog, and every sweep and
-/// chaos job — it takes the event-local hook: the observer updates its
-/// certificates from the touched nodes, the watchdog checks them and its
-/// lapsed certificates and takes Def. 5.6 from the observer's edge record,
-/// and the metrics and heartbeat are fed from the same call, the metrics'
-/// global skew from the observer's current extremes. When the engine calls
-/// both hooks at one instant (an observer stint beside the event-local
-/// watchdog), each consumer is fed by exactly one of them.
+/// A sample reads the full clock vector ([`ClockView::values`]) only for
+/// the consumers that need it. The observer and the watchdog take it when
+/// a skew field reads it anyway, or when a watchdog reads vectors: on a
+/// graph of at most `SMALL_GRAPH` nodes plus edges, or once it has fallen
+/// back to them. Otherwise — the default `gcs run` composition and every
+/// sweep and chaos job — they run event-locally: the observer updates its
+/// certificates from the touched nodes (or scans the vector during one of
+/// its full-scan stints), and the watchdog checks the touched nodes and
+/// its lapsed certificates and takes Def. 5.6 from the observer's edge
+/// record. The clock trace reads the vector only at its grid points. The
+/// metrics and the heartbeat come last, the metrics' global skew from the
+/// observer's current extremes.
 pub struct SinkSet {
     /// Exact global/local skew observation (always on).
     pub observer: SkewObserver,
@@ -443,9 +442,6 @@ pub struct SinkSet {
     /// Whether the graph is small enough (`n + m ≤` `SMALL_GRAPH`) that
     /// the watchdog reads vectors.
     small: bool,
-    /// Set when the observer took this sample's clock vector and the
-    /// event-local hook follows at the same instant.
-    observed: bool,
 }
 
 /// On graphs with at most this many nodes plus edges, a scan of the clock
@@ -476,7 +472,6 @@ impl SinkSet {
             skew_field: None,
             recorded: 0,
             small: graph.len() + graph.edge_count() <= SMALL_GRAPH,
-            observed: false,
         }
     }
 
@@ -490,35 +485,15 @@ impl SinkSet {
         self.watchdog.as_ref().is_some_and(|w| w.tripped())
     }
 
-    /// Whether a trace or a skew field reads the whole clock vector every
-    /// event.
+    /// Whether the observer and the watchdog are fed the clock vector: a
+    /// skew field reads it anyway, or the watchdog reads vectors — on a
+    /// small graph, or once it has fallen back to them.
     fn needs_vectors(&self) -> bool {
-        self.trace.is_some() || self.skew_field.is_some()
-    }
-
-    /// Whether every sample comes as a clock vector: some consumer needs
-    /// it, or the watchdog reads vectors — on a small graph, or once it has
-    /// fallen back to them.
-    fn vectors_only(&self) -> bool {
-        self.needs_vectors()
+        self.skew_field.is_some()
             || self
                 .watchdog
                 .as_ref()
                 .is_some_and(|w| self.small || w.wants_vectors())
-    }
-
-    /// Feeds the metrics and the heartbeat the state after an event, once
-    /// the observer and the watchdog have seen it.
-    fn after_observation(&mut self, t: f64, queue_depth: usize) {
-        if let Some(m) = self.metrics.as_mut() {
-            m.observe(t, self.observer.current_global(), queue_depth);
-        }
-        // Last: a beat reports the observer's and watchdog's state after
-        // this sample.
-        if let Some(hb) = self.heartbeat.as_mut() {
-            let watchdog = self.watchdog.as_ref();
-            hb.snapshot(t, queue_depth, self.recorded, &self.observer, watchdog);
-        }
     }
 }
 
@@ -540,53 +515,37 @@ impl EventSink for SinkSet {
     }
 
     fn wants_snapshots(&self) -> bool {
-        self.vectors_only() || self.observer.wants_snapshots()
-    }
-
-    // The engine asks for both hooks before calling either, and calls
-    // `snapshot` first. Both come at one instant only while the observer
-    // is in a full-scan stint beside the event-local watchdog: the
-    // observer then takes the vector, the watchdog the local hook, and the
-    // metrics and heartbeat wait for the second call.
-    fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
-        let local_follows = self.wants_local_snapshots();
-        self.observer.snapshot(t, clocks, queue_depth);
-        self.trace.snapshot(t, clocks, queue_depth);
-        if !local_follows {
-            self.watchdog.snapshot(t, clocks, queue_depth);
-        }
-        if let Some(sf) = self.skew_field.as_mut() {
-            sf.observe(t, clocks);
-        }
-        if local_follows {
-            self.observed = true;
-        } else {
-            self.after_observation(t, queue_depth);
-        }
-    }
-
-    fn wants_local_snapshots(&self) -> bool {
-        !self.vectors_only() && (self.observer.wants_local_snapshots() || self.watchdog.is_some())
+        true
     }
 
     fn wants_previous_sample(&self) -> bool {
-        self.watchdog.is_some()
+        self.watchdog.is_some() && !self.needs_vectors()
     }
 
-    fn local_snapshot(
-        &mut self,
-        t: f64,
-        touched: &[NodeId],
-        clocks: &dyn ClockView,
-        queue_depth: usize,
-    ) {
-        if !std::mem::take(&mut self.observed) {
+    fn sample(&mut self, t: f64, touched: &[NodeId], clocks: &dyn ClockView, queue_depth: usize) {
+        if self.needs_vectors() {
+            let values = clocks.values();
+            self.observer.observe_clocks(t, values);
+            self.watchdog.snapshot(t, values, queue_depth);
+            if let Some(sf) = self.skew_field.as_mut() {
+                sf.observe(t, values);
+            }
+        } else {
             self.observer.observe_local(t, touched, clocks);
+            if let Some(w) = self.watchdog.as_mut() {
+                w.observe_local(t, touched, clocks, self.observer.worst_local());
+            }
         }
-        if let Some(w) = self.watchdog.as_mut() {
-            w.observe_local(t, touched, clocks, self.observer.worst_local());
+        self.trace.sample(t, touched, clocks, queue_depth);
+        if let Some(m) = self.metrics.as_mut() {
+            m.observe(t, self.observer.current_global(), queue_depth);
         }
-        self.after_observation(t, queue_depth);
+        // Last: a beat reports the observer's and watchdog's state after
+        // this sample.
+        if let Some(hb) = self.heartbeat.as_mut() {
+            let watchdog = self.watchdog.as_ref();
+            hb.snapshot(t, queue_depth, self.recorded, &self.observer, watchdog);
+        }
     }
 }
 
@@ -683,9 +642,8 @@ mod tests {
 
     #[test]
     fn the_watchdog_leaves_every_other_sink_fed_once_per_sample() {
-        // The observer serves some samples by full-scan stints, so the
-        // engine calls both hooks at those instants while the watchdog
-        // stays event-local.
+        // The observer serves some samples by full-scan stints, which read
+        // the clock vector while the watchdog stays event-local.
         let run = |watchdog: bool| {
             let scenario = Scenario::build(ScenarioSpec {
                 topology: "grid:6x6",
@@ -720,6 +678,63 @@ mod tests {
             beats_on,
             beats.replace("\"watchdog\":\"off\"", "\"watchdog\":\"ok\"")
         );
+    }
+
+    #[test]
+    fn a_trace_reads_vectors_without_moving_the_observer_or_the_watchdog() {
+        let scenario = || {
+            Scenario::build(ScenarioSpec {
+                topology: "grid:6x6",
+                ..spec(20.0)
+            })
+            .unwrap()
+        };
+        let run = |trace: bool| {
+            let scenario = scenario();
+            let mut sinks = SinkSet::new(&scenario.graph);
+            sinks.watchdog = Some(scenario.watchdog());
+            if trace {
+                sinks.trace = Some(ClockTrace::new(scenario.graph.len(), 0.25));
+            }
+            let sinks = scenario.run("aopt", sinks, false).unwrap().sinks;
+            let (observer, watchdog) = (&sinks.observer, sinks.watchdog.as_ref().unwrap());
+            let worst = [
+                observer.worst_global(),
+                observer.worst_global_at(),
+                observer.worst_local(),
+                observer.worst_local_at(),
+            ]
+            .map(f64::to_bits);
+            let observed = (
+                worst,
+                observer.worst_global_pair(),
+                observer.worst_local_pair(),
+                observer.observations(),
+                watchdog.snapshots(),
+                watchdog.tripped(),
+                watchdog.wants_vectors(),
+                watchdog.exact_scans(),
+            );
+            (observed, sinks.trace.map(|t| t.to_csv()))
+        };
+        let (plain, _) = run(false);
+        let (traced, csv) = run(true);
+        assert_eq!(traced, plain);
+        assert!(!plain.6, "the watchdog stays event-local");
+
+        // A standalone trace fed the clock vector after every event.
+        let scenario = scenario();
+        let n = scenario.graph.len();
+        let mut trace = ClockTrace::new(n, 0.25);
+        let mut engine = Engine::builder(scenario.graph)
+            .protocols(vec![AOpt::new(scenario.params); n])
+            .delay_model(scenario.delay)
+            .rate_schedules(scenario.schedules)
+            .build();
+        engine.wake_all_at(0.0);
+        engine.run_until_observed(scenario.horizon, |e| trace.observe(e));
+        assert!(trace.len() > 40, "{} rows", trace.len());
+        assert_eq!(csv.unwrap(), trace.to_csv());
     }
 
     #[test]

@@ -100,9 +100,6 @@ pub struct EnvelopeChecker {
     drift: DriftBounds,
     start_time: f64,
     tolerance: f64,
-    worst_low_margin: f64,
-    worst_high_margin: f64,
-    samples: u64,
 }
 
 impl EnvelopeChecker {
@@ -114,9 +111,6 @@ impl EnvelopeChecker {
             drift,
             start_time,
             tolerance,
-            worst_low_margin: f64::INFINITY,
-            worst_high_margin: f64::INFINITY,
-            samples: 0,
         }
     }
 
@@ -133,36 +127,10 @@ impl EnvelopeChecker {
         (logical - low, high - logical)
     }
 
-    /// Records a sample; returns `false` if it violates the envelope.
-    pub fn observe(&mut self, t: f64, logical: f64) -> bool {
-        self.samples += 1;
+    /// Whether sample `(t, logical)` satisfies the envelope.
+    pub fn observe(&self, t: f64, logical: f64) -> bool {
         let (low_margin, high_margin) = self.margins(t, logical);
-        self.worst_low_margin = self.worst_low_margin.min(low_margin);
-        self.worst_high_margin = self.worst_high_margin.min(high_margin);
         low_margin >= -self.tolerance && high_margin >= -self.tolerance
-    }
-
-    /// Whether every sample so far satisfied the envelope.
-    pub fn all_ok(&self) -> bool {
-        self.samples == 0
-            || (self.worst_low_margin >= -self.tolerance
-                && self.worst_high_margin >= -self.tolerance)
-    }
-
-    /// The smallest slack observed against the lower envelope (negative
-    /// means a violation).
-    pub fn worst_low_margin(&self) -> f64 {
-        self.worst_low_margin
-    }
-
-    /// The smallest slack observed against the upper envelope.
-    pub fn worst_high_margin(&self) -> f64 {
-        self.worst_high_margin
-    }
-
-    /// Number of samples observed.
-    pub fn samples(&self) -> u64 {
-        self.samples
     }
 }
 
@@ -176,9 +144,6 @@ pub struct ProgressChecker {
     envelope: RateEnvelope,
     tolerance: f64,
     last: Option<(f64, f64)>,
-    worst_min_margin: f64,
-    worst_max_margin: f64,
-    violations: u64,
 }
 
 impl ProgressChecker {
@@ -189,9 +154,6 @@ impl ProgressChecker {
             envelope,
             tolerance,
             last: None,
-            worst_min_margin: f64::INFINITY,
-            worst_max_margin: f64::INFINITY,
-            violations: 0,
         }
     }
 
@@ -205,33 +167,12 @@ impl ProgressChecker {
         let ok = if let Some((t0, l0)) = self.last {
             assert!(t >= t0, "progress samples must be time-ordered");
             let (min_margin, max_margin) = self.envelope.progress_margins((t0, l0), (t, logical));
-            self.worst_min_margin = self.worst_min_margin.min(min_margin);
-            self.worst_max_margin = self.worst_max_margin.min(max_margin);
-            let ok = min_margin >= -self.tolerance && max_margin >= -self.tolerance;
-            if !ok {
-                self.violations += 1;
-            }
-            ok
+            min_margin >= -self.tolerance && max_margin >= -self.tolerance
         } else {
             true
         };
         self.last = Some((t, logical));
         ok
-    }
-
-    /// Whether every increment so far satisfied the envelope.
-    pub fn all_ok(&self) -> bool {
-        self.violations == 0
-    }
-
-    /// The smallest slack observed against the minimum progress rate.
-    pub fn worst_min_margin(&self) -> f64 {
-        self.worst_min_margin
-    }
-
-    /// The smallest slack observed against the maximum progress rate.
-    pub fn worst_max_margin(&self) -> f64 {
-        self.worst_max_margin
     }
 }
 
@@ -257,35 +198,30 @@ mod tests {
 
     #[test]
     fn envelope_accepts_perfect_clock() {
-        let mut c = EnvelopeChecker::new(drift(), 0.0, 1e-9);
+        let c = EnvelopeChecker::new(drift(), 0.0, 1e-9);
         for i in 0..100 {
             let t = i as f64;
             assert!(c.observe(t, t));
         }
-        assert!(c.all_ok());
     }
 
     #[test]
     fn envelope_rejects_too_fast_clock() {
-        let mut c = EnvelopeChecker::new(drift(), 0.0, 1e-9);
+        let c = EnvelopeChecker::new(drift(), 0.0, 1e-9);
         assert!(!c.observe(10.0, 11.5)); // above (1+ε)t = 11
-        assert!(!c.all_ok());
-        assert!(c.worst_high_margin() < 0.0);
     }
 
     #[test]
     fn envelope_rejects_too_slow_clock() {
-        let mut c = EnvelopeChecker::new(drift(), 0.0, 1e-9);
+        let c = EnvelopeChecker::new(drift(), 0.0, 1e-9);
         assert!(!c.observe(10.0, 8.5)); // below (1-ε)t = 9
-        assert!(c.worst_low_margin() < 0.0);
     }
 
     #[test]
     fn envelope_accounts_for_late_start() {
-        let mut c = EnvelopeChecker::new(drift(), 5.0, 1e-9);
+        let c = EnvelopeChecker::new(drift(), 5.0, 1e-9);
         // At t = 10 a node started at 5 must only reach 0.9 * 5 = 4.5.
         assert!(c.observe(10.0, 4.6));
-        assert!(c.all_ok());
     }
 
     #[test]
@@ -295,7 +231,6 @@ mod tests {
         assert!(c.observe(0.0, 0.0));
         assert!(c.observe(1.0, 1.0));
         assert!(c.observe(3.0, 3.3));
-        assert!(c.all_ok());
     }
 
     #[test]
@@ -304,7 +239,6 @@ mod tests {
         let mut c = ProgressChecker::new(env, 1e-9);
         c.observe(0.0, 0.0);
         assert!(!c.observe(1.0, 0.5));
-        assert!(!c.all_ok());
     }
 
     #[test]
@@ -321,7 +255,6 @@ mod tests {
         let mut c = ProgressChecker::new(env, 1e-9);
         c.observe(0.0, 0.0);
         assert!(c.observe(1.0, 100.0));
-        assert!(c.all_ok());
     }
 
     #[test]

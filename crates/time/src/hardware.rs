@@ -29,8 +29,6 @@
 pub struct HardwareClock {
     /// `None` until the node is initialized (its `t_v`).
     anchor: Option<Anchor>,
-    /// The node's initialization time `t_v`, once started.
-    start_time: Option<f64>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,10 +45,7 @@ impl HardwareClock {
     /// A clock that has not been started: its value is 0 everywhere and it
     /// has no rate.
     pub fn new() -> Self {
-        HardwareClock {
-            anchor: None,
-            start_time: None,
-        }
+        HardwareClock { anchor: None }
     }
 
     /// Whether the node owning this clock has been initialized.
@@ -68,12 +63,6 @@ impl HardwareClock {
         assert!(self.anchor.is_none(), "hardware clock started twice");
         assert!(rate > 0.0, "hardware rate must be positive, got {rate}");
         self.anchor = Some(Anchor { t, h: 0.0, rate });
-        self.start_time = Some(t);
-    }
-
-    /// Real time at which the clock started (`t_v`), if started.
-    pub fn started_at(&self) -> Option<f64> {
-        self.start_time
     }
 
     /// Changes the rate at real time `t ≥` the last anchor.
@@ -93,15 +82,6 @@ impl HardwareClock {
         anchor.h += anchor.rate * (t - anchor.t);
         anchor.t = t;
         anchor.rate = rate;
-    }
-
-    /// The rate currently in force.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the clock is unstarted.
-    pub fn rate(&self) -> f64 {
-        self.anchor.expect("rate of unstarted clock").rate
     }
 
     /// The clock value `H_v(t)`; zero before the start time. `t` must not
@@ -211,14 +191,5 @@ mod tests {
         hw.start(0.0, 1.0);
         hw.set_rate(5.0, 1.0);
         let _ = hw.value_at(4.0);
-    }
-
-    #[test]
-    fn rate_reports_current_rate() {
-        let mut hw = HardwareClock::new();
-        hw.start(0.0, 1.0);
-        assert_eq!(hw.rate(), 1.0);
-        hw.set_rate(1.0, 1.25);
-        assert_eq!(hw.rate(), 1.25);
     }
 }

@@ -14,6 +14,8 @@
 //! delay models, three rate families and several seeds, plus external rate
 //! overrides.
 
+mod common;
+
 use clock_sync::adversary::{parse_schedule, FaultClause};
 use clock_sync::analysis::{MetricsSink, SkewObserver};
 use clock_sync::graph::NodeId;
@@ -32,8 +34,8 @@ fn bits(global: Option<f64>) -> Option<u64> {
     global.map(f64::to_bits)
 }
 
-/// Feeds one observer the full vector and a twin the event-local hook at
-/// the same instants, and checks them against each other after each one.
+/// Feeds one observer the full vector and a twin the event-local path at
+/// every sample, and checks them against each other after each one.
 struct Twin {
     full: SkewObserver,
     local: SkewObserver,
@@ -108,23 +110,9 @@ impl EventSink for Twin {
         true
     }
 
-    fn snapshot(&mut self, t: f64, clocks: &[f64], _queue_depth: usize) {
-        self.full.observe_clocks(t, clocks);
-        self.spread = spread(clocks);
-    }
-
-    fn wants_local_snapshots(&self) -> bool {
-        true
-    }
-
-    // The engine calls `snapshot` first, then this, at the same instant.
-    fn local_snapshot(
-        &mut self,
-        t: f64,
-        touched: &[NodeId],
-        clocks: &dyn ClockView,
-        _queue_depth: usize,
-    ) {
+    fn sample(&mut self, t: f64, touched: &[NodeId], clocks: &dyn ClockView, _queue_depth: usize) {
+        self.full.observe_clocks(t, clocks.values());
+        self.spread = spread(clocks.values());
         self.local.observe_local(t, touched, clocks);
         self.assert_agree();
     }
@@ -382,9 +370,9 @@ fn event_local_observation_matches_while_clocks_overtake_each_other() {
 }
 
 /// A `SinkSet` with event-local metrics beside a standalone vector-fed
-/// `MetricsSink`, on one engine. The set sees exactly the hooks it would
-/// see alone: the vector only while it asks for one (an observer stint),
-/// the event-local hook otherwise.
+/// `MetricsSink`, on one engine. The set sees the samples it would see
+/// alone, and the twin counts those in which it read the clock vector (an
+/// observer stint) and those it served event-locally.
 struct MetricsTwin {
     set: SinkSet,
     vector: MetricsSink,
@@ -402,27 +390,17 @@ impl EventSink for MetricsTwin {
         true
     }
 
-    fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
-        self.vector.snapshot(t, clocks, queue_depth);
-        if self.set.wants_snapshots() {
-            self.set.snapshot(t, clocks, queue_depth);
+    fn wants_previous_sample(&self) -> bool {
+        self.set.wants_previous_sample()
+    }
+
+    fn sample(&mut self, t: f64, touched: &[NodeId], clocks: &dyn ClockView, queue_depth: usize) {
+        if common::sample_noting_vector(&mut self.set, t, touched, clocks, queue_depth) {
             self.vector_observations += 1;
+        } else {
+            self.local_observations += 1;
         }
-    }
-
-    fn wants_local_snapshots(&self) -> bool {
-        self.set.wants_local_snapshots()
-    }
-
-    fn local_snapshot(
-        &mut self,
-        t: f64,
-        touched: &[NodeId],
-        clocks: &dyn ClockView,
-        queue_depth: usize,
-    ) {
-        self.set.local_snapshot(t, touched, clocks, queue_depth);
-        self.local_observations += 1;
+        self.vector.snapshot(t, clocks.values(), queue_depth);
     }
 }
 
@@ -506,7 +484,7 @@ fn event_local_metrics_match_a_standalone_vector_sink_byte_for_byte() {
         7,
         8.0,
     );
-    // Both ways the set observes are exercised: the event-local hook, and
+    // Both ways the set observes are exercised: event-local samples, and
     // the vectors of the observer's full-scan stints.
     assert!(vector > 0 && local > 0, "vector {vector}, local {local}");
 }

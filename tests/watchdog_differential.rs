@@ -49,15 +49,14 @@ fn fingerprint(v: &WatchdogViolation) -> (&'static str, usize, Vec<u64>) {
     (v.kind(), v.node(), bits)
 }
 
-/// Feeds one watchdog the full vector and a twin the event-local hook (with
-/// the edge record of an observer fed the same way, as `SinkSet` does) at
-/// the same instants, and checks them against each other after each one.
+/// Feeds one watchdog the full vector and a twin the event-local path
+/// (with the edge record of an observer fed the same way, as `SinkSet`
+/// does) at every sample, and checks them against each other after each
+/// one.
 struct Twin {
     full: InvariantWatchdog,
     local: InvariantWatchdog,
     observer: SkewObserver,
-    /// The vector of the current instant, for the twin once it reads them.
-    clocks: Vec<f64>,
     label: String,
     checks: u64,
 }
@@ -102,31 +101,15 @@ impl EventSink for Twin {
         true
     }
 
-    fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
-        self.full.snapshot(t, clocks, queue_depth);
-        self.clocks.clear();
-        self.clocks.extend_from_slice(clocks);
-    }
-
-    fn wants_local_snapshots(&self) -> bool {
-        true
-    }
-
     fn wants_previous_sample(&self) -> bool {
         true
     }
 
-    // The engine calls `snapshot` first, then this, at the same instant.
-    fn local_snapshot(
-        &mut self,
-        t: f64,
-        touched: &[NodeId],
-        clocks: &dyn ClockView,
-        queue_depth: usize,
-    ) {
+    fn sample(&mut self, t: f64, touched: &[NodeId], clocks: &dyn ClockView, queue_depth: usize) {
+        self.full.snapshot(t, clocks.values(), queue_depth);
         self.observer.observe_local(t, touched, clocks);
         if self.local.wants_vectors() {
-            self.local.snapshot(t, &self.clocks, queue_depth);
+            self.local.snapshot(t, clocks.values(), queue_depth);
         } else {
             let worst_local = self.observer.worst_local();
             self.local.observe_local(t, touched, clocks, worst_local);
@@ -187,7 +170,6 @@ impl ProtocolVisitor for Case {
             full: watchdog(),
             local: watchdog(),
             observer: SkewObserver::new(&sc.graph),
-            clocks: Vec::new(),
             label,
             checks: 0,
         };

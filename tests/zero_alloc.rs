@@ -10,9 +10,10 @@
 //! The same bar holds for the default `gcs run` observability stack
 //! (`SinkSet::new`: skew observer plus flight recorder), whose observer
 //! runs the event-local path: its certificate heaps and scratch are sized
-//! on the first observation and only re-keyed afterwards. Adding the
-//! metrics sink (`gcs run --metrics`) keeps both properties: it is fed
-//! from the same event-local hook. With the invariant watchdog attached
+//! on the first observation and only re-keyed afterwards, and at most one
+//! sample in ten builds the clock vector. Adding the metrics sink (`gcs
+//! run --metrics`) keeps both properties: it is fed from the same
+//! event-local sample. With the invariant watchdog attached
 //! (`gcs run --watchdog`), the watchdog runs event-locally too: Conditions
 //! (1)/(2) are checked at the touched nodes and re-certified in an alarm
 //! heap sized at its first sample, and Def. 5.6 holds from the observer's
@@ -22,6 +23,8 @@
 //! This file holds a single `#[test]` on purpose: the allocator count is
 //! process-global, and a sibling test thread would pollute the window.
 
+mod common;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -29,7 +32,7 @@ use gcs_adversary::WavefrontDelay;
 use gcs_analysis::MetricsSink;
 use gcs_core::{AOpt, Params};
 use gcs_graph::{topology, NodeId};
-use gcs_sim::{Engine, EventSink, RecorderSink};
+use gcs_sim::{ClockView, Engine, EngineEvent, EventSink, RecorderSink};
 use gcs_sweep::{build_rates, Scenario, ScenarioSpec, SinkSet};
 
 /// Counts every allocation (alloc + realloc) made by the process.
@@ -53,6 +56,37 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// A [`SinkSet`] that counts the samples in which it read the clock vector.
+struct Counted {
+    set: SinkSet,
+    vectors: usize,
+}
+
+impl EventSink for Counted {
+    fn record(&mut self, event: &EngineEvent) {
+        self.set.record(event);
+    }
+
+    fn wants_snapshots(&self) -> bool {
+        self.set.wants_snapshots()
+    }
+
+    fn wants_previous_sample(&self) -> bool {
+        self.set.wants_previous_sample()
+    }
+
+    fn sample(&mut self, t: f64, touched: &[NodeId], clocks: &dyn ClockView, queue_depth: usize) {
+        let read = common::sample_noting_vector(&mut self.set, t, touched, clocks, queue_depth);
+        self.vectors += usize::from(read);
+    }
+}
+
+impl Counted {
+    fn new(set: SinkSet) -> Self {
+        Counted { set, vectors: 0 }
+    }
+}
 
 #[test]
 fn steady_state_window_makes_no_heap_allocations() {
@@ -195,7 +229,7 @@ fn steady_state_window_makes_no_heap_allocations() {
     let drift = gcs_time::DriftBounds::new(eps).unwrap();
     let horizon = 20.0;
     let schedules = build_rates("walk", &graph, drift, horizon, 1).unwrap();
-    let sinks = SinkSet::new(&graph);
+    let sinks = Counted::new(SinkSet::new(&graph));
     let mut engine = Engine::builder(graph)
         .protocols(vec![AOpt::new(Params::recommended(eps, 0.1).unwrap()); n])
         .delay_model(gcs_sim::UniformDelay::new(0.1, 1))
@@ -205,11 +239,10 @@ fn steady_state_window_makes_no_heap_allocations() {
     engine.wake_all_at(0.0);
     engine.run_until(10.0);
 
-    let observed_before = engine.sink().observer.observations();
-    let mut local = 0;
+    let observed_before = engine.sink().set.observer.observations();
+    let vectors_before = engine.sink().vectors;
     let before = ALLOCS.load(Ordering::Relaxed);
     for _ in 0..10_000 {
-        local += usize::from(engine.sink().wants_local_snapshots());
         engine
             .step()
             .expect("the uniform-delay fixture never drains its queue");
@@ -220,17 +253,18 @@ fn steady_state_window_makes_no_heap_allocations() {
         "default gcs run sinks allocated {allocated} times across a 10k-event window"
     );
     assert_eq!(
-        engine.sink().observer.observations() - observed_before,
+        engine.sink().set.observer.observations() - observed_before,
         10_000,
         "the observer must have seen every event of the window"
     );
+    let vectors = engine.sink().vectors - vectors_before;
     assert!(
-        local > 9_000,
-        "only {local} of 10 000 events were observed event-locally"
+        vectors <= 1_000,
+        "{vectors} of 10 000 samples built the clock vector"
     );
 
     // The same fixture under `gcs run --metrics`: the metrics sink is fed
-    // from the event-local hook (global skew from the observer's extremes),
+    // from the event-local sample (global skew from the observer's extremes),
     // so it neither allocates nor brings back the per-event clock vector.
     let graph = topology::path(n);
     let schedules = build_rates("walk", &graph, drift, horizon, 1).unwrap();
@@ -240,16 +274,15 @@ fn steady_state_window_makes_no_heap_allocations() {
         .protocols(vec![AOpt::new(Params::recommended(eps, 0.1).unwrap()); n])
         .delay_model(gcs_sim::UniformDelay::new(0.1, 1))
         .rate_schedules(schedules)
-        .event_sink(sinks)
+        .event_sink(Counted::new(sinks))
         .build();
     engine.wake_all_at(0.0);
     engine.run_until(10.0);
 
-    let recorded_before = engine.sink().recorded();
-    let mut local = 0;
+    let recorded_before = engine.sink().set.recorded();
+    let vectors_before = engine.sink().vectors;
     let before = ALLOCS.load(Ordering::Relaxed);
     for _ in 0..10_000 {
-        local += usize::from(engine.sink().wants_local_snapshots());
         engine
             .step()
             .expect("the uniform-delay fixture never drains its queue");
@@ -260,12 +293,13 @@ fn steady_state_window_makes_no_heap_allocations() {
         "gcs run --metrics sinks allocated {allocated} times across a 10k-event window"
     );
     assert!(
-        engine.sink().recorded() > recorded_before,
+        engine.sink().set.recorded() > recorded_before,
         "the metrics window must have recorded events"
     );
+    let vectors = engine.sink().vectors - vectors_before;
     assert!(
-        local > 9_000,
-        "only {local} of 10 000 events were observed event-locally with metrics on"
+        vectors <= 1_000,
+        "{vectors} of 10 000 samples built the clock vector with metrics on"
     );
 
     // `gcs run --topology grid:12x12 --watchdog` with the other `gcs run`
@@ -291,17 +325,16 @@ fn steady_state_window_makes_no_heap_allocations() {
         .protocols(vec![AOpt::new(scenario.params); n])
         .delay_model(scenario.delay)
         .rate_schedules(scenario.schedules)
-        .event_sink(sinks)
+        .event_sink(Counted::new(sinks))
         .build();
     engine.wake_all_at(0.0);
     engine.run_until(5.0);
 
-    let watchdog = engine.sink().watchdog.as_ref().unwrap();
+    let watchdog = engine.sink().set.watchdog.as_ref().unwrap();
     let snapshots_before = watchdog.snapshots();
-    let mut vectors = 0usize;
+    let vectors_before = engine.sink().vectors;
     let before = ALLOCS.load(Ordering::Relaxed);
     for _ in 0..10_000 {
-        vectors += usize::from(engine.sink().wants_snapshots());
         engine
             .step()
             .expect("the uniform-delay fixture never drains its queue");
@@ -311,17 +344,18 @@ fn steady_state_window_makes_no_heap_allocations() {
         allocated, 0,
         "gcs run --watchdog sinks allocated {allocated} times across a 10k-event window"
     );
-    let watchdog = engine.sink().watchdog.as_ref().unwrap();
+    let watchdog = engine.sink().set.watchdog.as_ref().unwrap();
     assert!(!watchdog.tripped(), "{:?}", watchdog.trip());
     assert_eq!(watchdog.snapshots() - snapshots_before, 10_000);
     assert!(
         !watchdog.wants_vectors(),
         "the watchdog fell back to vectors"
     );
-    // Only the observer's full-scan stints (if any) ask for a vector.
+    // Only the observer's full-scan stints (if any) read the vector.
+    let vectors = engine.sink().vectors - vectors_before;
     assert!(
         vectors < 1_000,
-        "{vectors} of 10 000 events built a clock vector with the watchdog on"
+        "{vectors} of 10 000 samples built the clock vector with the watchdog on"
     );
     assert_eq!(
         watchdog.exact_scans(),
