@@ -187,12 +187,12 @@ impl SkewObserver {
     /// Every event since the previous observation must be accounted for in
     /// `touched` (the engine guarantees this for a sink it serves).
     pub fn observe_local(&mut self, t: f64, touched: &[NodeId], clocks: &dyn ClockView) {
-        let n = clocks.len();
-        if n == 0 || self.scan_left > 0 {
+        if self.scan_left > 0 || clocks.is_empty() {
             self.scan_left = self.scan_left.saturating_sub(1);
             self.observe_clocks(t, clocks.values());
             return;
         }
+        let n = clocks.len();
         self.observations += 1;
         // A (re)build re-examines everything; it is not the steady cost.
         let rebuild = self.kinetic.as_ref().is_none_or(|k| k.stale);

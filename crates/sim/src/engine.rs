@@ -9,7 +9,7 @@ use crate::profile::EngineProfile;
 use crate::protocol::{Action, Context, Protocol, TimerId};
 use crate::queue::EventQueue;
 use crate::sink::{ClockView, EngineEvent, EventSink, NullSink};
-use std::cell::{Cell, OnceCell};
+use std::cell::{OnceCell, Ref, RefCell};
 use std::time::Instant;
 
 /// Counters over the messages exchanged in an execution.
@@ -124,18 +124,10 @@ struct NodeClocks<'a, P> {
     /// The previous sample's instant and the touched nodes' clocks then,
     /// if the sink asked for them.
     previous: Option<(f64, &'a [f64])>,
-    /// The engine's clock buffer until [`ClockView::values`] fills it.
-    buf: Cell<Vec<f64>>,
-    values: OnceCell<Vec<f64>>,
-}
-
-impl<P: Protocol> NodeClocks<'_, P> {
-    /// The clock buffer, to hand back to the engine.
-    fn into_buf(self) -> Vec<f64> {
-        self.values
-            .into_inner()
-            .unwrap_or_else(|| self.buf.into_inner())
-    }
+    /// The engine's clock buffer, and the vector once
+    /// [`ClockView::values`] has filled it.
+    buf: &'a RefCell<Vec<f64>>,
+    values: OnceCell<Ref<'a, Vec<f64>>>,
 }
 
 impl<P: Protocol> ClockView for NodeClocks<'_, P> {
@@ -150,9 +142,8 @@ impl<P: Protocol> ClockView for NodeClocks<'_, P> {
 
     fn values(&self) -> &[f64] {
         self.values.get_or_init(|| {
-            let mut buf = self.buf.take();
-            logical_values_into(self.protos, self.hot, self.now, &mut buf);
-            buf
+            logical_values_into(self.protos, self.hot, self.now, &mut self.buf.borrow_mut());
+            self.buf.borrow()
         })
     }
 
@@ -320,7 +311,7 @@ impl<P: Protocol, D: DelayModel, S: EventSink> EngineBuilder<P, D, S> {
                 ..MessageStats::default()
             },
             sink: self.sink,
-            clock_buf: Vec::with_capacity(n),
+            clock_buf: RefCell::new(Vec::with_capacity(n)),
             touched: Vec::with_capacity(8),
             touched_before: Vec::with_capacity(8),
             last_sample: 0.0,
@@ -355,7 +346,7 @@ pub struct Engine<P: Protocol, D: DelayModel, S: EventSink = NullSink> {
     stats: MessageStats,
     sink: S,
     /// Reused buffer of the clock vector a sample builds on demand.
-    clock_buf: Vec<f64>,
+    clock_buf: RefCell<Vec<f64>>,
     /// Nodes whose clock trajectory changed since the last sample (filled
     /// only while the sink wants samples), and each one's
     /// clock at `last_sample`, read before the touching event changed it
@@ -602,12 +593,12 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
             rate_floor: self.rate_floor(),
             previous: (self.touched_before.len() == self.touched.len())
                 .then_some((previous, &self.touched_before[..])),
-            buf: Cell::new(std::mem::take(&mut self.clock_buf)),
+            buf: &self.clock_buf,
             values: OnceCell::new(),
         };
         self.sink
             .sample(self.now, &self.touched, &clocks, self.queue.len());
-        self.clock_buf = clocks.into_buf();
+        drop(clocks);
         self.touched.clear();
         self.touched_before.clear();
         if let (Some(profile), Some(started)) = (self.profile.as_deref_mut(), started) {
