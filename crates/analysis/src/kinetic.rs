@@ -31,22 +31,13 @@
 //! checked at both ends of its window holds inside it (an affine function
 //! attains its extremes at the ends), and the edge certificate follows
 //! `d₀ + (s_a − s_b)(t − now)` from the two slopes, without `α`. Every check
-//! carries the margin `ρ·Λ`, `ρ = 2⁻⁴⁰`, where `Λ` sums the magnitudes the
-//! check reads (clock readings, `α̃·|t|` at both ends, and the threshold
-//! it compares with). With unit roundoff `u = 2⁻⁵³`, so `δ = 512u` and
-//! `ρ = 16δ`:
-//!
-//! * a shifted reading `y = fl(L − fl(α̃·t))` is within `2.01u(|L| + α̃|t|)`
-//!   of `L − α̃·t`, and a check's final add or compare costs at most
-//!   `u·Λ`;
-//! * the affine `f_v` is within `δ|L_v|` of each reading, and `|L_v|` on the
-//!   window is at most its value at one end (monotonicity), so what the
-//!   two end checks prove about `f_v` carries to every instant in between
-//!   with a further `2δ·Λ`;
-//! * so each check needs at most `(2δ + 5u)Λ < ρΛ(1 − 4u)` of margin
-//!   (the computed margin's own rounding): a certificate may lapse early,
-//!   never late. `ρ` is not a tolerance on the results — worst values,
-//!   times and pairs still come from exact reads of the clocks.
+//! carries the margin `ρ·Λ` of the [slack rule](gcs_time#one-slack-rule),
+//! `Λ` summing the magnitudes it reads (clock readings, `α̃·|t|` at both
+//! ends, the threshold). A shifted reading `fl(L − fl(α̃·t))`, the final
+//! compare and the affine promise between the ends cost at most
+//! `(2δ + 5u)Λ`, which `ρ` covers: a certificate may lapse early, never
+//! late. `ρ` is not a tolerance on the results — worst values, times and
+//! pairs still come from exact reads of the clocks.
 //!
 //! The leader certificates need the maximum to stay on its line: each
 //! observation checks that `y − ρ(|max| + α̃·now)` has not fallen below the
@@ -77,6 +68,7 @@
 
 use gcs_graph::NodeId;
 use gcs_sim::ClockView;
+use gcs_time::RELATIVE_SLACK;
 
 /// How far ahead a node's clock is read once per state: its slope for
 /// expiry estimates, and the far end of a trailer key's slope check.
@@ -94,10 +86,6 @@ const SHAVE: f64 = 1.0 - 1.0 / 1_048_576.0;
 /// (or to its neighbour) still gets a finite, long certificate to verify.
 const CREEP: f64 = 1.0 / 1_048_576.0;
 
-/// The certificates' margin factor `ρ = 2⁻⁴⁰` when `α > 0` (see the
-/// module doc).
-const SLACK: f64 = 1.0 / FAR;
-
 /// The rate floor as the certificates use it: the line slope `α̃` and the
 /// margin factor, both zero when the view claims no floor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,7 +99,7 @@ impl Floor {
         if rate_floor > 0.0 && rate_floor.is_finite() {
             Floor {
                 alpha: rate_floor * SHAVE,
-                slack: SLACK,
+                slack: RELATIVE_SLACK,
             }
         } else {
             Floor {
@@ -888,7 +876,7 @@ mod tests {
         // 2ρC under C and a check charges about 3ρC more, so node 1 must
         // stay hot up to a gap of 4ρC and be certified from 6ρC on.
         let c = 1_048_576.0;
-        let rho_c = SLACK * c;
+        let rho_c = RELATIVE_SLACK * c;
         for k in 0..=64 {
             let gap = k as f64 * rho_c / 4.0;
             let view = Affine {

@@ -13,18 +13,16 @@
 //! *smallest* `s` with `C_s ≤ d` — larger levels only weaken the bound — so
 //! each pair carries one precomputed bound.
 //!
-//! Every level's bound is at least `d·κ/2` (`s ≥ 0`), so a clock vector
-//! whose neighbours all differ by at most `κ/2` is legal at every level by
-//! the triangle inequality. [`InvariantWatchdog`](crate::InvariantWatchdog)
-//! checks that O(|E|) certificate first, against
-//! `τ = (κ/2)(1 − 4·f64::EPSILON)` (the margin absorbs every rounding of
-//! the skews, the bounds and `τ` itself; the argument is in its module
-//! doc), and runs this checker's all-pairs scan only when an edge exceeds
-//! `τ`.
+//! Every level's bound is at least `d·κ/2` (`s ≥ 0`), so neighbours all
+//! within `κ/2` make every pair legal by the triangle inequality. The
+//! [`InvariantWatchdog`](crate::InvariantWatchdog) checks that first, with
+//! a stated f64 margin, and runs this checker's all-pairs scan only when an
+//! edge exceeds it.
 
 use gcs_core::{binding_level, Params};
 use gcs_graph::Graph;
 use gcs_sim::{DelayModel, Engine, EventSink, Protocol};
+use gcs_time::slack;
 
 /// A detected violation of the legal-state invariant.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,7 +44,8 @@ pub struct LegalStateViolation {
 }
 
 /// Checks the Definition 5.6 invariant over an execution and tracks the
-/// worst margin per level.
+/// worst margin per level. A margin is a violation only below the
+/// [slack rule](gcs_time#one-slack-rule) at `|L_v| + |L_w| + bound`.
 ///
 /// # Example
 ///
@@ -75,12 +74,6 @@ pub struct LegalStateChecker {
     /// Worst (smallest) slack `bound − skew` seen per level.
     margins: Vec<f64>,
     first_violation: Option<LegalStateViolation>,
-    /// How far a margin may go negative before it is a violation: 1e-9,
-    /// absolute, in clock units. It is not ulp-relative, so it holds only
-    /// while one rounding step of a clock value stays below it: from
-    /// L ≥ 2²³ ≈ 8.4·10⁶ one ulp (2⁻²⁹ ≈ 1.9·10⁻⁹) exceeds it, and a single
-    /// rounding could read as a violation.
-    tolerance: f64,
 }
 
 impl LegalStateChecker {
@@ -106,7 +99,6 @@ impl LegalStateChecker {
             pairs,
             margins: vec![f64::INFINITY; (max_level + 1) as usize],
             first_violation: None,
-            tolerance: 1e-9,
         }
     }
 
@@ -133,7 +125,7 @@ impl LegalStateChecker {
             if margin < self.margins[s as usize] {
                 self.margins[s as usize] = margin;
             }
-            if margin < -self.tolerance {
+            if margin < 0.0 && margin < -slack(clocks[v].abs() + clocks[w].abs() + bound) {
                 ok = false;
                 if self.first_violation.is_none() {
                     let (ahead, behind) = if clocks[v] >= clocks[w] {
@@ -230,6 +222,32 @@ mod tests {
         assert!(violated, "margins: {:?}", checker.margins());
         let v = checker.first_violation().unwrap();
         assert!(v.skew > v.bound);
+    }
+
+    #[test]
+    fn a_legal_state_far_from_zero_stays_legal() {
+        // Two neighbours exactly one bound apart, shifted by 2²⁴ and 2³²
+        // and read as floats: rounding puts the skew past the bound by
+        // more than an absolute 1e-9, which the slack rule absorbs. Twice
+        // the bound at the same magnitudes is still a violation.
+        let params = Params::recommended(0.02, 0.2).unwrap();
+        let g = topology::path(2);
+        let bound = LegalStateChecker::new(&g, params).pairs[0].4;
+        for shift in [24f64.exp2(), 32f64.exp2()] {
+            // The first float above `shift + bound` by more than 1e-9.
+            let mut ahead = shift + bound;
+            while ahead - shift - bound <= 1e-9 {
+                ahead = ahead.next_up();
+            }
+            assert!(ahead - shift - bound <= 2.0 * (ahead - ahead.next_down()));
+            let mut checker = LegalStateChecker::new(&g, params);
+            assert!(checker.observe_clocks(1.0, &[ahead, shift]), "{shift}");
+            assert!(checker.margins()[0] < -1e-9);
+            let far = ahead + bound;
+            assert!(!checker.observe_clocks(2.0, &[shift, far]), "{shift}");
+            let v = checker.first_violation().unwrap();
+            assert_eq!((v.v, v.w, v.t), (1, 0, 2.0));
+        }
     }
 
     #[test]

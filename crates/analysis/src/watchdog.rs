@@ -8,20 +8,20 @@
 //!
 //! * **Condition (1)** — the affine envelope
 //!   `(1 − ε)(t − t_v) ≤ L_v(t) ≤ (1 + ε)t`, per node, via
-//!   [`EnvelopeChecker::margins`];
+//!   [`EnvelopeChecker::violation`];
 //! * **Condition (2)** — bounded progress
 //!   `α(t' − t) ≤ L_v(t') − L_v(t) ≤ β(t' − t)`, per node and pair of
-//!   consecutive samples, via [`RateEnvelope::progress_margins`] with
+//!   consecutive samples, via [`RateEnvelope::progress_violation`] with
 //!   `A^opt`'s Corollary 5.3 envelope, its `α` scaled by the protocol's
 //!   multiplier floor ([`InvariantWatchdog::with_multiplier_floor`]);
 //! * **Definition 5.6** — the legal-state invariant
 //!   `L_v − L_w ≤ d(v,w)(s + ½)κ` at every level, via
 //!   [`LegalStateChecker`].
 //!
-//! Each condition holds within an absolute `f64` tolerance of 1e-9. A
-//! sample comes either as the full clock vector ([`EventSink::snapshot`])
-//! or event-locally ([`InvariantWatchdog::observe_local`]); both decide
-//! the same trip at the same sample, with the same fields.
+//! Each check allows the [slack rule](gcs_time#one-slack-rule). A sample
+//! comes either as the full clock vector ([`EventSink::snapshot`]) or
+//! event-locally ([`InvariantWatchdog::observe_local`]); both decide the
+//! same trip at the same sample, with the same fields.
 //!
 //! # Definition 5.6 from the edge skews
 //!
@@ -44,7 +44,7 @@
 //! * the computed `τ ≤ (κ/2)(1 − 8u)(1 + u)`;
 //! * `(1 − 8u)(1 + u)² ≤ (1 − u)³`, so `E ≤ τ` puts every computed skew at
 //!   or below its computed bound: no margin goes negative, without leaning
-//!   on the checker's 1e-9 tolerance.
+//!   on the checker's slack.
 //!
 //! The event-local path takes `E` from the skew observer instead: its
 //! local record is the largest `|L_a − L_b|` over every sampled edge so
@@ -63,7 +63,7 @@
 //! `δ = 2⁻⁴⁴` (the [`ClockView::rate_floor`] promise) and non-decreasing,
 //! so after each exact check the node is *certified* until a time `T`: one
 //! far read gives its slope, each Condition (1) margin and the Condition (2)
-//! band close at their rates against half the tolerance, and the window's
+//! band close at their rates against half their slack, and the window's
 //! end is read and verified. A certificate claims every sample in
 //! `(t_c, T]` passes both conditions; it sits in an alarm heap, and a node
 //! whose alarm has passed is read, checked exactly (its previous sample is
@@ -74,30 +74,31 @@
 //! node in index order trips, as in the vector scan.
 //!
 //! The verification is stated in f64, with `A = max(|L_c|, |L_T|)` the
-//! largest clock on the window (by monotonicity), ρ = `VALUE_SLACK` =
-//! `2⁻⁴¹` and σ = `TIME_SLACK` = `2⁻⁴⁹ = 16u`:
+//! largest clock on the window, `ρ/2` = `VALUE_SLACK` = `2⁻⁴¹`, σ =
+//! `TIME_SLACK` = `2⁻⁴⁹ = 16u`, and `S` each condition's slack at the
+//! window's start read with `max(L_c, 0)`, which no check inside undercuts:
 //!
 //! * Condition (1): each margin is within `(δ + u)A + 3.02u·R₁` of an
 //!   affine function, `R₁ = (m + M)(|t_c| + |T|) + m|t_v|` bounding the
 //!   rate-times-time terms. Both computed margins at `t_c` and at `T` must
-//!   reach the floor `−tol + ρA + σ(R₁ + tol)`. A sample inside can read
-//!   at most `2(δ + u)A + 6.04u·R₁ + u·tol` below the ends (rounding at an
+//!   reach the floor `−S + (ρ/2)A + σ(R₁ + S)`. A sample inside can read
+//!   at most `2(δ + u)A + 6.04u·R₁ + u·S` below the ends (rounding at an
 //!   end, at the sample and of the floor), less than the floor's charge.
 //! * Condition (2): over `W = T − t_c`, the computed window increment's
 //!   margins `(X, Y)` bound the slope's: `(s − α)D ≥ min(0, X) − 2δA` for
 //!   every pair `D ≤ W` inside, and a sample pair's own rounding costs at
 //!   most `(2δ + 4.02u)A + 3.03u(α + β)W`. `X` and `Y` must reach
-//!   `−tol + ρA + σ((α + β)W + tol)`, and that floor must be at most `0`;
-//!   `ρ ≥ 4δ + 8.04u` covers the sum.
+//!   `−S + (ρ/2)A + σ((α + β)W + S)`, and that floor must be at most `0`;
+//!   `ρ/2 ≥ 4δ + 8.04u` covers the sum.
 //!
 //! So a certificate may lapse early, never late: every decision still
-//! comes from exact reads. The floor `ρA ≤ tol` caps the certificates'
-//! reach at clocks of about `tol/(2ρ) ≈ 1100`; a node read past that sends
-//! the watchdog back to vectors for the rest of the run, as does the first
-//! edge record past `τ`. Either switch checks the current sample's
-//! Definition 5.6 on the view's clock vector ([`ClockView::values`]), and
-//! seeds every node's previous sample with it. A vector sample, which the
-//! certificates do not see, switches the watchdog to vectors as well.
+//! comes from exact reads. `S/2` covers the charge `(ρ/2)|L_c|` with room
+//! that grows with the clocks, so certificates reach every magnitude. The
+//! first edge record past `τ` sends the watchdog to vectors for the rest of
+//! the run: it checks the current sample's Definition 5.6 on the view's
+//! clock vector ([`ClockView::values`]) and seeds every node's previous
+//! sample with it. A vector sample, which the certificates do not see,
+//! does the same.
 //!
 //! On the first violation the watchdog *trips*: it freezes a
 //! [`WatchdogTrip`] carrying the violation and the last `N` engine events
@@ -107,7 +108,7 @@
 use gcs_core::Params;
 use gcs_graph::{Graph, NodeId};
 use gcs_sim::{ClockView, EngineEvent, EventSink, RingBufferSink};
-use gcs_time::{DriftBounds, EnvelopeChecker, RateEnvelope};
+use gcs_time::{DriftBounds, EnvelopeChecker, RateEnvelope, RELATIVE_SLACK};
 
 use crate::kinetic::{AlarmHeap, CLAIM, FAR};
 use crate::legal::{LegalStateChecker, LegalStateViolation};
@@ -253,9 +254,9 @@ struct NodeCheck {
     last: Option<(f64, f64)>,
 }
 
-/// The certificates' margin per unit of clock magnitude, `2⁻⁴¹` (see the
-/// module doc).
-const VALUE_SLACK: f64 = 1.0 / 2_199_023_255_552.0;
+/// The certificates' charge per unit of clock magnitude, half the slack
+/// rule's `ρ` (see the module doc).
+const VALUE_SLACK: f64 = RELATIVE_SLACK / 2.0;
 
 /// The certificates' margin per unit of rate times time, `2⁻⁴⁹`.
 const TIME_SLACK: f64 = 1.0 / 562_949_953_421_312.0;
@@ -280,10 +281,6 @@ struct Local {
 pub struct InvariantWatchdog {
     drift: DriftBounds,
     envelope: RateEnvelope,
-    /// The Condition (1)/(2) checkers' slack: 1e-9 absolute, the same as
-    /// the legal-state checker's, and with the same limit — from clock
-    /// values L ≥ 2²³ ≈ 8.4·10⁶ one ulp (1.9·10⁻⁹) exceeds it.
-    tolerance: f64,
     /// Per-node Condition (1)/(2) state.
     nodes: Vec<NodeCheck>,
     params: Params,
@@ -335,7 +332,6 @@ impl InvariantWatchdog {
         InvariantWatchdog {
             drift,
             envelope,
-            tolerance: 1e-9,
             nodes: vec![NodeCheck::default(); n],
             params,
             edges: graph.edges().map(|(a, b)| (a.index(), b.index())).collect(),
@@ -396,7 +392,7 @@ impl InvariantWatchdog {
     /// Whether the next sample should come as a clock vector
     /// ([`EventSink::snapshot`]) rather than through
     /// [`InvariantWatchdog::observe_local`]: once the watchdog has read a
-    /// vector or fallen back to reading them, until it trips.
+    /// vector or an edge record passed `τ`, until it trips.
     pub fn wants_vectors(&self) -> bool {
         self.vectors && self.trip.is_none()
     }
@@ -502,21 +498,18 @@ impl InvariantWatchdog {
             self.trip_with(violation);
             return;
         }
-        let mut out_of_reach = false;
         for &(v, logical) in hot.iter() {
             let node = v as usize;
             let Some(envelope) = self.nodes[node].envelope else {
                 continue;
             };
             self.nodes[node].last = Some((t, logical));
-            let until = self.certify(&envelope, t, logical, NodeId(node), clocks);
-            out_of_reach |= until.is_none();
-            alarms.set(v, until.unwrap_or(t));
+            alarms.set(v, self.certify(&envelope, t, logical, NodeId(node), clocks));
         }
         self.local = Some(local);
         // While no sampled edge went past τ, Def. 5.6 holds at this sample
         // exactly as the vector path's certificate decides it.
-        if worst_local <= self.edge_skew_limit && !out_of_reach {
+        if worst_local <= self.edge_skew_limit {
             return;
         }
         // Fall back to vectors for the rest of the run, from this sample.
@@ -533,9 +526,7 @@ impl InvariantWatchdog {
     /// The last sample time through which `node`, read at `L = logical`
     /// at sample `t` and untouched from then on, provably passes
     /// Conditions (1)/(2) at every sample (`t` itself when that cannot be
-    /// shown for any later one), or `None` once its clock is too large for
-    /// the tolerance to cover the certificates' rounding. See the module
-    /// doc for the margins.
+    /// shown for any later one). See the module doc for the margins.
     fn certify(
         &self,
         envelope: &EnvelopeChecker,
@@ -543,61 +534,67 @@ impl InvariantWatchdog {
         logical: f64,
         node: NodeId,
         clocks: &dyn ClockView,
-    ) -> Option<f64> {
-        let tol = self.tolerance;
-        if VALUE_SLACK * logical.abs() > tol / 2.0 {
-            return None;
-        }
+    ) -> f64 {
         let rate_floor = clocks.rate_floor();
         if rate_floor.is_nan() || rate_floor <= 0.0 {
             // No affinity promise: nothing to certify with.
-            return Some(t);
+            return t;
         }
         let (m, big_m) = (self.drift.min_rate(), self.drift.max_rate());
         let (alpha, beta) = (self.envelope.alpha(), self.envelope.beta());
         let beta_f = if beta.is_finite() { beta } else { 0.0 };
         let start = envelope.start_time();
+        // Each condition's slack at the window's start, which no check
+        // inside the window undercuts.
+        let first = (t, logical.max(0.0));
+        let envelope_slack = envelope.slack(first.0, first.1);
+        let progress_slack = self.envelope.progress_slack(first, first);
         // The window estimate: the slope from one far read, each margin
-        // closing at its rate against half the tolerance, and the
-        // certificates' own margin held to the other half.
+        // closing at its rate against half its slack, and the certificates'
+        // own charges held to the other half.
         let slope = (clocks.value_at(node, t + FAR) - logical) / FAR;
         let (low, high) = envelope.margins(t, logical);
-        let half = tol / 2.0;
-        let fixed = VALUE_SLACK * logical.abs()
-            + TIME_SLACK * ((m + big_m) * 2.0 * t.abs() + m * start.abs() + tol);
-        let growth = VALUE_SLACK * slope.abs() + TIME_SLACK * (alpha + beta_f + 2.0 * (m + big_m));
-        let mut width = (half - fixed) / growth;
+        let (half_1, half_2) = (envelope_slack / 2.0, progress_slack / 2.0);
+        let charge = VALUE_SLACK * logical.abs();
+        let growth = VALUE_SLACK * slope.abs();
+        let times = (m + big_m) * 2.0 * t.abs() + m * start.abs() + envelope_slack;
+        let mut width = f64::min(
+            (half_1 - charge - TIME_SLACK * times) / (growth + TIME_SLACK * 2.0 * (m + big_m)),
+            (half_2 - charge - TIME_SLACK * progress_slack)
+                / (growth + TIME_SLACK * (alpha + beta_f)),
+        );
         let mut close = |gap: f64, rate: f64| {
             if rate > 0.0 {
                 width = width.min(gap / rate);
             }
         };
-        close(low + half, m - slope);
-        close(high + half, slope - big_m);
-        close(half, alpha - slope);
-        close(half, slope - beta);
+        close(low + half_1, m - slope);
+        close(high + half_1, slope - big_m);
+        close(half_2, alpha - slope);
+        close(half_2, slope - beta);
         let until = t + width * CLAIM;
         if until.is_nan() || until <= t {
-            return Some(t);
+            return t;
         }
         let at_end = clocks.value_at(node, until);
         let value_slack = VALUE_SLACK * logical.abs().max(at_end.abs());
         // Condition (1) at both ends of the window.
         let times = (m + big_m) * (t.abs() + until.abs()) + m * start.abs();
-        let floor = -tol + (value_slack + TIME_SLACK * (times + tol));
+        let floor = -envelope_slack + (value_slack + TIME_SLACK * (times + envelope_slack));
         let (low_end, high_end) = envelope.margins(until, at_end);
         let envelope_holds = low >= floor && high >= floor && low_end >= floor && high_end >= floor;
         // Condition (2) over the window, which bounds every pair inside it.
-        let floor = -tol + (value_slack + TIME_SLACK * ((alpha + beta_f) * (until - t) + tol));
+        let floor = -progress_slack
+            + (value_slack + TIME_SLACK * ((alpha + beta_f) * (until - t) + progress_slack));
         let (min_margin, max_margin) = self
             .envelope
             .progress_margins((t, logical), (until, at_end));
         let progress_holds = floor <= 0.0 && min_margin >= floor && max_margin >= floor;
-        Some(if envelope_holds && progress_holds {
+        if envelope_holds && progress_holds {
             until
         } else {
             t
-        })
+        }
     }
 
     /// Conditions (1)/(2) at sample `(t, logical)` of `node`, which woke
@@ -613,9 +610,7 @@ impl InvariantWatchdog {
         t: f64,
         logical: f64,
     ) -> Option<WatchdogViolation> {
-        let tol = self.tolerance;
-        let (low_margin, high_margin) = envelope.margins(t, logical);
-        if !(low_margin >= -tol && high_margin >= -tol) {
+        if let Some((low_margin, high_margin)) = envelope.violation(t, logical) {
             return Some(WatchdogViolation::Envelope {
                 node,
                 t,
@@ -624,8 +619,8 @@ impl InvariantWatchdog {
                 high_margin,
             });
         }
-        let (min_margin, max_margin) = self.envelope.progress_margins(prev?, (t, logical));
-        (!(min_margin >= -tol && max_margin >= -tol)).then_some(WatchdogViolation::Progress {
+        let (min_margin, max_margin) = self.envelope.progress_violation(prev?, (t, logical))?;
+        Some(WatchdogViolation::Progress {
             node,
             t,
             min_margin,
@@ -675,8 +670,7 @@ impl EventSink for InvariantWatchdog {
         }
         self.ring.record(event);
         if let EngineEvent::Wake { node, t, .. } = event {
-            self.nodes[node.index()].envelope =
-                Some(EnvelopeChecker::new(self.drift, *t, self.tolerance));
+            self.nodes[node.index()].envelope = Some(EnvelopeChecker::new(self.drift, *t));
         }
     }
 
@@ -854,8 +848,9 @@ mod tests {
     #[test]
     fn certificates_hold_at_every_sample_they_cover() {
         // Clocks near both envelopes, with slopes inside and outside the
-        // progress band: wherever a certificate claims a window, every
-        // chain of samples through it must pass both conditions exactly.
+        // progress band, near 0, 2²⁴ and 2³²: wherever a certificate claims
+        // a window, every chain of samples through it must pass both
+        // conditions exactly.
         let params = Params::recommended(0.02, 0.2).unwrap();
         let watchdog = InvariantWatchdog::new(&topology::path(1), params, drift());
         let (m, big_m) = (drift().min_rate(), drift().max_rate());
@@ -867,73 +862,73 @@ mod tests {
             state ^= state << 17;
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
-        let (mut certified, mut short) = (0, 0);
-        for case in 0..4_000 {
-            let t_v = 3.0 * unit();
-            let t = t_v + 50.0 * unit();
-            let envelope = EnvelopeChecker::new(drift(), t_v, watchdog.tolerance);
-            // Start a hair inside one envelope or the other.
-            let gap = [0.0, 1e-10, 1e-7, 1e-3][case % 4] * unit();
-            let logical = if case % 2 == 0 {
-                m * (t - t_v) + gap
-            } else {
-                big_m * t - gap
-            };
-            let slope = [
-                m * (1.0 - 1e-3 * unit()),
-                m,
-                band.alpha() - 1e-9 * unit(),
-                1.0,
-                big_m,
-                big_m * (1.0 + 1e-3 * unit()),
-                band.beta() * (1.0 + 1e-6 * unit()),
-            ][case % 7];
-            let view = Line {
-                l0: logical - slope * t,
-                slope,
-                now: t,
-            };
-            let logical = view.value(NodeId(0));
-            if watchdog
-                .check_node(0, &envelope, None, t, logical)
-                .is_some()
-            {
-                continue;
-            }
-            let until = watchdog
-                .certify(&envelope, t, logical, NodeId(0), &view)
-                .expect("small clocks are in reach");
-            assert!(until >= t);
-            if until == t {
-                continue;
-            }
-            certified += 1;
-            short += usize::from(until - t < 1.0);
-            let mut prev = (t, logical);
-            for k in 1..=64 {
-                let at = if k == 64 {
-                    until
+        for offset in [0.0, 24f64.exp2(), 32f64.exp2()] {
+            let (mut certified, mut short) = (0, 0);
+            for case in 0..4_000 {
+                let t_v = 3.0 * unit();
+                let t = offset + t_v + 50.0 * unit();
+                let envelope = EnvelopeChecker::new(drift(), t_v);
+                // Start a hair inside one envelope or the other.
+                let gap = [0.0, 1e-10, 1e-7, 1e-3][case % 4] * unit();
+                let logical = if case % 2 == 0 {
+                    m * (t - t_v) + gap
                 } else {
-                    t + (until - t) * (k as f64 / 64.0) * unit()
+                    big_m * t - gap
                 };
-                let at = at.max(prev.0);
-                let l = view.value_at(NodeId(0), at);
-                let violation = watchdog.check_node(0, &envelope, Some(prev), at, l);
-                assert!(
-                    violation.is_none(),
-                    "case {case}: certified to {until} from {t}, {violation:?}"
-                );
-                prev = (at, l);
+                let slope = [
+                    m * (1.0 - 1e-3 * unit()),
+                    m,
+                    band.alpha() - 1e-9 * unit(),
+                    1.0,
+                    big_m,
+                    big_m * (1.0 + 1e-3 * unit()),
+                    band.beta() * (1.0 + 1e-6 * unit()),
+                ][case % 7];
+                let view = Line {
+                    l0: logical - slope * t,
+                    slope,
+                    now: t,
+                };
+                let logical = view.value(NodeId(0));
+                if watchdog
+                    .check_node(0, &envelope, None, t, logical)
+                    .is_some()
+                {
+                    continue;
+                }
+                let until = watchdog.certify(&envelope, t, logical, NodeId(0), &view);
+                assert!(until >= t);
+                if until == t {
+                    continue;
+                }
+                certified += 1;
+                short += usize::from(until - t < 1.0);
+                let mut prev = (t, logical);
+                for k in 1..=64 {
+                    let at = if k == 64 {
+                        until
+                    } else {
+                        t + (until - t) * (k as f64 / 64.0) * unit()
+                    };
+                    let at = at.max(prev.0);
+                    let l = view.value_at(NodeId(0), at);
+                    let violation = watchdog.check_node(0, &envelope, Some(prev), at, l);
+                    assert!(
+                        violation.is_none(),
+                        "{offset} case {case}: certified to {until} from {t}, {violation:?}"
+                    );
+                    prev = (at, l);
+                }
+                // The one pair spanning the whole window.
+                let l = view.value_at(NodeId(0), until);
+                let violation = watchdog.check_node(0, &envelope, Some((t, logical)), until, l);
+                assert!(violation.is_none(), "{offset} case {case}: {violation:?}");
             }
-            // The one pair spanning the whole window.
-            let l = view.value_at(NodeId(0), until);
-            let violation = watchdog.check_node(0, &envelope, Some((t, logical)), until, l);
-            assert!(violation.is_none(), "case {case}: {violation:?}");
+            assert!(
+                certified > 1_000 && short > 100,
+                "{offset}: {certified} certified, {short} short"
+            );
         }
-        assert!(
-            certified > 1_000 && short > 100,
-            "{certified} certified, {short} short"
-        );
     }
 
     #[test]

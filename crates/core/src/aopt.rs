@@ -347,9 +347,8 @@ mod tests {
         engine.run_until_observed(100.0, |e| {
             for (v, slot) in checkers.iter_mut().enumerate() {
                 if e.is_started(NodeId(v)) {
-                    let checker = slot.get_or_insert_with(|| {
-                        gcs_time::EnvelopeChecker::new(drift, e.now(), 1e-9)
-                    });
+                    let checker =
+                        slot.get_or_insert_with(|| gcs_time::EnvelopeChecker::new(drift, e.now()));
                     assert!(
                         checker.observe(e.now(), e.logical_value(NodeId(v))),
                         "envelope violated at node {v}, t = {}",
@@ -376,7 +375,7 @@ mod tests {
         engine.wake_all_at(0.0);
         let (alpha, beta) = p.rate_envelope();
         let env = gcs_time::RateEnvelope::new(alpha, beta);
-        let mut checkers = vec![gcs_time::ProgressChecker::new(env, 1e-9); 5];
+        let mut checkers = [gcs_time::ProgressChecker::new(env); 5];
         engine.run_until_observed(80.0, |e| {
             for (v, checker) in checkers.iter_mut().enumerate() {
                 assert!(

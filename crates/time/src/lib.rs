@@ -20,9 +20,7 @@
 //!   paper's Conditions (1) and (2).
 //!
 //! Real time, hardware-clock values, and logical-clock values are all plain
-//! `f64` seconds. The simulation operates on exact event times, so `f64`
-//! resolution (~1e-15 relative) is far below every tolerance used by the
-//! bound checks.
+//! `f64` seconds.
 //!
 //! # Example
 //!
@@ -37,6 +35,35 @@
 //! assert!((hw.value_at(20.0) - 20.0).abs() < 1e-12);
 //! # Ok::<(), gcs_time::ScheduleError>(())
 //! ```
+//!
+//! # One slack rule
+//!
+//! Every oracle — the Condition (1)/(2) checkers here, and `gcs_analysis`'s
+//! legal-state checker (Def. 5.6) and invariant watchdog — reports a
+//! margin as a violation only below `−`[`slack`]`(Λ) = −max(10⁻⁹, ρΛ)`,
+//! `ρ = 2⁻⁴⁰`, where `Λ` sums the magnitudes the check reads:
+//! `|L| + m·max(t − t_v, 0) + M|t|` for Condition (1), `|L₀| + |L₁| +
+//! (α + β)|Δt|` for Condition (2) (`β` only when finite), and
+//! `|L_v| + |L_w| + d(s + ½)κ` for Def. 5.6. With unit roundoff `u = 2⁻⁵³`:
+//!
+//! * each margin is at most four correctly rounded operations on its
+//!   readings, so it is computed within `3.02u·Λ` of its exact value;
+//! * the readings are float clocks, affine in `t` between events up to a
+//!   relative `δ = 2⁻⁴⁴` (`gcs_sim`'s `ClockView::rate_floor` promise), so
+//!   a clock exactly on a bound reads at most `2δ·Λ` past it;
+//! * `ρ = 16δ` is about eight times `(2δ + 3.02u)Λ`. The rest is room for
+//!   the event-local certificates' own rounding: the watchdog charges
+//!   `ρ/2` per unit of clock, and the skew observer's margin `ρΛ` covers
+//!   its `(2δ + 5u)Λ`;
+//! * below `Λ = 10⁻⁹/ρ ≈ 1100` the floor decides, exactly as an absolute
+//!   `10⁻⁹`. Above, the slack keeps pace with the rounding, where `10⁻⁹`
+//!   falls below one ulp of `L` from `L ≥ 2²³`;
+//! * `slack` and each `Λ` are non-decreasing along a clock after its wake
+//!   (clocks are non-negative and non-decreasing), so a certificate may
+//!   prove a window's margins against the slack at the window's start.
+//!
+//! An infinite `Λ` gets `f64::MAX`, so an infinite margin still fails. A
+//! NaN margin fails Conditions (1)/(2); the Def. 5.6 scan skips NaN pairs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,6 +79,15 @@ pub use drift::DriftBounds;
 pub use hardware::HardwareClock;
 pub use logical::LogicalClock;
 pub use rate::{RateSchedule, ScheduleError};
+
+/// The slack rule, `max(10⁻⁹, ρ·magnitude)` (see the [crate
+/// docs](crate#one-slack-rule)).
+pub fn slack(magnitude: f64) -> f64 {
+    (RELATIVE_SLACK * magnitude).clamp(1e-9, f64::MAX)
+}
+
+/// The slack rule's `ρ = 2⁻⁴⁰` per unit of magnitude read.
+pub const RELATIVE_SLACK: f64 = 1.0 / 1_099_511_627_776.0;
 
 /// Convenience result alias for fallible constructors in this crate.
 pub type Result<T> = std::result::Result<T, ScheduleError>;

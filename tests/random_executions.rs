@@ -51,7 +51,7 @@ proptest! {
         let g = topology::path(n);
         let drift = DriftBounds::new(eps).unwrap();
         let schedules = rates::random_walk(n, drift, 2.0, 40.0, rate_seed);
-        let mut checkers = vec![EnvelopeChecker::new(drift, 0.0, 1e-9); n];
+        let mut checkers = vec![EnvelopeChecker::new(drift, 0.0); n];
         let mut engine = Engine::builder(g)
             .protocols(vec![AOpt::new(params); n])
             .delay_model(UniformDelay::new(t_max, delay_seed))

@@ -145,8 +145,8 @@ fn envelope_and_progress_conditions_hold_everywhere() {
     let schedules = rates::random_walk(n, drift(), 3.0, 100.0, 21);
     let (alpha, beta) = p.rate_envelope();
     let env = RateEnvelope::new(alpha, beta);
-    let envelope = vec![EnvelopeChecker::new(drift(), 0.0, 1e-9); n];
-    let mut progress = vec![ProgressChecker::new(env, 1e-9); n];
+    let envelope = vec![EnvelopeChecker::new(drift(), 0.0); n];
+    let mut progress = vec![ProgressChecker::new(env); n];
     let mut engine = Engine::builder(g)
         .protocols(vec![AOpt::new(p); n])
         .delay_model(UniformDelay::new(T_MAX, 33))

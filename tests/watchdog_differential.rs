@@ -76,6 +76,14 @@ impl Twin {
         assert_eq!(f.tripped(), l.tripped(), "{}", ctx());
         assert_eq!(f.snapshots(), l.snapshots(), "{}", ctx());
         assert_eq!(f.exact_scans(), l.exact_scans(), "{}", ctx());
+        // The event-local twin reads vectors only once an edge passed τ,
+        // which is when the vector form first ran its scan.
+        assert_eq!(
+            l.wants_vectors(),
+            f.exact_scans() > 0 && !l.tripped(),
+            "{}",
+            ctx()
+        );
         if let (Some(a), Some(b)) = (f.trip(), l.trip()) {
             assert_eq!(
                 fingerprint(&a.violation),
@@ -339,6 +347,25 @@ fn event_local_watchdog_matches_at_large_n() {
             Drive::Plain,
         );
     }
+}
+
+#[test]
+fn event_local_watchdog_stays_event_local_past_clocks_of_1100() {
+    // Clocks reach 1200 with no edge past τ, so the certificates must keep
+    // the twin event-local throughout. path:32 is above the size on which
+    // `SinkSet` feeds the watchdog vectors anyway.
+    let seen = run_case(
+        "aopt",
+        "path:32",
+        "uniform",
+        "walk",
+        Vec::new(),
+        1.0,
+        7,
+        1200.0,
+        Drive::Plain,
+    );
+    assert_eq!((seen.trips, seen.scans), (0, 0));
 }
 
 #[test]
