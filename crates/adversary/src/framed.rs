@@ -31,6 +31,7 @@
 
 use gcs_graph::{topology, Graph, NodeId};
 use gcs_sim::{DelayCtx, DelayModel, Delivery, Engine, Protocol};
+use gcs_time::slack;
 
 /// The `Φ`-directed delivery rule of Lemma 7.6 (with `φ = 0`), expressed in
 /// receiver-local time so the identical rule serves both the base execution
@@ -107,6 +108,18 @@ pub struct StageReport {
     pub target: f64,
     /// Real time of the stage checkpoint.
     pub time: f64,
+    /// `(L_{v_k}, L_{w_k})` at the stage checkpoint.
+    pub clocks: (f64, f64),
+}
+
+impl StageReport {
+    /// Whether the stage forced its target: `skew ≥ target` within the
+    /// [slack rule](gcs_time#one-slack-rule) at the two clocks and the
+    /// target. A NaN skew fails.
+    pub fn meets_target(&self) -> bool {
+        let magnitude = self.clocks.0.abs() + self.clocks.1.abs() + self.target.abs();
+        self.skew >= self.target - slack(magnitude)
+    }
 }
 
 /// Harness for the Theorem 7.7 construction on a path of `b^stages` edges.
@@ -122,7 +135,7 @@ pub struct StageReport {
 /// let reports = lb.run(|n| vec![NoSync; n]);
 /// let last = reports.last().unwrap();
 /// assert_eq!(last.distance, 1);
-/// assert!(last.skew >= last.target - 1e-9);
+/// assert!(last.meets_target());
 /// # Ok::<(), String>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -266,6 +279,7 @@ impl LocalLowerBound {
                     skew: -score,
                     target: threshold / 2.0,
                     time: t_end,
+                    clocks: (clocks[ahead], clocks[behind]),
                 });
                 t_cur = t_end;
                 continue;
@@ -294,6 +308,7 @@ impl LocalLowerBound {
                 skew,
                 target,
                 time: t_end,
+                clocks: (clocks[v_next], clocks[w_next]),
             });
             ahead = v_next;
             behind = w_next;
@@ -352,7 +367,7 @@ mod tests {
         assert_eq!(reports.len(), 3);
         for r in &reports {
             assert!(
-                r.skew >= r.target - 1e-9,
+                r.meets_target(),
                 "stage {} skew {} below target {}",
                 r.stage,
                 r.skew,
@@ -384,7 +399,7 @@ mod tests {
         let params = Params::recommended(eps, t_max).unwrap();
         let lb = LocalLowerBound::new(3, 2, eps, t_max, 1.0 - eps).expect("valid construction");
         let reports = lb.run(|n| vec![AOpt::new(params); n]);
-        assert!(reports[0].skew >= reports[0].target - 1e-9);
+        assert!(reports[0].meets_target());
         let last = reports.last().unwrap();
         assert_eq!(last.distance, 1);
         assert!(

@@ -129,6 +129,17 @@ impl LogicalClock {
             }
         }
     }
+
+    /// Assuming the current multiplier persists, the hardware value at which
+    /// the logical clock reaches `target`; `None` if unstarted, the anchor's
+    /// hardware value if already reached.
+    pub fn hw_when(&self, target: f64) -> Option<f64> {
+        let a = self.anchor?;
+        if target <= a.l {
+            return Some(a.h);
+        }
+        Some(a.h + (target - a.l) / a.multiplier)
+    }
 }
 
 impl Default for LogicalClock {
@@ -146,6 +157,7 @@ mod tests {
         let l = LogicalClock::new();
         assert_eq!(l.value_at_hw(5.0), 0.0);
         assert!(!l.is_started());
+        assert_eq!(l.hw_when(1.0), None);
     }
 
     #[test]
@@ -173,6 +185,16 @@ mod tests {
         let mut l = LogicalClock::new();
         l.start(0.0);
         l.jump(1.0, -0.5);
+    }
+
+    #[test]
+    fn hw_when_inverts_value() {
+        let mut l = LogicalClock::new();
+        l.start(2.0);
+        l.set_multiplier(6.0, 2.0);
+        // L = 4 at H = 6; target 10 -> H = 6 + 3 = 9.
+        assert!((l.hw_when(10.0).unwrap() - 9.0).abs() < 1e-12);
+        assert_eq!(l.hw_when(1.0), Some(6.0));
     }
 
     #[test]

@@ -131,6 +131,31 @@ impl RateSchedule {
         Ok(RateSchedule { starts, rates })
     }
 
+    /// Appends a step starting at `time` with the given `rate`.
+    ///
+    /// Adversaries extend schedules online as the execution unfolds.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `time` does not strictly follow the last step or
+    /// `rate` is invalid.
+    pub fn push_step(&mut self, time: f64, rate: f64) -> crate::Result<()> {
+        if !time.is_finite() {
+            return Err(ScheduleError::InvalidTime { time });
+        }
+        if !(rate.is_finite() && rate > 0.0) {
+            return Err(ScheduleError::InvalidRate { rate });
+        }
+        if time <= *self.starts.last().expect("schedule is never empty") {
+            return Err(ScheduleError::UnorderedSteps {
+                index: self.starts.len(),
+            });
+        }
+        self.starts.push(time);
+        self.rates.push(rate);
+        Ok(())
+    }
+
     /// The rate in force at time `t` (clamped to the first step for `t < 0`).
     pub fn rate_at(&self, t: f64) -> f64 {
         self.rates[self.segment_index(t)]
@@ -289,6 +314,15 @@ mod tests {
     fn integrate_panics_on_reversed_interval() {
         let s = RateSchedule::default();
         let _ = s.integrate(2.0, 1.0);
+    }
+
+    #[test]
+    fn push_step_appends_and_validates() {
+        let mut s = RateSchedule::constant(1.0).unwrap();
+        s.push_step(5.0, 1.5).unwrap();
+        assert_eq!(s.rate_at(6.0), 1.5);
+        assert!(s.push_step(5.0, 2.0).is_err());
+        assert!(s.push_step(6.0, -2.0).is_err());
     }
 
     #[test]

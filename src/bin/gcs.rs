@@ -43,7 +43,7 @@ use clock_sync::sweep::{
     ScenarioSpec, SinkSet, SweepSpec,
 };
 use clock_sync::telemetry::{HeartbeatEmitter, SkewFieldWriter};
-use clock_sync::time::{slack, DriftBounds, RateEnvelope};
+use clock_sync::time::{DriftBounds, RateEnvelope};
 
 const USAGE: &str = "\
 gcs — gradient clock synchronization (Lenzen/Locher/Wattenhofer) toolkit
@@ -1387,13 +1387,7 @@ fn cmd_lb_local(opts: &Options) -> Result<(), String> {
         return Ok(());
     }
     println!("guaranteed final neighbour skew (b ≥ b*): {target:.4}");
-    // The slack rule at what the check reads: the target, and the two clocks
-    // behind the skew, each at most (1 + ε)·time by Condition (1).
-    let magnitude = |r: &StageReport| 2.0 * (1.0 + eps) * r.time + r.target;
-    match reports
-        .iter()
-        .find(|r| r.skew < r.target - slack(magnitude(r)))
-    {
+    match reports.iter().find(|r| !r.meets_target()) {
         Some(r) => Err(format!(
             "stage {} forced skew {:.4}, below its guaranteed target {:.4}",
             r.stage, r.skew, r.target

@@ -83,7 +83,7 @@ fn theorem_7_7_meets_stage_targets_against_nosync() {
     let reports = lb.run(|n| vec![NoSync; n]);
     for r in &reports {
         assert!(
-            r.skew >= r.target - 1e-9,
+            r.meets_target(),
             "stage {}: {} < {}",
             r.stage,
             r.skew,
