@@ -389,6 +389,33 @@ mod tests {
     }
 
     #[test]
+    fn meets_target_scales_with_the_clocks() {
+        // Two clocks one target apart, shifted by 2³² and read as floats:
+        // the rounded skew falls short of the target by more than an
+        // absolute 1e-9, which the slack rule absorbs. A tenth of the
+        // target short at the same magnitude still fails.
+        let (shift, target) = (32f64.exp2(), 1.6);
+        let report = |ahead: f64| StageReport {
+            stage: 0,
+            ahead: 0,
+            behind: 1,
+            distance: 1,
+            skew: ahead - shift,
+            target,
+            time: 0.0,
+            clocks: (ahead, shift),
+        };
+        let mut ahead = shift + target;
+        while ahead - shift >= target - 1e-9 {
+            ahead = ahead.next_down();
+        }
+        assert!(ahead - shift >= target - 2.0 * (ahead.next_up() - ahead));
+        assert!(report(ahead).meets_target());
+        assert!(!report(ahead - target / 10.0).meets_target());
+        assert!(!report(f64::NAN).meets_target());
+    }
+
+    #[test]
     fn forces_skew_on_a_opt_too() {
         // A^opt's β makes the guaranteed branching large; with a modest b
         // the invariant is not promised, but the construction must still
