@@ -78,13 +78,11 @@ pub struct LegalStateChecker {
 
 impl LegalStateChecker {
     /// Builds the checker for a graph and parameter set (`𝒢` is computed
-    /// from the graph's diameter, read off the one all-pairs BFS table the
-    /// pair bounds need — graphs are connected by construction).
+    /// from the graph's diameter).
     pub fn new(graph: &Graph, params: Params) -> Self {
         let dist = graph.all_pairs_distances();
-        let diameter = table_diameter(&dist);
         let kappa = params.kappa();
-        let c0 = 2.0 * params.global_skew_bound(diameter) / kappa;
+        let c0 = 2.0 * params.global_skew_bound(graph.diameter()) / kappa;
         let mut pairs = Vec::new();
         let mut max_level = 0u32;
         for (v, dist_v) in dist.iter().enumerate() {
@@ -157,12 +155,6 @@ impl LegalStateChecker {
     pub fn margins(&self) -> &[f64] {
         &self.margins
     }
-}
-
-/// The diameter `D` of a connected graph: the largest entry of its
-/// all-pairs distance table.
-fn table_diameter(dist: &[Vec<u32>]) -> u32 {
-    dist.iter().flatten().copied().max().unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -247,21 +239,6 @@ mod tests {
             assert!(!checker.observe_clocks(2.0, &[shift, far]), "{shift}");
             let v = checker.first_violation().unwrap();
             assert_eq!((v.v, v.w, v.t), (1, 0, 2.0));
-        }
-    }
-
-    #[test]
-    fn diameter_from_the_distance_table_matches_bfs() {
-        let graphs = [
-            topology::path(9),
-            topology::cycle(10),
-            topology::grid(4, 5),
-            topology::star(8),
-            topology::binary_tree(13),
-            topology::erdos_renyi(30, 0.15, 4),
-        ];
-        for g in &graphs {
-            assert_eq!(table_diameter(&g.all_pairs_distances()), g.diameter());
         }
     }
 

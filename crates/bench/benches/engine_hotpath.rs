@@ -28,7 +28,8 @@ use gcs_analysis::Table;
 use gcs_bench::{banner, f2, BenchReport};
 use gcs_core::{AOpt, Params};
 use gcs_graph::{topology, NodeId};
-use gcs_sim::{rates, Engine};
+use gcs_sim::Engine;
+use gcs_sweep::build_rates;
 
 /// Counts every heap allocation (alloc + realloc) made by the process.
 struct CountingAlloc;
@@ -61,17 +62,10 @@ const WARMUP_HORIZON: f64 = 40.0;
 
 fn fixture(n: usize) -> Engine<AOpt, WavefrontDelay> {
     let graph = topology::path(n);
-    // A path's diameter is n - 1 by construction; `graph.diameter()` is an
-    // all-pairs BFS scan whose O(n^2) build would dwarf the run at n = 10^6.
-    // Likewise the schedules below reproduce `build_rates("distsplit", ..)`
-    // exactly (on a path, distance from node 0 is the node index) without
-    // its internal diameter scan.
-    let diameter = (n - 1) as u32;
-    let boundary = (diameter / 2).max(1);
+    let boundary = (graph.diameter() / 2).max(1);
     let delay = WavefrontDelay::new(&graph, NodeId(0), T_MAX, FLIP, boundary);
     let drift = gcs_time::DriftBounds::new(EPS).unwrap();
-    let half = diameter / 2;
-    let schedules = rates::split(n, drift, move |v| (v as u32) < half);
+    let schedules = build_rates("distsplit", &graph, drift, WARMUP_HORIZON, 0).unwrap();
     let params = Params::recommended(EPS, T_MAX).unwrap();
     let mut engine = Engine::builder(graph)
         .protocols(vec![AOpt::new(params); n])

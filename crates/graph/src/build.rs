@@ -1,6 +1,20 @@
 //! Graph construction and metric queries.
+//!
+//! Every bound of the paper is a function of the diameter `D`, and every
+//! run needs it before its first event, so a [`Graph`] carries `D` from the
+//! moment it is built:
+//!
+//! * the generators in [`crate::topology`] know `D` in closed form and
+//!   record it (no BFS beyond the connectivity check);
+//! * [`Graph::from_edges`] — the random families and every hand-built
+//!   graph — computes it with iFUB (Crescenzi et al., *On computing the
+//!   diameter of real-world undirected graphs*, TCS 2013). A 4-sweep picks
+//!   a central start `u` and a lower bound; then the BFS levels of `u` are
+//!   scanned from the farthest in, one BFS per fringe node, until no pair
+//!   left unscanned can beat the lower bound. The result is exact. On
+//!   sparse graphs it costs a handful of BFS, `O(|V| + |E|)` each; in the
+//!   worst case it runs about one BFS per node, as an all-pairs scan does.
 
-use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
@@ -70,8 +84,13 @@ impl Error for GraphError {}
 ///
 /// Construction validates connectivity (the paper's standing assumption),
 /// rejects self loops, and deduplicates parallel edges. Distances are
-/// hop counts computed by BFS; the diameter `D` is the maximum distance over
-/// all pairs.
+/// hop counts computed by BFS.
+///
+/// The diameter `D` is fixed when the graph is built, so
+/// [`Graph::diameter`] is a field read. The generators in
+/// [`crate::topology`] record their closed form; [`Graph::from_edges`]
+/// computes it exactly with iFUB (see the module doc), which costs a few
+/// BFS on sparse graphs and at worst about one BFS per node.
 ///
 /// # Example
 ///
@@ -88,10 +107,12 @@ impl Error for GraphError {}
 pub struct Graph {
     adjacency: Vec<Vec<NodeId>>,
     edge_count: usize,
+    diameter: u32,
 }
 
 impl Graph {
-    /// Builds a graph on `n` nodes from an edge list.
+    /// Builds a graph on `n` nodes from an edge list, and computes its
+    /// diameter with iFUB.
     ///
     /// Parallel edges are deduplicated; edge direction is ignored.
     ///
@@ -100,6 +121,24 @@ impl Graph {
     /// Returns a [`GraphError`] if `n == 0`, an endpoint is out of range, an
     /// edge is a self loop, or the resulting graph is disconnected.
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Result<Self, GraphError> {
+        Self::build(n, edges, None)
+    }
+
+    /// Builds a generated topology whose diameter `D` is known in closed
+    /// form. The generator's own tests check `D` against all-pairs BFS.
+    pub(crate) fn with_diameter(
+        n: usize,
+        edges: &[(usize, usize)],
+        diameter: u32,
+    ) -> Result<Self, GraphError> {
+        Self::build(n, edges, Some(diameter))
+    }
+
+    fn build(
+        n: usize,
+        edges: &[(usize, usize)],
+        diameter: Option<u32>,
+    ) -> Result<Self, GraphError> {
         if n == 0 {
             return Err(GraphError::NoNodes);
         }
@@ -114,19 +153,30 @@ impl Graph {
             if a == b {
                 return Err(GraphError::SelfLoop { node: a });
             }
-            if !adjacency[a].contains(&NodeId(b)) {
-                adjacency[a].push(NodeId(b));
-                adjacency[b].push(NodeId(a));
-            }
+            adjacency[a].push(NodeId(b));
+            adjacency[b].push(NodeId(a));
+        }
+        // Drop parallel edges, keeping each neighbour where it first
+        // appeared: `seen[w] == v` once `w` is in `v`'s list.
+        let mut seen = vec![usize::MAX; n];
+        for (v, nbrs) in adjacency.iter_mut().enumerate() {
+            nbrs.retain(|w| std::mem::replace(&mut seen[w.0], v) != v);
         }
         let edge_count = adjacency.iter().map(Vec::len).sum::<usize>() / 2;
-        let graph = Graph {
+        let mut graph = Graph {
             adjacency,
             edge_count,
+            diameter: 0,
         };
-        if !graph.is_connected() {
+        let mut bfs = Bfs::new(n);
+        bfs.run(&graph, NodeId(0));
+        if bfs.order.len() < n {
             return Err(GraphError::Disconnected);
         }
+        graph.diameter = match diameter {
+            Some(d) => d,
+            None => graph.ifub(bfs),
+        };
         Ok(graph)
     }
 
@@ -179,19 +229,9 @@ impl Graph {
     ///
     /// Panics if `source` is out of range.
     pub fn distances_from(&self, source: NodeId) -> Vec<u32> {
-        let mut dist = vec![u32::MAX; self.len()];
-        dist[source.0] = 0;
-        let mut queue = VecDeque::from([source]);
-        while let Some(u) = queue.pop_front() {
-            let du = dist[u.0];
-            for &w in &self.adjacency[u.0] {
-                if dist[w.0] == u32::MAX {
-                    dist[w.0] = du + 1;
-                    queue.push_back(w);
-                }
-            }
-        }
-        dist
+        let mut bfs = Bfs::new(self.len());
+        bfs.run(self, source);
+        bfs.dist
     }
 
     /// Hop distance `d(u, v)`.
@@ -206,33 +246,26 @@ impl Graph {
 
     /// Eccentricity of `v`: the distance to the farthest node.
     pub fn eccentricity(&self, v: NodeId) -> u32 {
-        *self
-            .distances_from(v)
-            .iter()
-            .max()
-            .expect("graph is non-empty")
+        Bfs::new(self.len()).run(self, v)
     }
 
-    /// The diameter `D` of the graph.
+    /// The diameter `D` of the graph, fixed when it was built.
     pub fn diameter(&self) -> u32 {
-        self.nodes()
-            .map(|v| self.eccentricity(v))
-            .max()
-            .unwrap_or(0)
+        self.diameter
     }
 
-    /// One pair of nodes realizing the diameter.
+    /// One pair of nodes realizing the diameter: the lowest-index node of
+    /// eccentricity `D`, and the highest-index node at distance `D` from
+    /// it. Costs one BFS per node up to the first one of eccentricity `D`.
     pub fn diameter_endpoints(&self) -> (NodeId, NodeId) {
-        let mut best = (NodeId(0), NodeId(0), 0);
+        let mut bfs = Bfs::new(self.len());
         for v in self.nodes() {
-            let dist = self.distances_from(v);
-            if let Some((idx, &d)) = dist.iter().enumerate().max_by_key(|&(_, &d)| d) {
-                if d > best.2 {
-                    best = (v, NodeId(idx), d);
-                }
+            if bfs.run(self, v) == self.diameter {
+                let far = bfs.dist.iter().rposition(|&d| d == self.diameter);
+                return (v, NodeId(far.expect("v is at distance D from something")));
             }
         }
-        (best.0, best.1)
+        unreachable!("some node has eccentricity D")
     }
 
     /// A shortest path from `u` to `v`, inclusive of both endpoints.
@@ -246,27 +279,102 @@ impl Graph {
         let mut path = vec![u];
         let mut current = u;
         while current != v {
-            let next = self.adjacency[current.0]
-                .iter()
-                .copied()
-                .find(|w| dist[w.0] + 1 == dist[current.0])
-                .expect("a BFS-downhill neighbour always exists");
+            let next = self.downhill(&dist, current);
             path.push(next);
             current = next;
         }
         path
     }
 
-    fn is_connected(&self) -> bool {
-        if self.adjacency.is_empty() {
-            return false;
-        }
-        let reached = self
-            .distances_from(NodeId(0))
+    /// The first neighbour of `v` one hop closer to the BFS source of `dist`.
+    fn downhill(&self, dist: &[u32], v: NodeId) -> NodeId {
+        self.adjacency[v.0]
             .iter()
-            .filter(|&&d| d != u32::MAX)
-            .count();
-        reached == self.len()
+            .copied()
+            .find(|w| dist[w.0] + 1 == dist[v.0])
+            .expect("a BFS-downhill neighbour always exists")
+    }
+
+    /// The exact diameter by iFUB, given a finished BFS from any node.
+    ///
+    /// A 4-sweep picks the start: two double sweeps, each from the middle
+    /// of the previous sweep's longest path, give a lower bound and a
+    /// central node `u`. Then the fringe levels of the BFS from `u` are
+    /// scanned from the outside in. Once every node at levels `≥ i` has its
+    /// eccentricity in the lower bound, any other pair lies within level
+    /// `i − 1` on both ends and so is at most `2(i − 1)` apart; the scan
+    /// stops when the lower bound reaches that.
+    fn ifub(&self, mut bfs: Bfs) -> u32 {
+        let mut lower = 0;
+        for _ in 0..2 {
+            let far = *bfs.order.last().expect("BFS reaches its source");
+            lower = lower.max(bfs.run(self, far));
+            let middle = bfs.midpoint(self);
+            bfs.run(self, middle);
+        }
+        let Bfs { dist, order } = bfs;
+        let mut scratch = Bfs::new(self.len());
+        let mut level = dist[order[order.len() - 1].0];
+        lower = lower.max(level);
+        let mut end = order.len();
+        while lower < 2 * level {
+            let fringe = order[..end].partition_point(|v| dist[v.0] < level);
+            for &v in &order[fringe..end] {
+                lower = lower.max(scratch.run(self, v));
+            }
+            end = fringe;
+            level -= 1;
+        }
+        lower
+    }
+}
+
+/// BFS buffers, reused across runs: the distance of every node from the
+/// source, and the nodes in the order BFS reached them. `order` is sorted
+/// by distance, so each level of the BFS is one run of it.
+struct Bfs {
+    dist: Vec<u32>,
+    order: Vec<NodeId>,
+}
+
+impl Bfs {
+    fn new(n: usize) -> Self {
+        Bfs {
+            dist: vec![u32::MAX; n],
+            order: Vec::with_capacity(n),
+        }
+    }
+
+    /// Runs a BFS from `source` and returns its eccentricity (within the
+    /// source's component).
+    fn run(&mut self, graph: &Graph, source: NodeId) -> u32 {
+        self.dist.fill(u32::MAX);
+        self.order.clear();
+        self.dist[source.0] = 0;
+        self.order.push(source);
+        let mut head = 0;
+        while let Some(&u) = self.order.get(head) {
+            head += 1;
+            let du = self.dist[u.0];
+            for &w in &graph.adjacency[u.0] {
+                if self.dist[w.0] == u32::MAX {
+                    self.dist[w.0] = du + 1;
+                    self.order.push(w);
+                }
+            }
+        }
+        self.dist[self.order[self.order.len() - 1].0]
+    }
+
+    /// The node halfway along a shortest path from the last BFS's source
+    /// to the farthest node it reached.
+    fn midpoint(&self, graph: &Graph) -> NodeId {
+        let mut v = *self.order.last().expect("BFS reaches its source");
+        let half = self.dist[v.0] / 2;
+        while self.dist[v.0] > half {
+            v = graph.downhill(&self.dist, v);
+        }
+        v
     }
 }
 

@@ -5,9 +5,10 @@
 //! distances (`d(v, w)`) and `D`. This crate provides:
 //!
 //! * [`Graph`] — a validated, connected, undirected simple graph with
-//!   BFS-based distance queries, eccentricities, diameter, and shortest
-//!   paths (needed by the lower-bound constructions of the paper's
-//!   Section 7, which walk shortest paths between chosen node pairs),
+//!   BFS-based distance queries, eccentricities, shortest paths (needed by
+//!   the lower-bound constructions of the paper's Section 7, which walk
+//!   shortest paths between chosen node pairs), and its diameter, fixed at
+//!   construction in `O(|V| + |E|)` for the deterministic families,
 //! * [`NodeId`] — a typed node index,
 //! * topology generators in [`topology`] — paths, cycles, stars, complete
 //!   graphs, balanced trees, 2-D grids and tori, hypercubes, and seeded

@@ -20,7 +20,7 @@ use crate::{Graph, NodeId};
 /// Panics if `n == 0`.
 pub fn path(n: usize) -> Graph {
     let edges: Vec<_> = (0..n.saturating_sub(1)).map(|i| (i, i + 1)).collect();
-    Graph::from_edges(n, &edges).expect("paths are connected")
+    Graph::with_diameter(n, &edges, diameter(n.saturating_sub(1))).expect("paths are connected")
 }
 
 /// A cycle on `n ≥ 3` nodes (diameter `⌊n/2⌋`).
@@ -31,17 +31,19 @@ pub fn path(n: usize) -> Graph {
 pub fn cycle(n: usize) -> Graph {
     assert!(n >= 3, "a cycle needs at least 3 nodes, got {n}");
     let edges: Vec<_> = (0..n).map(|i| (i, (i + 1) % n)).collect();
-    Graph::from_edges(n, &edges).expect("cycles are connected")
+    Graph::with_diameter(n, &edges, diameter(n / 2)).expect("cycles are connected")
 }
 
-/// A star: node 0 is the hub, nodes `1..n` are leaves (diameter 2).
+/// A star: node 0 is the hub, nodes `1..n` are leaves (diameter 2 for
+/// `n ≥ 3`).
 ///
 /// # Panics
 ///
 /// Panics if `n == 0`.
 pub fn star(n: usize) -> Graph {
     let edges: Vec<_> = (1..n).map(|i| (0, i)).collect();
-    Graph::from_edges(n, &edges).expect("stars are connected")
+    Graph::with_diameter(n, &edges, diameter(n.saturating_sub(1).min(2)))
+        .expect("stars are connected")
 }
 
 /// The complete graph `K_n` (diameter 1 for `n ≥ 2`).
@@ -56,11 +58,16 @@ pub fn complete(n: usize) -> Graph {
             edges.push((a, b));
         }
     }
-    Graph::from_edges(n, &edges).expect("complete graphs are connected")
+    Graph::with_diameter(n, &edges, diameter(n.saturating_sub(1).min(1)))
+        .expect("complete graphs are connected")
 }
 
 /// A balanced binary tree with `n` nodes in heap layout
 /// (node `i` has children `2i + 1` and `2i + 2`).
+///
+/// Its diameter is the root's left depth plus its right depth: the left
+/// subtree is never shallower than the right one, nor more than one level
+/// deeper, so no path inside a subtree is longer than one through the root.
 ///
 /// # Panics
 ///
@@ -70,7 +77,15 @@ pub fn binary_tree(n: usize) -> Graph {
     for i in 1..n {
         edges.push(((i - 1) / 2, i));
     }
-    Graph::from_edges(n, &edges).expect("trees are connected")
+    // The deepest level is `h`; the root's right subtree reaches it once the
+    // level is more than half full, i.e. past node `2^h − 1 + 2^(h−1)`.
+    let h = n.max(1).ilog2() as usize;
+    let d = match h {
+        0 => 0,
+        _ if n > (1 << h) - 1 + (1 << (h - 1)) => 2 * h,
+        _ => 2 * h - 1,
+    };
+    Graph::with_diameter(n, &edges, diameter(d)).expect("trees are connected")
 }
 
 /// A `width × height` 2-D grid (diameter `width + height − 2`).
@@ -94,10 +109,12 @@ pub fn grid(width: usize, height: usize) -> Graph {
             }
         }
     }
-    Graph::from_edges(width * height, &edges).expect("grids are connected")
+    Graph::with_diameter(width * height, &edges, diameter(width + height - 2))
+        .expect("grids are connected")
 }
 
-/// A `width × height` torus (grid with wraparound edges).
+/// A `width × height` torus (grid with wraparound edges; diameter
+/// `⌊width/2⌋ + ⌊height/2⌋`).
 ///
 /// # Panics
 ///
@@ -116,7 +133,8 @@ pub fn torus(width: usize, height: usize) -> Graph {
             edges.push((i, ((y + 1) % height) * width + x));
         }
     }
-    Graph::from_edges(width * height, &edges).expect("tori are connected")
+    Graph::with_diameter(width * height, &edges, diameter(width / 2 + height / 2))
+        .expect("tori are connected")
 }
 
 /// The `dim`-dimensional hypercube on `2^dim` nodes (diameter `dim`).
@@ -136,7 +154,7 @@ pub fn hypercube(dim: usize) -> Graph {
             }
         }
     }
-    Graph::from_edges(n, &edges).expect("hypercubes are connected")
+    Graph::with_diameter(n, &edges, diameter(dim)).expect("hypercubes are connected")
 }
 
 /// A connected Erdős–Rényi graph `G(n, p)` drawn with the given seed.
@@ -206,6 +224,11 @@ pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Graph {
         }
     }
     Graph::from_edges(n, &edges).expect("backbone guarantees connectivity")
+}
+
+/// A closed-form diameter as the graph stores it.
+fn diameter(d: usize) -> u32 {
+    u32::try_from(d).expect("diameter fits in u32")
 }
 
 /// The canonical endpoints of a path graph: `(v_0, v_{n−1})`.

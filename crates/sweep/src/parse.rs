@@ -380,4 +380,27 @@ mod tests {
         // boundary = 4, flip = 4·0.25/(2·0.02) + 20 = 45, min horizon 65.
         assert!((min_h - 65.0).abs() < 1e-9);
     }
+
+    #[test]
+    fn path_wavefront_fixture_splits_at_half_the_index_range() {
+        // The `engine_hotpath` bench and `tests/zero_alloc.rs` build their
+        // path fixture from `graph.diameter()` and `distsplit` at every size
+        // up to n = 10^6. On a path D = n − 1 and the distance from node 0
+        // is the node index, so the wavefront boundary is ⌊(n − 1)/2⌋ (at
+        // least 1) and exactly the nodes below ⌊(n − 1)/2⌋ run fast.
+        let drift = DriftBounds::new(0.02).unwrap();
+        let fast = RateSchedule::constant(drift.max_rate()).unwrap();
+        let slow = RateSchedule::constant(drift.min_rate()).unwrap();
+        for n in [1, 2, 3, 64, 256, 1024, 8192, 65_536, 1_000_000] {
+            let graph = topology::path(n);
+            assert_eq!(graph.diameter() as usize, n - 1, "path:{n}");
+            let half = (n - 1) / 2;
+            let schedules = build_rates("distsplit", &graph, drift, 40.0, 0).unwrap();
+            assert_eq!(schedules.len(), n);
+            for (v, schedule) in schedules.iter().enumerate() {
+                let expected = if v < half { &fast } else { &slow };
+                assert_eq!(schedule, expected, "path:{n}, node {v}");
+            }
+        }
+    }
 }

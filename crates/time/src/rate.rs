@@ -218,9 +218,7 @@ impl RateSchedule {
     /// Checks that every rate lies within `bounds` (the paper's
     /// `h_v(t) ∈ [1 − ε, 1 + ε]`).
     pub fn respects(&self, bounds: crate::DriftBounds) -> bool {
-        self.rates
-            .iter()
-            .all(|&r| r >= bounds.min_rate() - 1e-12 && r <= bounds.max_rate() + 1e-12)
+        self.rates.iter().all(|&r| bounds.contains(r))
     }
 
     fn segment_index(&self, t: f64) -> usize {

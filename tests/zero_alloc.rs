@@ -159,16 +159,12 @@ fn steady_state_window_makes_no_heap_allocations() {
     // Large-n case: the SoA hot/cold node planes, the packed-key queue,
     // and the pending slabs all pre-reserve capacity at build time, so the
     // steady state must stay allocation-free when the working set is far
-    // beyond cache. (The path diameter is n - 1 by construction; the
-    // all-pairs `graph.diameter()` scan is avoided on purpose, and the
-    // schedules reproduce `build_rates("distsplit", ..)` directly.)
+    // beyond cache.
     let n = 8192;
     let graph = topology::path(n);
-    let diameter = (n - 1) as u32;
-    let boundary = (diameter / 2).max(1);
+    let boundary = (graph.diameter() / 2).max(1);
     let delay = WavefrontDelay::new(&graph, NodeId(0), t_max, flip, boundary);
-    let half = diameter / 2;
-    let schedules = gcs_sim::rates::split(n, drift, move |v| (v as u32) < half);
+    let schedules = build_rates("distsplit", &graph, drift, warmup_horizon, 0).unwrap();
     let mut engine = Engine::builder(graph)
         .protocols(vec![AOpt::new(params); n])
         .delay_model(delay)
