@@ -28,7 +28,7 @@ pub use clock_trace::ClockTrace;
 pub use events::{diff_streams, encode_event, write_jsonl, JsonlWriter, StreamDiff};
 pub use gradient::GradientProfile;
 pub use legal::{LegalStateChecker, LegalStateViolation};
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSink};
+pub use metrics::{Histogram, MetricsRegistry, MetricsSink};
 pub use table::Table;
 pub use trace::SkewObserver;
 pub use watchdog::{InvariantWatchdog, WatchdogTrip, WatchdogViolation};

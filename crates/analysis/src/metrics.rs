@@ -1,52 +1,30 @@
-//! A small metrics registry (counters, gauges, fixed-bucket histograms) and
-//! the [`MetricsSink`] that fills it from an engine's event stream.
+//! The engine metrics of one run: the [`MetricsRegistry`] of event counts,
+//! gauges and fixed-bucket histograms, and the [`MetricsSink`] that records
+//! into it from an engine's event stream.
 //!
-//! The registry is snapshotable at any point during an execution: every
-//! accessor works on live state, and [`MetricsRegistry::render`] produces a
-//! deterministic, sorted text rendering for the CLI's `--metrics` flag.
+//! The metric names are fixed. Each is listed once it has its first
+//! observation:
+//!
+//! | name | kind | listed after |
+//! |------|------|--------------|
+//! | `events.total` | counter | the first event |
+//! | `events.<kind>`, one per [`gcs_sim::KIND_LABELS`] entry | counter | the first event of that kind |
+//! | `queue_depth.last`, `time.last` | gauge | the first sample |
+//! | `events_per_time` | histogram | the first closed rate window |
+//! | `global_skew` | histogram | the first sample with a clock |
+//! | `message_delay` | histogram | the first transmit with a chosen delay |
+//! | `queue_depth` | histogram | the first sample |
+//!
+//! A *sample* is the state after one event ([`MetricsSink::observe`]). A
+//! rate window is one unit of simulated time; it closes when a later event
+//! arrives or at [`MetricsSink::flush_rate_window`]. The registry is
+//! readable at any point of an execution, and [`MetricsRegistry::render`]
+//! and [`MetricsRegistry::to_json`] list it sorted by name: deterministic
+//! for the CLI's `--metrics` flag.
 
-use std::collections::BTreeMap;
-
-use gcs_sim::{EngineEvent, EventSink};
+use gcs_sim::{EngineEvent, EventSink, KIND_COUNT, KIND_LABELS};
 
 use crate::json::push_f64;
-
-/// A monotonically increasing event count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Increments by one.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increments by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// The current count.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A last-value-wins instantaneous measurement.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Gauge(f64);
-
-impl Gauge {
-    /// Sets the current value.
-    pub fn set(&mut self, v: f64) {
-        self.0 = v;
-    }
-
-    /// The current value.
-    pub fn get(&self) -> f64 {
-        self.0
-    }
-}
 
 /// A fixed-bucket histogram over `f64` observations.
 ///
@@ -91,17 +69,6 @@ impl Histogram {
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
-    }
-
-    /// `count` buckets of equal `width` starting at `start`:
-    /// bounds `start + width, start + 2·width, …`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width <= 0` or `count == 0`.
-    pub fn linear(start: f64, width: f64, count: usize) -> Self {
-        assert!(width > 0.0 && count > 0, "invalid linear histogram shape");
-        Histogram::new((1..=count).map(|i| start + width * i as f64).collect())
     }
 
     /// `count` geometrically growing buckets: bounds
@@ -202,75 +169,98 @@ impl Histogram {
     }
 }
 
-/// A named collection of counters, gauges, and histograms.
+/// The engine metrics of one run, one field each (see the module doc for
+/// the names).
 ///
-/// Uses `BTreeMap`s throughout so that [`MetricsRegistry::render`] is
-/// deterministic — same execution, byte-identical rendering.
-#[derive(Debug, Clone, Default)]
+/// [`MetricsSink`] records straight into the fields; the read side lists
+/// the metrics that have an observation, sorted by name, so that
+/// [`MetricsRegistry::render`] and [`MetricsRegistry::to_json`] are
+/// deterministic — same execution, byte-identical output.
+#[derive(Debug, Clone)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, Gauge>,
-    histograms: BTreeMap<String, Histogram>,
+    events_total: u64,
+    /// Per-kind event counts, indexed by [`EngineEvent::kind_index`].
+    kind_counts: [u64; KIND_COUNT],
+    message_delay: Histogram,
+    queue_depth: Histogram,
+    global_skew: Histogram,
+    events_per_time: Histogram,
+    /// The last sample's `(time, queue depth)`; `None` before the first.
+    last: Option<(f64, f64)>,
 }
 
 impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
+    /// The listed counters as `(kind, count)`, sorted by kind: the counter
+    /// `events.<kind>`, with `total` for `events.total`.
+    fn counters(&self) -> Vec<(&'static str, u64)> {
+        let mut counters: Vec<_> = KIND_LABELS
+            .into_iter()
+            .zip(self.kind_counts)
+            .chain([("total", self.events_total)])
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        counters.sort_unstable_by_key(|&(kind, _)| kind);
+        counters
     }
 
-    /// The counter named `name`, created at zero if absent.
-    pub fn counter(&mut self, name: &str) -> &mut Counter {
-        self.counters.entry(name.to_owned()).or_default()
+    /// The listed gauges, sorted by name.
+    fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> {
+        self.last
+            .into_iter()
+            .flat_map(|(t, depth)| [("queue_depth.last", depth), ("time.last", t)])
     }
 
-    /// The gauge named `name`, created at zero if absent.
-    pub fn gauge(&mut self, name: &str) -> &mut Gauge {
-        self.gauges.entry(name.to_owned()).or_default()
+    /// The listed histograms, sorted by name.
+    fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> {
+        [
+            ("events_per_time", &self.events_per_time),
+            ("global_skew", &self.global_skew),
+            ("message_delay", &self.message_delay),
+            ("queue_depth", &self.queue_depth),
+        ]
+        .into_iter()
+        .filter(|(_, h)| h.count() > 0)
     }
 
-    /// The histogram named `name`; `make` builds it on first use.
-    pub fn histogram(&mut self, name: &str, make: impl FnOnce() -> Histogram) -> &mut Histogram {
-        self.histograms.entry(name.to_owned()).or_insert_with(make)
-    }
-
-    /// Reads a counter without creating it.
+    /// The counter named `name`, if listed.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
-        self.counters.get(name).map(Counter::get)
+        let kind = name.strip_prefix("events.")?;
+        self.counters()
+            .into_iter()
+            .find_map(|(k, n)| (k == kind).then_some(n))
     }
 
-    /// Reads a gauge without creating it.
+    /// The gauge named `name`, if listed.
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).map(Gauge::get)
+        self.gauges().find_map(|(g, v)| (g == name).then_some(v))
     }
 
-    /// Reads a histogram without creating it.
+    /// The histogram named `name`, if listed.
     pub fn histogram_ref(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
+        self.histograms()
+            .find_map(|(h, v)| (h == name).then_some(v))
     }
 
-    /// Renders every metric as sorted `name value` lines — counters first,
-    /// then gauges, then histogram summaries
+    /// Renders every listed metric as sorted `name value` lines — counters
+    /// first, then gauges, then histogram summaries
     /// (`name count/mean/p50/p99/max`).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for (name, c) in &self.counters {
-            out.push_str(&format!("counter {name} {}\n", c.get()));
+        for (kind, n) in self.counters() {
+            out.push_str(&format!("counter events.{kind} {n}\n"));
         }
-        for (name, g) in &self.gauges {
-            out.push_str(&format!("gauge {name} {}\n", g.get()));
+        for (name, v) in self.gauges() {
+            out.push_str(&format!("gauge {name} {v}\n"));
         }
-        for (name, h) in &self.histograms {
-            match h.mean() {
-                Some(mean) => out.push_str(&format!(
-                    "histogram {name} count={} mean={mean:.6} p50={:.6} p99={:.6} max={:.6}\n",
-                    h.count(),
-                    h.quantile(0.5).expect("non-empty"),
-                    h.quantile(0.99).expect("non-empty"),
-                    h.max().expect("non-empty"),
-                )),
-                None => out.push_str(&format!("histogram {name} count=0\n")),
-            }
+        for (name, h) in self.histograms() {
+            out.push_str(&format!(
+                "histogram {name} count={} mean={:.6} p50={:.6} p99={:.6} max={:.6}\n",
+                h.count(),
+                h.mean().expect("listed"),
+                h.quantile(0.5).expect("listed"),
+                h.quantile(0.99).expect("listed"),
+                h.max().expect("listed"),
+            ));
         }
         out
     }
@@ -281,22 +271,22 @@ impl MetricsRegistry {
     /// byte-identical output.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"schema\":\"gcs-metrics/v1\",\"counters\":{");
-        for (i, (name, c)) in self.counters.iter().enumerate() {
+        for (i, (kind, n)) in self.counters().into_iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{name}\":{}", c.get()));
+            out.push_str(&format!("\"events.{kind}\":{n}"));
         }
         out.push_str("},\"gauges\":{");
-        for (i, (name, g)) in self.gauges.iter().enumerate() {
+        for (i, (name, v)) in self.gauges().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str(&format!("\"{name}\":"));
-            push_f64(&mut out, g.get());
+            push_f64(&mut out, v);
         }
         out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
+        for (i, (name, h)) in self.histograms().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -310,10 +300,7 @@ impl MetricsRegistry {
                 ("p99", h.quantile(0.99)),
             ] {
                 out.push_str(&format!(",\"{key}\":"));
-                match v {
-                    Some(v) => push_f64(&mut out, v),
-                    None => out.push_str("null"),
-                }
+                push_f64(&mut out, v.expect("listed"));
             }
             out.push_str(",\"bounds\":[");
             for (j, &b) in h.bounds().iter().enumerate() {
@@ -336,17 +323,8 @@ impl MetricsRegistry {
     }
 }
 
-/// An [`EventSink`] maintaining the standard engine metrics:
-///
-/// * `events.<kind>` counters for every [`EngineEvent`] kind plus an
-///   `events.total` roll-up,
-/// * a `message_delay` histogram over the delays the delay model chose,
-/// * a `queue_depth` histogram plus `queue_depth.last` gauge (event-queue
-///   pressure),
-/// * an `events_per_time` histogram: events per unit of *simulated* time,
-///   windowed at one unit of simulated time,
-/// * a `global_skew` histogram sampling the clock spread after every event,
-/// * `time.last` — the real time of the latest observation.
+/// An [`EventSink`] recording the engine metrics into a
+/// [`MetricsRegistry`].
 ///
 /// Events arrive through [`EventSink::record`]; the post-event state
 /// arrives through [`MetricsSink::observe`]: the time, the global skew
@@ -358,28 +336,13 @@ impl MetricsRegistry {
 /// `max − min` itself ([`EventSink::snapshot`]); both feeds give
 /// bit-identical registries.
 ///
-/// The hot path touches **no registry maps**: the standard metrics live in
-/// preresolved fields (an `events.*` counter array indexed by
-/// [`EngineEvent::kind_index`], owned histograms) and are folded into the
-/// registry lazily when it is read — the per-event name lookups and
-/// `format!` allocations that made this sink cost 6× an uninstrumented
-/// engine are gone from the recording path entirely.
+/// Recording touches only the registry's fields: no name lookup and no
+/// allocation per event.
 #[derive(Debug, Clone)]
 pub struct MetricsSink {
-    /// The hot-path state folded into named metrics (see `sync`).
     registry: MetricsRegistry,
     window_start: f64,
     window_events: u64,
-    // Preresolved hot-path handles.
-    events_total: u64,
-    kind_counts: [u64; gcs_sim::KIND_COUNT],
-    message_delay: Histogram,
-    queue_depth: Histogram,
-    global_skew: Histogram,
-    events_per_time: Histogram,
-    time_last: f64,
-    queue_last: f64,
-    seen_snapshot: bool,
 }
 
 impl Default for MetricsSink {
@@ -392,61 +355,27 @@ impl MetricsSink {
     /// Creates the sink.
     pub fn new() -> Self {
         MetricsSink {
-            registry: MetricsRegistry::new(),
+            registry: MetricsRegistry {
+                events_total: 0,
+                kind_counts: [0; KIND_COUNT],
+                message_delay: Histogram::exponential(1e-3, 2.0, 16),
+                queue_depth: Histogram::exponential(1.0, 2.0, 12),
+                global_skew: Histogram::exponential(1e-6, 4.0, 20),
+                events_per_time: Histogram::exponential(1.0, 2.0, 20),
+                last: None,
+            },
             window_start: 0.0,
             window_events: 0,
-            events_total: 0,
-            kind_counts: [0; gcs_sim::KIND_COUNT],
-            message_delay: Histogram::exponential(1e-3, 2.0, 16),
-            queue_depth: Histogram::exponential(1.0, 2.0, 12),
-            global_skew: Histogram::exponential(1e-6, 4.0, 20),
-            events_per_time: Histogram::exponential(1.0, 2.0, 20),
-            time_last: 0.0,
-            queue_last: 0.0,
-            seen_snapshot: false,
         }
     }
 
-    /// Folds the preresolved hot-path state into the registry so every
-    /// read-side accessor sees a consistent view. Idempotent; standard
-    /// metric names appear only once their first observation exists,
-    /// exactly as the old lazily-created entries did.
-    fn sync(&mut self) {
-        if self.events_total > 0 {
-            let c = self.registry.counter("events.total");
-            c.add(self.events_total - c.get());
-        }
-        for (i, &n) in self.kind_counts.iter().enumerate() {
-            if n > 0 {
-                let c = self.registry.counter(KIND_COUNTER_NAMES[i]);
-                c.add(n - c.get());
-            }
-        }
-        for (name, h) in [
-            ("message_delay", &self.message_delay),
-            ("queue_depth", &self.queue_depth),
-            ("global_skew", &self.global_skew),
-            ("events_per_time", &self.events_per_time),
-        ] {
-            if h.count() > 0 {
-                *self.registry.histogram(name, || h.clone()) = h.clone();
-            }
-        }
-        if self.seen_snapshot {
-            self.registry.gauge("time.last").set(self.time_last);
-            self.registry.gauge("queue_depth.last").set(self.queue_last);
-        }
-    }
-
-    /// The live registry (synced with the hot-path state on every call).
-    pub fn registry(&mut self) -> &MetricsRegistry {
-        self.sync();
+    /// The live registry.
+    pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
     }
 
     /// Renders the current snapshot (see [`MetricsRegistry::render`]).
-    pub fn render(&mut self) -> String {
-        self.sync();
+    pub fn render(&self) -> String {
         self.registry.render()
     }
 
@@ -457,7 +386,7 @@ impl MetricsSink {
         let elapsed = t - self.window_start;
         if self.window_events > 0 && elapsed > 0.0 {
             let rate = self.window_events as f64 / elapsed;
-            self.events_per_time.record(rate);
+            self.registry.events_per_time.record(rate);
         }
         self.window_start = t;
         self.window_events = 0;
@@ -468,19 +397,18 @@ impl MetricsSink {
     /// records no skew sample) and the event-queue depth.
     #[inline]
     pub fn observe(&mut self, t: f64, global: Option<f64>, queue_depth: usize) {
-        self.time_last = t;
-        self.queue_last = queue_depth as f64;
-        self.seen_snapshot = true;
-        self.queue_depth.record(queue_depth as f64);
+        let r = &mut self.registry;
+        r.last = Some((t, queue_depth as f64));
+        r.queue_depth.record(queue_depth as f64);
         if let Some(global) = global {
-            self.global_skew.record(global);
+            r.global_skew.record(global);
         }
     }
 
     fn roll_rate_window(&mut self, t: f64) {
         while t >= self.window_start + RATE_WINDOW {
             let rate = self.window_events as f64 / RATE_WINDOW;
-            self.events_per_time.record(rate);
+            self.registry.events_per_time.record(rate);
             self.window_start += RATE_WINDOW;
             self.window_events = 0;
         }
@@ -490,30 +418,16 @@ impl MetricsSink {
 /// Width of the `events_per_time` window, in units of simulated time.
 const RATE_WINDOW: f64 = 1.0;
 
-/// `events.*` counter names, indexed by [`EngineEvent::kind_index`] — the
-/// preresolved replacement for the old per-event `format!` lookups.
-const KIND_COUNTER_NAMES: [&str; gcs_sim::KIND_COUNT] = [
-    "events.wake",
-    "events.send",
-    "events.transmit",
-    "events.drop",
-    "events.deliver",
-    "events.timer_set",
-    "events.timer_cancel",
-    "events.timer_fire",
-    "events.rate_step",
-    "events.multiplier",
-];
-
 impl EventSink for MetricsSink {
     #[inline]
     fn record(&mut self, event: &EngineEvent) {
         self.roll_rate_window(event.time());
         self.window_events += 1;
-        self.events_total += 1;
-        self.kind_counts[event.kind_index()] += 1;
+        let r = &mut self.registry;
+        r.events_total += 1;
+        r.kind_counts[event.kind_index()] += 1;
         if let EngineEvent::Transmit { delay: Some(d), .. } = event {
-            self.message_delay.record(*d);
+            r.message_delay.record(*d);
         }
     }
 
@@ -536,17 +450,6 @@ impl EventSink for MetricsSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_and_gauges() {
-        let mut r = MetricsRegistry::new();
-        r.counter("a").inc();
-        r.counter("a").add(2);
-        r.gauge("b").set(1.5);
-        assert_eq!(r.counter_value("a"), Some(3));
-        assert_eq!(r.gauge_value("b"), Some(1.5));
-        assert_eq!(r.counter_value("missing"), None);
-    }
 
     #[test]
     fn histogram_boundary_goes_to_lower_bucket() {
@@ -600,9 +503,7 @@ mod tests {
     }
 
     #[test]
-    fn linear_and_exponential_shapes() {
-        let lin = Histogram::linear(0.0, 0.5, 4);
-        assert_eq!(lin.bounds(), &[0.5, 1.0, 1.5, 2.0]);
+    fn exponential_shape() {
         let exp = Histogram::exponential(1.0, 2.0, 4);
         assert_eq!(exp.bounds(), &[1.0, 2.0, 4.0, 8.0]);
     }
@@ -621,16 +522,56 @@ mod tests {
     }
 
     #[test]
-    fn render_is_sorted_and_deterministic() {
-        let mut r = MetricsRegistry::new();
-        r.counter("z").inc();
-        r.counter("a").inc();
-        r.gauge("m").set(2.0);
-        let text = r.render();
-        let a = text.find("counter a").unwrap();
-        let z = text.find("counter z").unwrap();
-        assert!(a < z);
-        assert_eq!(text, r.clone().render());
+    fn listings_are_sorted_by_name_and_skip_unseen_metrics() {
+        use gcs_graph::NodeId;
+        let mut sink = MetricsSink::new();
+        assert_eq!(sink.render(), "");
+        for event in [
+            EngineEvent::Transmit {
+                src: NodeId(0),
+                dst: NodeId(1),
+                t: 0.0,
+                delay: Some(0.5),
+            },
+            EngineEvent::Wake {
+                node: NodeId(1),
+                t: 0.25,
+                hw: 0.25,
+            },
+            EngineEvent::TimerSet {
+                node: NodeId(1),
+                timer: gcs_sim::TimerId(0),
+                target_hw: 1.0,
+                t: 0.25,
+            },
+        ] {
+            sink.record(&event);
+        }
+        sink.snapshot(0.25, &[0.25, 0.5], 2);
+        let text = sink.render();
+        let names: Vec<&str> = text
+            .lines()
+            .map(|line| line.split(' ').nth(1).unwrap())
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "events.timer_set",
+                "events.total",
+                "events.transmit",
+                "events.wake",
+                "queue_depth.last",
+                "time.last",
+                "global_skew",
+                "message_delay",
+                "queue_depth",
+            ]
+        );
+        // No event has closed a rate window and no event was a delivery.
+        let r = sink.registry();
+        assert_eq!(r.histogram_ref("events_per_time"), None);
+        assert_eq!(r.counter_value("events.deliver"), None);
+        assert!(!r.to_json().contains("events_per_time"));
     }
 
     #[test]

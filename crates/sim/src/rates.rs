@@ -67,10 +67,15 @@ pub fn gradient(n: usize, drift: DriftBounds) -> Vec<RateSchedule> {
 ///
 /// # Panics
 ///
-/// Panics if `period <= 0` or `horizon < 0`.
+/// Panics if `period <= 0`, `horizon < 0`, or `horizon + period` rounds
+/// to `horizon` (the steps would never pass the horizon).
 pub fn alternating(n: usize, drift: DriftBounds, period: f64, horizon: f64) -> Vec<RateSchedule> {
     assert!(period > 0.0, "period must be positive");
     assert!(horizon >= 0.0, "horizon must be non-negative");
+    assert!(
+        horizon + period > horizon,
+        "period too small to pass the horizon"
+    );
     (0..n)
         .map(|v| {
             let mut steps = Vec::new();
@@ -96,7 +101,8 @@ pub fn alternating(n: usize, drift: DriftBounds, period: f64, horizon: f64) -> V
 ///
 /// # Panics
 ///
-/// Panics if `step <= 0` or `horizon < 0`.
+/// Panics if `step <= 0`, `horizon < 0`, or `horizon + step` rounds to
+/// `horizon` (the steps would never pass the horizon).
 pub fn random_walk(
     n: usize,
     drift: DriftBounds,
@@ -106,6 +112,10 @@ pub fn random_walk(
 ) -> Vec<RateSchedule> {
     assert!(step > 0.0, "step must be positive");
     assert!(horizon >= 0.0, "horizon must be non-negative");
+    assert!(
+        horizon + step > horizon,
+        "step too small to pass the horizon"
+    );
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     (0..n)
         .map(|_| {
@@ -165,6 +175,18 @@ mod tests {
         assert_eq!(s[0].rate_at(1.5), 0.95);
         assert_eq!(s[1].rate_at(0.5), 0.95);
         assert_eq!(s[1].rate_at(1.5), 1.05);
+    }
+
+    #[test]
+    #[should_panic(expected = "too small to pass the horizon")]
+    fn alternating_rejects_a_period_below_the_horizon_resolution() {
+        let _ = alternating(2, drift(), 1e-300, 5.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "too small to pass the horizon")]
+    fn random_walk_rejects_a_step_below_the_horizon_resolution() {
+        let _ = random_walk(2, drift(), 5.0, 2f64.powi(56), 1);
     }
 
     #[test]

@@ -124,14 +124,18 @@ fn alternating_period(arg: &str, spec: &str) -> Result<f64, String> {
     }
 }
 
-/// Checks a rates spec without a graph at hand (syntax only).
-pub fn parse_rates_kind(spec: &str) -> Result<(), String> {
-    let (kind, arg) = spec.split_once(':').unwrap_or((spec, ""));
-    match kind {
-        "walk" | "split" | "distsplit" | "gradient" | "nominal" => Ok(()),
-        "alternating" => alternating_period(arg, spec).map(|_| ()),
-        other => Err(format!("unknown rates spec `{other}`")),
+/// Time between the rate redraws of a `walk` rates spec.
+const WALK_STEP: f64 = 5.0;
+
+/// Checks that a schedule stepping by `step` gets past `horizon`: when
+/// `horizon + step` rounds to `horizon`, its steps would never end.
+fn check_step(step: f64, horizon: f64, spec: &str) -> Result<(), String> {
+    if horizon + step == horizon {
+        return Err(format!(
+            "rates spec `{spec}`: its steps are too small to pass horizon {horizon}"
+        ));
     }
+    Ok(())
 }
 
 /// Builds per-node hardware-rate schedules from a spec.
@@ -140,6 +144,11 @@ pub fn parse_rates_kind(spec: &str) -> Result<(), String> {
 /// `distsplit` (fast half by distance from node 0 — the generic
 /// skew-builder used by the figure benches) | `gradient` | `nominal` |
 /// `alternating:PERIOD`.
+///
+/// # Errors
+///
+/// An unknown kind, a malformed or non-positive period, and a step that
+/// cannot pass `horizon` in `f64`.
 pub fn build_rates(
     spec: &str,
     graph: &Graph,
@@ -150,7 +159,10 @@ pub fn build_rates(
     let n = graph.len();
     let (kind, arg) = spec.split_once(':').unwrap_or((spec, ""));
     match kind {
-        "walk" => Ok(rates::random_walk(n, drift, 5.0, horizon, seed)),
+        "walk" => {
+            check_step(WALK_STEP, horizon, spec)?;
+            Ok(rates::random_walk(n, drift, WALK_STEP, horizon, seed))
+        }
         "split" => Ok(rates::split(n, drift, |v| v < n / 2)),
         "distsplit" => {
             let dist = graph.distances_from(NodeId(0));
@@ -161,27 +173,10 @@ pub fn build_rates(
         "nominal" => Ok(rates::nominal(n)),
         "alternating" => {
             let period = alternating_period(arg, spec)?;
+            check_step(period, horizon, spec)?;
             Ok(rates::alternating(n, drift, period, horizon))
         }
         other => Err(format!("unknown rates spec `{other}`")),
-    }
-}
-
-/// Checks a delay spec without a graph at hand (syntax only).
-pub fn parse_delay_kind(spec: &str) -> Result<(), String> {
-    let (kind, arg) = spec.split_once(':').unwrap_or((spec, ""));
-    match kind {
-        "uniform" | "const" | "zero" | "directional" => Ok(()),
-        "wavefront" => {
-            if arg.is_empty() {
-                Ok(())
-            } else {
-                arg.parse::<u32>()
-                    .map(|_| ())
-                    .map_err(|_| format!("bad boundary `{arg}` in delay spec `{spec}`"))
-            }
-        }
-        other => Err(format!("unknown delays spec `{other}`")),
     }
 }
 
@@ -256,7 +251,8 @@ pub fn build_delay(
             let boundary: u32 = if arg.is_empty() {
                 (graph.diameter() / 2).max(1)
             } else {
-                arg.parse().map_err(|_| format!("bad boundary `{arg}`"))?
+                arg.parse()
+                    .map_err(|_| format!("bad boundary `{arg}` in delay spec `{spec}`"))?
             };
             let flip = boundary as f64 * t / (2.0 * eps) + 20.0;
             Ok((
@@ -351,8 +347,6 @@ mod tests {
         let graph = topology::path(3);
         let drift = DriftBounds::new(0.01).unwrap();
         for spec in ["alternating:0", "alternating:-1", "alternating:nan"] {
-            let err = parse_rates_kind(spec).expect_err(spec);
-            assert!(err.contains(&format!("`{spec}`")), "{spec}: {err}");
             let err = build_rates(spec, &graph, drift, 10.0, 0).expect_err(spec);
             assert!(err.contains(&format!("`{spec}`")), "{spec}: {err}");
         }
@@ -361,16 +355,32 @@ mod tests {
     }
 
     #[test]
-    fn rates_and_delay_kinds_validate() {
+    fn rate_steps_must_pass_the_horizon() {
+        let graph = topology::path(3);
+        let drift = DriftBounds::new(0.01).unwrap();
+        for (spec, horizon) in [("alternating:1e-300", 5.0), ("walk", 2f64.powi(56))] {
+            let err = build_rates(spec, &graph, drift, horizon, 0).expect_err(spec);
+            assert!(err.contains(&format!("`{spec}`")), "{spec}: {err}");
+        }
+        assert!(build_rates("alternating:1e-300", &graph, drift, 0.0, 0).is_ok());
+    }
+
+    #[test]
+    fn rates_and_delay_kinds_build() {
+        let graph = topology::path(3);
+        let drift = DriftBounds::new(0.01).unwrap();
         for spec in ["walk", "split", "distsplit", "alternating:5"] {
-            parse_rates_kind(spec).unwrap();
+            build_rates(spec, &graph, drift, 10.0, 0).unwrap();
         }
-        assert!(parse_rates_kind("chaos").is_err());
+        let err = build_rates("chaos", &graph, drift, 10.0, 0).expect_err("chaos");
+        assert_eq!(err, "unknown rates spec `chaos`");
         for spec in ["uniform", "const", "zero", "directional", "wavefront:4"] {
-            parse_delay_kind(spec).unwrap();
+            build_delay(spec, &graph, 0.25, 0.01, 0).unwrap();
         }
-        assert!(parse_delay_kind("wormhole").is_err());
-        assert!(parse_delay_kind("wavefront:x").is_err());
+        let err = build_delay("wormhole", &graph, 0.25, 0.01, 0).expect_err("wormhole");
+        assert_eq!(err, "unknown delays spec `wormhole`");
+        let err = build_delay("wavefront:x", &graph, 0.25, 0.01, 0).expect_err("wavefront:x");
+        assert_eq!(err, "bad boundary `x` in delay spec `wavefront:x`");
     }
 
     #[test]

@@ -311,7 +311,7 @@ impl Heartbeat {
     /// Streams beats to `out` every `every` units of simulated time.
     pub fn new(out: Box<dyn Write + Send>, every: f64, deterministic: bool) -> Self {
         Heartbeat {
-            emitter: HeartbeatEmitter::new(out, every, 0.0, deterministic),
+            emitter: HeartbeatEmitter::new(out, every, deterministic),
             timer_sets: 0,
             timer_fires: 0,
             timer_cancels: 0,

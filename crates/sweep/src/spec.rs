@@ -9,7 +9,9 @@
 
 use std::ops::Range;
 
-use crate::parse::{known_algo, parse_delay_kind, parse_rates_kind, parse_topology};
+use gcs_time::DriftBounds;
+
+use crate::parse::{build_delay, build_rates, known_algo, parse_topology};
 use crate::scenario::check_horizon;
 
 /// The default seed range: a single execution with seed 0.
@@ -195,29 +197,15 @@ impl SweepSpec {
         self.len() == 0
     }
 
-    /// Checks every axis value parses, without running anything.
+    /// Checks every axis value, without running anything.
     ///
-    /// Random topologies are instantiated with the first seed only — sizes
-    /// and spec syntax do not depend on the seed.
+    /// Topologies are built with the first seed — sizes and spec syntax do
+    /// not depend on the seed. Each delay and rates value is built on the
+    /// first topology's graph with the first ε̂ and 𝒯̂, the rates up to the
+    /// longest horizon those delays ask for.
     pub fn validate(&self) -> Result<(), String> {
         if self.is_empty() {
             return Err("sweep grid is empty (some axis has no values)".into());
-        }
-        let probe_seed = self.seeds.start;
-        for t in &self.topologies {
-            parse_topology(t, probe_seed)?;
-        }
-        for a in &self.algos {
-            known_algo(a)?;
-        }
-        for d in &self.delays {
-            parse_delay_kind(d)?;
-        }
-        for r in &self.rates {
-            parse_rates_kind(r)?;
-        }
-        for c in &self.chaos {
-            crate::parse::resolve_chaos(c)?;
         }
         for &e in &self.eps {
             if !(e > 0.0 && e < 1.0) {
@@ -229,7 +217,29 @@ impl SweepSpec {
                 return Err(format!("t must be positive, got {t}"));
             }
         }
-        check_horizon(self.horizon, self.horizon_per_diameter)
+        check_horizon(self.horizon, self.horizon_per_diameter)?;
+        let probe_seed = self.seeds.start;
+        let graph = parse_topology(&self.topologies[0], probe_seed)?;
+        for t in &self.topologies[1..] {
+            parse_topology(t, probe_seed)?;
+        }
+        for a in &self.algos {
+            known_algo(a)?;
+        }
+        let (eps, t) = (self.eps[0], self.t[0]);
+        let mut horizon = self.horizon + self.horizon_per_diameter * graph.diameter() as f64 * t;
+        for d in &self.delays {
+            let (_, min_horizon) = build_delay(d, &graph, t, eps, probe_seed)?;
+            horizon = horizon.max(min_horizon);
+        }
+        let drift = DriftBounds::new(eps).map_err(|e| e.to_string())?;
+        for r in &self.rates {
+            build_rates(r, &graph, drift, horizon, probe_seed)?;
+        }
+        for c in &self.chaos {
+            crate::parse::resolve_chaos(c)?;
+        }
+        Ok(())
     }
 
     /// Parses a spec file: one `key = value` per line, `#` comments, blank

@@ -142,12 +142,12 @@ pub struct HeartbeatEmitter<W: Write> {
 }
 
 impl<W: Write> HeartbeatEmitter<W> {
-    /// Creates an emitter whose first beat is due at `start + every`.
+    /// Creates an emitter whose first beat is due at simulated time `every`.
     ///
     /// # Panics
     ///
     /// Panics if `every` is not strictly positive and finite.
-    pub fn new(out: W, every: f64, start: f64, deterministic: bool) -> Self {
+    pub fn new(out: W, every: f64, deterministic: bool) -> Self {
         assert!(
             every > 0.0 && every.is_finite(),
             "invalid heartbeat cadence {every}"
@@ -155,7 +155,7 @@ impl<W: Write> HeartbeatEmitter<W> {
         HeartbeatEmitter {
             out,
             every,
-            next_due: start + every,
+            next_due: every,
             deterministic,
             started: Instant::now(),
             seq: 0,
@@ -278,7 +278,7 @@ mod tests {
 
     #[test]
     fn cadence_paces_by_simulated_time() {
-        let mut e = HeartbeatEmitter::new(Vec::new(), 2.0, 0.0, true);
+        let mut e = HeartbeatEmitter::new(Vec::new(), 2.0, true);
         assert!(!e.due(1.9));
         assert!(e.due(2.0));
         e.beat(&input(2.5, 10)).unwrap();
@@ -293,7 +293,7 @@ mod tests {
     #[test]
     fn deterministic_beats_are_reproducible() {
         let run = || {
-            let mut e = HeartbeatEmitter::new(Vec::new(), 1.0, 0.0, true);
+            let mut e = HeartbeatEmitter::new(Vec::new(), 1.0, true);
             e.beat(&input(1.0, 10)).unwrap();
             e.beat(&input(2.0, 30)).unwrap();
             e.summary(&input(3.0, 40)).unwrap();
@@ -312,7 +312,7 @@ mod tests {
 
     #[test]
     fn sweep_beats_escape_job_labels() {
-        let mut e = HeartbeatEmitter::new(Vec::new(), 1.0, 0.0, true);
+        let mut e = HeartbeatEmitter::new(Vec::new(), 1.0, true);
         e.sweep_beat(1, 4, 100, "eps=\"0.1\"\n").unwrap();
         let text = String::from_utf8(e.into_inner()).unwrap();
         let parsed = gcs_forensics::parse_json(text.trim()).unwrap();

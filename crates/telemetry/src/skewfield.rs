@@ -53,13 +53,13 @@ pub struct SkewFieldWriter<W: Write> {
 
 impl<W: Write> SkewFieldWriter<W> {
     /// Creates a writer over the given undirected edge list, closing one
-    /// window every `window` units of simulated time starting at `start`.
+    /// window every `window` units of simulated time starting at 0.
     ///
     /// # Panics
     ///
     /// Panics if `window` is not strictly positive and finite, or if
     /// `edges` is empty (a skew field needs at least one edge).
-    pub fn new(out: W, edges: Vec<(usize, usize)>, window: f64, start: f64) -> Self {
+    pub fn new(out: W, edges: Vec<(usize, usize)>, window: f64) -> Self {
         assert!(
             window > 0.0 && window.is_finite(),
             "invalid skew-field window {window}"
@@ -71,14 +71,14 @@ impl<W: Write> SkewFieldWriter<W> {
             error: None,
             edges,
             window,
-            window_start: start,
+            window_start: 0.0,
             seq: 0,
             edge_max: vec![0.0; n],
             samples: 0,
             total_samples: 0,
             worst: 0.0,
             worst_edge: (0, 0),
-            worst_t: start,
+            worst_t: 0.0,
             scratch: Vec::with_capacity(n),
         }
     }
@@ -238,7 +238,7 @@ mod tests {
     #[test]
     fn windows_aggregate_per_edge_maxima() {
         let edges = vec![(0, 1), (1, 2)];
-        let mut w = SkewFieldWriter::new(Vec::new(), edges, 1.0, 0.0);
+        let mut w = SkewFieldWriter::new(Vec::new(), edges, 1.0);
         w.observe(0.25, &[0.0, 0.1, 0.1]); // edge (0,1): 0.1
         w.observe(0.75, &[0.0, 0.05, 0.35]); // edge (1,2): 0.3
         w.observe(1.5, &[0.0, 0.02, 0.04]); // second window
@@ -256,7 +256,7 @@ mod tests {
 
     #[test]
     fn empty_windows_are_skipped_but_cadence_holds() {
-        let mut w = SkewFieldWriter::new(Vec::new(), vec![(0, 1)], 1.0, 0.0);
+        let mut w = SkewFieldWriter::new(Vec::new(), vec![(0, 1)], 1.0);
         w.observe(5.5, &[0.0, 0.25]); // five empty windows skipped
         let text = String::from_utf8(w.finish().unwrap()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -267,7 +267,7 @@ mod tests {
     #[test]
     fn stream_is_deterministic() {
         let run = || {
-            let mut w = SkewFieldWriter::new(Vec::new(), vec![(0, 1), (1, 2)], 0.5, 0.0);
+            let mut w = SkewFieldWriter::new(Vec::new(), vec![(0, 1), (1, 2)], 0.5);
             for i in 0..40 {
                 let t = i as f64 * 0.1;
                 w.observe(t, &[0.0, (t * 0.7).sin() * 0.1, 0.05]);
@@ -279,7 +279,7 @@ mod tests {
 
     #[test]
     fn records_are_valid_json() {
-        let mut w = SkewFieldWriter::new(Vec::new(), vec![(0, 1)], 1.0, 0.0);
+        let mut w = SkewFieldWriter::new(Vec::new(), vec![(0, 1)], 1.0);
         w.observe(0.5, &[0.0, 0.125]);
         let text = String::from_utf8(w.finish().unwrap()).unwrap();
         for line in text.lines() {

@@ -276,7 +276,7 @@ mod tests {
     use crate::heartbeat::{BeatInput, HeartbeatEmitter};
 
     fn emitted_stream() -> String {
-        let mut e = HeartbeatEmitter::new(Vec::new(), 1.0, 0.0, true);
+        let mut e = HeartbeatEmitter::new(Vec::new(), 1.0, true);
         for i in 1..=12u64 {
             e.beat(&BeatInput {
                 t: i as f64,
@@ -359,7 +359,7 @@ mod tests {
     #[test]
     fn skewfield_records_parse_and_render() {
         use crate::skewfield::SkewFieldWriter;
-        let mut w = SkewFieldWriter::new(Vec::new(), vec![(0, 1), (1, 2)], 1.0, 0.0);
+        let mut w = SkewFieldWriter::new(Vec::new(), vec![(0, 1), (1, 2)], 1.0);
         w.observe(0.5, &[0.0, 0.25, 0.3]);
         w.observe(1.5, &[0.0, 0.1, 0.15]);
         let text = String::from_utf8(w.finish().unwrap()).unwrap();

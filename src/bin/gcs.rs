@@ -722,7 +722,7 @@ fn run_sinks(scenario: &Scenario, opts: &Options) -> Result<SinkSet, String> {
                 "option --skew-field-every: window must be positive, got `{every}`"
             ));
         }
-        let writer = SkewFieldWriter::new(heartbeat_writer(path)?, edges, every, 0.0);
+        let writer = SkewFieldWriter::new(heartbeat_writer(path)?, edges, every);
         sinks.skew_field = Some(writer);
     }
     Ok(sinks)
@@ -902,7 +902,7 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
         }
     }
 
-    if let Some(metrics) = sinks.metrics.as_mut() {
+    if let Some(metrics) = sinks.metrics.as_ref() {
         let path = opts.values["metrics"].as_str();
         let json = metrics.registry().to_json();
         if path == "-" {
@@ -1006,7 +1006,6 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
         Some(path) => Some(HeartbeatEmitter::new(
             heartbeat_writer(path)?,
             1.0,
-            0.0,
             opts.flag("deterministic-heartbeat"),
         )),
         None => None,

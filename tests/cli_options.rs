@@ -212,8 +212,10 @@ fn malformed_specs_are_errors_not_panics() {
     ] {
         rejects_spec(&["run", "--topology", topology, "--horizon", "1"], topology);
     }
-    for rates in ["alternating:0", "alternating:-1"] {
+    // A period below the horizon's resolution would never end the schedule.
+    for rates in ["alternating:0", "alternating:-1", "alternating:1e-300"] {
         rejects_spec(&with(&["--rates", rates]), rates);
+        rejects_spec(&["sweep", "--rates", rates, "--dry-run"], rates);
     }
     for factor in ["0", "nan"] {
         rejects_spec(&with(&["--kappa-factor", factor]), factor);
@@ -223,4 +225,8 @@ fn malformed_specs_are_errors_not_panics() {
         rejects_spec(&["sweep", "--topologies", topology], topology);
     }
     rejects_spec(&["sweep", "--topologies", "moebius:6"], "moebius");
+    rejects_spec(
+        &["sweep", "--delays", "wavefront:x", "--dry-run"],
+        "wavefront:x",
+    );
 }

@@ -310,3 +310,52 @@ fn profile_json_is_emitted_and_consistent() {
         assert!(line.contains(field), "missing {field} in {line}");
     }
 }
+
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn metrics_stdout_is_pinned_by_digest() {
+    // `--metrics -` prints the report table and the `gcs-metrics/v1`
+    // document on stdout. Both runs are fixed-seed, so any change to a
+    // metric's name, value, order or formatting moves the digest.
+    let runs: [(&[&str], usize, u64); 2] = [
+        (&["run", "--metrics", "-"], 2177, 0x87e9_25cb_f398_bbc8),
+        (
+            &[
+                "run",
+                "--topology",
+                "path:8",
+                "--delays",
+                "wavefront",
+                "--rates",
+                "gradient",
+                "--eps",
+                "0.05",
+                "--t",
+                "0.5",
+                "--horizon",
+                "40",
+                "--watchdog",
+                "--metrics",
+                "-",
+            ],
+            2096,
+            0x89c1_7541_63eb_e314,
+        ),
+    ];
+    for (args, len, digest) in runs {
+        let output = gcs(args);
+        assert!(output.status.success(), "{args:?}: {}", stderr(&output));
+        assert_eq!(
+            (output.stdout.len(), fnv1a(&output.stdout)),
+            (len, digest),
+            "{args:?} printed:\n{}",
+            stdout(&output)
+        );
+    }
+}
