@@ -7,7 +7,7 @@
 
 use gcs_analysis::Table;
 use gcs_bench::{banner, f4, workers};
-use gcs_sweep::{run_sweep, SweepSpec};
+use gcs_sweep::{run_sweep, PoolProgress, SweepSpec};
 
 fn main() {
     banner(
@@ -30,8 +30,13 @@ fn main() {
         ..SweepSpec::default()
     };
 
-    let jobs = spec.expand();
-    let (outcomes, _) = run_sweep(&jobs, workers(), |_, _| {});
+    let mut jobs = Vec::new();
+    run_sweep(
+        &spec,
+        workers(),
+        |job, outcome| jobs.push((job, outcome)),
+        None::<fn(PoolProgress)>,
+    );
 
     let mut table = Table::new(vec![
         "D",
@@ -40,7 +45,7 @@ fn main() {
         "measured global",
         "global bound 𝒢",
     ]);
-    for (job, outcome) in jobs.iter().zip(&outcomes) {
+    for (job, outcome) in &jobs {
         let r = outcome
             .completed()
             .unwrap_or_else(|| panic!("{} failed: {:?}", job.label(), outcome.failure()));

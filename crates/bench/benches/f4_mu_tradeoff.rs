@@ -9,7 +9,7 @@
 use gcs_analysis::Table;
 use gcs_bench::{banner, f4, workers};
 use gcs_core::Params;
-use gcs_sweep::{run_sweep, SweepSpec};
+use gcs_sweep::{run_sweep, PoolProgress, SweepSpec};
 
 fn main() {
     banner(
@@ -33,8 +33,13 @@ fn main() {
         ..SweepSpec::default()
     };
 
-    let jobs = spec.expand();
-    let (outcomes, _) = run_sweep(&jobs, workers(), |_, _| {});
+    let mut jobs = Vec::new();
+    run_sweep(
+        &spec,
+        workers(),
+        |job, outcome| jobs.push((job, outcome)),
+        None::<fn(PoolProgress)>,
+    );
 
     let mut table = Table::new(vec![
         "σ",
@@ -45,7 +50,7 @@ fn main() {
         "local bound",
         "measured local",
     ]);
-    for (job, outcome) in jobs.iter().zip(&outcomes) {
+    for (job, outcome) in &jobs {
         let r = outcome
             .completed()
             .unwrap_or_else(|| panic!("{} failed: {:?}", job.label(), outcome.failure()));

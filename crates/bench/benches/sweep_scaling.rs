@@ -12,26 +12,30 @@ use std::time::{Duration, Instant};
 
 use gcs_analysis::Table;
 use gcs_bench::{banner, f2, BenchReport};
-use gcs_sweep::{report, run_sweep, SweepSpec};
+use gcs_sweep::{report, run_sweep, PoolProgress, SweepSpec};
 
 /// Runs the sweep at the given worker count, returning the concatenated
 /// CSV+JSONL output and the wall-clock time of the orchestrated portion.
 fn run_at(spec: &SweepSpec, workers: usize) -> (String, Duration, usize) {
-    let jobs = spec.expand();
     let mut out = String::from(report::CSV_HEADER);
     out.push('\n');
     let started = Instant::now();
-    let (_, aggregate) = run_sweep(&jobs, workers, |job, outcome| {
-        out.push_str(&report::csv_row(job, outcome));
-        out.push('\n');
-        out.push_str(&report::jsonl_row(job, outcome));
-        out.push('\n');
-    });
+    let (aggregate, _) = run_sweep(
+        spec,
+        workers,
+        |job, outcome| {
+            out.push_str(&report::csv_row(&job, &outcome));
+            out.push('\n');
+            out.push_str(&report::jsonl_row(&job, &outcome));
+            out.push('\n');
+        },
+        None::<fn(PoolProgress)>,
+    );
     let elapsed = started.elapsed();
     out.push_str(&report::jsonl_summary(&aggregate));
     out.push('\n');
     assert_eq!(aggregate.failed, 0, "scaling sweep jobs must all complete");
-    (out, elapsed, jobs.len())
+    (out, elapsed, aggregate.total)
 }
 
 fn main() {

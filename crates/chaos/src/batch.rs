@@ -2,12 +2,13 @@
 //! worker pool, the invariant watchdog as online oracle, unexpected
 //! violations auto-shrunk to minimal reproducers.
 //!
-//! The pool is [`gcs_sweep::run_pool`], so a batch inherits the sweep's
+//! The pool is [`gcs_sweep::stream_pool`], so a batch inherits the sweep's
 //! guarantees: panic isolation (a scenario that panics is a `failed` entry,
 //! not a dead batch) and deterministic seed-order result emission
-//! regardless of worker count.
+//! regardless of worker count. Verdicts are folded into the summary as they
+//! are emitted; only findings are kept, and shrunk after the pool.
 
-use gcs_sweep::{run_pool, JobOutcome};
+use gcs_sweep::{stream_pool, JobOutcome, PoolProgress};
 
 use crate::random::random_spec;
 use crate::run::{run_scenario, ScenarioOutcome};
@@ -102,47 +103,43 @@ pub struct BatchSummary {
 /// given `(scenarios, start_seed)` regardless of `workers`.
 pub fn run_batch(cfg: &BatchConfig) -> BatchSummary {
     let start = cfg.start_seed;
-    let verdicts: Vec<JobOutcome<ScenarioVerdict>> = run_pool(
-        cfg.scenarios,
-        cfg.workers,
-        |i| {
-            let seed = start + i as u64;
-            let spec = random_spec(seed);
-            run_scenario(&spec).map(|o| ScenarioVerdict::from_outcome(seed, &o))
-        },
-        |_, _| {},
-    );
-
     let mut summary = BatchSummary {
         scenarios: cfg.scenarios,
         ..BatchSummary::default()
     };
-    for (i, outcome) in verdicts.iter().enumerate() {
-        let seed = start + i as u64;
-        match outcome {
+    // `(seed, violation kind)` of every finding, in seed order.
+    let mut findings = Vec::new();
+    stream_pool(
+        cfg.scenarios,
+        cfg.workers,
+        |i| start + i as u64,
+        |&seed| run_scenario(&random_spec(seed)).map(|o| ScenarioVerdict::from_outcome(seed, &o)),
+        |seed, outcome| match outcome {
             JobOutcome::Completed(v) if v.finding() => {
-                let spec = random_spec(seed);
-                let kind = v
-                    .violation
-                    .as_ref()
-                    .expect("finding has violation")
-                    .0
-                    .clone();
-                let shrunk = cfg.shrink.then(|| shrink(&spec).ok()).flatten();
-                summary.findings.push(Finding {
-                    seed,
-                    spec,
-                    kind,
-                    shrunk,
-                });
+                let (kind, ..) = v.violation.expect("finding has violation");
+                findings.push((seed, kind));
             }
             JobOutcome::Completed(v) if v.violation.is_some() => {
                 summary.expected_violations += 1;
             }
             JobOutcome::Completed(_) => summary.clean += 1,
-            JobOutcome::Failed(e) => summary.failed.push((seed, e.clone())),
-        }
-    }
+            JobOutcome::Failed(e) => summary.failed.push((seed, e)),
+        },
+        None::<fn(PoolProgress)>,
+    );
+    summary.findings = findings
+        .into_iter()
+        .map(|(seed, kind)| {
+            let spec = random_spec(seed);
+            let shrunk = cfg.shrink.then(|| shrink(&spec).ok()).flatten();
+            Finding {
+                seed,
+                spec,
+                kind,
+                shrunk,
+            }
+        })
+        .collect();
     summary
 }
 

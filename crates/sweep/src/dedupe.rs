@@ -1,4 +1,4 @@
-//! Deduplicating identical grid points inside one sweep.
+//! Deduplicating identical grid points inside one expanded job list.
 //!
 //! Duplicate axis values (`eps = 0.01,0.01`, overlapping topology lists,
 //! a repeated chaos clause) expand to jobs that are identical in every
@@ -9,6 +9,12 @@
 //! [`run_sweep_deduped`] runs one execution per distinct spec while
 //! emitting results for **every** original job, in original index order,
 //! byte-identical to the undeduped sweep.
+//!
+//! `gcs sweep` does not use it: [`crate::SweepSpec::validate`] rejects a
+//! repeated axis value, so a validated grid has no duplicates. Its one
+//! user is `benchmark/traced`, which checks with [`DedupePlan`] that a
+//! spec has none and takes its reference outcomes from
+//! [`run_sweep_deduped`].
 
 use std::collections::HashMap;
 
@@ -62,8 +68,8 @@ impl DedupePlan {
     }
 }
 
-/// Like [`crate::run_sweep_timed`], but each distinct spec is executed
-/// once and its outcome is replayed for every duplicate.
+/// Like [`crate::run_sweep`] over an expanded job list, but each distinct
+/// spec is executed once and its outcome is replayed for every duplicate.
 ///
 /// The emit callback still fires exactly once per **original** job, in
 /// strictly increasing original index order, with outcomes identical to
@@ -118,10 +124,10 @@ pub fn run_sweep_deduped(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_sweep_timed;
+    use crate::run_sweep;
     use crate::spec::SweepSpec;
 
-    fn duplicated_grid() -> Vec<JobSpec> {
+    fn duplicated_spec() -> SweepSpec {
         SweepSpec {
             topologies: vec!["path:4".into(), "ring:4".into(), "path:4".into()],
             eps: vec![0.01, 0.01],
@@ -129,7 +135,10 @@ mod tests {
             horizon: 10.0,
             ..SweepSpec::default()
         }
-        .expand()
+    }
+
+    fn duplicated_grid() -> Vec<JobSpec> {
+        duplicated_spec().expand()
     }
 
     #[test]
@@ -156,10 +165,14 @@ mod tests {
     fn deduped_sweep_is_byte_identical_to_plain_sweep() {
         let jobs = duplicated_grid();
         let mut plain_rows = Vec::new();
-        let (plain_outcomes, plain_agg, _) = run_sweep_timed(
-            &jobs,
+        let mut plain_outcomes = Vec::new();
+        let (plain_agg, _) = run_sweep(
+            &duplicated_spec(),
             2,
-            |job, outcome| plain_rows.push(crate::report::csv_row(job, outcome)),
+            |job, outcome| {
+                plain_rows.push(crate::report::csv_row(&job, &outcome));
+                plain_outcomes.push(outcome);
+            },
             None::<fn(PoolProgress)>,
         );
         for workers in [1, 3] {

@@ -4,10 +4,15 @@
 //! is serialized into a canonical byte string and folded into a 64-bit
 //! digest. Two specs serialize equal exactly when they describe the same
 //! execution (the job `index` is deliberately excluded: it names a grid
-//! position, not a computation). The digest's one user is the sweep
-//! dedupe ([`crate::DedupePlan`]): `gcs sweep` groups identical expanded grid
-//! points (duplicate axis values) by digest, guards collisions with the
-//! full bytes, and runs each distinct execution once.
+//! position, not a computation). The digest has two users:
+//!
+//! * the dedupe ([`crate::DedupePlan`]), which groups identical expanded
+//!   grid points (duplicate axis values) by digest, guards collisions with
+//!   the full bytes, and runs each distinct execution once. `gcs sweep` no
+//!   longer dedupes — [`crate::SweepSpec::validate`] rejects a repeated
+//!   axis value — and `benchmark/traced` is the dedupe's one caller;
+//! * `tests/golden_event_stream.rs`, which pins every protocol's event
+//!   stream by its [`digest`].
 //!
 //! The encoding is fully explicit: field tags, length-prefixed strings,
 //! `f64::to_bits` for floats — no textual round-trips, so `0.1` and

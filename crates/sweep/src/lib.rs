@@ -5,9 +5,9 @@
 //! seeds × adversary strategies. This crate turns such a grid into
 //! independent jobs and runs them on a [`std::thread`] worker pool:
 //!
-//! * [`SweepSpec`] — the grid. Expanded by [`SweepSpec::expand`] into
-//!   [`JobSpec`]s in a fixed nesting order; the job index is the job's
-//!   identity in every output stream.
+//! * [`SweepSpec`] — the grid. [`SweepSpec::job`] builds job `i` on demand,
+//!   in a fixed nesting order; the job index is the job's identity in every
+//!   output stream.
 //! * [`Scenario`] / [`SinkSet`] / [`Scenario::run`] — the one execution
 //!   path shared with `gcs run` and chaos scenarios: build the substrate
 //!   once, pick the protocol from the registry ([`with_protocols`]),
@@ -19,10 +19,11 @@
 //!   the watchdog a job never asks the engine for a clock vector outside
 //!   the observer's own full-scan stints. A job's result is a pure
 //!   function of its spec.
-//! * [`run_pool`] — the shared work queue. Panics are caught per job
-//!   ([`JobOutcome::Failed`]) and the pool keeps draining; completed
-//!   results are emitted **in job-index order regardless of worker
-//!   count**, streamed as the completed prefix grows.
+//! * [`stream_pool`] — the shared work queue. Panics are caught per job
+//!   ([`JobOutcome::Failed`]) and the pool keeps draining; finished jobs
+//!   are emitted **in job-index order regardless of worker count**, as the
+//!   finished prefix grows, and dropped once emitted. [`run_sweep`] runs a
+//!   whole [`SweepSpec`] through it.
 //! * [`SweepAggregate`] / [`report`] — order-stable statistics
 //!   (count/mean/min/max/p50/p95/p99) and deterministic CSV + JSONL rows:
 //!   the same spec produces byte-identical output at any `--jobs` value.
@@ -30,14 +31,19 @@
 //! # Example
 //!
 //! ```
-//! use gcs_sweep::{run_sweep, SweepSpec};
+//! use gcs_sweep::{run_sweep, PoolProgress, SweepSpec};
 //!
 //! let mut spec = SweepSpec::default();
 //! spec.topologies = vec!["path:5".into(), "ring:6".into()];
 //! spec.seeds = 0..2;
 //! spec.horizon = 20.0;
-//! let jobs = spec.expand();
-//! let (outcomes, agg) = run_sweep(&jobs, 2, |_job, _outcome| {});
+//! let mut outcomes = Vec::new();
+//! let (agg, _) = run_sweep(
+//!     &spec,
+//!     2,
+//!     |job, outcome| outcomes.push((job, outcome)),
+//!     None::<fn(PoolProgress)>,
+//! );
 //! assert_eq!(outcomes.len(), 4);
 //! assert_eq!(agg.completed, 4);
 //! ```
@@ -59,50 +65,50 @@ pub use agg::{Stat, SweepAggregate};
 pub use dedupe::{run_sweep_deduped, DedupePlan};
 pub use job::{run_job, JobResult};
 pub use parse::{build_delay, build_rates, parse_topology, SweepDelay};
-pub use pool::{run_pool, run_pool_timed, JobOutcome, PoolProgress, PoolStats};
+pub use pool::{run_pool, run_pool_timed, stream_pool, JobOutcome, PoolProgress, PoolStats};
 pub use scenario::{
     with_protocols, Outcome, ProtocolVisitor, Scenario, ScenarioSpec, SinkSet, ALGOS,
 };
 pub use spec::{JobSpec, SweepSpec};
 
-/// Runs the given jobs on `workers` threads and aggregates the results.
+/// Runs every job of `spec` on `workers` threads and aggregates the
+/// results.
 ///
-/// `emit` is invoked once per job in strictly increasing job-index order
-/// (see [`run_pool`]) — the place to stream CSV/JSONL rows. The aggregate
-/// ingests outcomes in the same order, so its statistics are independent
-/// of `workers`.
+/// Each worker builds its job from the spec ([`SweepSpec::job`]) and runs
+/// it ([`run_job`]). `emit` receives each job and its outcome once, in
+/// strictly increasing job-index order (see [`stream_pool`]), after the
+/// aggregate has ingested it — the place to stream CSV/JSONL rows, or to
+/// collect the outcomes. Nothing else keeps them, so the sweep's memory is
+/// set by its workers; only the aggregate's samples and
+/// [`PoolStats::job_wall`] grow with the job count. The aggregate's
+/// statistics are independent of `workers`.
+///
+/// `progress` is invoked after each completed job (the hook behind
+/// `gcs sweep --progress`). Timing is observational: emit order, outcomes
+/// and the aggregate are byte-identical with or without it
+/// (`tests/sweep_determinism.rs`).
+///
+/// # Panics
+///
+/// If the grid's job count overflows `usize` ([`SweepSpec::validate`]
+/// reports that as an error).
 pub fn run_sweep(
-    jobs: &[JobSpec],
+    spec: &SweepSpec,
     workers: usize,
-    emit: impl FnMut(&JobSpec, &JobOutcome<JobResult>) + Send,
-) -> (Vec<JobOutcome<JobResult>>, SweepAggregate) {
-    let (outcomes, aggregate, _) = run_sweep_timed(jobs, workers, emit, None::<fn(PoolProgress)>);
-    (outcomes, aggregate)
-}
-
-/// Like [`run_sweep`], additionally returning the pool's wall-time
-/// accounting ([`PoolStats`]) and optionally invoking `progress` after
-/// each completed job (the hook behind `gcs sweep --progress`).
-///
-/// Timing is observational: outcomes, emit order, and the aggregate are
-/// byte-identical to [`run_sweep`]'s (property-tested in
-/// `tests/sweep_determinism.rs`).
-pub fn run_sweep_timed(
-    jobs: &[JobSpec],
-    workers: usize,
-    mut emit: impl FnMut(&JobSpec, &JobOutcome<JobResult>) + Send,
+    mut emit: impl FnMut(JobSpec, JobOutcome<JobResult>) + Send,
     progress: Option<impl FnMut(PoolProgress) + Send>,
-) -> (Vec<JobOutcome<JobResult>>, SweepAggregate, PoolStats) {
+) -> (SweepAggregate, PoolStats) {
     let mut aggregate = SweepAggregate::new();
-    let (outcomes, stats) = run_pool_timed(
-        jobs.len(),
+    let stats = stream_pool(
+        spec.len(),
         workers,
-        |index| run_job(&jobs[index]),
-        |index, outcome| {
-            aggregate.ingest(index, outcome);
-            emit(&jobs[index], outcome);
+        |index| spec.job(index),
+        run_job,
+        |job, outcome| {
+            aggregate.ingest(job.index, &outcome);
+            emit(job, outcome);
         },
         progress,
     );
-    (outcomes, aggregate, stats)
+    (aggregate, stats)
 }

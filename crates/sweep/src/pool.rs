@@ -1,15 +1,22 @@
 //! The worker pool: a shared work queue over `std::thread`, panic
 //! isolation per job, and **in-order streaming emission** of results.
 //!
-//! Workers claim job indices from an atomic counter and run them
-//! independently. Each completed (or failed, or panicked) job is stored at
-//! its index; a watermark then advances over the longest completed prefix,
-//! invoking the caller's emit callback for each job **in index order** —
-//! so consumers (aggregators, CSV/JSONL writers) see the exact same
-//! sequence whether the pool ran with 1 worker or 16. Nothing is buffered
-//! beyond the out-of-order suffix, so emission is streaming: a slow job
-//! holds back emission but not execution.
+//! Workers claim job indices from an atomic counter, build each job's input
+//! and run it independently. Each finished (or failed, or panicked) job
+//! waits in a reorder buffer only until every earlier job has finished;
+//! then the caller's emit callback receives it **in index order** and owns
+//! it — so consumers (aggregators, CSV/JSONL writers) see the exact same
+//! sequence whether the pool ran with 1 worker or 16, and the pool keeps
+//! nothing of an emitted job but its wall time. The buffer holds only the
+//! jobs that finished ahead of the oldest running one: a slow job holds
+//! back emission but not execution.
+//!
+//! [`stream_pool`] is that core. What still grows with the job count is
+//! [`PoolStats::job_wall`], 16 bytes a job, and whatever the callbacks
+//! keep; [`run_pool`] and [`run_pool_timed`] keep every outcome, for
+//! callers that want them all.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -46,7 +53,7 @@ impl<T> JobOutcome<T> {
 
 /// Wall-time accounting for one pool run.
 ///
-/// Collected by [`run_pool_timed`]; purely observational — the job
+/// Collected by [`stream_pool`]; purely observational — the job
 /// results and the emit order are byte-identical with or without it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PoolStats {
@@ -54,7 +61,8 @@ pub struct PoolStats {
     pub workers: usize,
     /// Wall time of the whole pool run.
     pub wall: Duration,
-    /// Per-job wall times, indexed by job.
+    /// Per-job wall times, indexed by job; one is pushed as each job is
+    /// emitted.
     pub job_wall: Vec<Duration>,
 }
 
@@ -133,61 +141,60 @@ impl PoolProgress {
     }
 }
 
-struct EmitState<T, E> {
-    results: Vec<Option<JobOutcome<T>>>,
-    watermark: usize,
+/// The emission side of [`stream_pool`], under the pool's lock.
+struct Emitter<I, T, E> {
+    /// Finished jobs from index `next` on: slot `k` holds job `next + k`
+    /// once it has finished, with its input and wall time.
+    ahead: VecDeque<Option<(I, JobOutcome<T>, Duration)>>,
+    /// The oldest job not yet emitted.
+    next: usize,
     emit: E,
     job_wall: Vec<Duration>,
     done: usize,
 }
 
-/// Runs jobs `0..count` on `workers` threads and returns all outcomes in
-/// index order.
+/// Runs jobs `0..count` on `workers` threads, handing each outcome to
+/// `emit` in index order as soon as every earlier job has been emitted.
 ///
-/// `run` executes one job; it is called from worker threads and must be
-/// `Sync`. A panic inside `run` is caught and converted into
-/// [`JobOutcome::Failed`] — the pool keeps draining the remaining jobs.
+/// A worker builds job `i`'s input with `input(i)` and runs it with `run`;
+/// both are called from worker threads. A panic inside `run` is caught and
+/// converted into [`JobOutcome::Failed`] — the pool keeps draining the
+/// remaining jobs. `input` should not panic: a panic there ends the pool.
 ///
-/// `emit` is invoked exactly once per job, **in strictly increasing index
-/// order** regardless of completion order or worker count, as soon as the
-/// completed prefix reaches that job. It runs under the pool's result lock,
-/// so it should do cheap work (aggregation, buffered writes).
-pub fn run_pool<T, F, E>(count: usize, workers: usize, run: F, emit: E) -> Vec<JobOutcome<T>>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T, String> + Sync,
-    E: FnMut(usize, &JobOutcome<T>) + Send,
-{
-    run_pool_timed(count, workers, run, emit, None::<fn(PoolProgress)>).0
-}
-
-/// Like [`run_pool`], additionally returning wall-time accounting and
-/// optionally invoking `progress` after each job completes (in completion
-/// order — *not* emit order — so a live display updates immediately).
+/// `emit` receives each job's input and outcome exactly once, **in
+/// strictly increasing index order** regardless of completion order or
+/// worker count, and owns them from then on: the pool holds a finished job
+/// only while an earlier one is still running. `emit` runs under the
+/// pool's lock, so it should do cheap work (aggregation, buffered writes).
 ///
-/// Timing is observational only: results, emit order, and everything the
-/// emit callback sees are identical to [`run_pool`]'s.
-pub fn run_pool_timed<T, F, E, G>(
+/// `progress` is invoked after each job completes, in completion order —
+/// *not* emit order — so a live display updates immediately. Timing is
+/// observational only: everything `emit` sees is independent of it and of
+/// `workers`.
+pub fn stream_pool<I, T, B, F, E, G>(
     count: usize,
     workers: usize,
+    input: B,
     run: F,
     emit: E,
     mut progress: Option<G>,
-) -> (Vec<JobOutcome<T>>, PoolStats)
+) -> PoolStats
 where
+    I: Send,
     T: Send,
-    F: Fn(usize) -> Result<T, String> + Sync,
-    E: FnMut(usize, &JobOutcome<T>) + Send,
+    B: Fn(usize) -> I + Sync,
+    F: Fn(&I) -> Result<T, String> + Sync,
+    E: FnMut(I, JobOutcome<T>) + Send,
     G: FnMut(PoolProgress) + Send,
 {
     let workers = workers.max(1).min(count.max(1));
     let next = AtomicUsize::new(0);
     let pool_started = Instant::now();
-    let state = Mutex::new(EmitState {
-        results: (0..count).map(|_| None).collect(),
-        watermark: 0,
+    let state = Mutex::new(Emitter {
+        ahead: VecDeque::new(),
+        next: 0,
         emit,
-        job_wall: vec![Duration::ZERO; count],
+        job_wall: Vec::new(),
         done: 0,
     });
     // Paired with the highest done-count already reported, so the live
@@ -201,27 +208,32 @@ where
                 if index >= count {
                     break;
                 }
+                let input = input(index);
                 let job_started = Instant::now();
-                let outcome = match catch_unwind(AssertUnwindSafe(|| run(index))) {
+                let outcome = match catch_unwind(AssertUnwindSafe(|| run(&input))) {
                     Ok(Ok(value)) => JobOutcome::Completed(value),
                     Ok(Err(message)) => JobOutcome::Failed(message),
                     Err(payload) => JobOutcome::Failed(panic_message(payload.as_ref())),
                 };
                 let job_wall = job_started.elapsed();
                 let done = {
-                    let mut state = state.lock().expect("pool state poisoned");
-                    state.results[index] = Some(outcome);
-                    state.job_wall[index] = job_wall;
-                    state.done += 1;
-                    // Advance the watermark over the completed prefix,
-                    // emitting each newly reachable job in index order.
-                    while state.watermark < count && state.results[state.watermark].is_some() {
-                        let at = state.watermark;
-                        state.watermark += 1;
-                        let ready = state.results[at].take().expect("checked is_some");
-                        (state.emit)(at, &ready);
-                        state.results[at] = Some(ready);
+                    let mut guard = state.lock().expect("pool state poisoned");
+                    let state = &mut *guard;
+                    let slot = index - state.next;
+                    if state.ahead.len() <= slot {
+                        state.ahead.resize_with(slot + 1, || None);
                     }
+                    state.ahead[slot] = Some((input, outcome, job_wall));
+                    // Emit the finished prefix, in index order.
+                    while let Some((input, outcome, wall)) =
+                        state.ahead.front_mut().and_then(Option::take)
+                    {
+                        state.ahead.pop_front();
+                        state.next += 1;
+                        state.job_wall.push(wall);
+                        (state.emit)(input, outcome);
+                    }
+                    state.done += 1;
                     state.done
                 };
                 let mut guard = progress.lock().expect("progress poisoned");
@@ -241,17 +253,62 @@ where
     });
 
     let state = state.into_inner().expect("pool state poisoned");
-    debug_assert_eq!(state.watermark, count, "every job must have been emitted");
-    let stats = PoolStats {
+    debug_assert_eq!(state.next, count, "every job must have been emitted");
+    PoolStats {
         workers,
         wall: pool_started.elapsed(),
         job_wall: state.job_wall,
-    };
-    let outcomes = state
-        .results
-        .into_iter()
-        .map(|slot| slot.expect("every job must have completed"))
-        .collect();
+    }
+}
+
+/// Runs jobs `0..count` on `workers` threads and returns all outcomes in
+/// index order: [`stream_pool`], with `emit` seeing each outcome by
+/// reference before it is collected.
+///
+/// `run` executes one job. A panic inside it is caught and converted into
+/// [`JobOutcome::Failed`] — the pool keeps draining the remaining jobs.
+/// `emit` is invoked exactly once per job, **in strictly increasing index
+/// order**, under the pool's lock.
+pub fn run_pool<T, F, E>(count: usize, workers: usize, run: F, emit: E) -> Vec<JobOutcome<T>>
+where
+    T: Send,
+    F: Fn(usize) -> Result<T, String> + Sync,
+    E: FnMut(usize, &JobOutcome<T>) + Send,
+{
+    run_pool_timed(count, workers, run, emit, None::<fn(PoolProgress)>).0
+}
+
+/// Like [`run_pool`], additionally returning wall-time accounting and
+/// optionally invoking `progress` after each job completes (in completion
+/// order — *not* emit order — so a live display updates immediately).
+///
+/// Timing is observational only: results, emit order, and everything the
+/// emit callback sees are identical to [`run_pool`]'s.
+pub fn run_pool_timed<T, F, E, G>(
+    count: usize,
+    workers: usize,
+    run: F,
+    mut emit: E,
+    progress: Option<G>,
+) -> (Vec<JobOutcome<T>>, PoolStats)
+where
+    T: Send,
+    F: Fn(usize) -> Result<T, String> + Sync,
+    E: FnMut(usize, &JobOutcome<T>) + Send,
+    G: FnMut(PoolProgress) + Send,
+{
+    let mut outcomes = Vec::with_capacity(count);
+    let stats = stream_pool(
+        count,
+        workers,
+        |index| index,
+        |&index| run(index),
+        |index, outcome| {
+            emit(index, &outcome);
+            outcomes.push(outcome);
+        },
+        progress,
+    );
     (outcomes, stats)
 }
 
@@ -347,6 +404,66 @@ mod tests {
             "pool oversubscribed: {peak} concurrent jobs > {workers} workers"
         );
         assert!(peak >= 1);
+    }
+
+    /// An outcome that counts its live instances.
+    struct Counted<'a>(&'a AtomicU64);
+
+    impl<'a> Counted<'a> {
+        fn new(live: &'a AtomicU64) -> Self {
+            live.fetch_add(1, Ordering::SeqCst);
+            Counted(live)
+        }
+    }
+
+    impl Drop for Counted<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn streaming_drops_each_outcome_once_emitted() {
+        // An outcome is alive while its job runs (at most `workers`), while
+        // it waits behind an earlier job (finished, not yet emitted), or
+        // while `emit` holds it. Nothing else may keep one.
+        for workers in [1, 3] {
+            let live = AtomicU64::new(0);
+            let finished = AtomicU64::new(0);
+            let mut emitted = 0u64;
+            let mut order = Vec::new();
+            let stats = stream_pool(
+                64,
+                workers,
+                |i| i,
+                |&i| {
+                    let outcome = Counted::new(&live);
+                    thread::sleep(Duration::from_micros((i % 7) as u64 * 300));
+                    finished.fetch_add(1, Ordering::SeqCst);
+                    Ok(outcome)
+                },
+                |i, outcome| {
+                    assert!(outcome.completed().is_some());
+                    let alive = live.load(Ordering::SeqCst);
+                    let waiting = finished.load(Ordering::SeqCst) - emitted;
+                    assert!(
+                        alive <= workers as u64 + waiting,
+                        "{alive} outcomes alive at job {i}: {workers} workers, \
+                         {waiting} finished and not yet emitted"
+                    );
+                    emitted += 1;
+                    order.push(i);
+                },
+                None::<fn(PoolProgress)>,
+            );
+            assert_eq!(order, (0..64).collect::<Vec<_>>());
+            assert_eq!(stats.job_wall.len(), 64);
+            assert_eq!(
+                live.load(Ordering::SeqCst),
+                0,
+                "an outcome outlived the pool"
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Sweep specifications: a parameter grid and its expansion into jobs.
 //!
 //! A [`SweepSpec`] names one value list per experiment axis (topology,
-//! algorithm, ε̂, 𝒯̂, σ, delay model, rate schedule, seed). [`SweepSpec::expand`]
-//! takes the full cross product in a **fixed nesting order** and assigns each
-//! combination a job index; everything downstream (the worker pool, the
-//! aggregator, the CSV/JSONL emitters) is keyed by that index, which is what
-//! makes sweep output independent of worker count.
+//! algorithm, ε̂, 𝒯̂, σ, delay model, rate schedule, seed). The grid is the
+//! full cross product in a **fixed nesting order**, and [`SweepSpec::job`]
+//! builds the combination at any job index on demand, so a sweep never holds
+//! the job list. Everything downstream (the worker pool, the aggregator, the
+//! CSV/JSONL emitters) is keyed by that index, which is what makes sweep
+//! output independent of worker count.
 
 use std::ops::Range;
 
@@ -141,60 +142,100 @@ impl SweepSpec {
     /// Expands the grid into jobs, in the fixed nesting order
     /// `topology → algo → ε̂ → 𝒯̂ → σ → delay → rates → chaos → seed`
     /// (seed varies fastest). Job `index` is the enumeration position.
+    ///
+    /// A sweep never needs this list: it builds each job on demand with
+    /// [`SweepSpec::job`].
     pub fn expand(&self) -> Vec<JobSpec> {
-        let mut jobs = Vec::with_capacity(self.len());
-        for topology in &self.topologies {
-            for algo in &self.algos {
-                for &eps in &self.eps {
-                    for &t in &self.t {
-                        for &sigma in &self.sigmas {
-                            for delay in &self.delays {
-                                for rates in &self.rates {
-                                    for chaos in &self.chaos {
-                                        for seed in self.seeds.clone() {
-                                            jobs.push(JobSpec {
-                                                index: jobs.len(),
-                                                topology: topology.clone(),
-                                                algo: algo.clone(),
-                                                eps,
-                                                t,
-                                                sigma,
-                                                delay: delay.clone(),
-                                                rates: rates.clone(),
-                                                chaos: chaos.clone(),
-                                                seed,
-                                                horizon: self.horizon,
-                                                horizon_per_diameter: self.horizon_per_diameter,
-                                                watchdog: self.watchdog,
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+        (0..self.len()).map(|index| self.job(index)).collect()
+    }
+
+    /// Job `index` of [`SweepSpec::expand`]'s order, built from the grid by
+    /// mixed-radix decomposition of the index: the seed is the lowest
+    /// digit, the topology the highest.
+    ///
+    /// # Panics
+    ///
+    /// If `index >= self.len()`.
+    pub fn job(&self, index: usize) -> JobSpec {
+        assert!(index < self.len(), "job {index} is outside the grid");
+        let [topologies, algos, eps, t, sigmas, delays, rates, chaos, seeds] = self.radices();
+        let mut rest = index as u64;
+        let mut digit = |radix: u64| {
+            let d = rest % radix;
+            rest /= radix;
+            d as usize
+        };
+        let seed = self.seeds.start + digit(seeds) as u64;
+        let chaos = &self.chaos[digit(chaos)];
+        let rates = &self.rates[digit(rates)];
+        let delay = &self.delays[digit(delays)];
+        let sigma = self.sigmas[digit(sigmas)];
+        let t = self.t[digit(t)];
+        let eps = self.eps[digit(eps)];
+        let algo = &self.algos[digit(algos)];
+        let topology = &self.topologies[digit(topologies)];
+        JobSpec {
+            index,
+            topology: topology.clone(),
+            algo: algo.clone(),
+            eps,
+            t,
+            sigma,
+            delay: delay.clone(),
+            rates: rates.clone(),
+            chaos: chaos.clone(),
+            seed,
+            horizon: self.horizon,
+            horizon_per_diameter: self.horizon_per_diameter,
+            watchdog: self.watchdog,
         }
-        jobs
     }
 
     /// Number of jobs the grid expands to.
+    ///
+    /// # Panics
+    ///
+    /// If the count overflows `usize`; [`SweepSpec::validate`] reports
+    /// such a grid as an error.
     pub fn len(&self) -> usize {
-        self.topologies.len()
-            * self.algos.len()
-            * self.eps.len()
-            * self.t.len()
-            * self.sigmas.len()
-            * self.delays.len()
-            * self.rates.len()
-            * self.chaos.len()
-            * self.seeds.clone().count()
+        self.checked_len().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Whether the grid is empty (some axis has no values).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.radices().contains(&0)
+    }
+
+    /// The number of values on each axis, in nesting order (seeds last).
+    fn radices(&self) -> [u64; 9] {
+        let n = |len: usize| len as u64;
+        [
+            n(self.topologies.len()),
+            n(self.algos.len()),
+            n(self.eps.len()),
+            n(self.t.len()),
+            n(self.sigmas.len()),
+            n(self.delays.len()),
+            n(self.rates.len()),
+            n(self.chaos.len()),
+            self.seeds.end.saturating_sub(self.seeds.start),
+        ]
+    }
+
+    /// The job count, or an error naming it if it overflows `usize`.
+    fn checked_len(&self) -> Result<usize, String> {
+        let radices = self.radices();
+        radices
+            .iter()
+            .try_fold(1usize, |n, &r| n.checked_mul(usize::try_from(r).ok()?))
+            .ok_or_else(|| {
+                let factors: Vec<String> = radices.iter().map(u64::to_string).collect();
+                format!(
+                    "the sweep's job count `{}` overflows (at most {} jobs)",
+                    factors.join(" × "),
+                    usize::MAX
+                )
+            })
     }
 
     /// Checks every axis value, without running anything.
@@ -202,11 +243,14 @@ impl SweepSpec {
     /// Topologies are built with the first seed — sizes and spec syntax do
     /// not depend on the seed. Each delay and rates value is built on the
     /// first topology's graph with the first ε̂ and 𝒯̂, the rates up to the
-    /// longest horizon those delays ask for.
+    /// longest horizon those delays ask for. A job count that overflows
+    /// `usize` is an error, and so is a value repeated on one axis, whose
+    /// jobs would repeat the earlier value's exactly.
     pub fn validate(&self) -> Result<(), String> {
         if self.is_empty() {
             return Err("sweep grid is empty (some axis has no values)".into());
         }
+        self.checked_len()?;
         for &e in &self.eps {
             if !(e > 0.0 && e < 1.0) {
                 return Err(format!("eps must lie in (0, 1), got {e}"));
@@ -218,6 +262,19 @@ impl SweepSpec {
             }
         }
         check_horizon(self.horizon, self.horizon_per_diameter)?;
+        no_repeats("topologies", &self.topologies)?;
+        no_repeats("algos", &self.algos)?;
+        no_repeats("eps", &self.eps)?;
+        no_repeats("t", &self.t)?;
+        let sigmas: Vec<String> = self
+            .sigmas
+            .iter()
+            .map(|s| s.map_or_else(|| "recommended".into(), |s| s.to_string()))
+            .collect();
+        no_repeats("sigma", &sigmas)?;
+        no_repeats("delays", &self.delays)?;
+        no_repeats("rates", &self.rates)?;
+        no_repeats("chaos", &self.chaos)?;
         let probe_seed = self.seeds.start;
         let graph = parse_topology(&self.topologies[0], probe_seed)?;
         for t in &self.topologies[1..] {
@@ -343,6 +400,15 @@ impl SweepSpec {
     }
 }
 
+/// An error naming the first value of `axis` that repeats an earlier one:
+/// its jobs would repeat those of the earlier value exactly.
+fn no_repeats<T: PartialEq + std::fmt::Display>(axis: &str, values: &[T]) -> Result<(), String> {
+    match (1..values.len()).find(|&i| values[..i].contains(&values[i])) {
+        Some(i) => Err(format!("{axis}: `{}` is repeated", values[i])),
+        None => Ok(()),
+    }
+}
+
 fn parse_list(value: &str) -> Vec<String> {
     value
         .split(',')
@@ -365,6 +431,7 @@ fn parse_f64_list(key: &str, value: &str) -> Result<Vec<f64>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn expansion_order_is_seed_fastest() {
@@ -424,5 +491,124 @@ mod tests {
         assert!(spec.validate().is_err());
         spec.algos = vec![];
         assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn repeated_values_and_overflowing_counts_are_errors() {
+        let repeated = |key: &str, value: &str| {
+            let mut spec = SweepSpec::default();
+            spec.apply(key, value).unwrap();
+            spec.validate().unwrap_err()
+        };
+        assert_eq!(
+            repeated("topologies", "path:4, ring:4, path:4"),
+            "topologies: `path:4` is repeated"
+        );
+        assert_eq!(repeated("eps", "0.01, 1e-2"), "eps: `0.01` is repeated");
+        assert_eq!(
+            repeated("sigma", "recommended, 2, recommended"),
+            "sigma: `recommended` is repeated"
+        );
+        assert_eq!(repeated("chaos", "none,none"), "chaos: `none` is repeated");
+
+        let huge = SweepSpec {
+            topologies: vec!["path:4".into(), "path:5".into(), "path:6".into()],
+            seeds: 0..u64::MAX / 2,
+            ..SweepSpec::default()
+        };
+        assert!(!huge.is_empty());
+        let err = huge.validate().unwrap_err();
+        assert!(err.contains("job count `3 × 1 × 1"), "{err}");
+        assert!(err.contains(&format!("{}", u64::MAX / 2)), "{err}");
+        // A grid that fits is built job by job, never expanded.
+        let wide = SweepSpec {
+            seeds: 5..u64::MAX,
+            ..SweepSpec::default()
+        };
+        wide.validate().unwrap();
+        assert_eq!(wide.len(), (u64::MAX - 5) as usize);
+        assert_eq!(wide.job(wide.len() - 1).seed, u64::MAX - 1);
+    }
+
+    /// The grid expanded by nested loops, in the documented order: the
+    /// oracle for [`SweepSpec::job`]'s mixed-radix decomposition.
+    fn nested_expansion(spec: &SweepSpec) -> Vec<JobSpec> {
+        let mut jobs = Vec::new();
+        for topology in &spec.topologies {
+            for algo in &spec.algos {
+                for &eps in &spec.eps {
+                    for &t in &spec.t {
+                        for &sigma in &spec.sigmas {
+                            for delay in &spec.delays {
+                                for rates in &spec.rates {
+                                    for chaos in &spec.chaos {
+                                        for seed in spec.seeds.clone() {
+                                            jobs.push(JobSpec {
+                                                index: jobs.len(),
+                                                topology: topology.clone(),
+                                                algo: algo.clone(),
+                                                eps,
+                                                t,
+                                                sigma,
+                                                delay: delay.clone(),
+                                                rates: rates.clone(),
+                                                chaos: chaos.clone(),
+                                                seed,
+                                                horizon: spec.horizon,
+                                                horizon_per_diameter: spec.horizon_per_diameter,
+                                                watchdog: spec.watchdog,
+                                            });
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        jobs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Job `i` built on demand is the `i`-th job of the nested
+        /// expansion, in every field, over random grids.
+        #[test]
+        fn job_matches_nested_expansion(
+            axes in prop::collection::vec(1usize..4, 8..9),
+            first_seed in 0u64..1_000_000,
+            seed_count in 1u64..5,
+            horizon in 1.0f64..100.0,
+            watchdog in prop::sample::select(vec![false, true]),
+        ) {
+            let pick = |n: usize, values: &[&str]| -> Vec<String> {
+                values[..n].iter().map(|v| v.to_string()).collect()
+            };
+            let spec = SweepSpec {
+                topologies: pick(axes[0], &["path:4", "ring:5", "star:6"]),
+                algos: pick(axes[1], &["aopt", "max", "nosync"]),
+                eps: [0.01, 0.02, 0.03][..axes[2]].to_vec(),
+                t: [0.1, 0.2, 0.3][..axes[3]].to_vec(),
+                sigmas: [None, Some(2), Some(4)][..axes[4]].to_vec(),
+                delays: pick(axes[5], &["uniform", "const", "directional"]),
+                rates: pick(axes[6], &["walk", "split", "nominal"]),
+                chaos: pick(axes[7], &["none", "drop:1..2:*:0.5", "clog:0..1:0-1:0.05"]),
+                seeds: first_seed..first_seed + seed_count,
+                horizon,
+                horizon_per_diameter: 0.5,
+                watchdog,
+            };
+            let nested = nested_expansion(&spec);
+            let expanded = spec.expand();
+            prop_assert_eq!(spec.len(), nested.len());
+            prop_assert_eq!(&expanded, &nested);
+            for (i, job) in nested.iter().enumerate() {
+                let built = spec.job(i);
+                prop_assert_eq!(built.index, i);
+                prop_assert_eq!(&built, job);
+            }
+        }
     }
 }

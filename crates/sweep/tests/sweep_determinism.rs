@@ -1,12 +1,11 @@
-//! `run_sweep_timed` must be observationally identical to `run_sweep`:
-//! same outcomes, same emit order, byte-identical CSV/JSONL — with or
-//! without the progress callback, at any worker count. The timing and
-//! progress machinery behind `gcs sweep --profile` / `--progress` is pure
-//! observation.
+//! `run_sweep` is observationally independent of its worker count and of
+//! its progress callback: same outcomes, same emit order, byte-identical
+//! CSV/JSONL. The timing and progress machinery behind
+//! `gcs sweep --profile` / `--progress` is pure observation.
 
 use std::sync::Mutex;
 
-use gcs_sweep::{report, run_sweep, run_sweep_timed, PoolProgress, SweepSpec};
+use gcs_sweep::{report, run_sweep, JobOutcome, JobResult, PoolProgress, SweepSpec};
 
 fn spec() -> SweepSpec {
     SweepSpec {
@@ -18,76 +17,62 @@ fn spec() -> SweepSpec {
     }
 }
 
-/// Renders the full deterministic output (CSV rows + JSONL rows + summary)
-/// the way `gcs sweep` streams it.
-fn render(emitted: &[(String, String)], summary: &str) -> String {
-    let mut out = String::from(report::CSV_HEADER);
-    out.push('\n');
-    for (csv, jsonl) in emitted {
-        out.push_str(csv);
-        out.push('\n');
-        out.push_str(jsonl);
-        out.push('\n');
-    }
-    out.push_str(summary);
-    out.push('\n');
-    out
+/// What one sweep emitted: each job's outcome, and the full deterministic
+/// output (CSV rows + JSONL rows + summary) the way `gcs sweep` streams it.
+struct Emitted {
+    outcomes: Vec<JobOutcome<JobResult>>,
+    output: String,
+}
+
+fn sweep(workers: usize, progress: Option<impl FnMut(PoolProgress) + Send>) -> Emitted {
+    let spec = spec();
+    let mut outcomes = Vec::new();
+    let mut output = String::from(report::CSV_HEADER);
+    output.push('\n');
+    let (aggregate, stats) = run_sweep(
+        &spec,
+        workers,
+        |job, outcome| {
+            assert_eq!(job, spec.job(outcomes.len()), "emitted out of order");
+            output.push_str(&report::csv_row(&job, &outcome));
+            output.push('\n');
+            output.push_str(&report::jsonl_row(&job, &outcome));
+            output.push('\n');
+            outcomes.push(outcome);
+        },
+        progress,
+    );
+    output.push_str(&report::jsonl_summary(&aggregate));
+    output.push('\n');
+    assert_eq!(stats.workers, workers);
+    assert_eq!(stats.job_wall.len(), spec.len());
+    assert!(stats.utilization() > 0.0);
+    Emitted { outcomes, output }
 }
 
 #[test]
-fn timed_sweep_output_is_byte_identical_to_untimed() {
-    let jobs = spec().expand();
-    assert_eq!(jobs.len(), 12);
+fn sweep_output_is_byte_identical_at_1_and_2_workers_with_or_without_progress() {
+    assert_eq!(spec().len(), 12);
+    let reference = sweep(1, None::<fn(PoolProgress)>);
+    assert!(reference.output.contains(r#""status":"completed""#));
 
-    let mut plain_rows = Vec::new();
-    let (plain_outcomes, plain_agg) = run_sweep(&jobs, 2, |job, outcome| {
-        plain_rows.push((
-            report::csv_row(job, outcome),
-            report::jsonl_row(job, outcome),
-        ));
-    });
-    let reference = render(&plain_rows, &report::jsonl_summary(&plain_agg));
+    let plain = sweep(2, None::<fn(PoolProgress)>);
+    assert_eq!(plain.outcomes, reference.outcomes);
+    assert_eq!(plain.output, reference.output);
 
-    // Timed, no progress callback, different worker count.
-    let mut rows = Vec::new();
-    let (outcomes, agg, stats) = run_sweep_timed(
-        &jobs,
-        4,
-        |job, outcome| {
-            rows.push((
-                report::csv_row(job, outcome),
-                report::jsonl_row(job, outcome),
-            ));
-        },
-        None::<fn(PoolProgress)>,
-    );
-    assert_eq!(outcomes, plain_outcomes);
-    assert_eq!(render(&rows, &report::jsonl_summary(&agg)), reference);
-    assert_eq!(stats.job_wall.len(), jobs.len());
-
-    // Timed, with a live progress callback.
+    // With a live progress callback.
     let progress = Mutex::new(Vec::new());
-    let mut rows = Vec::new();
-    let (outcomes, agg, stats) = run_sweep_timed(
-        &jobs,
-        3,
-        |job, outcome| {
-            rows.push((
-                report::csv_row(job, outcome),
-                report::jsonl_row(job, outcome),
-            ));
-        },
+    let watched = sweep(
+        2,
         Some(|p: PoolProgress| progress.lock().unwrap().push(p.done)),
     );
-    assert_eq!(outcomes, plain_outcomes);
-    assert_eq!(render(&rows, &report::jsonl_summary(&agg)), reference);
-    assert_eq!(stats.workers, 3);
-    assert!(stats.utilization() > 0.0);
+    assert_eq!(watched.outcomes, reference.outcomes);
+    assert_eq!(watched.output, reference.output);
 
     let progress = progress.into_inner().unwrap();
     assert!(
         progress.windows(2).all(|w| w[0] < w[1]),
         "progress counts must be strictly monotone: {progress:?}"
     );
-    assert_eq!(progress.last(), Some(&jobs.len()));
+    assert_eq!(progress.last(), Some(&spec().len()));
 }

@@ -39,7 +39,7 @@ use clock_sync::forensics::{
 use clock_sync::sim::{Protocol, RecorderSink};
 use clock_sync::sweep::scenario::Heartbeat;
 use clock_sync::sweep::{
-    report, run_sweep_deduped, with_protocols, Outcome, PoolProgress, ProtocolVisitor, Scenario,
+    report, run_sweep, with_protocols, Outcome, PoolProgress, ProtocolVisitor, Scenario,
     ScenarioSpec, SinkSet, SweepSpec,
 };
 use clock_sync::telemetry::{HeartbeatEmitter, SkewFieldWriter};
@@ -963,7 +963,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
         spec.watchdog = true;
     }
     spec.validate()?;
-    let jobs = spec.expand();
+    let jobs_total = spec.len();
     let default_workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let workers = opts.usize_or("jobs", default_workers)?.max(1);
 
@@ -971,22 +971,22 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
         let mut table = Table::new(vec![
             "job", "topology", "algo", "eps", "t", "sigma", "delay", "rates", "chaos", "seed",
         ]);
-        for job in &jobs {
+        for job in (0..jobs_total).map(|index| spec.job(index)) {
             table.row(vec![
                 job.index.to_string(),
-                job.topology.clone(),
-                job.algo.clone(),
+                job.topology,
+                job.algo,
                 job.eps.to_string(),
                 job.t.to_string(),
                 job.sigma.map_or_else(|| "rec".into(), |s| s.to_string()),
-                job.delay.clone(),
-                job.rates.clone(),
-                job.chaos.clone(),
+                job.delay,
+                job.rates,
+                job.chaos,
                 job.seed.to_string(),
             ]);
         }
         println!("{table}");
-        println!("{} jobs (dry run; would use {workers} workers)", jobs.len());
+        println!("{jobs_total} jobs (dry run; would use {workers} workers)");
         return Ok(());
     }
 
@@ -1019,8 +1019,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
     }
 
     println!(
-        "sweep: {} jobs on {workers} worker{}",
-        jobs.len(),
+        "sweep: {jobs_total} jobs on {workers} worker{}",
         if workers == 1 { "" } else { "s" }
     );
     let started = Instant::now();
@@ -1036,20 +1035,19 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
         );
         let _ = std::io::stderr().flush();
     });
-    let jobs_total = jobs.len() as u64;
     let mut hb_done: u64 = 0;
     let mut hb_events: u64 = 0;
-    let (_, aggregate, pool_stats, deduped) = run_sweep_deduped(
-        &jobs,
+    let (aggregate, pool_stats) = run_sweep(
+        &spec,
         workers,
         |job, outcome| {
             if let Some(w) = csv.as_mut() {
-                if let Err(e) = writeln!(w, "{}", report::csv_row(job, outcome)) {
+                if let Err(e) = writeln!(w, "{}", report::csv_row(&job, &outcome)) {
                     io_error.get_or_insert(format!("csv write failed: {e}"));
                 }
             }
             if let Some(w) = jsonl.as_mut() {
-                if let Err(e) = writeln!(w, "{}", report::jsonl_row(job, outcome)) {
+                if let Err(e) = writeln!(w, "{}", report::jsonl_row(&job, &outcome)) {
                     io_error.get_or_insert(format!("jsonl write failed: {e}"));
                 }
             }
@@ -1060,8 +1058,10 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
                 if let Some(r) = outcome.completed() {
                     hb_events += r.events_recorded;
                 }
-                if hb_done.is_multiple_of(hb_every) || hb_done == jobs_total {
-                    if let Err(e) = hb.sweep_beat(hb_done, jobs_total, hb_events, &job.label()) {
+                if hb_done.is_multiple_of(hb_every) || hb_done == jobs_total as u64 {
+                    if let Err(e) =
+                        hb.sweep_beat(hb_done, jobs_total as u64, hb_events, &job.label())
+                    {
                         io_error.get_or_insert(format!("heartbeat write failed: {e}"));
                     }
                 }
@@ -1094,11 +1094,6 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
         return Err(e);
     }
 
-    // Identical grid points (e.g. repeated axis values) execute once and
-    // replay to every duplicate; output is byte-identical either way.
-    if deduped > 0 {
-        println!("deduped = {deduped} (identical grid points executed once)");
-    }
     println!(
         "completed {} / failed {} / watchdog trips {} in {:.2?}\n",
         aggregate.completed, aggregate.failed, aggregate.watchdog_trips, elapsed
@@ -1120,13 +1115,9 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
     }
     if aggregate.failed > 0 {
         for (index, message) in &aggregate.failures {
-            eprintln!("job {}: {message}", jobs[*index].label());
+            eprintln!("job {}: {message}", spec.job(*index).label());
         }
-        return Err(format!(
-            "{} of {} jobs failed",
-            aggregate.failed,
-            jobs.len()
-        ));
+        return Err(format!("{} of {jobs_total} jobs failed", aggregate.failed));
     }
     Ok(())
 }

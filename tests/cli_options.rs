@@ -3,7 +3,8 @@
 //! every option the benchmark driver (`benchmark/src/main.rs`) passes.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::Duration;
 
 fn gcs(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_gcs"))
@@ -228,5 +229,66 @@ fn malformed_specs_are_errors_not_panics() {
     rejects_spec(
         &["sweep", "--delays", "wavefront:x", "--dry-run"],
         "wavefront:x",
+    );
+    // A value repeated on one axis would only repeat that value's jobs.
+    for (key, values, repeated) in [
+        ("--topologies", "path:4,path:4", "path:4"),
+        ("--eps", "0.01,0.01", "0.01"),
+        ("--sigma", "2,2", "2"),
+        ("--delays", "const,const", "const"),
+        ("--chaos", "none,none", "none"),
+    ] {
+        rejects_spec(&["sweep", key, values], repeated);
+        rejects_spec(&["sweep", key, values, "--dry-run"], repeated);
+    }
+    // A job count past `usize` is named, not allocated.
+    let huge = [
+        "sweep",
+        "--topologies",
+        "path:4,path:5,path:6",
+        "--seeds",
+        "0..9223372036854775807",
+    ];
+    let count = "3 × 1 × 1 × 1 × 1 × 1 × 1 × 1 × 9223372036854775807";
+    rejects_spec(&huge, count);
+    rejects_spec(&[&huge[..], &["--dry-run"]].concat(), count);
+}
+
+/// A sweep builds each job when a worker takes it, so a grid far too large
+/// to hold as a job list starts writing rows at once.
+#[test]
+fn huge_sweeps_stream_rows_without_expanding_the_grid() {
+    let csv = tmp("huge.csv");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_gcs"))
+        .args([
+            "sweep",
+            "--topologies",
+            "path:4",
+            "--seeds",
+            "0..100000000000",
+            "--horizon",
+            "1e-6",
+            "--jobs",
+            "1",
+            "--csv",
+            csv.to_str().unwrap(),
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("failed to spawn gcs");
+    std::thread::sleep(Duration::from_secs(1));
+    let running = child.try_wait().expect("cannot poll gcs").is_none();
+    let _ = child.kill();
+    let output = child.wait_with_output().expect("cannot reap gcs");
+    let err = stderr(&output);
+    assert!(running, "gcs exited early: {err}");
+    assert!(!err.contains("memory allocation"), "{err}");
+    let rows = std::fs::read_to_string(&csv).unwrap();
+    let _ = std::fs::remove_file(&csv);
+    assert!(rows.lines().count() > 1, "no rows after a second");
+    assert!(
+        rows.lines().nth(1).unwrap().starts_with("0,path:4,"),
+        "{rows:.200}"
     );
 }

@@ -8,7 +8,7 @@
 //! reports the exact line.
 
 use clock_sync::analysis::diff_streams;
-use clock_sync::sweep::{report, run_sweep, SweepSpec};
+use clock_sync::sweep::{report, run_sweep, PoolProgress, SweepSpec};
 use proptest::prelude::*;
 
 /// Runs a sweep at the given worker count and returns its full output
@@ -16,15 +16,19 @@ use proptest::prelude::*;
 /// JSONL summary, exactly as the `gcs sweep --csv/--jsonl` files would be
 /// laid out end to end.
 fn sweep_output(spec: &SweepSpec, workers: usize) -> String {
-    let jobs = spec.expand();
     let mut out = String::from(report::CSV_HEADER);
     out.push('\n');
-    let (_, aggregate) = run_sweep(&jobs, workers, |job, outcome| {
-        out.push_str(&report::csv_row(job, outcome));
-        out.push('\n');
-        out.push_str(&report::jsonl_row(job, outcome));
-        out.push('\n');
-    });
+    let (aggregate, _) = run_sweep(
+        spec,
+        workers,
+        |job, outcome| {
+            out.push_str(&report::csv_row(&job, &outcome));
+            out.push('\n');
+            out.push_str(&report::jsonl_row(&job, &outcome));
+            out.push('\n');
+        },
+        None::<fn(PoolProgress)>,
+    );
     out.push_str(&report::jsonl_summary(&aggregate));
     out.push('\n');
     out
