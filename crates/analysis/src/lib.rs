@@ -31,4 +31,4 @@ pub use legal::{LegalStateChecker, LegalStateViolation};
 pub use metrics::{Histogram, MetricsRegistry, MetricsSink};
 pub use table::Table;
 pub use trace::SkewObserver;
-pub use watchdog::{InvariantWatchdog, WatchdogTrip, WatchdogViolation};
+pub use watchdog::{InvariantWatchdog, WatchdogViolation};

@@ -1,6 +1,5 @@
 //! Online invariant watchdog: checks the paper's correctness conditions
-//! *while the execution runs* and keeps a flight recorder of the events
-//! leading up to the first violation.
+//! *while the execution runs* and keeps the first violation.
 //!
 //! Three invariants are decided at every sample — after every processed
 //! event and at the horizon, which is exact, because logical clocks are
@@ -100,14 +99,18 @@
 //! sample with it. A vector sample, which the certificates do not see,
 //! does the same.
 //!
-//! On the first violation the watchdog *trips*: it freezes a
-//! [`WatchdogTrip`] carrying the violation and the last `N` engine events
-//! from its ring buffer, then stops checking (the first broken invariant is
-//! the diagnostic signal; everything after it is noise).
+//! On the first violation the watchdog *trips*: it keeps the
+//! [`WatchdogViolation`] ([`InvariantWatchdog::trip`]) and stops checking
+//! (the first broken invariant is the diagnostic signal; everything after
+//! it is noise). The events leading up to it are the flight recorder's: a
+//! sink set that holds both stops feeding its [`RecorderSink`] at the
+//! trip, so the recorder's window ends at the violating sample.
+//!
+//! [`RecorderSink`]: gcs_sim::RecorderSink
 
 use gcs_core::Params;
 use gcs_graph::{Graph, NodeId};
-use gcs_sim::{ClockView, EngineEvent, EventSink, RingBufferSink};
+use gcs_sim::{ClockView, EngineEvent, EventSink};
 use gcs_time::{DriftBounds, EnvelopeChecker, RateEnvelope, RELATIVE_SLACK};
 
 use crate::kinetic::{AlarmHeap, CLAIM, FAR};
@@ -178,67 +181,35 @@ impl WatchdogViolation {
             WatchdogViolation::LegalState(v) => v.t,
         }
     }
-}
 
-/// The frozen diagnosis of the first violation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WatchdogTrip {
-    /// What broke.
-    pub violation: WatchdogViolation,
-    /// The last events before (and including the instant of) the
-    /// violation, oldest first — the flight-recorder context.
-    pub recent_events: Vec<EngineEvent>,
-    /// Total events recorded before the trip (including evicted ones).
-    pub events_recorded: u64,
-}
-
-impl WatchdogTrip {
-    /// Renders the trip as a human-readable report.
+    /// Renders the violation as a one-line human-readable report.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        match &self.violation {
+        match self {
             WatchdogViolation::Envelope {
                 node,
                 t,
                 logical,
                 low_margin,
                 high_margin,
-            } => {
-                out.push_str(&format!(
-                    "watchdog: Condition (1) violated at t={t}: node {node} has \
-                     L={logical} (low margin {low_margin:.6}, high margin {high_margin:.6})\n"
-                ));
-            }
+            } => format!(
+                "watchdog: Condition (1) violated at t={t}: node {node} has \
+                 L={logical} (low margin {low_margin:.6}, high margin {high_margin:.6})\n"
+            ),
             WatchdogViolation::Progress {
                 node,
                 t,
                 min_margin,
                 max_margin,
-            } => {
-                out.push_str(&format!(
-                    "watchdog: Condition (2) violated at t={t}: node {node} progress \
-                     out of [α, β] (min margin {min_margin:.6}, max margin {max_margin:.6})\n"
-                ));
-            }
-            WatchdogViolation::LegalState(v) => {
-                out.push_str(&format!(
-                    "watchdog: legal state (Def. 5.6) violated at t={}: \
-                     L_v{} − L_v{} = {:.6} > bound {:.6} (distance {}, level {})\n",
-                    v.t, v.v, v.w, v.skew, v.bound, v.distance, v.level
-                ));
-            }
+            } => format!(
+                "watchdog: Condition (2) violated at t={t}: node {node} progress \
+                 out of [α, β] (min margin {min_margin:.6}, max margin {max_margin:.6})\n"
+            ),
+            WatchdogViolation::LegalState(v) => format!(
+                "watchdog: legal state (Def. 5.6) violated at t={}: \
+                 L_v{} − L_v{} = {:.6} > bound {:.6} (distance {}, level {})\n",
+                v.t, v.v, v.w, v.skew, v.bound, v.distance, v.level
+            ),
         }
-        out.push_str(&format!(
-            "last {} of {} events before the violation:\n",
-            self.recent_events.len(),
-            self.events_recorded
-        ));
-        for e in &self.recent_events {
-            out.push_str("  ");
-            out.push_str(&crate::events::encode_event(e));
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -297,36 +268,17 @@ pub struct InvariantWatchdog {
     /// Set once the watchdog reads clock vectors: a vector snapshot, or the
     /// event-local path's fallback. It never goes back.
     vectors: bool,
-    ring: RingBufferSink,
-    trip: Option<Box<WatchdogTrip>>,
+    trip: Option<WatchdogViolation>,
     snapshots: u64,
     exact_scans: u64,
 }
 
 impl InvariantWatchdog {
-    /// Default flight-recorder depth.
-    pub const DEFAULT_RING_CAPACITY: usize = 64;
-
     /// Creates a watchdog for executions of `A^opt`(-like) protocols with
     /// parameters `params` on `graph`, under hardware drift at most
     /// `drift`. Conditions (1)/(2) use the Corollary 5.3 envelope
     /// `[1 − ε, (1 + ε)(1 + μ)]`.
     pub fn new(graph: &Graph, params: Params, drift: DriftBounds) -> Self {
-        InvariantWatchdog::with_ring_capacity(graph, params, drift, Self::DEFAULT_RING_CAPACITY)
-    }
-
-    /// Like [`InvariantWatchdog::new`] with an explicit flight-recorder
-    /// depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ring_capacity == 0`.
-    pub fn with_ring_capacity(
-        graph: &Graph,
-        params: Params,
-        drift: DriftBounds,
-        ring_capacity: usize,
-    ) -> Self {
         let n = graph.len();
         let envelope = RateEnvelope::for_a_opt(drift, params.mu());
         InvariantWatchdog {
@@ -339,7 +291,6 @@ impl InvariantWatchdog {
             legal: None,
             local: None,
             vectors: false,
-            ring: RingBufferSink::new(ring_capacity),
             trip: None,
             snapshots: 0,
             exact_scans: 0,
@@ -367,9 +318,9 @@ impl InvariantWatchdog {
         self.trip.is_some()
     }
 
-    /// The frozen diagnosis, if the watchdog tripped.
-    pub fn trip(&self) -> Option<&WatchdogTrip> {
-        self.trip.as_ref().map(Box::as_ref)
+    /// The first violation, if the watchdog tripped.
+    pub fn trip(&self) -> Option<&WatchdogViolation> {
+        self.trip.as_ref()
     }
 
     /// Number of state snapshots checked.
@@ -495,7 +446,7 @@ impl InvariantWatchdog {
             }
         }
         if let Some(violation) = first {
-            self.trip_with(violation);
+            self.trip = Some(violation);
             return;
         }
         for &(v, logical) in hot.iter() {
@@ -647,16 +598,8 @@ impl InvariantWatchdog {
         });
         if !legal.observe_clocks(t, clocks) {
             let v = legal.first_violation().expect("observe returned false");
-            self.trip_with(WatchdogViolation::LegalState(v));
+            self.trip = Some(WatchdogViolation::LegalState(v));
         }
-    }
-
-    fn trip_with(&mut self, violation: WatchdogViolation) {
-        self.trip = Some(Box::new(WatchdogTrip {
-            violation,
-            recent_events: self.ring.events().copied().collect(),
-            events_recorded: self.ring.recorded(),
-        }));
     }
 }
 
@@ -665,10 +608,6 @@ impl InvariantWatchdog {
 /// path, for a caller that also observes edge skews.
 impl EventSink for InvariantWatchdog {
     fn record(&mut self, event: &EngineEvent) {
-        if self.trip.is_some() {
-            return;
-        }
-        self.ring.record(event);
         if let EngineEvent::Wake { node, t, .. } = event {
             self.nodes[node.index()].envelope = Some(EnvelopeChecker::new(self.drift, *t));
         }
@@ -693,7 +632,7 @@ impl EventSink for InvariantWatchdog {
             };
             let prev = self.nodes[node].last.replace((t, logical));
             if let Some(violation) = self.check_node(node, &envelope, prev, t, logical) {
-                self.trip_with(violation);
+                self.trip = Some(violation);
                 return;
             }
         }
@@ -732,10 +671,9 @@ mod tests {
     }
 
     #[test]
-    fn unsynchronized_clocks_trip_with_event_context() {
+    fn unsynchronized_clocks_trip() {
         // NoSync under maximal drift split eventually breaks the
-        // neighbour-level legal-state constraint; the trip must carry the
-        // flight-recorder context.
+        // neighbour-level legal-state constraint.
         let params = Params::recommended(0.02, 0.2).unwrap();
         let n = 7;
         let g = topology::path(n);
@@ -751,16 +689,12 @@ mod tests {
         engine.run_until(3000.0);
         let watchdog = engine.into_sink();
         assert!(watchdog.tripped());
-        let trip = watchdog.trip().unwrap();
+        let violation = watchdog.trip().unwrap();
         assert!(matches!(
-            trip.violation,
+            violation,
             WatchdogViolation::LegalState(_) | WatchdogViolation::Envelope { .. }
         ));
-        assert!(!trip.recent_events.is_empty());
-        assert!(trip.events_recorded >= trip.recent_events.len() as u64);
-        let report = trip.render();
-        assert!(report.contains("watchdog:"));
-        assert!(report.contains("events before the violation"));
+        assert!(violation.render().starts_with("watchdog:"));
     }
 
     #[test]
@@ -789,7 +723,7 @@ mod tests {
         let watchdog = engine.into_sink();
         assert!(watchdog.tripped());
         assert!(matches!(
-            watchdog.trip().unwrap().violation,
+            watchdog.trip().unwrap(),
             WatchdogViolation::Envelope { .. } | WatchdogViolation::Progress { .. }
         ));
     }

@@ -56,10 +56,11 @@ impl EventSink for Tee {
         }
         assert_eq!(legal, !self.watchdog.tripped(), "verdicts differ at t={t}");
         if !legal {
-            let trip = self.watchdog.trip().expect("tripped");
             assert_eq!(
-                trip.violation,
-                WatchdogViolation::LegalState(self.checker.first_violation().unwrap())
+                self.watchdog.trip(),
+                Some(&WatchdogViolation::LegalState(
+                    self.checker.first_violation().unwrap()
+                ))
             );
         }
     }

@@ -1,7 +1,6 @@
 //! Dedicated violation-path tests for the invariant watchdog: for each
 //! monitored invariant — Condition (1), Condition (2), Definition 5.6 — a
-//! crafted illegal execution must trip *that* check, and the trip must
-//! freeze the flight recorder with exactly the events that preceded it.
+//! crafted illegal execution must trip *that* check.
 //!
 //! The executions are fed to the sink directly (records + snapshots), so
 //! each test controls precisely which invariant breaks first: the watchdog
@@ -16,10 +15,10 @@ use gcs_time::DriftBounds;
 
 const EPS: f64 = 0.02;
 
-fn watchdog(n: usize, ring: usize) -> InvariantWatchdog {
+fn watchdog(n: usize) -> InvariantWatchdog {
     let params = Params::recommended(EPS, 0.2).unwrap();
     let drift = DriftBounds::new(EPS).unwrap();
-    InvariantWatchdog::with_ring_capacity(&topology::path(n), params, drift, ring)
+    InvariantWatchdog::new(&topology::path(n), params, drift)
 }
 
 fn wake(node: usize, t: f64) -> EngineEvent {
@@ -30,24 +29,16 @@ fn wake(node: usize, t: f64) -> EngineEvent {
     }
 }
 
-fn send(node: usize, t: f64) -> EngineEvent {
-    EngineEvent::Send {
-        node: NodeId(node),
-        t,
-        hw: t,
-    }
-}
-
 #[test]
 fn too_fast_clock_trips_condition_1_upper_envelope() {
-    let mut w = watchdog(2, 8);
+    let mut w = watchdog(2);
     w.record(&wake(0, 0.0));
     w.record(&wake(1, 0.0));
     // (1 + ε)t = 1.02 at t = 1: a logical clock at 1.05 is impossibly fast.
     w.snapshot(1.0, &[1.05, 1.0], 0);
     assert!(w.tripped());
     let trip = w.trip().unwrap();
-    match trip.violation {
+    match *trip {
         WatchdogViolation::Envelope {
             node,
             t,
@@ -67,14 +58,14 @@ fn too_fast_clock_trips_condition_1_upper_envelope() {
 
 #[test]
 fn too_slow_clock_trips_condition_1_lower_envelope() {
-    let mut w = watchdog(2, 8);
+    let mut w = watchdog(2);
     w.record(&wake(0, 0.0));
     w.record(&wake(1, 0.0));
     // (1 − ε)(t − t_v) = 9.8 at t = 10: a clock at 9.5 fell behind the
     // slowest legal hardware.
     w.snapshot(10.0, &[9.5, 10.0], 0);
     assert!(w.tripped());
-    match w.trip().unwrap().violation {
+    match *w.trip().unwrap() {
         WatchdogViolation::Envelope {
             node, low_margin, ..
         } => {
@@ -87,7 +78,7 @@ fn too_slow_clock_trips_condition_1_lower_envelope() {
 
 #[test]
 fn stalled_clock_trips_condition_2_within_the_envelope() {
-    let mut w = watchdog(2, 8);
+    let mut w = watchdog(2);
     w.record(&wake(0, 0.0));
     w.record(&wake(1, 0.0));
     // Node 0 slides from the top of the Condition-(1) band to its bottom:
@@ -98,7 +89,7 @@ fn stalled_clock_trips_condition_2_within_the_envelope() {
     assert!(!w.tripped(), "{:?}", w.trip());
     w.snapshot(10.3, &[10.1, 10.3], 0);
     assert!(w.tripped());
-    match w.trip().unwrap().violation {
+    match *w.trip().unwrap() {
         WatchdogViolation::Progress {
             node,
             t,
@@ -116,7 +107,7 @@ fn stalled_clock_trips_condition_2_within_the_envelope() {
 
 #[test]
 fn jumping_clock_trips_condition_2_max_rate() {
-    let mut w = watchdog(2, 8);
+    let mut w = watchdog(2);
     w.record(&wake(0, 0.0));
     w.record(&wake(1, 0.0));
     // Bottom of the band to its top in 0.1s: rate 4 ≫ β, envelope intact.
@@ -124,7 +115,7 @@ fn jumping_clock_trips_condition_2_max_rate() {
     assert!(!w.tripped(), "{:?}", w.trip());
     w.snapshot(10.1, &[10.25, 10.1], 0);
     assert!(w.tripped());
-    match w.trip().unwrap().violation {
+    match *w.trip().unwrap() {
         WatchdogViolation::Progress {
             node, max_margin, ..
         } => {
@@ -137,7 +128,7 @@ fn jumping_clock_trips_condition_2_max_rate() {
 
 #[test]
 fn drifting_pair_trips_legal_state_while_conditions_hold() {
-    let mut w = watchdog(2, 8);
+    let mut w = watchdog(2);
     w.record(&wake(0, 0.0));
     w.record(&wake(1, 0.0));
     // Both nodes stay strictly inside the Condition-(1) band and move at
@@ -155,7 +146,7 @@ fn drifting_pair_trips_legal_state_while_conditions_hold() {
         }
     }
     let t = tripped_at.expect("growing neighbour skew must trip Def. 5.6");
-    match w.trip().unwrap().violation {
+    match *w.trip().unwrap() {
         WatchdogViolation::LegalState(ref v) => {
             assert_eq!((v.v, v.w), (0, 1), "node 0 is ahead of node 1");
             assert_eq!(v.distance, 1);
@@ -165,33 +156,4 @@ fn drifting_pair_trips_legal_state_while_conditions_hold() {
         ref other => panic!("expected Def. 5.6 LegalState, got {other:?}"),
     }
     assert!(w.trip().unwrap().render().contains("Def. 5.6"));
-}
-
-#[test]
-fn trip_freezes_ring_buffer_with_the_expected_events() {
-    let mut w = watchdog(2, 4);
-    // Seven events through a 4-deep recorder: only the last four survive.
-    let events = vec![
-        wake(0, 0.0),
-        wake(1, 0.0),
-        send(0, 1.0),
-        send(1, 2.0),
-        send(0, 3.0),
-        send(1, 4.0),
-        send(0, 5.0),
-    ];
-    for e in &events {
-        w.record(e);
-    }
-    w.snapshot(6.0, &[100.0, 6.0], 0);
-    assert!(w.tripped());
-    let trip = w.trip().unwrap().clone();
-    assert_eq!(trip.recent_events, events[3..], "oldest-first tail of 4");
-    assert_eq!(trip.events_recorded, 7);
-
-    // After the trip the recorder is frozen: further records and
-    // snapshots change nothing.
-    w.record(&send(1, 7.0));
-    w.snapshot(8.0, &[200.0, 8.0], 0);
-    assert_eq!(w.trip().unwrap(), &trip);
 }

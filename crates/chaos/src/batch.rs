@@ -22,21 +22,10 @@ pub struct BatchConfig {
     pub scenarios: usize,
     /// First seed; scenario `i` uses `start_seed + i`.
     pub start_seed: u64,
-    /// Worker threads for the pool (`0` ⇒ available parallelism).
+    /// Worker threads for the pool (`0` runs one).
     pub workers: usize,
     /// Whether to auto-shrink findings to minimal reproducers.
     pub shrink: bool,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            scenarios: 1000,
-            start_seed: 1,
-            workers: 0,
-            shrink: true,
-        }
-    }
 }
 
 /// One batch scenario's verdict, kept deliberately small (the full spec is

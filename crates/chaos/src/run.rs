@@ -3,7 +3,7 @@
 //! observed by the invariant watchdog as the online oracle.
 
 use gcs_analysis::WatchdogViolation;
-use gcs_sim::EngineEvent;
+use gcs_sim::RecorderSink;
 use gcs_sweep::{JobResult, Scenario, ScenarioSpec, SinkSet};
 
 use crate::spec::ChaosSpec;
@@ -19,10 +19,11 @@ pub struct ScenarioOutcome {
     /// to break an invariant (out-of-model fault). A violation without such
     /// a clause is an **unexpected** violation — a finding.
     pub violation_expected: bool,
-    /// The flight-recorder window at end of run, present only when the
-    /// oracle tripped: the recent events leading up to the violation, in
-    /// execution order, ready to dump as a JSONL forensic artifact.
-    pub recorder_window: Option<Vec<EngineEvent>>,
+    /// The flight recorder, present only when the oracle tripped: frozen
+    /// at the violating sample, so its window holds the recent events
+    /// leading up to the violation, ready to dump as a JSONL forensic
+    /// artifact.
+    pub recorder: Option<RecorderSink>,
 }
 
 impl ScenarioOutcome {
@@ -64,20 +65,14 @@ pub fn run_scenario(spec: &ChaosSpec) -> Result<ScenarioOutcome, String> {
     if let Some(payload) = out.panic {
         std::panic::resume_unwind(payload);
     }
-    let violation = out
-        .sinks
-        .watchdog
-        .as_ref()
-        .and_then(|w| w.trip())
-        .map(|trip| trip.violation.clone());
-    let recorder_window = violation
-        .is_some()
-        .then(|| out.sinks.recorder.window_events());
+    let result = out.result();
+    let violation = out.sinks.watchdog.and_then(|w| w.trip().cloned());
+    let recorder = violation.is_some().then_some(out.sinks.recorder);
     Ok(ScenarioOutcome {
-        result: out.result(),
+        result,
         violation,
         violation_expected,
-        recorder_window,
+        recorder,
     })
 }
 
@@ -144,17 +139,20 @@ mod tests {
     }
 
     #[test]
-    fn violations_carry_a_recorder_window() {
+    fn violations_carry_a_recorder_frozen_at_the_violation() {
         let spec = spec_with(&["rate:5..40:0..1:0.9"]);
         let out = run_scenario(&spec).unwrap();
-        let window = out
-            .recorder_window
+        let recorder = out
+            .recorder
             .as_ref()
-            .expect("a tripped scenario must attach its recorder window");
-        assert!(!window.is_empty());
+            .expect("a tripped scenario must attach its recorder");
+        let window = recorder.window_events();
+        let t = out.violation.as_ref().unwrap().time();
+        assert!(window.last().is_some_and(|e| e.time() <= t));
+        assert!(recorder.recorded() < out.result.events_recorded);
         // Clean scenarios attach nothing — the window is a violation artifact.
         let clean = run_scenario(&spec_with(&[])).unwrap();
-        assert!(clean.recorder_window.is_none());
+        assert!(clean.recorder.is_none());
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub use engine::{Engine, EngineBuilder, MessageStats};
 pub use profile::EngineProfile;
 pub use protocol::{Context, Protocol, TimerId};
 pub use sink::{
-    ClockView, EngineEvent, EventSink, NullSink, RecorderSink, RingBufferSink, VecSink,
-    DEFAULT_RECORDER_FRAMES, DEFAULT_RECORDER_PARTITIONS, KIND_COUNT, KIND_LABELS,
+    ClockView, EngineEvent, EventSink, NullSink, RecorderSink, VecSink, DEFAULT_RECORDER_FRAMES,
+    DEFAULT_RECORDER_PARTITIONS, KIND_COUNT, KIND_LABELS,
 };
 pub use ticked::Ticked;

@@ -421,7 +421,8 @@ pub struct SinkSet {
     /// Exact global/local skew observation (always on).
     pub observer: SkewObserver,
     /// The always-armed flight recorder: a bounded ring of recent events,
-    /// dumped on trip, panic, or request.
+    /// dumped on trip, panic, or request. A watchdog trip freezes it, so
+    /// its window then ends at the violating sample.
     pub recorder: RecorderSink,
     /// Metrics registry (`gcs run --metrics`), fed event-locally: see
     /// [`MetricsSink::observe`].
@@ -505,7 +506,9 @@ impl EventSink for SinkSet {
 
     fn record(&mut self, event: &EngineEvent) {
         self.recorded += 1;
-        self.recorder.record(event);
+        if !self.tripped() {
+            self.recorder.record(event);
+        }
         self.events.record(event);
         self.metrics.record(event);
         self.watchdog.record(event);
@@ -623,6 +626,49 @@ mod tests {
         let expected = scenario.watchdog().rate_envelope();
         let out = scenario.run("aopt", sinks, false).unwrap();
         assert_eq!(out.sinks.watchdog.unwrap().rate_envelope(), expected);
+    }
+
+    #[test]
+    fn a_watchdog_trip_freezes_the_recorder() {
+        // κ at 5% of Eq. (4)'s minimum under the wavefront adversary trips
+        // Def. 5.6 at t ≈ 26, long before the horizon.
+        let mut scenario = Scenario::build(ScenarioSpec {
+            topology: "path:6",
+            eps: 0.05,
+            t: 0.5,
+            delay: "wavefront",
+            rates: "gradient",
+            seed: 42,
+            ..spec(200.0)
+        })
+        .unwrap();
+        scenario.params = scenario.params.with_kappa_factor_unchecked(0.05);
+        let mut sinks = SinkSet::new(&scenario.graph);
+        sinks.watchdog = Some(scenario.watchdog());
+        let mut sinks = scenario.run("aopt", sinks, false).unwrap().sinks;
+        let watchdog = sinks.watchdog.as_ref().unwrap();
+        let t = watchdog.trip().expect("the watchdog trips").time();
+        let (window, recorded) = (sinks.recorder.window_events(), sinks.recorder.recorded());
+        assert_eq!(window.last().map(EngineEvent::time), Some(t));
+        assert_eq!(
+            window.len() as u64,
+            recorded,
+            "the whole run up to the trip"
+        );
+        assert!(
+            recorded < sinks.recorded(),
+            "the run went on after the trip"
+        );
+        // Further events reach the set's count, not the recorder.
+        let total = sinks.recorded();
+        sinks.record(&EngineEvent::Send {
+            node: NodeId(0),
+            t: 300.0,
+            hw: 300.0,
+        });
+        assert_eq!(sinks.recorded(), total + 1);
+        assert_eq!(sinks.recorder.window_events(), window);
+        assert_eq!(sinks.recorder.recorded(), recorded);
     }
 
     /// A heartbeat sink the test can read back.

@@ -26,7 +26,8 @@ use std::time::Instant;
 use clock_sync::adversary::framed::{LocalLowerBound, StageReport};
 use clock_sync::adversary::shift::GlobalLowerBound;
 use clock_sync::analysis::{
-    delivery_imbalance, diff_streams, write_jsonl, ClockTrace, JsonlWriter, MetricsSink, Table,
+    delivery_imbalance, diff_streams, encode_event, write_jsonl, ClockTrace, JsonlWriter,
+    MetricsSink, Table,
 };
 use clock_sync::bench::{diff as bench_diff, parse_artifact};
 use clock_sync::chaos::{
@@ -132,7 +133,8 @@ OBSERVABILITY:
                          and write it as `gcs-metrics/v1` JSON to FILE
                          (`-` prints the JSON object to stdout instead)
     --watchdog           check Conditions (1)/(2) and the Def. 5.6 legal
-                         state online; on violation, dump the last events
+                         state online; a violation freezes the flight
+                         recorder, lists its last events and dumps it
     --heartbeat FILE|-   stream `gcs-heartbeat/v1` JSONL progress records,
                          paced by simulated time (`-` = stdout); render a
                          live or finished stream with `gcs top`
@@ -153,10 +155,12 @@ OBSERVABILITY:
 
 FLIGHT RECORDER (always armed):
     Every run records its recent events into bounded in-memory rings
-    (under half a MiB, zero steady-state allocation). The window is
-    dumped automatically on a watchdog trip (to dumps/recorder-trip.jsonl)
-    or an engine panic (dumps/recorder-panic.jsonl; the dumps/ directory
-    is created on demand and git-ignored), and on request:
+    (under half a MiB, zero steady-state allocation). A watchdog trip
+    freezes the window, so it ends at the violation however long the run
+    goes on. The window is dumped automatically on a watchdog trip (to
+    dumps/recorder-trip.jsonl) or an engine panic (dumps/recorder-panic.jsonl,
+    the frozen window after a trip; the dumps/ directory is created on
+    demand and git-ignored), and on request:
     --dump-recorder FILE dump the recorder window after the run (and use
                          FILE for trip/panic dumps too), in the standard
                          JSONL event-log format (works with `gcs trace`
@@ -365,12 +369,13 @@ violation is *expected* when an out-of-model clause (a rate outside the
 drift bounds, a clog beyond 𝒯̂, a partition, a crash) allows it; otherwise
 it is a **finding**.
 
-Every scenario runs with the flight recorder armed: when the oracle
-trips, `chaos run` dumps the recorder window (the recent causal events)
-as FILE.dump.jsonl next to the scenario — or to --dump-recorder PATH —
-and `chaos batch --fixtures DIR` attaches a finding-SEED.dump.jsonl for
-the shrunk reproducer next to each finding-SEED.chaos fixture. Dumps are
-standard event-log JSONL, consumable by `gcs trace summary|blame|export`.
+Every scenario runs with the flight recorder armed, and an oracle trip
+freezes it: `chaos run` dumps the recorder window (the causal events up
+to the violation) as FILE.dump.jsonl next to the scenario — or to
+--dump-recorder PATH — and `chaos batch --fixtures DIR` attaches a
+finding-SEED.dump.jsonl for the shrunk reproducer next to each
+finding-SEED.chaos fixture. Dumps are standard event-log JSONL,
+consumable by `gcs trace summary|blame|export`.
 
 USAGE:
     gcs chaos run FILE.chaos [--dump-recorder PATH]
@@ -668,14 +673,22 @@ fn default_dump_path(name: &str) -> String {
     format!("dumps/{name}")
 }
 
-/// Writes a flight-recorder window to `path` in the JSONL event-log
-/// format (consumable by `gcs trace` and `gcs replay-check`). Returns the
-/// number of events in the window.
-fn write_recorder_dump(path: &str, recorder: &RecorderSink) -> Result<usize, String> {
+/// Writes the flight recorder's window to `path` in the JSONL event-log
+/// format (consumable by `gcs trace` and `gcs replay-check`), and returns
+/// the line that reports it. Every dump goes through here: a run's panic,
+/// trip or request, a chaos run's trip and a batch finding's reproducer.
+fn dump_recorder(path: &str, recorder: &RecorderSink) -> Result<String, String> {
     let events = recorder.window_events();
     write_jsonl(path, &events).map_err(|e| format!("cannot write recorder dump {path}: {e}"))?;
-    Ok(events.len())
+    Ok(format!(
+        "recorder dump written to {path} ({} of {} recorded events)",
+        events.len(),
+        recorder.recorded()
+    ))
 }
+
+/// How many of the recorder's last events a `gcs run` trip report lists.
+const TRIP_CONTEXT: usize = 64;
 
 /// Builds the `gcs run` sink set: each observability flag switches on one
 /// optional sink of the shared [`SinkSet`].
@@ -792,10 +805,8 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
             .get("dump-recorder")
             .cloned()
             .unwrap_or_else(|| default_dump_path("recorder-panic.jsonl"));
-        match write_recorder_dump(&path, &sinks.recorder) {
-            Ok(count) => eprintln!("panic: recorder dump written to {path} ({count} events)"),
-            Err(e) => eprintln!("panic: {e}"),
-        }
+        let line = dump_recorder(&path, &sinks.recorder).unwrap_or_else(|e| e);
+        eprintln!("panic: {line}");
         std::panic::resume_unwind(payload);
     }
 
@@ -841,11 +852,7 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
         (None, None) => None,
     };
     if let Some(path) = dump_path {
-        let count = write_recorder_dump(&path, &sinks.recorder)?;
-        println!(
-            "recorder dump written to {path} ({count} of {} recorded events)",
-            sinks.recorder.recorded()
-        );
+        println!("{}", dump_recorder(&path, &sinks.recorder)?);
     }
 
     let observer = &sinks.observer;
@@ -917,9 +924,21 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
     }
 
     match &trip {
-        Some(trip) => {
+        Some(violation) => {
+            // The trip froze the recorder, so its tail ends at the
+            // violating sample.
             println!();
-            print!("{}", trip.render());
+            print!("{}", violation.render());
+            let window = sinks.recorder.window_events();
+            let context = &window[window.len().saturating_sub(TRIP_CONTEXT)..];
+            println!(
+                "last {} of {} events before the violation:",
+                context.len(),
+                sinks.recorder.recorded()
+            );
+            for event in context {
+                println!("  {}", encode_event(event));
+            }
             Err("invariant watchdog tripped".to_string())
         }
         None => {
@@ -964,30 +983,11 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
     }
     spec.validate()?;
     let jobs_total = spec.len();
-    let default_workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let workers = opts.usize_or("jobs", default_workers)?.max(1);
+    let workers = workers(opts)?;
 
     if opts.flag("dry-run") {
-        let mut table = Table::new(vec![
-            "job", "topology", "algo", "eps", "t", "sigma", "delay", "rates", "chaos", "seed",
-        ]);
-        for job in (0..jobs_total).map(|index| spec.job(index)) {
-            table.row(vec![
-                job.index.to_string(),
-                job.topology,
-                job.algo,
-                job.eps.to_string(),
-                job.t.to_string(),
-                job.sigma.map_or_else(|| "rec".into(), |s| s.to_string()),
-                job.delay,
-                job.rates,
-                job.chaos,
-                job.seed.to_string(),
-            ]);
-        }
-        println!("{table}");
-        println!("{jobs_total} jobs (dry run; would use {workers} workers)");
-        return Ok(());
+        return print_dry_run(&spec, workers)
+            .map_err(|e| format!("cannot write the job table: {e}"));
     }
 
     let open = |key: &str| -> Result<Option<BufWriter<File>>, String> {
@@ -1120,6 +1120,76 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
         return Err(format!("{} of {jobs_total} jobs failed", aggregate.failed));
     }
     Ok(())
+}
+
+/// The worker count of `gcs sweep` and `gcs chaos batch`: `--jobs`, else
+/// the available parallelism; at least one.
+fn workers(opts: &Options) -> Result<usize, String> {
+    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+    Ok(opts.usize_or("jobs", available)?.max(1))
+}
+
+/// Prints the `gcs sweep --dry-run` job table row by row, so no grid is
+/// held in memory. Every axis value appears in some job, so each column is
+/// as wide as its header or its widest value: the job and seed columns'
+/// widest values are their last.
+fn print_dry_run(spec: &SweepSpec, workers: usize) -> std::io::Result<()> {
+    let jobs = spec.len();
+    let sigma = |s: Option<u32>| s.map_or_else(|| "rec".into(), |s| s.to_string());
+    let cells = |index: usize| {
+        let job = spec.job(index);
+        [
+            job.index.to_string(),
+            job.topology,
+            job.algo,
+            job.eps.to_string(),
+            job.t.to_string(),
+            sigma(job.sigma),
+            job.delay,
+            job.rates,
+            job.chaos,
+            job.seed.to_string(),
+        ]
+    };
+    let widest = |values: Vec<String>| values.iter().map(|v| v.chars().count()).max();
+    let headers = [
+        "job", "topology", "algo", "eps", "t", "sigma", "delay", "rates", "chaos", "seed",
+    ];
+    let values = [
+        vec![jobs.saturating_sub(1).to_string()],
+        spec.topologies.clone(),
+        spec.algos.clone(),
+        spec.eps.iter().map(f64::to_string).collect(),
+        spec.t.iter().map(f64::to_string).collect(),
+        spec.sigmas.iter().copied().map(sigma).collect(),
+        spec.delays.clone(),
+        spec.rates.clone(),
+        spec.chaos.clone(),
+        vec![spec.seeds.end.saturating_sub(1).to_string()],
+    ];
+    let widths: Vec<usize> = headers
+        .iter()
+        .zip(values)
+        .map(|(h, v)| widest(v).unwrap_or(0).max(h.chars().count()))
+        .collect();
+    let line = |out: &mut dyn Write, cells: &[String]| {
+        let padded: Vec<String> = cells
+            .iter()
+            .zip(&widths)
+            .map(|(cell, &w)| format!("{cell:>w$}"))
+            .collect();
+        writeln!(out, "{}", padded.join("  "))
+    };
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    line(&mut out, &headers.map(String::from))?;
+    let total = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
+    writeln!(out, "{}", "-".repeat(total))?;
+    for index in 0..jobs {
+        line(&mut out, &cells(index))?;
+    }
+    writeln!(out)?;
+    writeln!(out, "{jobs} jobs (dry run; would use {workers} workers)")?;
+    out.flush()
 }
 
 /// Compares two event logs. `Ok(true)` means identical, `Ok(false)` means
@@ -1423,14 +1493,12 @@ fn cmd_chaos(args: &[String]) -> Result<bool, String> {
             // A tripped oracle leaves its flight-recorder window next to
             // the scenario (or wherever --dump-recorder points): the
             // causal events, ready for `gcs trace blame`.
-            if let Some(events) = &out.recorder_window {
+            if let Some(recorder) = &out.recorder {
                 let dump = match opts.values.get("dump-recorder") {
                     Some(o) => o.clone(),
                     None => format!("{}.dump.jsonl", p.strip_suffix(".chaos").unwrap_or(p)),
                 };
-                write_jsonl(&dump, events)
-                    .map_err(|e| format!("cannot write recorder dump {dump}: {e}"))?;
-                println!("recorder dump written to {dump} ({} events)", events.len());
+                println!("{}", dump_recorder(&dump, recorder)?);
             }
             Ok(!out.unexpected())
         }
@@ -1441,7 +1509,7 @@ fn cmd_chaos(args: &[String]) -> Result<bool, String> {
             let cfg = BatchConfig {
                 scenarios: opts.usize_or("scenarios", 1000)?,
                 start_seed: opts.u64_or("start-seed", 1)?,
-                workers: opts.usize_or("jobs", 0)?,
+                workers: workers(&opts)?,
                 shrink: !opts.flag("no-shrink"),
             };
             println!(
@@ -1478,12 +1546,9 @@ fn cmd_chaos(args: &[String]) -> Result<bool, String> {
                         // its flight-recorder window — the minimal causal
                         // event dump — next to the fixture.
                         if let Ok(rerun) = run_scenario(spec) {
-                            if let Some(events) = &rerun.recorder_window {
+                            if let Some(recorder) = &rerun.recorder {
                                 let dump = format!("{dir}/finding-{}.dump.jsonl", f.seed);
-                                write_jsonl(&dump, events).map_err(|e| {
-                                    format!("cannot write recorder dump {dump}: {e}")
-                                })?;
-                                println!("recorder dump: {dump} ({} events)", events.len());
+                                println!("{}", dump_recorder(&dump, recorder)?);
                             }
                         }
                         println!("repro: {}", ChaosSpec::repro_line(&file));

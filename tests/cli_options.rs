@@ -292,3 +292,40 @@ fn huge_sweeps_stream_rows_without_expanding_the_grid() {
         "{rows:.200}"
     );
 }
+
+#[test]
+fn huge_dry_runs_stream_rows_without_expanding_the_grid() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_gcs"))
+        .args([
+            "sweep",
+            "--topologies",
+            "path:4",
+            "--seeds",
+            "0..100000000000",
+            "--dry-run",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("failed to spawn gcs");
+    // The table fills the pipe within the second and blocks there.
+    std::thread::sleep(Duration::from_secs(1));
+    let running = child.try_wait().expect("cannot poll gcs").is_none();
+    let _ = child.kill();
+    let output = child.wait_with_output().expect("cannot reap gcs");
+    let err = stderr(&output);
+    assert!(running, "gcs exited early: {err}");
+    assert!(!err.contains("memory allocation"), "{err}");
+    let rows = String::from_utf8_lossy(&output.stdout);
+    let mut lines = rows.lines();
+    // Column widths come from the axes: the job column fits job
+    // 99999999999, the seed column seed 99999999999.
+    let header =
+        "        job  topology  algo   eps    t  sigma    delay  rates  chaos         seed";
+    assert_eq!(lines.next(), Some(header), "{rows:.300}");
+    assert_eq!(lines.next(), Some("-".repeat(header.len()).as_str()));
+    assert_eq!(
+        lines.next(),
+        Some("          0    path:4  aopt  0.01  0.1    rec  uniform   walk   none            0")
+    );
+}

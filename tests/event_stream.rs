@@ -9,6 +9,7 @@ use clock_sync::analysis::{diff_streams, InvariantWatchdog, JsonlWriter, Watchdo
 use clock_sync::core::{AOpt, Params};
 use clock_sync::graph::topology;
 use clock_sync::sim::{rates, Engine, UniformDelay};
+use clock_sync::sweep::SinkSet;
 use clock_sync::time::DriftBounds;
 use proptest::prelude::*;
 
@@ -73,7 +74,8 @@ proptest! {
 }
 
 /// Running `A^opt` with κ forced far below the Eq. 4 minimum must trip the
-/// legal-state watchdog (Def. 5.6), and the trip must carry event context.
+/// legal-state watchdog (Def. 5.6), and the trip must freeze the flight
+/// recorder on the events leading up to it.
 #[test]
 fn watchdog_trips_when_kappa_violates_eq4() {
     let eps = 0.01;
@@ -87,28 +89,32 @@ fn watchdog_trips_when_kappa_violates_eq4() {
     let drift = DriftBounds::new(eps).unwrap();
     let horizon = 60.0;
     let schedules = rates::random_walk(n, drift, 3.0, horizon, 5);
-    let watchdog = InvariantWatchdog::new(&g, params, drift);
+    let mut sinks = SinkSet::new(&g);
+    sinks.watchdog = Some(InvariantWatchdog::new(&g, params, drift));
     let mut engine = Engine::builder(g)
         .protocols(vec![AOpt::new(params); n])
         .delay_model(UniformDelay::new(t_max, 5))
         .rate_schedules(schedules)
-        .event_sink(watchdog)
+        .event_sink(sinks)
         .build();
     engine.wake_all_at(0.0);
     engine.run_until(horizon);
-    let watchdog = engine.into_sink();
-    let trip = watchdog
-        .trip()
+    let sinks = engine.into_sink();
+    let violation = sinks
+        .watchdog
+        .as_ref()
+        .and_then(|w| w.trip())
         .expect("κ below Eq. 4 must trip the watchdog");
     assert!(
-        matches!(trip.violation, WatchdogViolation::LegalState(_)),
-        "expected a Def. 5.6 legal-state violation, got {:?}",
-        trip.violation
+        matches!(violation, WatchdogViolation::LegalState(_)),
+        "expected a Def. 5.6 legal-state violation, got {violation:?}"
     );
+    let window = sinks.recorder.window_events();
     assert!(
-        !trip.recent_events.is_empty(),
-        "trip must carry ring-buffered event context"
+        window.last().is_some_and(|e| e.time() <= violation.time()),
+        "the recorder must hold the events up to the trip"
     );
+    assert!(sinks.recorder.recorded() < sinks.recorded());
 }
 
 /// With the recommended (Eq. 4-respecting) parameters the watchdog stays

@@ -9,10 +9,12 @@
 //! * a file in the retired binary dump format is an error for every
 //!   `gcs trace` action;
 //! * a crafted watchdog violation (`--kappa-factor 0.05`) dumps a window
-//!   whose `gcs trace blame` chain names the same peak local-skew pair as
-//!   the run's own online observer;
+//!   whose `gcs trace blame` names the same peak global-skew pair and skew
+//!   as the watchdog's Def. 5.6 violation;
 //! * `gcs chaos run` attaches a dump on violation, identical across
 //!   reruns, and `gcs trace blame` processes it end to end;
+//! * a trip freezes the recorder: after long runs of `gcs run` and
+//!   `gcs chaos run`, the dump still ends at the violation's `t`;
 //! * `--skew-field` streams are byte-identical across same-seed reruns and
 //!   render under `gcs top`.
 
@@ -124,27 +126,35 @@ fn legacy_binary_dumps_are_errors_not_panics() {
     let _ = std::fs::remove_file(&bin);
 }
 
-/// Extracts `(ahead, behind)` from the run table's
-/// `worst local skew … (vA − vB at t = …)` line.
-fn observer_pair(run_stdout: &str) -> (usize, usize) {
+/// Extracts `(t, ahead, behind, skew)` from the run's
+/// `watchdog: legal state (Def. 5.6) violated at t=T: L_vA − L_vB = S > …`
+/// line, each as printed.
+fn legal_violation(run_stdout: &str) -> (String, String, String, String) {
     let line = run_stdout
         .lines()
-        .find(|l| l.contains("worst local skew"))
-        .expect("run table has a local-skew row");
-    let open = line.find("(v").expect("pair annotation");
-    let rest = &line[open + 2..];
-    let ahead: usize = rest[..rest.find(' ').unwrap()].parse().unwrap();
-    let v2 = rest.find('v').map(|i| &rest[i + 1..]).unwrap();
-    let behind: usize = v2[..v2.find(' ').unwrap()].parse().unwrap();
-    (ahead, behind)
+        .find(|l| l.starts_with("watchdog: legal state (Def. 5.6) violated at t="))
+        .expect("the run reports a Def. 5.6 violation");
+    let rest = &line["watchdog: legal state (Def. 5.6) violated at t=".len()..];
+    let (t, rest) = rest.split_once(": L_v").unwrap();
+    let (ahead, rest) = rest.split_once(" − L_v").unwrap();
+    let (behind, rest) = rest.split_once(" = ").unwrap();
+    let (skew, _) = rest.split_once(' ').unwrap();
+    (t.into(), ahead.into(), behind.into(), skew.into())
+}
+
+/// The `t` of the last event in a JSONL dump.
+fn last_event_time(dump: &str) -> String {
+    let last = dump.lines().last().expect("a non-empty dump");
+    let t = &last[last.find("\"t\":").expect("every event has a t") + 4..];
+    t[..t.find([',', '}']).unwrap()].to_string()
 }
 
 #[test]
 fn watchdog_trip_dump_is_blameable_and_matches_observer() {
     // κ at 5% of the Eq. (4) minimum under the F2 wavefront adversary: the
-    // watchdog must trip, and the run must leave a recorder dump whose
-    // offline blame chain explains the same peak pair the online observer
-    // reported.
+    // watchdog must trip, and the run must leave a recorder dump, frozen at
+    // the trip, whose offline blame explains the pair and the skew the
+    // online watchdog reported.
     let dump = tmp("trip.jsonl");
     let dump_str = dump.to_str().unwrap().to_string();
     let output = gcs(&[
@@ -170,14 +180,16 @@ fn watchdog_trip_dump_is_blameable_and_matches_observer() {
     assert!(!output.status.success(), "the watchdog must trip");
     let out = stdout(&output);
     assert!(out.contains("recorder dump written to"), "{out}");
-    let (ahead, behind) = observer_pair(&out);
+    let (t, ahead, behind, skew) = legal_violation(&out);
 
-    let blame = gcs(&["trace", "blame", &dump_str, "--end", "126"]);
+    let blame = gcs(&["trace", "blame", &dump_str, "--global", "--end", &t]);
     assert!(blame.status.success(), "{}", stderr(&blame));
     let blame_out = stdout(&blame);
     assert!(
-        blame_out.contains(&format!("on edge {ahead}-{behind} ({ahead} ahead)")),
-        "blame peak pair must match the observer pair (v{ahead} − v{behind}):\n{blame_out}"
+        blame_out.contains(&format!(
+            "peak global skew {skew} at t={t} between nodes {ahead} (ahead) and {behind} (behind)"
+        )),
+        "blame peak must be the violating pair (L_v{ahead} − L_v{behind} = {skew}):\n{blame_out}"
     );
     assert!(
         blame_out.contains(&format!("causal chain of node {ahead} at")),
@@ -185,6 +197,72 @@ fn watchdog_trip_dump_is_blameable_and_matches_observer() {
     );
 
     let _ = std::fs::remove_file(&dump);
+}
+
+/// Extracts `t` from `gcs chaos run`'s
+/// `oracle: KIND violation at node N t T — …` line.
+fn chaos_violation_time(chaos_stdout: &str) -> String {
+    let line = chaos_stdout
+        .lines()
+        .find(|l| l.starts_with("oracle: ") && l.contains(" violation at node "))
+        .expect("the oracle reports a violation");
+    let rest = &line[line.find(" t ").unwrap() + 3..];
+    rest[..rest.find(' ').unwrap()].to_string()
+}
+
+#[test]
+fn long_runs_dump_the_window_that_ends_at_the_trip() {
+    // Both runs trip early and go on for thousands of time units after;
+    // the trip froze the recorder, so each dump still ends at the
+    // violation.
+    let dump = tmp("long-run.jsonl");
+    let dump_str = dump.to_str().unwrap().to_string();
+    let output = gcs(&[
+        "run",
+        "--topology",
+        "path:6",
+        "--eps",
+        "0.05",
+        "--t",
+        "0.5",
+        "--delays",
+        "wavefront",
+        "--rates",
+        "gradient",
+        "--horizon",
+        "2000",
+        "--kappa-factor",
+        "0.05",
+        "--watchdog",
+        "--dump-recorder",
+        &dump_str,
+    ]);
+    assert!(!output.status.success(), "the watchdog must trip");
+    let out = stdout(&output);
+    assert!(out.contains("(1491 of 1491 recorded events)"), "{out}");
+    assert!(
+        out.contains("last 64 of 1491 events before the violation:"),
+        "{out}"
+    );
+    let (t, ..) = legal_violation(&out);
+    assert_eq!(last_event_time(&read(&dump)), t);
+    let _ = std::fs::remove_file(&dump);
+
+    let spec = tmp("long-attack.chaos");
+    let spec_str = spec.to_str().unwrap().to_string();
+    let attack = include_str!("../examples/chaos/rate_attack.chaos");
+    assert!(attack.contains("\nhorizon = 60\n"));
+    std::fs::write(
+        &spec,
+        attack.replace("\nhorizon = 60\n", "\nhorizon = 3000\n"),
+    )
+    .unwrap();
+    let output = gcs(&["chaos", "run", &spec_str, "--dump-recorder", &dump_str]);
+    assert!(output.status.success(), "chaos run: {}", stderr(&output));
+    let t = chaos_violation_time(&stdout(&output));
+    assert_eq!(last_event_time(&read(&dump)), t);
+    let _ = std::fs::remove_file(&dump);
+    let _ = std::fs::remove_file(&spec);
 }
 
 /// A scenario whose out-of-model rate attack reliably trips the oracle
@@ -217,22 +295,23 @@ fn chaos_violation_dump_is_reproducible_and_blameable() {
         assert!(out.contains("recorder dump written to"), "{out}");
         let text = read(&dump);
         let _ = std::fs::remove_file(&dump);
-        text
+        (text, chaos_violation_time(&out))
     };
 
-    let t1 = run_dump("chaos-1.jsonl");
+    let (t1, at) = run_dump("chaos-1.jsonl");
     assert_eq!(
         t1,
-        run_dump("chaos-2.jsonl"),
+        run_dump("chaos-2.jsonl").0,
         "chaos dumps must be reproducible"
     );
     assert!(!t1.is_empty());
 
-    // The dump feeds the full forensics pipeline end to end.
+    // The dump feeds the full forensics pipeline end to end. Its window
+    // ends at the trip, so blame reads the clocks at the violation's `t`.
     let dump = tmp("chaos-blame.jsonl");
     std::fs::write(&dump, &t1).unwrap();
     let dump_str = dump.to_str().unwrap().to_string();
-    let blame = gcs(&["trace", "blame", &dump_str]);
+    let blame = gcs(&["trace", "blame", &dump_str, "--end", &at]);
     assert!(
         blame.status.success(),
         "blame over the chaos dump failed: {}",
