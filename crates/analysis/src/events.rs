@@ -106,15 +106,27 @@ pub fn encode_event(event: &EngineEvent) -> String {
     }
 }
 
-/// Writes `events` to the file at `path` in the JSONL event-log format.
+/// Encodes the trip record that ends a recorder dump frozen by a watchdog
+/// trip: `t` is the time of the sample that tripped (no trailing newline).
+pub fn encode_trip(t: f64) -> String {
+    format!(r#"{{"kind":"trip","t":{t}}}"#)
+}
+
+/// Writes a recorder dump to the file at `path`: `events` in the JSONL
+/// event-log format, then the trip record if a trip at `trip` froze the
+/// window.
 ///
 /// # Errors
 ///
 /// The file write failure.
-pub fn write_jsonl(path: impl AsRef<std::path::Path>, events: &[EngineEvent]) -> io::Result<()> {
+pub fn write_dump(
+    path: impl AsRef<std::path::Path>,
+    events: &[EngineEvent],
+    trip: Option<f64>,
+) -> io::Result<()> {
     let mut out = String::new();
-    for event in events {
-        out.push_str(&encode_event(event));
+    for line in events.iter().map(encode_event).chain(trip.map(encode_trip)) {
+        out.push_str(&line);
         out.push('\n');
     }
     std::fs::write(path, out)

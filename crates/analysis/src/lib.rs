@@ -25,7 +25,7 @@ mod watchdog;
 
 pub use accounting::{delivery_imbalance, ComplexityReport};
 pub use clock_trace::ClockTrace;
-pub use events::{diff_streams, encode_event, write_jsonl, JsonlWriter, StreamDiff};
+pub use events::{diff_streams, encode_event, encode_trip, write_dump, JsonlWriter, StreamDiff};
 pub use gradient::GradientProfile;
 pub use legal::{LegalStateChecker, LegalStateViolation};
 pub use metrics::{Histogram, MetricsRegistry, MetricsSink};

@@ -64,6 +64,46 @@ impl Table {
         self.rows.is_empty()
     }
 
+    /// Renders a table line by line into `emit` (each line ends in a
+    /// newline): the headers, a dash rule, then `rows`, each cell
+    /// right-aligned to its column's entry of `widths` and columns two
+    /// spaces apart. `widths` holds each column's widest cell in chars,
+    /// header included: `Display` measures them from the stored rows, and a
+    /// caller with more rows than it can hold computes them up front.
+    pub fn write_streaming<E>(
+        headers: impl IntoIterator<Item = impl AsRef<str>>,
+        widths: &[usize],
+        rows: impl IntoIterator<Item = impl IntoIterator<Item = impl AsRef<str>>>,
+        mut emit: impl FnMut(&str) -> Result<(), E>,
+    ) -> Result<(), E> {
+        fn line(
+            out: &mut String,
+            widths: &[usize],
+            cells: impl IntoIterator<Item = impl AsRef<str>>,
+        ) {
+            use fmt::Write as _;
+            out.clear();
+            for (i, (cell, &w)) in cells.into_iter().zip(widths).enumerate() {
+                if i > 0 {
+                    out.push_str("  ");
+                }
+                // Writing to a `String` cannot fail.
+                let _ = write!(out, "{:>w$}", cell.as_ref());
+            }
+            out.push('\n');
+        }
+        let mut buf = String::new();
+        line(&mut buf, widths, headers);
+        emit(&buf)?;
+        let total = widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1);
+        emit(&format!("{}\n", "-".repeat(total)))?;
+        for row in rows {
+            line(&mut buf, widths, row);
+            emit(&buf)?;
+        }
+        Ok(())
+    }
+
     /// Renders as CSV (no quoting; intended for numeric tables).
     pub fn to_csv(&self) -> String {
         let mut out = self.headers.join(",");
@@ -84,22 +124,7 @@ impl fmt::Display for Table {
                 *w = (*w).max(cell.chars().count());
             }
         }
-        let render = |f: &mut fmt::Formatter<'_>, cells: &[String]| -> fmt::Result {
-            for (i, (cell, w)) in cells.iter().zip(&widths).enumerate() {
-                if i > 0 {
-                    write!(f, "  ")?;
-                }
-                write!(f, "{cell:>w$}", w = w)?;
-            }
-            writeln!(f)
-        };
-        render(f, &self.headers)?;
-        let total: usize = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
-        writeln!(f, "{}", "-".repeat(total))?;
-        for row in &self.rows {
-            render(f, row)?;
-        }
-        Ok(())
+        Table::write_streaming(&self.headers, &widths, &self.rows, |line| f.write_str(line))
     }
 }
 

@@ -7,7 +7,7 @@
 //! line, deterministically.
 
 use gcs_adversary::FaultClause;
-use gcs_chaos::{run_scenario, ChaosSpec};
+use gcs_chaos::{run_scenario, ChaosSpec, ScenarioOutcome};
 
 /// `path:8` under `const` delay with `split` rates (the fast half drifts at
 /// `1 + ε` against the slow half's `1 − ε`).
@@ -54,7 +54,20 @@ fn long_partition_outcome_is_reproducible() {
     let spec = partition_spec(5.0, 80.0, 100.0);
     let first = run_scenario(&spec).unwrap();
     let again = run_scenario(&spec).unwrap();
-    assert_eq!(first, again, "partition chaos must be deterministic");
+    // Same measurements, verdict and frozen flight-recorder window.
+    assert_eq!(
+        first.result, again.result,
+        "partition chaos must be deterministic"
+    );
+    assert_eq!(first.violation_expected, again.violation_expected);
+    let window = |o: &ScenarioOutcome| {
+        let recorder = o
+            .recorder
+            .as_ref()
+            .expect("a tripped run keeps its recorder");
+        (recorder.recorded(), recorder.window_events())
+    };
+    assert_eq!(window(&first), window(&again));
     // Same violation, bit-for-bit.
     let (a, b) = (first.violation.unwrap(), again.violation.unwrap());
     assert_eq!(a.kind(), b.kind());

@@ -51,5 +51,5 @@ pub use chrome::export_chrome;
 pub use clocks::{ClockReconstruction, NodeClock, Segment};
 pub use dag::{event_node, Dag, EventId, Message};
 pub use json::{parse as parse_json, Json, JsonError};
-pub use parse::{parse_line, parse_stream, ParseError};
+pub use parse::{parse_dump, parse_line, parse_stream, ParseError};
 pub use summary::{EdgeStats, NodeStats, TraceSummary};

@@ -49,6 +49,33 @@ pub fn parse_stream(text: &str) -> Result<Vec<EngineEvent>, ParseError> {
     Ok(events)
 }
 
+/// Parses a recorder dump: an event stream whose last line may be the
+/// trip record `{"kind":"trip","t":T}` of a window a watchdog trip froze,
+/// `T` being the time of the sample that tripped. Returns the events and
+/// `T`, if the dump has one.
+///
+/// # Errors
+///
+/// As [`parse_stream`]; a trip record anywhere but last is an error.
+pub fn parse_dump(text: &str) -> Result<(Vec<EngineEvent>, Option<f64>), ParseError> {
+    let body = text.trim_end();
+    let (head, last) = body.rsplit_once('\n').unwrap_or(("", body));
+    let trip = parse_json(last)
+        .ok()
+        .filter(|v| v.get("kind").and_then(Json::as_str) == Some("trip"));
+    let Some(trip) = trip else {
+        return Ok((parse_stream(text)?, None));
+    };
+    let t = trip
+        .get("t")
+        .and_then(Json::as_f64)
+        .ok_or_else(|| ParseError {
+            line: head.lines().count() + 1,
+            message: "`trip` record: missing number field `t`".into(),
+        })?;
+    Ok((parse_stream(head)?, Some(t)))
+}
+
 /// Parses one JSONL line into an [`EngineEvent`].
 ///
 /// # Errors
@@ -160,6 +187,7 @@ pub fn parse_line(line: &str) -> Result<EngineEvent, String> {
             "`{kind}` is a sweep-result line, not an engine event; \
              trace forensics reads `gcs run --events` streams"
         )),
+        "trip" => Err("a `trip` record may only end a recorder dump".into()),
         other => Err(format!("unknown event kind `{other}`")),
     }
 }
@@ -167,7 +195,7 @@ pub fn parse_line(line: &str) -> Result<EngineEvent, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcs_analysis::encode_event;
+    use gcs_analysis::{encode_event, encode_trip};
 
     fn all_kinds() -> Vec<EngineEvent> {
         vec![
@@ -256,6 +284,23 @@ mod tests {
 
         let broken = format!("{stream}\nnot json at all");
         let err = parse_stream(&broken).unwrap_err();
+        assert_eq!(err.line, all_kinds().len() + 1);
+    }
+
+    #[test]
+    fn a_dump_may_end_in_a_trip_record() {
+        let stream: String = all_kinds().iter().map(|e| encode_event(e) + "\n").collect();
+        assert_eq!(parse_dump(&stream).unwrap(), (all_kinds(), None));
+
+        let dump = format!("{stream}{}\n", encode_trip(7.25));
+        assert_eq!(parse_dump(&dump).unwrap(), (all_kinds(), Some(7.25)));
+        // An event log is not a dump: the trip record is not an event.
+        let err = parse_stream(&dump).unwrap_err();
+        assert_eq!(err.line, all_kinds().len() + 1);
+        // Only the last line may carry it.
+        let err = parse_dump(&format!("{}\n{stream}", encode_trip(7.25))).unwrap_err();
+        assert_eq!(err.line, 1);
+        let err = parse_dump(&format!("{stream}{{\"kind\":\"trip\"}}")).unwrap_err();
         assert_eq!(err.line, all_kinds().len() + 1);
     }
 

@@ -26,7 +26,7 @@ use std::time::Instant;
 use clock_sync::adversary::framed::{LocalLowerBound, StageReport};
 use clock_sync::adversary::shift::GlobalLowerBound;
 use clock_sync::analysis::{
-    delivery_imbalance, diff_streams, encode_event, write_jsonl, ClockTrace, JsonlWriter,
+    delivery_imbalance, diff_streams, encode_event, write_dump, ClockTrace, JsonlWriter,
     MetricsSink, Table,
 };
 use clock_sync::bench::{diff as bench_diff, parse_artifact};
@@ -35,7 +35,7 @@ use clock_sync::chaos::{
 };
 use clock_sync::core::{AOpt, Params};
 use clock_sync::forensics::{
-    blame, export_chrome, parse_stream, ClockReconstruction, Dag, TraceSummary,
+    blame, export_chrome, parse_dump, ClockReconstruction, Dag, TraceSummary,
 };
 use clock_sync::sim::{Protocol, RecorderSink};
 use clock_sync::sweep::scenario::Heartbeat;
@@ -157,10 +157,12 @@ FLIGHT RECORDER (always armed):
     Every run records its recent events into bounded in-memory rings
     (under half a MiB, zero steady-state allocation). A watchdog trip
     freezes the window, so it ends at the violation however long the run
-    goes on. The window is dumped automatically on a watchdog trip (to
-    dumps/recorder-trip.jsonl) or an engine panic (dumps/recorder-panic.jsonl,
-    the frozen window after a trip; the dumps/ directory is created on
-    demand and git-ignored), and on request:
+    goes on, and a dump of it ends in a trip record of the violation's
+    time (`gcs trace blame` explains the skew up to it). The window is
+    dumped automatically on a watchdog trip (to dumps/recorder-trip.jsonl)
+    or an engine panic (dumps/recorder-panic.jsonl, the frozen window
+    after a trip; the dumps/ directory is created on demand and
+    git-ignored), and on request:
     --dump-recorder FILE dump the recorder window after the run (and use
                          FILE for trip/panic dumps too), in the standard
                          JSONL event-log format (works with `gcs trace`
@@ -238,7 +240,7 @@ USAGE:
     gcs trace blame   FILE.jsonl [--global] [--end T] [--max-hops N]
     gcs trace export  FILE.jsonl --chrome [--out FILE.json]
 
-Reads a JSONL event log (`gcs run --events` or `--dump-recorder`),
+Reads a JSONL event log (`gcs run --events` or a recorder dump),
 reconstructs every node's exact hardware and logical clock plus the
 happened-before DAG over all messages, and answers provenance queries
 offline — no re-simulation.
@@ -254,7 +256,8 @@ OPTIONS (blame):
     --global       explain the peak *global* skew pair instead of the
                    peak local (neighbour) pair
     --end T        also evaluate skew at real time T (pass the run horizon
-                   to include skew still growing at end of stream)
+                   to include skew still growing at end of stream; on a
+                   trip dump, the default is the violation's time)
     --max-hops N   cap the causal walk length             (default 64)
 
 OPTIONS (export):
@@ -374,8 +377,9 @@ freezes it: `chaos run` dumps the recorder window (the causal events up
 to the violation) as FILE.dump.jsonl next to the scenario — or to
 --dump-recorder PATH — and `chaos batch --fixtures DIR` attaches a
 finding-SEED.dump.jsonl for the shrunk reproducer next to each
-finding-SEED.chaos fixture. Dumps are standard event-log JSONL,
-consumable by `gcs trace summary|blame|export`.
+finding-SEED.chaos fixture. Dumps are standard event-log JSONL ending in
+a trip record of the violation's time, consumable by
+`gcs trace summary|blame|export`.
 
 USAGE:
     gcs chaos run FILE.chaos [--dump-recorder PATH]
@@ -677,9 +681,13 @@ fn default_dump_path(name: &str) -> String {
 /// format (consumable by `gcs trace` and `gcs replay-check`), and returns
 /// the line that reports it. Every dump goes through here: a run's panic,
 /// trip or request, a chaos run's trip and a batch finding's reproducer.
-fn dump_recorder(path: &str, recorder: &RecorderSink) -> Result<String, String> {
+/// `trip` is the violation's time when a watchdog trip froze the window;
+/// the dump then ends in a trip record, which `gcs trace blame` takes as
+/// its default end.
+fn dump_recorder(path: &str, recorder: &RecorderSink, trip: Option<f64>) -> Result<String, String> {
     let events = recorder.window_events();
-    write_jsonl(path, &events).map_err(|e| format!("cannot write recorder dump {path}: {e}"))?;
+    write_dump(path, &events, trip)
+        .map_err(|e| format!("cannot write recorder dump {path}: {e}"))?;
     Ok(format!(
         "recorder dump written to {path} ({} of {} recorded events)",
         events.len(),
@@ -805,7 +813,12 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
             .get("dump-recorder")
             .cloned()
             .unwrap_or_else(|| default_dump_path("recorder-panic.jsonl"));
-        let line = dump_recorder(&path, &sinks.recorder).unwrap_or_else(|e| e);
+        let trip = sinks
+            .watchdog
+            .as_ref()
+            .and_then(|w| w.trip())
+            .map(|v| v.time());
+        let line = dump_recorder(&path, &sinks.recorder, trip).unwrap_or_else(|e| e);
         eprintln!("panic: {line}");
         std::panic::resume_unwind(payload);
     }
@@ -852,7 +865,8 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
         (None, None) => None,
     };
     if let Some(path) = dump_path {
-        println!("{}", dump_recorder(&path, &sinks.recorder)?);
+        let trip_t = trip.as_ref().map(|v| v.time());
+        println!("{}", dump_recorder(&path, &sinks.recorder, trip_t)?);
     }
 
     let observer = &sinks.observer;
@@ -1172,21 +1186,10 @@ fn print_dry_run(spec: &SweepSpec, workers: usize) -> std::io::Result<()> {
         .zip(values)
         .map(|(h, v)| widest(v).unwrap_or(0).max(h.chars().count()))
         .collect();
-    let line = |out: &mut dyn Write, cells: &[String]| {
-        let padded: Vec<String> = cells
-            .iter()
-            .zip(&widths)
-            .map(|(cell, &w)| format!("{cell:>w$}"))
-            .collect();
-        writeln!(out, "{}", padded.join("  "))
-    };
     let mut out = BufWriter::new(std::io::stdout().lock());
-    line(&mut out, &headers.map(String::from))?;
-    let total = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
-    writeln!(out, "{}", "-".repeat(total))?;
-    for index in 0..jobs {
-        line(&mut out, &cells(index))?;
-    }
+    Table::write_streaming(headers, &widths, (0..jobs).map(cells), |line| {
+        out.write_all(line.as_bytes())
+    })?;
     writeln!(out)?;
     writeln!(out, "{jobs} jobs (dry run; would use {workers} workers)")?;
     out.flush()
@@ -1251,7 +1254,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     };
     let opts = Options::parse(rest, "trace", TRACE_USAGE)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let events = parse_stream(&text).map_err(|e| format!("{path}: {e}"))?;
+    let (events, trip) = parse_dump(&text).map_err(|e| format!("{path}: {e}"))?;
     if events.is_empty() {
         return Err(format!("{path}: stream contains no events"));
     }
@@ -1273,7 +1276,9 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
                     }
                     Some(end)
                 }
-                None => None,
+                // A dump frozen by a trip ends at the violation, which may
+                // come after its last event.
+                None => trip,
             };
             let max_hops = opts.usize_or("max-hops", 64)?;
             let report = blame(&dag, &clocks, end, max_hops, opts.flag("global"))
@@ -1498,7 +1503,8 @@ fn cmd_chaos(args: &[String]) -> Result<bool, String> {
                     Some(o) => o.clone(),
                     None => format!("{}.dump.jsonl", p.strip_suffix(".chaos").unwrap_or(p)),
                 };
-                println!("{}", dump_recorder(&dump, recorder)?);
+                let trip = out.violation.as_ref().map(|v| v.time());
+                println!("{}", dump_recorder(&dump, recorder, trip)?);
             }
             Ok(!out.unexpected())
         }
@@ -1548,7 +1554,8 @@ fn cmd_chaos(args: &[String]) -> Result<bool, String> {
                         if let Ok(rerun) = run_scenario(spec) {
                             if let Some(recorder) = &rerun.recorder {
                                 let dump = format!("{dir}/finding-{}.dump.jsonl", f.seed);
-                                println!("{}", dump_recorder(&dump, recorder)?);
+                                let trip = rerun.violation.as_ref().map(|v| v.time());
+                                println!("{}", dump_recorder(&dump, recorder, trip)?);
                             }
                         }
                         println!("repro: {}", ChaosSpec::repro_line(&file));

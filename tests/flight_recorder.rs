@@ -12,9 +12,11 @@
 //!   whose `gcs trace blame` names the same peak global-skew pair and skew
 //!   as the watchdog's Def. 5.6 violation;
 //! * `gcs chaos run` attaches a dump on violation, identical across
-//!   reruns, and `gcs trace blame` processes it end to end;
+//!   reruns, and a plain `gcs trace blame` processes it end to end,
+//!   reaching the violation through the dump's closing trip record;
 //! * a trip freezes the recorder: after long runs of `gcs run` and
-//!   `gcs chaos run`, the dump still ends at the violation's `t`;
+//!   `gcs chaos run`, the dump's last event and its trip record still
+//!   carry the violation's `t`;
 //! * `--skew-field` streams are byte-identical across same-seed reruns and
 //!   render under `gcs top`.
 
@@ -142,11 +144,20 @@ fn legal_violation(run_stdout: &str) -> (String, String, String, String) {
     (t.into(), ahead.into(), behind.into(), skew.into())
 }
 
-/// The `t` of the last event in a JSONL dump.
-fn last_event_time(dump: &str) -> String {
-    let last = dump.lines().last().expect("a non-empty dump");
-    let t = &last[last.find("\"t\":").expect("every event has a t") + 4..];
+/// The `t` of a JSONL line, as written.
+fn line_time(line: &str) -> String {
+    let t = &line[line.find("\"t\":").expect("every line has a t") + 4..];
     t[..t.find([',', '}']).unwrap()].to_string()
+}
+
+/// The `t` of a trip dump's last event and of its closing trip record.
+fn trip_dump_times(dump: &str) -> (String, String) {
+    let lines: Vec<&str> = dump.lines().collect();
+    let [.., event, trip] = lines[..] else {
+        panic!("a trip dump holds events and a trip record: {dump}");
+    };
+    assert!(trip.starts_with("{\"kind\":\"trip\","), "{trip}");
+    (line_time(event), line_time(trip))
 }
 
 #[test]
@@ -181,8 +192,11 @@ fn watchdog_trip_dump_is_blameable_and_matches_observer() {
     let out = stdout(&output);
     assert!(out.contains("recorder dump written to"), "{out}");
     let (t, ahead, behind, skew) = legal_violation(&out);
+    assert_eq!(trip_dump_times(&read(&dump)).1, t);
 
-    let blame = gcs(&["trace", "blame", &dump_str, "--global", "--end", &t]);
+    // The dump's trip record carries the violation's `t`, so blame reaches
+    // it with no `--end`.
+    let blame = gcs(&["trace", "blame", &dump_str, "--global"]);
     assert!(blame.status.success(), "{}", stderr(&blame));
     let blame_out = stdout(&blame);
     assert!(
@@ -245,7 +259,7 @@ fn long_runs_dump_the_window_that_ends_at_the_trip() {
         "{out}"
     );
     let (t, ..) = legal_violation(&out);
-    assert_eq!(last_event_time(&read(&dump)), t);
+    assert_eq!(trip_dump_times(&read(&dump)), (t.clone(), t));
     let _ = std::fs::remove_file(&dump);
 
     let spec = tmp("long-attack.chaos");
@@ -260,7 +274,7 @@ fn long_runs_dump_the_window_that_ends_at_the_trip() {
     let output = gcs(&["chaos", "run", &spec_str, "--dump-recorder", &dump_str]);
     assert!(output.status.success(), "chaos run: {}", stderr(&output));
     let t = chaos_violation_time(&stdout(&output));
-    assert_eq!(last_event_time(&read(&dump)), t);
+    assert_eq!(trip_dump_times(&read(&dump)), (t.clone(), t));
     let _ = std::fs::remove_file(&dump);
     let _ = std::fs::remove_file(&spec);
 }
@@ -306,21 +320,27 @@ fn chaos_violation_dump_is_reproducible_and_blameable() {
     );
     assert!(!t1.is_empty());
 
-    // The dump feeds the full forensics pipeline end to end. Its window
-    // ends at the trip, so blame reads the clocks at the violation's `t`.
+    // The dump feeds the full forensics pipeline end to end. The trip
+    // froze the window at its last event (t = 5, the attack's rate step,
+    // all clocks still equal); the violation comes at a later sample that
+    // records no event, and the trip record carries its `t` to blame.
+    let (last, trip) = trip_dump_times(&t1);
+    assert_eq!(trip, at);
+    assert!(last.parse::<f64>().unwrap() < at.parse::<f64>().unwrap());
     let dump = tmp("chaos-blame.jsonl");
     std::fs::write(&dump, &t1).unwrap();
     let dump_str = dump.to_str().unwrap().to_string();
-    let blame = gcs(&["trace", "blame", &dump_str, "--end", &at]);
+    let blame = gcs(&["trace", "blame", &dump_str]);
     assert!(
         blame.status.success(),
         "blame over the chaos dump failed: {}",
         stderr(&blame)
     );
+    let blame_out = stdout(&blame);
+    assert!(blame_out.contains("causal chain"), "{blame_out}");
     assert!(
-        stdout(&blame).contains("causal chain"),
-        "{}",
-        stdout(&blame)
+        blame_out.contains(&format!("peak local skew  0.060000 at t={at} on edge 1-0")),
+        "{blame_out}"
     );
     let _ = std::fs::remove_file(&dump);
 
